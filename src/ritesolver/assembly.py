@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -52,6 +51,9 @@ from ritesolver.kernels import (
     RadiativeProperties,
     blackbody_emission,
     blackbody_intensity,
+    kernel_prefactor,
+    projected_solid_angle,
+    sight_cosines,
 )
 from ritesolver.visibility import (
     EARLY_BLOCKED,
@@ -219,10 +221,12 @@ def element_rule(element: SurfaceElement, order: int, split: bool = False,
     patch = patch if patch is not None else full_patch(element)
     if not split:
         return _rule_on_patch(element, patch, order)
-    parts = [
-        _rule_on_patch(element, child, order)
-        for child in split_patch(patch, at=toward)
-    ]
+    return _concat_rules(
+        [_rule_on_patch(element, child, order) for child in split_patch(patch, at=toward)]
+    )
+
+
+def _concat_rules(parts) -> ElementRule:
     return ElementRule(
         np.concatenate([p.points for p in parts]),
         np.concatenate([p.weights for p in parts]),
@@ -446,20 +450,14 @@ class Assembler:
         collocation: CollocationSet | None = None,
         budget: SubdivisionBudget | None = None,
         base_order: int = 2,
-        threads: int = 1,
-        use_culls: bool = True,
     ):
         if base_order < 1:
             raise ValueError(f"base_order must be at least 1, got {base_order}")
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
         self.mesh = mesh
         self.grid = grid
         self.collocation = collocation if collocation is not None else collocation_points(mesh, grid)
         self.budget = budget if budget is not None else SubdivisionBudget()
         self.base_order = base_order
-        self.threads = threads
-        self.use_culls = use_culls
         self.arrays = mesh.arrays()
         self._rule_cache: dict[tuple[int, int, bool], ElementRule] = {}
         self._screen_cache: dict[tuple[str, int], dict[int, object]] = {}
@@ -496,9 +494,7 @@ class Assembler:
         key = (kind, pidx)
         hit = self._screen_cache.get(key)
         if hit is None:
-            outcomes = screen_active_set(
-                p, idx, self.mesh, source_element=source_element, use_culls=self.use_culls
-            )
+            outcomes = screen_active_set(p, idx, self.mesh, source_element=source_element)
             hit = {int(k): out for k, out in zip(idx, outcomes)}
             self._screen_cache[key] = hit
         return hit
@@ -511,7 +507,7 @@ class Assembler:
             return hit
         if screened is EARLY_BLOCKED:
             out = "blocked"
-        elif not screened and self.use_culls:
+        elif not screened:
             out = "full"
         else:
             listing = BlockingList(point=p, active_index=k, blockers=tuple(screened))
@@ -632,77 +628,61 @@ class Assembler:
             w = ds
         return flat, w
 
-    def _surface_row(self, i: int, props: RadiativeProperties, eb_vertices: np.ndarray,
-                     ib_cells: np.ndarray, gmat, fmat, h):
+    def _row(self, kind: str, r: int, props: RadiativeProperties, eb_vertices: np.ndarray,
+             ib_cells: np.ndarray, refl_block, scatter_block, src):
+        """Row r of the wall equation (kind "b") or of the medium equation ("i").
+
+        Wall receivers scale every kernel by their emissivity and see their
+        own cosine; medium receivers take 1.0 for both, which is exact, so
+        the two equations share this code without changing a bit.
+        """
         col = self.collocation
-        p = col.boundary_points[i]
-        n_p = col.boundary_normals[i]
-        own = int(col.boundary_element[i])
-        eps_i = self.arrays.emissivities[own]
-        local = i - col.element_first_dof[own]
-        if self.mesh.elements[own].is_quad:
-            eb_p = float(quad_vertex_shapes(QUAD_NODES_UV[[local]])[0] @ eb_vertices[own])
+        if kind == "b":
+            p = col.boundary_points[r]
+            normal = col.boundary_normals[r]
+            own = int(col.boundary_element[r])
+            rx = self.arrays.emissivities[own]
+            local = r - col.element_first_dof[own]
+            if self.mesh.elements[own].is_quad:
+                eb_p = float(quad_vertex_shapes(QUAD_NODES_UV[[local]])[0] @ eb_vertices[own])
+            else:
+                eb_p = float(TRI_NODES_BARY[local] @ eb_vertices[own, :3])
+            src[r] = -rx * eb_p
+            direct, emission, scatter = (KernelKind.WALL_TO_WALL, KernelKind.EMISSION_TO_WALL,
+                                         KernelKind.SCATTER_TO_WALL)
         else:
-            eb_p = float(TRI_NODES_BARY[local] @ eb_vertices[own, :3])
-        h[i] = -eps_i * eb_p
-        gathered = self._gather_row_rule("b", i, p, n_p, own)
+            p = col.interior_points[r]
+            normal = own = None
+            rx = 1.0
+            direct, emission, scatter = (KernelKind.WALL_TO_MEDIUM, KernelKind.EMISSION_TO_MEDIUM,
+                                         KernelKind.SCATTER_TO_MEDIUM)
+        gathered = self._gather_row_rule(kind, r, p, normal, own)
         if gathered is None:
             return
         pts, w, eids, fshape, vshape = gathered
         diff = pts - p[None, :]
         dist = np.linalg.norm(diff, axis=1)
-        cos_p = np.clip(np.einsum("nj,j->n", diff, n_p) / dist, 0.0, 1.0)
-        cos_r = np.clip(
-            -np.einsum("nj,nj->n", diff, self.arrays.normals[eids]) / dist, 0.0, 1.0
-        )
-        geo = w * cos_p * cos_r / dist**2
+        cos_p, cos_r = sight_cosines(diff, dist, self.arrays.normals[eids], normal)
+        geo = projected_solid_angle(cos_p, cos_r, dist, w)
 
-        # Direct wall-to-wall transport.
-        p1 = np.exp(-props.beta * dist) / np.pi * geo
+        # Direct transport of the reflected part of the wall radiosity.
+        direct_k = kernel_prefactor(direct, props, dist) * geo
         refl = (1.0 - self.arrays.emissivities[eids]) / self.arrays.emissivities[eids]
         dof_cols = self._dof_columns(eids)
-        np.add.at(gmat[i], dof_cols.ravel(), ((eps_i * refl * p1)[:, None] * fshape).ravel())
+        np.add.at(refl_block[r], dof_cols.ravel(),
+                  ((rx * refl * direct_k)[:, None] * fshape).ravel())
         eb_pts = np.einsum("nv,nv->n", vshape, eb_vertices[eids])
-        h[i] += eps_i * float(p1 @ eb_pts)
+        src[r] += rx * float(direct_k @ eb_pts)
 
         # Chord-coupled terms share the geometric factor without attenuation.
         if props.sigma_a > 0.0 or props.sigma_s > 0.0:
             cells, cw = self._chord_factors(p, pts, props.beta)
             if props.sigma_a > 0.0:
-                h[i] += eps_i * props.sigma_a * float(geo @ (cw * ib_cells[cells]).sum(1))
-            if props.sigma_s > 0.0:
-                fmat[i] = eps_i * props.sigma_s / (4.0 * np.pi) * np.bincount(
-                    cells.ravel(), (geo[:, None] * cw).ravel(), minlength=self.grid.n_cells
+                src[r] += kernel_prefactor(emission, props, dist, rx) * float(
+                    geo @ (cw * ib_cells[cells]).sum(1)
                 )
-
-    def _volume_row(self, j: int, props: RadiativeProperties, eb_vertices: np.ndarray,
-                    ib_cells: np.ndarray, umat, vmat, t):
-        col = self.collocation
-        p = col.interior_points[j]
-        gathered = self._gather_row_rule("i", j, p, None, None)
-        if gathered is None:
-            return
-        pts, w, eids, fshape, vshape = gathered
-        diff = pts - p[None, :]
-        dist = np.linalg.norm(diff, axis=1)
-        cos_r = np.clip(
-            -np.einsum("nj,nj->n", diff, self.arrays.normals[eids]) / dist, 0.0, 1.0
-        )
-        geo = w * cos_r / dist**2
-
-        p4 = np.exp(-props.beta * dist) / np.pi * geo
-        refl = (1.0 - self.arrays.emissivities[eids]) / self.arrays.emissivities[eids]
-        dof_cols = self._dof_columns(eids)
-        np.add.at(vmat[j], dof_cols.ravel(), ((refl * p4)[:, None] * fshape).ravel())
-        eb_pts = np.einsum("nv,nv->n", vshape, eb_vertices[eids])
-        t[j] = float(p4 @ eb_pts)
-
-        if props.sigma_a > 0.0 or props.sigma_s > 0.0:
-            cells, cw = self._chord_factors(p, pts, props.beta)
-            if props.sigma_a > 0.0:
-                t[j] += props.sigma_a * float(geo @ (cw * ib_cells[cells]).sum(1))
             if props.sigma_s > 0.0:
-                umat[j] = props.sigma_s / (4.0 * np.pi) * np.bincount(
+                scatter_block[r] = kernel_prefactor(scatter, props, dist, rx) * np.bincount(
                     cells.ravel(), (geo[:, None] * cw).ravel(), minlength=self.grid.n_cells
                 )
 
@@ -714,17 +694,6 @@ class Assembler:
     def _cell_intensity(self, props: RadiativeProperties) -> np.ndarray:
         ib = blackbody_intensity(self.grid.temperatures, props.sigma_sb)
         return np.where(self._active_mask, ib, 0.0)
-
-    def _run_rows(self, n_rows: int, worker):
-        if self.threads == 1 or n_rows < 4:
-            for r in range(n_rows):
-                worker(r)
-            return
-        chunks = np.array_split(np.arange(n_rows), self.threads)
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            futures = [pool.submit(lambda rs: [worker(r) for r in rs], c) for c in chunks]
-            for f in futures:
-                f.result()
 
     def assemble_surface(self, props: RadiativeProperties) -> SurfaceSystem:
         from ritesolver.solver import solvability_margin
@@ -745,10 +714,8 @@ class Assembler:
         h = np.zeros(col.n_boundary)
         eb_vertices = self._node_blackbody(props)
         ib_cells = self._cell_intensity(props)
-        self._run_rows(
-            col.n_boundary,
-            lambda i: self._surface_row(i, props, eb_vertices, ib_cells, gmat, fmat, h),
-        )
+        for i in range(col.n_boundary):
+            self._row("b", i, props, eb_vertices, ib_cells, gmat, fmat, h)
         for name, arr in (("Gmat", gmat), ("Fmat", fmat), ("h", h)):
             if not np.all(np.isfinite(arr)):
                 raise AssemblyFailure(f"non-finite entries in {name}")
@@ -761,10 +728,8 @@ class Assembler:
         t = np.zeros(col.n_interior)
         eb_vertices = self._node_blackbody(props)
         ib_cells = self._cell_intensity(props)
-        self._run_rows(
-            col.n_interior,
-            lambda j: self._volume_row(j, props, eb_vertices, ib_cells, umat, vmat, t),
-        )
+        for j in range(col.n_interior):
+            self._row("i", j, props, eb_vertices, ib_cells, vmat, umat, t)
         for name, arr in (("Umat", umat), ("Vmat", vmat), ("t", t)):
             if not np.all(np.isfinite(arr)):
                 raise AssemblyFailure(f"non-finite entries in {name}")
@@ -819,35 +784,20 @@ def element_integral(
     if report is not None and report.classification is Classification.FULLY_BLOCKED:
         return 0.0
     if report is not None and report.classification is Classification.PARTIALLY_VISIBLE:
-        rules = [
+        rule = _concat_rules([
             element_rule(element, order, split, patch=sub.patch, toward=toward)
             for sub in report.visible
-        ]
-        rule = ElementRule(
-            np.concatenate([r.points for r in rules]),
-            np.concatenate([r.weights for r in rules]),
-            np.concatenate([r.flux_shapes for r in rules]),
-            np.concatenate([r.vertex_shapes for r in rules]),
-        )
+        ])
     else:
         rule = element_rule(element, order, split, toward=toward)
     diff = rule.points - p[None, :]
     dist = np.linalg.norm(diff, axis=1)
-    cos_r = np.clip(-np.einsum("nj,j->n", diff, element.normal) / dist, 0.0, 1.0)
-    if kind.receiver_on_wall:
-        n_p = as_point(n_p)
-        cos_p = np.clip(np.einsum("nj,j->n", diff, n_p) / dist, 0.0, 1.0)
-        geo = cos_p * cos_r / dist**2
-    else:
-        geo = cos_r / dist**2
-    if kind.is_direct:
-        vals = np.exp(-props.beta * dist) / np.pi * geo
-    elif kind.is_emission:
-        vals = props.sigma_a * geo
-    else:
-        vals = props.sigma_s / (4.0 * np.pi) * geo
-    f = rule.weights if shape is None else rule.weights * rule.flux_shapes[:, shape]
-    return float(vals @ f)
+    n_p = as_point(n_p) if kind.receiver_on_wall else None
+    cos_p, cos_r = sight_cosines(diff, dist, np.broadcast_to(element.normal, diff.shape), n_p)
+    vals = kernel_prefactor(kind, props, dist) * projected_solid_angle(
+        cos_p, cos_r, dist, rule.weights
+    )
+    return float(vals.sum() if shape is None else vals @ rule.flux_shapes[:, shape])
 
 
 def operator_row_sums(

@@ -42,6 +42,7 @@ from ritesolver.geometry import (
     SurfaceMesh,
     VoxelGrid,
     load_mesh,
+    mesh_from_records,
     points_in_mesh,
     write_mesh_file,
 )
@@ -187,12 +188,9 @@ BUILTIN_CASES = {"cube": _cube_case, "lshape": _lshape_case}
 def builtin_case(kind: str, resolution: int) -> tuple[SurfaceMesh, VoxelGrid]:
     """In-memory mesh and grid for a builtin enclosure.
 
-    Goes through the same construction as the generated file, including the
-    node-temperature averaging of the file loader, so library use and file
-    use agree exactly.
+    Goes through the same construction as loading the generated file, so
+    library use and file use agree exactly.
     """
-    import tempfile
-
     if resolution < 1:
         raise ConfigError(f"resolution must be at least 1, got {resolution}")
     try:
@@ -201,14 +199,7 @@ def builtin_case(kind: str, resolution: int) -> tuple[SurfaceMesh, VoxelGrid]:
         raise ConfigError(
             f"unknown builtin case {kind!r}; choose from {sorted(BUILTIN_CASES)}"
         ) from None
-    nodes, records, grid = build(resolution)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        path = fh.name
-    try:
-        write_mesh_file(path, nodes, records, grid)
-        return load_mesh(path)
-    finally:
-        Path(path).unlink(missing_ok=True)
+    return mesh_from_records(*build(resolution))
 
 
 def generate_case(kind: str, resolution: int, out_dir) -> Path:
@@ -254,8 +245,8 @@ class ProfileSpec:
 
 _CONFIG_KEYS = {
     "mesh", "sigma_a", "sigma_s", "sigma_sb", "tolerance", "max_iterations",
-    "min_area_fraction", "max_depth", "min_area", "quad_order", "threads",
-    "use_culls", "output", "seed", "dump_matrices", "dump_visibility",
+    "min_area_fraction", "max_depth", "min_area", "quad_order", "output",
+    "seed", "dump_matrices", "dump_visibility",
     "reference_temperature", "profiles",
 }
 
@@ -274,8 +265,6 @@ class CaseConfig:
     max_depth: int = 8
     min_area: float | None = None
     quad_order: int = 2
-    threads: int = 1
-    use_culls: bool = True
     output: str = "out"
     seed: int = DEFAULT_ORACLE_SEED
     dump_matrices: bool = False
@@ -341,8 +330,6 @@ class CaseConfig:
             "max_depth": self.max_depth,
             "min_area": self.min_area,
             "quad_order": self.quad_order,
-            "threads": self.threads,
-            "use_culls": self.use_culls,
             "output": self.output,
             "seed": self.seed,
             "dump_matrices": self.dump_matrices,
@@ -502,14 +489,7 @@ def run_case(config: CaseConfig) -> RunResult:
         max_depth=config.max_depth,
         min_area_fraction=config.min_area_fraction,
     )
-    assembler = Assembler(
-        mesh,
-        grid,
-        budget=budget,
-        base_order=config.quad_order,
-        threads=config.threads,
-        use_culls=config.use_culls,
-    )
+    assembler = Assembler(mesh, grid, budget=budget, base_order=config.quad_order)
 
     eps_min = float(mesh.arrays().emissivities.min())
     margin, solvable = solvability_margin(props, eps_min)
@@ -628,8 +608,6 @@ def _apply_overrides(config: CaseConfig, args) -> CaseConfig:
         updates["tolerance"] = args.tol
     if args.max_iter is not None:
         updates["max_iterations"] = args.max_iter
-    if args.threads is not None:
-        updates["threads"] = args.threads
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.dump_matrices:
@@ -647,7 +625,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quad-order", type=int, metavar="N", help="base quadrature order")
     parser.add_argument("--tol", type=float, metavar="X", help="outer iteration tolerance")
     parser.add_argument("--max-iter", type=int, metavar="N", help="outer iteration cap")
-    parser.add_argument("--threads", type=int, metavar="N", help="assembly worker threads")
     parser.add_argument("--dump-matrices", action="store_true",
                         help="write the four operator blocks and load vectors")
     parser.add_argument("--dump-visibility", action="store_true",

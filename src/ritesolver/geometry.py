@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "point_in_mesh",
     "mesh_diameter",
     "load_mesh",
+    "mesh_from_records",
     "write_mesh_file",
 ]
 
@@ -257,6 +258,10 @@ class ElementArrays:
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
+
+    def take(self, indices) -> "ElementArrays":
+        """The listed elements, in the given order."""
+        return ElementArrays(*(getattr(self, f.name)[indices] for f in fields(self)))
 
 
 def segment_element_hits(starts, ends, arrays: ElementArrays, indices=None) -> np.ndarray:
@@ -511,7 +516,7 @@ class VoxelGrid:
     flat = ix + nx * (iy + ny * iz).
     """
 
-    def __init__(self, origin, spacing, dims, temperatures=None, incident_energy=None):
+    def __init__(self, origin, spacing, dims, temperatures=None):
         self.origin = as_point(origin)
         spacing = np.asarray(spacing, dtype=float)
         if spacing.shape == ():
@@ -532,7 +537,6 @@ class VoxelGrid:
         if np.any(temperatures < 0) or not np.all(np.isfinite(temperatures)):
             raise GeometryError("cell temperatures must be finite and nonnegative")
         self.temperatures = temperatures
-        self.incident_energy = incident_energy
         self._centers = None
 
     @property
@@ -744,12 +748,7 @@ _GRID_KEYS = {"origin", "spacing", "dims", "T"}
 
 
 def load_mesh(path) -> tuple[SurfaceMesh, VoxelGrid]:
-    """Read a mesh-plus-grid JSON file.
-
-    The file stores one temperature per element; node temperatures are the
-    mean over incident elements, which is exact for uniform walls. The grid
-    box must contain the mesh bounding box.
-    """
+    """Read a mesh-plus-grid JSON file (the format of write_mesh_file)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -757,14 +756,22 @@ def load_mesh(path) -> tuple[SurfaceMesh, VoxelGrid]:
     missing = _MESH_KEYS - set(data)
     if missing:
         raise MeshError(f"mesh file missing keys: {sorted(missing)}")
+    return mesh_from_records(data["nodes"], data["elements"], data["grid"])
 
-    nodes = np.asarray(data["nodes"], dtype=float)
-    records = data["elements"]
+
+def mesh_from_records(nodes, elements, grid: dict) -> tuple[SurfaceMesh, VoxelGrid]:
+    """Build the mesh and grid that write_mesh_file's arguments describe.
+
+    The records store one temperature per element; node temperatures are
+    the mean over incident elements, which is exact for uniform walls. The
+    grid box must contain the mesh bounding box.
+    """
+    nodes = np.asarray(nodes, dtype=float)
     element_nodes = []
     emissivities = []
     temp_sum = np.zeros(nodes.shape[0])
     temp_cnt = np.zeros(nodes.shape[0])
-    for rec in records:
+    for rec in elements:
         try:
             en = [int(i) for i in rec["nodes"]]
             eps = float(rec["epsilon"])
@@ -784,11 +791,11 @@ def load_mesh(path) -> tuple[SurfaceMesh, VoxelGrid]:
 
     mesh = SurfaceMesh(nodes, element_nodes, emissivities, node_temps, check_closed=True)
 
-    g = data["grid"]
-    missing = _GRID_KEYS - set(g)
+    missing = _GRID_KEYS - set(grid)
     if missing:
         raise MeshError(f"grid record missing keys: {sorted(missing)}")
-    grid = VoxelGrid(g["origin"], g["spacing"], g["dims"], np.asarray(g["T"], dtype=float))
+    grid = VoxelGrid(grid["origin"], grid["spacing"], grid["dims"],
+                     np.asarray(grid["T"], dtype=float))
     lo, hi = grid.box()
     mlo, mhi = mesh.bounding_box()
     tol = 1e-9 * max(1.0, float(np.max(hi - lo)))

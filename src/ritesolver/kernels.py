@@ -35,9 +35,12 @@ __all__ = [
     "blackbody_intensity",
     "transmittance",
     "kernel_components",
+    "kernel_prefactor",
     "kernel_value",
     "path_factors",
     "path_source_integral",
+    "projected_solid_angle",
+    "sight_cosines",
 ]
 
 # CODATA value, W m^-2 K^-4.
@@ -144,6 +147,40 @@ def transmittance(distance, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
+def sight_cosines(diff, dist, source_normals, receiver_normal=None):
+    """Unclamped cosines (cos_p, cos_r) at the receiver and at the source.
+
+    diff (n, 3) holds source minus receiver, dist (n,) its lengths, and
+    source_normals (n, 3) the source normals. cos_p is exactly 1.0 for
+    interior receivers (receiver_normal None), so the projected solid angle
+    reduces to the plain one without rounding.
+    """
+    cos_r = -np.einsum("nj,nj->n", diff, source_normals) / dist
+    if receiver_normal is None:
+        return 1.0, cos_r
+    return np.einsum("nj,j->n", diff, receiver_normal) / dist, cos_r
+
+
+def projected_solid_angle(cos_p, cos_r, dist, weights=1.0):
+    """weights * cos_p * cos_r / d^2, the cosines clamped to [0, 1]."""
+    return weights * np.clip(cos_p, 0.0, 1.0) * np.clip(cos_r, 0.0, 1.0) / dist**2
+
+
+def kernel_prefactor(kind: KernelKind, props: RadiativeProperties, dist, scale=1.0):
+    """The factor each kernel puts in front of the projected solid angle.
+
+    Direct kernels carry exp(-beta d) / pi, emission kernels
+    scale * sigma_a and scatter kernels scale * sigma_s / (4 pi). scale
+    multiplies the medium coefficient first, so a receiver factor folded
+    in through it costs no extra rounding.
+    """
+    if kind.is_direct:
+        return transmittance(dist, props.beta) / np.pi
+    if kind.is_emission:
+        return scale * props.sigma_a
+    return scale * props.sigma_s / (4.0 * np.pi)
+
+
 def kernel_components(kind: KernelKind, dist, cos_p, cos_r, props: RadiativeProperties):
     """Vectorized kernel values for precomputed distances and cosines.
 
@@ -155,18 +192,9 @@ def kernel_components(kind: KernelKind, dist, cos_p, cos_r, props: RadiativeProp
         raise CoincidentPoints(
             f"kernel distance below {props.coincidence_tolerance:g} m"
         )
-    cr = np.clip(np.asarray(cos_r, dtype=float), 0.0, 1.0)
-    if kind.receiver_on_wall:
-        cp = np.clip(np.asarray(cos_p, dtype=float), 0.0, 1.0)
-        geo = cp * cr / d**2
-    else:
-        geo = cr / d**2
-    if kind.is_direct:
-        vals = np.exp(-props.beta * d) / math.pi * geo
-    elif kind.is_emission:
-        vals = props.sigma_a * geo
-    else:
-        vals = props.sigma_s / (4.0 * math.pi) * geo
+    cp = np.asarray(cos_p, dtype=float) if kind.receiver_on_wall else 1.0
+    geo = projected_solid_angle(cp, np.asarray(cos_r, dtype=float), d)
+    vals = kernel_prefactor(kind, props, d) * geo
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -185,18 +213,13 @@ def kernel_value(
     """
     p = as_point(receiver)
     r = as_point(source)
-    n_r = as_point(source_normal)
-    diff = r - p
-    d = float(np.linalg.norm(diff))
-    if d < props.coincidence_tolerance:
-        raise CoincidentPoints(f"points {p} and {r} are {d:g} m apart")
-    cos_r = float(n_r @ (p - r)) / d
-    if kind.receiver_on_wall:
-        n_p = as_point(receiver_normal)
-        cos_p = float(n_p @ diff) / d
-    else:
-        cos_p = None
-    return kernel_components(kind, d, cos_p, cos_r, props)
+    diff = (r - p)[None, :]
+    d = np.linalg.norm(diff, axis=1)
+    if d[0] < props.coincidence_tolerance:
+        raise CoincidentPoints(f"points {p} and {r} are {d[0]:g} m apart")
+    n_p = as_point(receiver_normal) if kind.receiver_on_wall else None
+    cos_p, cos_r = sight_cosines(diff, d, as_point(source_normal)[None, :], n_p)
+    return float(kernel_components(kind, d, cos_p, cos_r, props)[0])
 
 
 def path_factors(receiver, source, grid: VoxelGrid, beta: float):

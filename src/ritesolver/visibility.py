@@ -2,22 +2,28 @@
 
 Occlusion handling runs in three stages. First, a facing test keeps only
 elements that can exchange radiation with the source point at all. Second,
-each surviving pair gets a list of potential blockers, built with a
-conservative cylinder cull around the sight line and a view-window vertex
-test (the open pyramid spanned by the point and the element, the sharp core
-of the circular view cone) plus center and corner ray casts; a pair whose
-view is provably covered is rejected outright. Third, pairs with a nonempty
-blocker list are subdivided quadtree-style until each piece is either fully
+one screen lists the potential blockers of each surviving element: a
+conservative cylinder cull around the sight line, a view-window vertex test
+(a candidate vertex inside the open pyramid spanned by the point and the
+element), and ray casts from the point to the element's center and corners.
+A candidate that cuts the center sight line without a vertex in the window
+is taken to cover the view, and so is a list that hides every corner ray;
+either rejects the pair outright. Third, pairs with a nonempty blocker list
+are subdivided quadtree-style. Each piece runs the same screen against its
+parent's list, where a center hit only lists the blocker, until it is fully
 visible, fully covered, or small enough to classify by a single centroid
 ray.
 
 The subdivision converges to the exact shadow boundary as the minimum
 sub-element area goes to zero; the default budget resolves fractions to
-about one percent of the element area. The screens probe occluders through
+about one percent of the element area. The screen probes occluders through
 their vertices, the center sight line, and the corner sight lines, which is
 exhaustive for compact occluders; a long thin occluder that slices a view
 window while keeping every vertex outside it and dodging all probe rays can
-escape listing.
+escape listing. Conversely, both blocking rules can hide a view that is
+partly open: an edge that cuts the center sight line leaves the view on
+its far side open, and separate occluders that hide the corners can leave
+a gap between them.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ _PYRAMID_TAU_MARGIN = 1e-9
 # tolerance and their centroid offset along the normal stays below it times
 # the larger diameter.
 _COPLANAR_RTOL = 1e-9
+# The view-window test runs over at most this many (node, candidate) pairs
+# at a time, which bounds the memory of its (pairs, 4, 3) landing points.
+_PAIR_CHUNK = 1 << 18
 
 
 class _EarlyBlockedType:
@@ -194,162 +203,114 @@ def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = No
     return ActiveList(point=p, normal=n_p, indices=tuple(int(i) for i in np.nonzero(mask)[0]))
 
 
-def _circumradius(element: SurfaceElement) -> float:
-    d = element.vertices - element.centroid
-    return float(np.sqrt((d * d).sum(axis=1).max()))
+def _screen_nodes(p, nodes: ElementArrays, cols: np.ndarray, cand: np.ndarray,
+                  arrays: ElementArrays, center_blocks: bool) -> list:
+    """Cylinder cull, view-window vertex test, and ray casts for A nodes.
 
+    nodes holds the A nodes under test (mesh elements or quadtree pieces);
+    cand (A, m) marks which of the mesh elements cols (m,) are candidate
+    blockers of each node. Returns one entry per node: EARLY_BLOCKED, or the
+    kept blocker indices in candidate order.
 
-def _window_vertex_block(p, normals, gaps, verts, tols, cand_verts) -> np.ndarray:
-    """Vertex-in-view-window mask for a block of nodes, shape (A, E).
-
-    The view window of a node is the open pyramid of sight rays from p
-    through the node interior. A candidate vertex lies inside it exactly
-    when its ray from p crosses the node plane strictly beyond the vertex
-    (parameter above one) at a point strictly interior to the node; both
-    strictness margins keep plane-sharing neighbors and rim grazes out, so
-    a convex enclosure yields no vertex captures at all.
-
-    normals (A, 3) and verts (A, 4, 3) describe the nodes, triangles padded
-    by a repeated vertex; gaps (A,) holds normal . (centroid - p), tols (A,)
-    the interior margins; cand_verts is (E, 4, 3).
+    A candidate is kept when a vertex lies in the node's view window or when
+    it cuts the sight line to the node's center or to one of its corners.
+    With center_blocks (the rule for whole elements), a candidate that cuts
+    the center sight line without reaching a vertex into the view window is
+    taken as covering the whole window and blocks the node outright; for
+    quadtree pieces it merely joins the list. Either way the union rule
+    blocks a node whose every corner ray is hidden behind a kept blocker.
     """
-    rv = cand_verts - p                                 # (E, 4, 3)
-    denom = np.einsum("aj,evj->aev", normals, rv)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = gaps[:, None, None] / denom
-    valid = np.isfinite(tau) & (tau > 1.0 + _PYRAMID_TAU_MARGIN)
-    tau = np.where(valid, tau, 0.0)
-    land = p + tau[..., None] * rv[None]                # (A, E, 4, 3)
-    inside = valid
-    for i in range(4):
-        a = verts[:, i]
-        b = verts[:, (i + 1) % 4]
-        edge = b - a                                    # (A, 3)
-        degenerate = (np.einsum("aj,aj->a", edge, edge) == 0.0)[:, None, None]
-        # (edge x w) . n == w . (n x edge), keeping the cross product small.
-        en = cross3(normals, edge)                      # (A, 3)
-        side = np.einsum("aevj,aj->aev", land - a[:, None, None, :], en)
-        inside = inside & (degenerate | (side > tols[:, None, None]))
-    return inside.any(axis=2)
+    axis = nodes.centroids - p                          # (A, 3)
+    h = np.linalg.norm(axis, axis=1)
+    axhat = axis / h[:, None]
 
-
-def _window_vertex_mask(p, node: SurfaceElement, cand_verts) -> np.ndarray:
-    """Candidate-vertex window captures for a single node, shape (m,)."""
-    verts = node.vertices
-    if verts.shape[0] == 3:
-        verts = np.vstack([verts, verts[2:3]])
-    gap = np.array([float(node.normal @ (node.centroid - p))])
-    tol = np.array([EDGE_INCLUSION_RTOL * node.diameter**2])
-    return _window_vertex_block(p, node.normal[None, :], gap, verts[None], tol, cand_verts)[0]
-
-
-def _corner_ray_hits(p, corners, pool, arrays: ElementArrays) -> np.ndarray:
-    """Corner sight-ray hit matrix, shape (corners, pool).
-
-    A candidate can only cut the segment p -> corner when that line passes
-    within the candidate circumradius of its centroid; the exact open
-    segment test runs on those near pairs alone.
-    """
-    k = corners.shape[0]
-    hits = np.zeros((k, pool.size), dtype=bool)
-    d = corners - p                                     # (k, 3)
-    length = np.linalg.norm(d, axis=1)
-    dhat = d / length[:, None]
-    rel = arrays.centroids[pool] - p                    # (m, 3)
-    t = dhat @ rel.T                                    # (k, m)
-    perp2 = np.einsum("mj,mj->m", rel, rel)[None, :] - t**2
-    # Padded slightly: a ray grazing a candidate exactly at its rim sits at
-    # perp == reach up to roundoff, and the exact segment test downstream is
-    # rim-inclusive, so the cull must not tip such pairs out.
-    reach = arrays.circumradii[pool][None, :] * (1.0 + 1e-9)
-    near = (perp2 <= reach**2) & (t >= -reach) & (t <= length[:, None] + reach)
-    for i in range(k):
-        cols = np.nonzero(near[i])[0]
-        if cols.size:
-            hits[i, cols] = segment_element_hits(
-                p[None, :], corners[i][None, :], arrays, indices=pool[cols]
-            )[0]
-    return hits
-
-
-def _screen(
-    p,
-    node: SurfaceElement,
-    candidates: np.ndarray,
-    arrays: ElementArrays,
-    center_shortcut: bool = True,
-):
-    """Cylinder cull, view-window vertex test, and ray casts for one node.
-
-    Returns (kept_candidates, early_blocked). kept_candidates is an index
-    array sorted ascending. With center_shortcut (the top-level rule), a
-    candidate that cuts the center sight line without reaching a vertex
-    into the view window is taken as covering the whole window and blocks
-    the node outright. Below the top level that shortcut is off: such a
-    candidate merely joins the list, and only the union rule (every
-    corner ray hidden behind some listed blocker) blocks the node.
-    """
-    if candidates.size == 0:
-        return candidates, False
-    axis = node.centroid - p
-    h = float(np.linalg.norm(axis))
-    axhat = axis / h
-
-    # Cylinder window around the sight line, padded with the circumradii so
+    # Cylinder window around each sight line, padded with the circumradii so
     # that no candidate able to reach any later probe is dropped.
-    rel = arrays.centroids[candidates] - p
-    tax = rel @ axhat
-    rad2 = np.einsum("ij,ij->i", rel, rel) - tax**2
-    reach = arrays.circumradii[candidates]
-    r_cyl = _circumradius(node) + reach
-    pool = candidates[(tax >= -reach) & (tax <= h + reach) & (rad2 <= r_cyl**2)]
-    if pool.size == 0:
-        return pool, False
+    rel = arrays.centroids[cols] - p                    # (m, 3)
+    tax = axhat @ rel.T                                 # (A, m)
+    rad2 = np.einsum("mj,mj->m", rel, rel)[None, :] - tax**2
+    reach = arrays.circumradii[cols][None, :]
+    r_cyl = nodes.circumradii[:, None] + reach
+    pool = cand & (tax >= -reach) & (tax <= h[:, None] + reach) & (rad2 <= r_cyl**2)
 
-    window_add = _window_vertex_mask(p, node, arrays.vertices[pool])
+    # View window: the open pyramid of sight rays from p through the node
+    # interior. A candidate vertex lies inside it exactly when its ray from
+    # p crosses the node plane strictly beyond the vertex (parameter above
+    # one) at a point strictly interior to the node; both margins keep
+    # plane-sharing neighbors and rim grazes out, so a convex enclosure
+    # yields no vertex captures at all. Only pooled pairs are tested.
+    gaps = np.einsum("aj,aj->a", nodes.normals, axis)
+    tols = EDGE_INCLUSION_RTOL * nodes.diameters**2
+    window = np.zeros_like(pool)
+    rows_idx, cols_idx = np.nonzero(pool)
+    for lo in range(0, rows_idx.size, _PAIR_CHUNK):
+        rows = rows_idx[lo : lo + _PAIR_CHUNK]
+        cc = cols_idx[lo : lo + _PAIR_CHUNK]
+        nr = nodes.normals[rows]                        # (P, 3)
+        rv = arrays.vertices[cols[cc]] - p              # (P, 4, 3)
+        denom = np.einsum("pj,pvj->pv", nr, rv)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = gaps[rows][:, None] / denom
+        valid = np.isfinite(tau) & (tau > 1.0 + _PYRAMID_TAU_MARGIN)
+        tau = np.where(valid, tau, 0.0)
+        land = p + tau[..., None] * rv                  # (P, 4, 3)
+        pverts = nodes.vertices[rows]
+        ptols = tols[rows][:, None]
+        inside = valid
+        for i in range(4):
+            a = pverts[:, i]
+            b = pverts[:, (i + 1) % 4]
+            edge = b - a
+            degenerate = (np.einsum("pj,pj->p", edge, edge) == 0.0)[:, None]
+            # (edge x w) . n == w . (n x edge), keeping the cross product small.
+            en = cross3(nr, edge)                       # (P, 3)
+            side = np.einsum("pvj,pj->pv", land - a[:, None, :], en)
+            inside = inside & (degenerate | (side > ptols))
+        window[rows, cc] = inside.any(axis=1)
 
-    rest = pool[~window_add]
-    center_add = np.zeros(pool.size, dtype=bool)
-    if rest.size:
-        center_hit = segment_element_hits(
-            p[None, :], node.centroid[None, :], arrays, indices=rest
-        )[0]
-        if center_hit.any():
-            if center_shortcut:
-                return pool, True
-            center_add[~window_add] = center_hit
+    # Only columns pooled by some node can matter to any ray cast.
+    cols_any = np.nonzero(pool.any(axis=0))[0]
+    colpos = np.full(cols.size, -1, dtype=int)
+    colpos[cols_any] = np.arange(cols_any.size)
+
+    center = np.zeros_like(pool)
+    if cols_any.size:
+        center[:, cols_any] = segment_element_hits(
+            np.broadcast_to(p, axis.shape), nodes.centroids, arrays, indices=cols[cols_any]
+        )
+        center &= pool & ~window
+    early = center.any(axis=1) if center_blocks else np.zeros(len(nodes), dtype=bool)
 
     # Corner rays pick up occluders that intrude without covering the center.
-    ray_hits = _corner_ray_hits(p, node.vertices, pool, arrays)
-    kept_mask = window_add | center_add | ray_hits.any(axis=0)
-    kept = pool[kept_mask]
-    if kept.size:
-        # Union rule: every corner hidden behind some listed blocker.
-        if ray_hits[:, kept_mask].any(axis=1).all():
-            return kept, True
-    return kept, False
+    # Neighboring nodes share corners, so each distinct corner is cast once.
+    alive = np.nonzero(~early & pool.any(axis=1))[0]
+    corner_rows = np.zeros((len(nodes), 4), dtype=int)
+    if alive.size:
+        corners, inverse = np.unique(
+            nodes.vertices[alive].reshape(-1, 3), axis=0, return_inverse=True
+        )
+        corner_rows[alive] = inverse.reshape(-1, 4)
+        corner_hits = segment_element_hits(
+            np.broadcast_to(p, corners.shape), corners, arrays, indices=cols[cols_any]
+        )                                               # (S, |cols_any|)
 
-
-def _candidate_pool(
-    p,
-    active_index: int,
-    mesh: SurfaceMesh,
-    source_element: int | None,
-) -> np.ndarray:
-    """Step-one exclusions: self, the element under p, coplanar elements."""
-    arr = mesh.arrays()
-    n = len(arr)
-    mask = np.ones(n, dtype=bool)
-    mask[active_index] = False
-    if source_element is not None:
-        mask[source_element] = False
-    n_a = arr.normals[active_index]
-    c_a = arr.centroids[active_index]
-    parallel = np.linalg.norm(cross3(arr.normals, n_a), axis=1) <= _COPLANAR_RTOL
-    offset = np.abs((arr.centroids - c_a) @ n_a)
-    scale = np.maximum(arr.diameters, arr.diameters[active_index])
-    mask &= ~(parallel & (offset <= _COPLANAR_RTOL * scale))
-    return np.nonzero(mask)[0]
+    results = []
+    for row in range(len(nodes)):
+        if early[row]:
+            results.append(EARLY_BLOCKED)
+            continue
+        pool_i = np.nonzero(pool[row])[0]
+        if pool_i.size == 0:
+            results.append(cols[pool_i])
+            continue
+        ray_hits = corner_hits[corner_rows[row][:, None], colpos[pool_i]]
+        kept_mask = window[row, pool_i] | center[row, pool_i] | ray_hits.any(axis=0)
+        # Union rule: every corner hidden behind some kept blocker.
+        if kept_mask.any() and ray_hits[:, kept_mask].any(axis=1).all():
+            results.append(EARLY_BLOCKED)
+            continue
+        results.append(cols[pool_i[kept_mask]])
+    return results
 
 
 def build_blocking_list(
@@ -357,22 +318,13 @@ def build_blocking_list(
     active_index: int,
     mesh: SurfaceMesh,
     source_element: int | None = None,
-    use_culls: bool = True,
 ):
-    """Potential occluders of one active element, or EARLY_BLOCKED.
-
-    With use_culls=False the geometric screens are skipped and every
-    candidate surviving the basic exclusions is listed; classification
-    downstream is unchanged because classify_visibility re-screens its root.
-    """
+    """Potential occluders of one active element, or EARLY_BLOCKED."""
     p = as_point(p)
-    pool = _candidate_pool(p, active_index, mesh, source_element)
-    if not use_culls:
-        return BlockingList(point=p, active_index=active_index, blockers=tuple(pool))
-    kept, early = _screen(p, mesh.elements[active_index], pool, mesh.arrays())
-    if early:
-        return EARLY_BLOCKED
-    return BlockingList(point=p, active_index=active_index, blockers=tuple(int(i) for i in kept))
+    (outcome,) = screen_active_set(p, [active_index], mesh, source_element)
+    if outcome is EARLY_BLOCKED:
+        return outcome
+    return BlockingList(point=p, active_index=active_index, blockers=outcome)
 
 
 def screen_active_set(
@@ -380,17 +332,13 @@ def screen_active_set(
     active_indices,
     mesh: SurfaceMesh,
     source_element: int | None = None,
-    use_culls: bool = True,
-    pair_chunk: int = 1 << 18,
 ):
     """Blocking-list outcomes for the whole active set of one source point.
 
     Returns a list parallel to active_indices whose entries are either
-    EARLY_BLOCKED or the tuple of kept blocker indices, matching what
-    build_blocking_list yields pair by pair; the batch form shares the
-    cylinder, window, and ray-cast work across all actives, and the vertex
-    window runs only over (active, candidate) pairs inside the cylinder.
-    pair_chunk bounds the memory of that sweep.
+    EARLY_BLOCKED or the tuple of kept blocker indices. Candidates are all
+    elements but the active one, the one under p, and those coplanar with
+    the active one.
     """
     p = as_point(p)
     arr = mesh.arrays()
@@ -413,94 +361,10 @@ def screen_active_set(
     )
     scale = np.maximum(arr.diameters[None, :], arr.diameters[act][:, None])
     keep &= ~(parallel & (offset <= _COPLANAR_RTOL * scale))
-    if not use_culls:
-        return [tuple(int(i) for i in np.nonzero(row)[0]) for row in keep]
 
-    cents = arr.centroids[act]
-    axis = cents - p                                    # (A, 3)
-    h = np.linalg.norm(axis, axis=1)
-    axhat = axis / h[:, None]
-
-    rel = arr.centroids - p                             # (E, 3)
-    tax = axhat @ rel.T                                 # (A, E)
-    rad2 = np.einsum("ej,ej->e", rel, rel)[None, :] - tax**2
-    reach = arr.circumradii[None, :]
-    r_cyl = arr.circumradii[act][:, None] + reach
-    pool = keep & (tax >= -reach) & (tax <= h[:, None] + reach) & (rad2 <= r_cyl**2)
-
-    gaps = np.einsum("aj,aj->a", n_a, axis)
-    averts = arr.vertices[act]
-    tols = EDGE_INCLUSION_RTOL * arr.diameters[act] ** 2
-    window = np.zeros_like(pool)
-    rows_idx, cols_idx = np.nonzero(pool)
-    for lo in range(0, rows_idx.size, pair_chunk):
-        rows = rows_idx[lo : lo + pair_chunk]
-        cols = cols_idx[lo : lo + pair_chunk]
-        nr = n_a[rows]                                  # (P, 3)
-        rv = arr.vertices[cols] - p                     # (P, 4, 3)
-        denom = np.einsum("pj,pvj->pv", nr, rv)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = gaps[rows][:, None] / denom
-        valid = np.isfinite(tau) & (tau > 1.0 + _PYRAMID_TAU_MARGIN)
-        tau = np.where(valid, tau, 0.0)
-        land = p + tau[..., None] * rv                  # (P, 4, 3)
-        pverts = averts[rows]
-        ptols = tols[rows][:, None]
-        inside = valid
-        for i in range(4):
-            a = pverts[:, i]
-            b = pverts[:, (i + 1) % 4]
-            edge = b - a
-            degenerate = (np.einsum("pj,pj->p", edge, edge) == 0.0)[:, None]
-            en = cross3(nr, edge)                       # (P, 3)
-            side = np.einsum("pvj,pj->pv", land - a[:, None, :], en)
-            inside = inside & (degenerate | (side > ptols))
-        window[rows, cols] = inside.any(axis=1)
-
-    # Only columns pooled by some active can matter to any later probe.
-    cols_any = np.nonzero(pool.any(axis=0))[0]
-    colpos = np.full(len(arr), -1, dtype=int)
-    colpos[cols_any] = np.arange(cols_any.size)
-
-    early = np.zeros(act.size, dtype=bool)
-    if cols_any.size:
-        chits = np.zeros_like(pool)
-        chits[:, cols_any] = segment_element_hits(
-            np.broadcast_to(p, cents.shape), cents, arr, indices=cols_any
-        )
-        early = (chits & pool & ~window).any(axis=1)
-
-    # Corner rays: every corner of a root active is a mesh node, so one
-    # dense cast from p to the nodes in play serves all actives at once.
-    alive = [row for row in range(act.size) if not early[row] and pool[row].any()]
-    pos: dict[int, int] = {}
-    nhits = None
-    if alive:
-        need = sorted({n for row in alive for n in mesh.element_nodes[int(act[row])]})
-        pos = {n: s for s, n in enumerate(need)}
-        ends = mesh.nodes[need]
-        nhits = segment_element_hits(
-            np.broadcast_to(p, ends.shape), ends, arr, indices=cols_any
-        )                                               # (S, |cols|)
-
-    results = []
-    for row, k in enumerate(act):
-        if early[row]:
-            results.append(EARLY_BLOCKED)
-            continue
-        pool_i = np.nonzero(pool[row])[0]
-        if pool_i.size == 0:
-            results.append(())
-            continue
-        corner_rows = [pos[n] for n in mesh.element_nodes[int(k)]]
-        ray_hits = nhits[np.ix_(corner_rows, colpos[pool_i])]
-        kept_mask = window[row][pool_i] | ray_hits.any(axis=0)
-        kept = pool_i[kept_mask]
-        if kept.size and ray_hits[:, kept_mask].any(axis=1).all():
-            results.append(EARLY_BLOCKED)
-            continue
-        results.append(tuple(int(i) for i in kept))
-    return results
+    outcomes = _screen_nodes(p, arr.take(act), np.arange(len(arr)), keep, arr,
+                             center_blocks=True)
+    return [out if out is EARLY_BLOCKED else tuple(int(i) for i in out) for out in outcomes]
 
 
 def classify_visibility(
@@ -523,9 +387,12 @@ def classify_visibility(
     min_area = budget.resolve_min_area(element)
     arrays = mesh.arrays()
 
-    root_candidates = np.asarray(blockers.blockers, dtype=int)
-    kept, early = _screen(p, element, root_candidates, arrays)
-    if early:
+    def screen(node: SurfaceElement, cands: np.ndarray, center_blocks: bool):
+        return _screen_nodes(p, ElementArrays.from_elements([node]), cands,
+                             np.ones((1, cands.size), dtype=bool), arrays, center_blocks)[0]
+
+    kept = screen(element, np.asarray(blockers.blockers, dtype=int), center_blocks=True)
+    if kept is EARLY_BLOCKED:
         return VisibilityReport(Classification.FULLY_BLOCKED, (), 0.0, 0)
     if kept.size == 0:
         return VisibilityReport(Classification.FULLY_VISIBLE, (), 1.0, 0)
@@ -538,8 +405,8 @@ def classify_visibility(
         node, patch, cands, depth = stack.pop()
         depth_reached = max(depth_reached, depth)
         if depth > 0:
-            cands, early = _screen(p, node, cands, arrays, center_shortcut=False)
-            if early:
+            cands = screen(node, cands, center_blocks=False)
+            if cands is EARLY_BLOCKED:
                 continue
             if cands.size == 0:
                 visible_area += node.area

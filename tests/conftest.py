@@ -41,6 +41,25 @@ def make_cube_mesh(emissivity=1.0, node_temperatures=None) -> SurfaceMesh:
     return SurfaceMesh(CUBE_NODES, CUBE_FACES, emissivity, node_temperatures)
 
 
+# The unit cube with its (1, 1, 1) corner pushed in along the diagonal. Each
+# face at that corner splits along its diagonal into a flat triangle and one
+# slanted toward the moved vertex; the diagonals become re-entrant edges, so
+# the walls on either side of them partly shadow each other.
+DENT_CORNER = 0.66
+DENTED_FACES = [
+    (1, 2, 3, 0), (4, 5, 1, 0), (3, 7, 4, 0),   # floor and the walls at the origin
+    (5, 2, 1), (5, 6, 2),                       # x = 1: flat, slanted
+    (2, 7, 3), (6, 7, 2),                       # y = 1
+    (7, 5, 4), (7, 6, 5),                       # z = 1
+]
+
+
+def make_dented_cube_mesh(emissivity=1.0) -> SurfaceMesh:
+    nodes = CUBE_NODES.copy()
+    nodes[6] = DENT_CORNER
+    return SurfaceMesh(nodes, DENTED_FACES, emissivity, np.full(len(nodes), 500.0))
+
+
 @pytest.fixture
 def cube_mesh() -> SurfaceMesh:
     return make_cube_mesh()

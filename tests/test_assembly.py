@@ -24,10 +24,11 @@ from ritesolver.assembly import (
     write_matrix,
 )
 from ritesolver.cli import builtin_case
-from ritesolver.geometry import build_element
+from ritesolver.geometry import VoxelGrid, build_element
 from ritesolver.kernels import KernelKind, RadiativeProperties, path_factors
+from ritesolver.visibility import VisibilityReport
 
-from conftest import make_cube_mesh
+from conftest import make_cube_mesh, make_dented_cube_mesh
 
 
 def unit_square(z=0.0):
@@ -339,20 +340,22 @@ def test_boundary_points_interior_to_elements():
     assert arr.areas.min() > 0.0
 
 
-def test_threads_produce_identical_blocks():
-    mesh, grid = builtin_case("cube", 2)
-    mesh = mesh.with_emissivities(0.7)
+def test_fresh_assemblers_give_bit_identical_blocks():
+    # A non-convex mesh with partly visible pairs runs every stage: screen,
+    # quadtree, piecewise rules, chords. Two fresh assemblers must agree.
+    mesh = make_dented_cube_mesh(emissivity=0.7)
+    grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
     props = RadiativeProperties(sigma_a=0.4, sigma_s=0.6, domain_diameter=mesh.diameter())
-    one = Assembler(mesh, grid, threads=1)
-    four = Assembler(mesh, grid, threads=4)
-    s1, s4 = one.assemble_surface(props), four.assemble_surface(props)
-    v1, v4 = one.assemble_volume(props), four.assemble_volume(props)
-    assert np.array_equal(s1.gmat, s4.gmat)
-    assert np.array_equal(s1.fmat, s4.fmat)
-    assert np.array_equal(s1.h, s4.h)
-    assert np.array_equal(v1.umat, v4.umat)
-    assert np.array_equal(v1.vmat, v4.vmat)
-    assert np.array_equal(v1.t, v4.t)
+    one, two = Assembler(mesh, grid), Assembler(mesh, grid)
+    s1, s2 = one.assemble_surface(props), two.assemble_surface(props)
+    v1, v2 = one.assemble_volume(props), two.assemble_volume(props)
+    assert any(isinstance(v, VisibilityReport) for v in one._visibility_cache.values())
+    assert np.array_equal(s1.gmat, s2.gmat)
+    assert np.array_equal(s1.fmat, s2.fmat)
+    assert np.array_equal(s1.h, s2.h)
+    assert np.array_equal(v1.umat, v2.umat)
+    assert np.array_equal(v1.vmat, v2.vmat)
+    assert np.array_equal(v1.t, v2.t)
 
 
 def test_assembler_cache_reused_across_properties():

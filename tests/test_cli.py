@@ -64,6 +64,19 @@ def test_lshape_notch_blocks_line_of_sight():
     assert chi_point((0.5, 0.5, 0.5), (0.5, 2.9, 0.001), mesh) == 1.0
 
 
+@pytest.mark.parametrize("kind", ["cube", "lshape"])
+def test_builtin_case_matches_generated_file(tmp_path, kind):
+    mesh, grid = builtin_case(kind, 2)
+    loaded_mesh, loaded_grid = load_mesh(generate_case(kind, 2, tmp_path))
+    assert mesh.element_nodes == loaded_mesh.element_nodes
+    for name in ("nodes", "node_temperatures"):
+        assert np.array_equal(getattr(mesh, name), getattr(loaded_mesh, name)), name
+    for name, value in vars(mesh.arrays()).items():
+        assert np.array_equal(value, getattr(loaded_mesh.arrays(), name)), name
+    for name in ("origin", "spacing", "dims", "temperatures"):
+        assert np.array_equal(getattr(grid, name), getattr(loaded_grid, name)), name
+
+
 def test_builtin_case_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         builtin_case("sphere", 3)
@@ -113,6 +126,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     data["quadrature"] = 4
     with pytest.raises(ConfigError, match="unknown config keys"):
         CaseConfig.from_dict(data, base_dir=tmp_path)
+
+
+def test_config_rejects_removed_keys(tmp_path):
+    # threads and use_culls were options once; old configs must fail loudly.
+    for key, value in (("threads", 2), ("use_culls", False)):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            CaseConfig.from_file(path)
 
 
 def test_config_requires_core_keys(tmp_path):

@@ -139,13 +139,6 @@ def test_corner_covering_plates_trigger_union_rule():
     assert result is EARLY_BLOCKED
 
 
-def test_brute_force_list_keeps_all_candidates():
-    scene = open_scene(plate(0.55, 0.5, 0.5, 0.05), plate(0.5, 0.5, 0.25, 0.02))
-    result = build_blocking_list(P_BOTTOM, 1, scene, source_element=0, use_culls=False)
-    assert isinstance(result, BlockingList)
-    assert set(result.blockers) == {2, 3}
-
-
 def test_refined_convex_cube_screens_everything_out():
     from ritesolver.cli import builtin_case
 
@@ -162,37 +155,63 @@ def test_refined_convex_cube_screens_everything_out():
         assert outcome == ()
 
 
-def test_batched_screens_match_pairwise_route():
+# Two lshape r2 wall points that look past the notch edge: the high ceiling
+# looking down the low arm, and the floor under the low ceiling.
+NOTCH_VIEW_POINTS = (np.array([0.75, 0.75, 3.0]), np.array([0.51, 1.93, 0.0]))
+
+
+def lshape_screen_outcomes(p):
+    """(lshape r2 mesh, [(active element, screen outcome)]) for a wall point."""
     from ritesolver.cli import builtin_case
 
     mesh, _ = builtin_case("lshape", 2)
-    points = [
-        (np.array([0.75, 0.75, 3.0]), "ceiling"),
-        (np.array([0.51, 1.93, 0.0]), "floor"),
-    ]
-    for p, _ in points:
-        own = next(
-            k for k, e in enumerate(mesh.elements)
-            if abs(e.normal @ (p - e.centroid)) < 1e-12
-            and np.all(np.abs(p - e.centroid) <= e.diameter)
-        )
-        normal = mesh.elements[own].normal
-        active = build_active_list(p, normal, mesh, source_element=own)
-        batched = screen_active_set(p, active.indices, mesh, source_element=own)
-        for k, outcome in zip(active.indices, batched):
-            single = build_blocking_list(p, k, mesh, source_element=own)
-            if single is EARLY_BLOCKED:
-                assert outcome is EARLY_BLOCKED
-            else:
-                assert outcome == single.blockers
+    own = next(
+        k for k, e in enumerate(mesh.elements)
+        if abs(e.normal @ (p - e.centroid)) < 1e-12
+        and np.all(np.abs(p - e.centroid) <= e.diameter)
+    )
+    active = build_active_list(p, mesh.elements[own].normal, mesh, source_element=own)
+    outcomes = screen_active_set(p, active.indices, mesh, source_element=own)
+    return mesh, list(zip(active.indices, outcomes))
+
+
+def test_clear_screen_outcomes_are_fully_visible():
+    # An empty blocker list must mean a fully visible element, as judged by
+    # brute-force ray sampling. One point keeps the oracle cost bounded.
+    from ritesolver.validation import visibility_oracle
+
+    mesh, pairs = lshape_screen_outcomes(NOTCH_VIEW_POINTS[0])
+    clear = [k for k, outcome in pairs if outcome == ()]
+    assert len(clear) > 10
+    for k in clear:
+        fraction = visibility_oracle(NOTCH_VIEW_POINTS[0], mesh.elements[k], mesh,
+                                     n_rays=10_000)
+        assert fraction == pytest.approx(1.0, abs=0.01), k
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the center-ray rule blocks elements whose center sight line grazes the notch "
+    "edge although up to 38% of them stays in view"
+))
+def test_early_blocked_screen_outcomes_are_fully_hidden():
+    from ritesolver.validation import visibility_oracle
+
+    checked = 0
+    for p in NOTCH_VIEW_POINTS:
+        mesh, pairs = lshape_screen_outcomes(p)
+        for k in [k for k, outcome in pairs if outcome is EARLY_BLOCKED]:
+            fraction = visibility_oracle(p, mesh.elements[k], mesh, n_rays=10_000)
+            assert fraction == pytest.approx(0.0, abs=0.01), (p, k)
+            checked += 1
+    assert checked > 10
 
 
 # ---------------------------------------------------------------------------
 # Classification
 
 
-def classify(scene, p, active_index, source_element, budget=None, use_culls=True):
-    blockers = build_blocking_list(p, active_index, scene, source_element, use_culls)
+def classify(scene, p, active_index, source_element, budget=None):
+    blockers = build_blocking_list(p, active_index, scene, source_element)
     if blockers is EARLY_BLOCKED:
         blockers = BlockingList(np.asarray(p, float), active_index, tuple())
         # An early block IS a classification; mirror what assembly does.
@@ -289,9 +308,11 @@ def test_cull_free_classification_is_identical():
     ]
     points = [P_BOTTOM, np.array([0.21, 0.68, 0.0])]
     for scene in scenes:
+        # Every element but the target and the one under the point.
+        unculled = tuple(range(2, scene.n_elements))
         for p in points:
-            fast = classify(scene, p, 1, 0, use_culls=True)
-            brute = classify(scene, p, 1, 0, use_culls=False)
+            fast = classify(scene, p, 1, 0)
+            brute = classify_visibility(p, BlockingList(p, 1, unculled), scene)
             assert fast.classification is brute.classification
             assert fast.fraction == brute.fraction
             assert fast.depth_reached == brute.depth_reached
