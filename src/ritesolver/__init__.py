@@ -44,7 +44,6 @@ from ritesolver.validation import (
     visibility_oracle,
 )
 from ritesolver.visibility import (
-    SubdivisionBudget,
     build_active_list,
     build_blocking_list,
     chi_point,
@@ -68,7 +67,6 @@ __all__ = [
     "SingularInnerSystem",
     "SolutionState",
     "SolverConfig",
-    "SubdivisionBudget",
     "SurfaceElement",
     "SurfaceMesh",
     "SurfaceSystem",

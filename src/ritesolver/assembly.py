@@ -19,7 +19,10 @@ factors, so each matrix entry is a closed form over the traversed cells.
 
 Integrals are evaluated with distance-banded Gauss quadrature (escalating
 order and one subdivision level as the source point approaches the
-element) restricted to the visible portion of each element.
+element). Fully visible elements take tensor or triangle rules on the whole
+element; partly visible ones take triangle rules on each visible triangle
+the shadow clipper returns, with shape functions evaluated at the root
+intrinsic coordinates of the quadrature points.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from ritesolver.geometry import (
+    FULL_TRI_PATCH,
     ElementArrays,
     SurfaceElement,
     SurfaceMesh,
@@ -54,12 +58,12 @@ from ritesolver.kernels import (
     kernel_prefactor,
     projected_solid_angle,
     sight_cosines,
+    solvability_margin,
 )
 from ritesolver.visibility import (
-    EARLY_BLOCKED,
     BlockingList,
     Classification,
-    SubdivisionBudget,
+    SubElement,
     build_active_list,
     classify_visibility,
     screen_active_set,
@@ -211,19 +215,60 @@ def _rule_on_patch(element: SurfaceElement, patch, order: int) -> ElementRule:
 
 
 def element_rule(element: SurfaceElement, order: int, split: bool = False,
-                 patch=None, toward=None) -> ElementRule:
-    """Banded quadrature rule over a patch (whole element by default).
+                 toward=None) -> ElementRule:
+    """Banded quadrature rule over the whole element.
 
     toward gives the root intrinsic coordinates of the source point's
     in-plane projection; the split then lands the quasi-singular peak on
     child corners instead of child interiors.
     """
-    patch = patch if patch is not None else full_patch(element)
+    patch = full_patch(element)
     if not split:
         return _rule_on_patch(element, patch, order)
     return _concat_rules(
         [_rule_on_patch(element, child, order) for child in split_patch(patch, at=toward)]
     )
+
+
+def _barycentric(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (n, 3) of the in-plane projections of points
+    onto the triangle tri (3, 3)."""
+    e1 = tri[1] - tri[0]
+    e2 = tri[2] - tri[0]
+    g = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
+    rhs = (points - tri[0]) @ np.column_stack([e1, e2])
+    ab = np.linalg.solve(g, rhs.T).T
+    return np.column_stack([1.0 - ab.sum(axis=1), ab])
+
+
+def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...],
+                 base_order: int) -> ElementRule:
+    """Banded triangle rules over the visible triangles of an element.
+
+    Each triangle takes the band of its own distance from p over its own
+    diameter, near ones split toward p's in-plane projection. Flux and
+    vertex shapes are evaluated at the root intrinsic coordinates of all
+    points at once.
+    """
+    tris = np.array([piece.vertices for piece in pieces])          # (T, 3, 3)
+    normals = np.broadcast_to(element.normal, (len(tris), 3))
+    dists = point_element_distances(p, np.concatenate([tris, tris[:, 2:]], axis=1), normals)
+    diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
+    pts, wts = [], []
+    for tri, piece, d in zip(tris, pieces, dists / diams):
+        order, split = _band(float(d), base_order)
+        bary, w = tri_rule(order)
+        toward = _barycentric(tri, p[None, :])[0] if split else None
+        for child in split_patch(FULL_TRI_PATCH, at=toward) if split else [FULL_TRI_PATCH]:
+            corners = np.asarray(child.corners)
+            pts.append(bary @ corners @ tri)
+            wts.append(w * (piece.area * abs(np.linalg.det(corners))))
+    pts = np.concatenate(pts)
+    weights = np.concatenate(wts)
+    coords = intrinsic_projection(element, pts)
+    if element.is_quad:
+        return ElementRule(pts, weights, quad_flux_shapes(coords), quad_vertex_shapes(coords))
+    return ElementRule(pts, weights, tri_flux_shapes(coords), coords)
 
 
 def _concat_rules(parts) -> ElementRule:
@@ -235,47 +280,49 @@ def _concat_rules(parts) -> ElementRule:
     )
 
 
-def intrinsic_projection(element: SurfaceElement, p) -> np.ndarray:
-    """Root intrinsic coordinates of p's in-plane projection.
+def intrinsic_projection(element: SurfaceElement, points) -> np.ndarray:
+    """Root intrinsic coordinates of the in-plane projections of points (n, 3).
 
     Quads invert the bilinear map by Newton iteration (exact in one step
-    for parallelograms); triangles solve for barycentric coordinates. The
-    result may lie outside the reference domain when p projects off the
-    element; callers clamp as needed.
+    for parallelograms) and return (n, 2) (xi, eta); triangles return (n, 3)
+    barycentric coordinates. A result may lie outside the reference domain
+    when its point projects off the element; callers clamp as needed. A
+    singular Newton system raises numpy.linalg.LinAlgError.
     """
-    p = as_point(p)
-    foot = p - float(element.normal @ (p - element.vertices[0])) * element.normal
-    if element.is_quad:
-        uv = np.zeros((1, 2))
-        for _ in range(8):
-            r = bilinear_points(element.vertices, uv)[0] - foot
-            xi, eta = uv[0]
-            dxi = 0.25 * (
-                -(1 - eta) * element.vertices[0] + (1 - eta) * element.vertices[1]
-                + (1 + eta) * element.vertices[2] - (1 + eta) * element.vertices[3]
-            )
-            deta = 0.25 * (
-                -(1 - xi) * element.vertices[0] - (1 + xi) * element.vertices[1]
-                + (1 + xi) * element.vertices[2] + (1 - xi) * element.vertices[3]
-            )
-            jtj = np.array([[dxi @ dxi, dxi @ deta], [dxi @ deta, deta @ deta]])
-            rhs = np.array([dxi @ r, deta @ r])
-            try:
-                step = np.linalg.solve(jtj, rhs)
-            except np.linalg.LinAlgError:
-                break
-            uv[0] -= step
-            uv[0] = np.clip(uv[0], -3.0, 3.0)
-            if float(np.abs(step).max()) < 1e-13:
-                break
-        return uv[0]
-    v = element.vertices[:3]
-    e1 = v[1] - v[0]
-    e2 = v[2] - v[0]
-    g = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-    rhs = np.array([e1 @ (foot - v[0]), e2 @ (foot - v[0])])
-    ab = np.linalg.solve(g, rhs)
-    return np.array([1.0 - ab.sum(), ab[0], ab[1]])
+    pts = np.asarray(points, dtype=float)
+    v = element.vertices
+
+    def dot(a, b):
+        # Row-wise dot products through stacked matmul, which rounds each
+        # row exactly like a 1-D a @ b.
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    rel = pts - v[0]
+    foot = pts - dot(rel, np.tile(element.normal, (len(pts), 1)))[:, None] * element.normal
+    if not element.is_quad:
+        return _barycentric(v, foot)
+    uv = np.zeros((pts.shape[0], 2))
+    live = np.arange(pts.shape[0])
+    for _ in range(8):
+        cur = uv[live]
+        r = bilinear_points(v, cur) - foot[live]
+        xi = cur[:, 0:1]
+        eta = cur[:, 1:2]
+        dxi = 0.25 * (-(1 - eta) * v[0] + (1 - eta) * v[1] + (1 + eta) * v[2] - (1 + eta) * v[3])
+        deta = 0.25 * (-(1 - xi) * v[0] - (1 + xi) * v[1] + (1 + xi) * v[2] + (1 - xi) * v[3])
+        jtj = np.empty((live.size, 2, 2))
+        jtj[:, 0, 0] = dot(dxi, dxi)
+        jtj[:, 0, 1] = jtj[:, 1, 0] = dot(dxi, deta)
+        jtj[:, 1, 1] = dot(deta, deta)
+        rhs = np.empty((live.size, 2, 1))
+        rhs[:, 0, 0] = dot(dxi, r)
+        rhs[:, 1, 0] = dot(deta, r)
+        step = np.linalg.solve(jtj, rhs)[:, :, 0]
+        uv[live] = np.clip(cur - step, -3.0, 3.0)
+        live = live[np.abs(step).max(axis=1) >= 1e-13]
+        if live.size == 0:
+            break
+    return uv
 
 
 def _band(dist_over_diam: float, base_order: int) -> tuple[int, bool]:
@@ -290,16 +337,15 @@ def _band(dist_over_diam: float, base_order: int) -> tuple[int, bool]:
 # Point-to-element distance
 
 
-def point_element_distances(p: np.ndarray, arrays: ElementArrays, indices: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from a point to each listed flat element."""
-    verts = arrays.vertices[indices]          # (m, 4, 3)
-    normals = arrays.normals[indices]
+def point_element_distances(p: np.ndarray, verts: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from a point to each flat element (m, 4, 3),
+    triangles padded with a repeated last vertex."""
     rel0 = p[None, :] - verts[:, 0]
     hn = np.einsum("mj,mj->m", rel0, normals)
     proj = p[None, :] - hn[:, None] * normals  # foot point in each plane
 
-    inside = np.ones(len(indices), dtype=bool)
-    edge_d2 = np.full(len(indices), np.inf)
+    inside = np.ones(len(verts), dtype=bool)
+    edge_d2 = np.full(len(verts), np.inf)
     for i in range(4):
         a = verts[:, i]
         b = verts[:, (i + 1) % 4]
@@ -448,7 +494,6 @@ class Assembler:
         mesh: SurfaceMesh,
         grid: VoxelGrid,
         collocation: CollocationSet | None = None,
-        budget: SubdivisionBudget | None = None,
         base_order: int = 2,
     ):
         if base_order < 1:
@@ -456,7 +501,6 @@ class Assembler:
         self.mesh = mesh
         self.grid = grid
         self.collocation = collocation if collocation is not None else collocation_points(mesh, grid)
-        self.budget = budget if budget is not None else SubdivisionBudget()
         self.base_order = base_order
         self.arrays = mesh.arrays()
         self._rule_cache: dict[tuple[int, int, bool], ElementRule] = {}
@@ -479,7 +523,7 @@ class Assembler:
             # Near-band rules are split toward the source point, so they are
             # point-specific and bypass the shared cache.
             element = self.mesh.elements[k]
-            toward = intrinsic_projection(element, p) if p is not None else None
+            toward = intrinsic_projection(element, p[None, :])[0] if p is not None else None
             return element_rule(element, order, split, toward=toward)
         key = (k, order, split)
         rule = self._rule_cache.get(key)
@@ -505,13 +549,11 @@ class Assembler:
         hit = self._visibility_cache.get(key)
         if hit is not None:
             return hit
-        if screened is EARLY_BLOCKED:
-            out = "blocked"
-        elif not screened:
+        if not screened:
             out = "full"
         else:
-            listing = BlockingList(point=p, active_index=k, blockers=tuple(screened))
-            report = classify_visibility(p, listing, self.mesh, self.budget)
+            listing = BlockingList(point=p, active_index=k, blockers=screened)
+            report = classify_visibility(p, listing, self.mesh)
             if report.classification is Classification.FULLY_VISIBLE:
                 out = "full"
             elif report.classification is Classification.FULLY_BLOCKED:
@@ -543,7 +585,7 @@ class Assembler:
         if not active.indices:
             return None
         idx = np.asarray(active.indices, dtype=int)
-        dists = point_element_distances(p, self.arrays, idx)
+        dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
         rel = dists / self.arrays.diameters[idx]
 
         pts, wts, eids, fsh, vsh = [], [], [], [], []
@@ -569,19 +611,7 @@ class Assembler:
                 order, split = _band(float(d), self.base_order)
                 push(self._full_rule(int(k), order, split, p), int(k))
                 continue
-            element = self.mesh.elements[int(k)]
-            toward = None
-            for sub in vis.visible:
-                d_sub = float(
-                    point_element_distances(
-                        p, ElementArrays.from_elements([sub.element]), np.array([0])
-                    )[0]
-                ) / sub.element.diameter
-                order, split = _band(d_sub, self.base_order)
-                if split and toward is None:
-                    toward = intrinsic_projection(element, p)
-                push(element_rule(element, order, split, patch=sub.patch,
-                                  toward=toward if split else None), int(k))
+            push(visible_rule(p, self.mesh.elements[int(k)], vis.visible, self.base_order), int(k))
         if not pts:
             return None
         return (
@@ -696,8 +726,6 @@ class Assembler:
         return np.where(self._active_mask, ib, 0.0)
 
     def assemble_surface(self, props: RadiativeProperties) -> SurfaceSystem:
-        from ritesolver.solver import solvability_margin
-
         eps_min = float(self.arrays.emissivities.min())
         margin, satisfied = solvability_margin(props, eps_min)
         if not satisfied:
@@ -773,22 +801,19 @@ def element_integral(
 
     shape None integrates the kernel alone; an integer selects one flux
     shape function. report limits integration to a VisibilityReport's
-    visible sub-elements. Self-plane configurations return exactly zero for
+    visible triangles. Self-plane configurations return exactly zero for
     wall-receiver kernels because the receiver cosine vanishes.
     """
     p = as_point(p)
-    arrays = ElementArrays.from_elements([element])
-    d = float(point_element_distances(p, arrays, np.array([0]))[0]) / element.diameter
-    order, split = _band(d, base_order)
-    toward = intrinsic_projection(element, p) if split else None
     if report is not None and report.classification is Classification.FULLY_BLOCKED:
         return 0.0
     if report is not None and report.classification is Classification.PARTIALLY_VISIBLE:
-        rule = _concat_rules([
-            element_rule(element, order, split, patch=sub.patch, toward=toward)
-            for sub in report.visible
-        ])
+        rule = visible_rule(p, element, report.visible, base_order)
     else:
+        arrays = ElementArrays.from_elements([element])
+        d = float(point_element_distances(p, arrays.vertices, arrays.normals)[0])
+        order, split = _band(d / element.diameter, base_order)
+        toward = intrinsic_projection(element, p[None, :])[0] if split else None
         rule = element_rule(element, order, split, toward=toward)
     diff = rule.points - p[None, :]
     dist = np.linalg.norm(diff, axis=1)

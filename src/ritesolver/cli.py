@@ -46,8 +46,8 @@ from ritesolver.geometry import (
     points_in_mesh,
     write_mesh_file,
 )
-from ritesolver.kernels import RadiativeProperties
-from ritesolver.solver import SolverConfig, solvability_margin, solve_rites
+from ritesolver.kernels import RadiativeProperties, solvability_margin
+from ritesolver.solver import SolverConfig, solve_rites
 from ritesolver.validation import (
     DEFAULT_ORACLE_SEED,
     report_table,
@@ -55,7 +55,7 @@ from ritesolver.validation import (
     visibility_report_check,
     write_report_csv,
 )
-from ritesolver.visibility import EARLY_BLOCKED, SubdivisionBudget
+from ritesolver.visibility import build_active_list
 
 __all__ = [
     "BUILTIN_CASES",
@@ -245,8 +245,7 @@ class ProfileSpec:
 
 _CONFIG_KEYS = {
     "mesh", "sigma_a", "sigma_s", "sigma_sb", "tolerance", "max_iterations",
-    "min_area_fraction", "max_depth", "min_area", "quad_order", "output",
-    "seed", "dump_matrices", "dump_visibility",
+    "quad_order", "output", "seed", "dump_matrices", "dump_visibility",
     "reference_temperature", "profiles",
 }
 
@@ -261,9 +260,6 @@ class CaseConfig:
     sigma_sb: float | None = None
     tolerance: float = 1e-8
     max_iterations: int = 200
-    min_area_fraction: float = 1e-4
-    max_depth: int = 8
-    min_area: float | None = None
     quad_order: int = 2
     output: str = "out"
     seed: int = DEFAULT_ORACLE_SEED
@@ -326,9 +322,6 @@ class CaseConfig:
             "sigma_sb": self.sigma_sb,
             "tolerance": self.tolerance,
             "max_iterations": self.max_iterations,
-            "min_area_fraction": self.min_area_fraction,
-            "max_depth": self.max_depth,
-            "min_area": self.min_area,
             "quad_order": self.quad_order,
             "output": self.output,
             "seed": self.seed,
@@ -452,10 +445,7 @@ def _dump_visibility_csv(path, assembler: Assembler) -> None:
         writer.writerow(["point_kind", "point_index", "active_element", "screen", "classification"])
         for (kind, pidx), outcomes in sorted(assembler._screen_cache.items()):
             for k, out in sorted(outcomes.items()):
-                if out is EARLY_BLOCKED:
-                    screen = "early_blocked"
-                else:
-                    screen = ";".join(str(i) for i in out) if out else "empty"
+                screen = ";".join(str(i) for i in out) if out else "empty"
                 cls = assembler._visibility_cache.get((kind, pidx, k))
                 if cls is None:
                     label = "unvisited"
@@ -484,12 +474,7 @@ def run_case(config: CaseConfig) -> RunResult:
         domain_diameter=mesh.diameter(),
         **props_kwargs,
     )
-    budget = SubdivisionBudget(
-        min_area=config.min_area,
-        max_depth=config.max_depth,
-        min_area_fraction=config.min_area_fraction,
-    )
-    assembler = Assembler(mesh, grid, budget=budget, base_order=config.quad_order)
+    assembler = Assembler(mesh, grid, base_order=config.quad_order)
 
     eps_min = float(mesh.arrays().emissivities.min())
     margin, solvable = solvability_margin(props, eps_min)
@@ -558,8 +543,8 @@ def validate_case(config: CaseConfig, n_pairs: int = 3) -> int:
     """Geometry-level oracle run: closure identities plus sampled pair checks.
 
     Picks a few (boundary point, active element) pairs with the configured
-    seed and compares the quadtree fraction against the ray oracle; writes
-    the report table and CSV to the output directory.
+    seed and compares the clipped visible fraction against the ray oracle;
+    writes the report table and CSV to the output directory.
     """
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -571,8 +556,6 @@ def validate_case(config: CaseConfig, n_pairs: int = 3) -> int:
     reports = standard_suite(mesh, grid, props, state=None, collocation=col)
 
     rng = np.random.default_rng(config.seed)
-    from ritesolver.visibility import build_active_list
-
     for _ in range(n_pairs):
         i = int(rng.integers(col.n_boundary))
         p = col.boundary_points[i]
@@ -600,8 +583,6 @@ def _apply_overrides(config: CaseConfig, args) -> CaseConfig:
     updates = {}
     if args.out is not None:
         updates["output"] = args.out
-    if args.min_subdiv_area is not None:
-        updates["min_area_fraction"] = args.min_subdiv_area
     if args.quad_order is not None:
         updates["quad_order"] = args.quad_order
     if args.tol is not None:
@@ -620,8 +601,6 @@ def _apply_overrides(config: CaseConfig, args) -> CaseConfig:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON case configuration")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--min-subdiv-area", type=float, metavar="REL",
-                        help="minimum subdivision area as a fraction of the element")
     parser.add_argument("--quad-order", type=int, metavar="N", help="base quadrature order")
     parser.add_argument("--tol", type=float, metavar="X", help="outer iteration tolerance")
     parser.add_argument("--max-iter", type=int, metavar="N", help="outer iteration cap")

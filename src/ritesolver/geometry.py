@@ -38,7 +38,6 @@ __all__ = [
     "ray_intersect_element",
     "segment_element_hits",
     "traverse_voxels",
-    "subdivide4",
     "split_patch",
     "patch_vertices",
     "patch_subelement",
@@ -334,40 +333,7 @@ def ray_intersect_element(seg: Segment, element: SurfaceElement) -> tuple[bool, 
 
 
 # ---------------------------------------------------------------------------
-# Subdivision and intrinsic patches
-
-
-def subdivide4(element: SurfaceElement) -> list[SurfaceElement]:
-    """Split into four children that partition the parent exactly.
-
-    Quads split at the bilinear-map midlines, triangles at edge midpoints.
-    Children keep the parent orientation and emissivity.
-    """
-    v = element.vertices
-    eps = element.emissivity
-    if element.is_quad:
-        m01 = 0.5 * (v[0] + v[1])
-        m12 = 0.5 * (v[1] + v[2])
-        m23 = 0.5 * (v[2] + v[3])
-        m30 = 0.5 * (v[3] + v[0])
-        c = 0.25 * (v[0] + v[1] + v[2] + v[3])
-        corner_sets = [
-            [v[0], m01, c, m30],
-            [m01, v[1], m12, c],
-            [c, m12, v[2], m23],
-            [m30, c, m23, v[3]],
-        ]
-    else:
-        m01 = 0.5 * (v[0] + v[1])
-        m12 = 0.5 * (v[1] + v[2])
-        m20 = 0.5 * (v[2] + v[0])
-        corner_sets = [
-            [v[0], m01, m20],
-            [m01, v[1], m12],
-            [m20, m12, v[2]],
-            [m01, m12, m20],
-        ]
-    return [build_element(np.array(cs), eps) for cs in corner_sets]
+# Intrinsic patches
 
 
 @dataclass(frozen=True)
@@ -396,7 +362,7 @@ def full_patch(element: SurfaceElement):
 
 
 def split_patch(patch, at=None):
-    """Children of a patch, by default in the same order as subdivide4.
+    """Children of a patch, by default its four midline quarters.
 
     `at` directs the split toward a point: for quads, root intrinsic
     (xi, eta) where the cut lands (clamped into the patch with a margin so

@@ -41,6 +41,7 @@ __all__ = [
     "path_source_integral",
     "projected_solid_angle",
     "sight_cosines",
+    "solvability_margin",
 ]
 
 # CODATA value, W m^-2 K^-4.
@@ -97,6 +98,20 @@ class RadiativeProperties:
     @property
     def coincidence_tolerance(self) -> float:
         return _COINCIDENCE_RTOL * self.domain_diameter
+
+
+def solvability_margin(props: RadiativeProperties, eps_min: float) -> tuple[float, bool]:
+    """Uniqueness margin eps_min - sigma_s/(beta + sigma_s); positive is safe.
+
+    The margin is sufficient, not necessary: a violated margin downgrades
+    guarantees but does not preclude convergence.
+    """
+    if not 0.0 < eps_min <= 1.0:
+        raise ValueError(f"eps_min must lie in (0, 1], got {eps_min}")
+    denom = props.beta + props.sigma_s
+    ratio = props.sigma_s / denom if denom > 0.0 else 0.0
+    margin = eps_min - ratio
+    return margin, margin > 0.0
 
 
 class KernelKind(enum.Enum):

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from ritesolver.assembly import SurfaceSystem, VolumeSystem
-from ritesolver.kernels import RadiativeProperties, blackbody_emission
+from ritesolver.kernels import RadiativeProperties, blackbody_emission, solvability_margin
 
 __all__ = [
     "SingularInnerSystem",
@@ -76,20 +76,6 @@ class SolutionState:
     iterations: int
     residual_history: tuple[float, ...]
     contraction_ratio: float
-
-
-def solvability_margin(props: RadiativeProperties, eps_min: float) -> tuple[float, bool]:
-    """Uniqueness margin eps_min - sigma_s/(beta + sigma_s); positive is safe.
-
-    The margin is sufficient, not necessary: a violated margin downgrades
-    guarantees but does not preclude convergence.
-    """
-    if not 0.0 < eps_min <= 1.0:
-        raise ValueError(f"eps_min must lie in (0, 1], got {eps_min}")
-    denom = props.beta + props.sigma_s
-    ratio = props.sigma_s / denom if denom > 0.0 else 0.0
-    margin = eps_min - ratio
-    return margin, margin > 0.0
 
 
 def contraction_bound(props: RadiativeProperties, eps_min: float,

@@ -4,8 +4,8 @@ Every oracle here recomputes a quantity by a route the assembly code does
 not take. The closure checks integrate the raw geometric kernels with
 elevated quadrature and compare against their exact values (pi over a
 closed surface seen from a wall point, 4 pi from an interior point). The
-visibility oracle replaces the quadtree classifier with brute stratified
-ray sampling. The energy balance compares the integrated wall load with
+visibility oracle replaces the shadow clipper with brute stratified ray
+sampling. The energy balance compares the integrated wall load with
 the net emission of the medium using the assembly collocation weights, so
 the check isolates solver error from discretization error. Results come
 back as OracleReport records with both deviations and a pass flag; the
@@ -26,8 +26,7 @@ from ritesolver.assembly import CollocationSet, collocation_points
 from ritesolver.geometry import SurfaceMesh, VoxelGrid, as_point, segment_element_hits
 from ritesolver.kernels import RadiativeProperties, blackbody_emission
 from ritesolver.solver import SolutionState
-from ritesolver.visibility import SubdivisionBudget, build_blocking_list, classify_visibility
-from ritesolver.visibility import EARLY_BLOCKED
+from ritesolver.visibility import build_blocking_list, classify_visibility
 
 __all__ = [
     "DEFAULT_ORACLE_SEED",
@@ -219,7 +218,9 @@ def visibility_oracle(
 
     Stratified jittered samples cover the element; the fraction of sample
     points with a clear sight line to the point is returned. Serves as
-    ground truth for the quadtree classifier, at binomial-sampling accuracy.
+    ground truth for the shadow clipper, at binomial-sampling accuracy.
+    Every sight line lies in the bounding box of the point and the element,
+    so elements whose own boxes miss it (with a rounding pad) are skipped.
     """
     if n_rays < _MIN_RAYS:
         raise ValueError(f"need at least {_MIN_RAYS} rays for a trustworthy fraction, got {n_rays}")
@@ -227,11 +228,16 @@ def visibility_oracle(
     rng = np.random.default_rng(seed)
     pts = _stratified_points(element, n_rays, rng)
     arrays = mesh.arrays()
+    pad = 1e-9 * float(arrays.diameters.max())
+    box_lo = np.minimum(p, element.vertices.min(axis=0)) - pad
+    box_hi = np.maximum(p, element.vertices.max(axis=0)) + pad
+    near = np.nonzero(np.all((arrays.vertices.max(axis=1) >= box_lo)
+                             & (arrays.vertices.min(axis=1) <= box_hi), axis=1))[0]
     clear = 0
     for lo in range(0, pts.shape[0], 2048):
         chunk = pts[lo : lo + 2048]
         hits = segment_element_hits(
-            np.broadcast_to(p, chunk.shape), chunk, arrays
+            np.broadcast_to(p, chunk.shape), chunk, arrays, indices=near
         ).any(axis=1)
         clear += int((~hits).sum())
     return clear / pts.shape[0]
@@ -242,21 +248,15 @@ def visibility_report_check(
     active_index: int,
     mesh: SurfaceMesh,
     source_element: int | None = None,
-    budget: SubdivisionBudget | None = None,
     n_rays: int = 2 * _MIN_RAYS,
     seed: int = DEFAULT_ORACLE_SEED,
     tolerance: float = 0.02,
 ) -> OracleReport:
-    """Classifier fraction against the ray oracle for one pair."""
+    """Clipped visible fraction against the ray oracle for one pair."""
     p = as_point(point)
     listing = build_blocking_list(p, active_index, mesh, source_element=source_element)
-    if listing is EARLY_BLOCKED:
-        fraction = 0.0
-        depth = 0
-    else:
-        report = classify_visibility(p, listing, mesh, budget)
-        fraction = report.fraction
-        depth = report.depth_reached
+    report = classify_visibility(p, listing, mesh)
+    fraction = report.fraction
     oracle = visibility_oracle(p, mesh.elements[active_index], mesh, n_rays=n_rays, seed=seed)
     return OracleReport(
         name="visibility_fraction",
@@ -267,7 +267,8 @@ def visibility_report_check(
         tolerance=float(tolerance),
         passed=bool(abs(fraction - oracle) <= tolerance),
         resolution=MappingProxyType(
-            {"active": active_index, "n_rays": n_rays, "seed": seed, "depth": depth}
+            {"active": active_index, "n_rays": n_rays, "seed": seed,
+             "shadows": report.depth_reached}
         ),
     )
 

@@ -6,6 +6,8 @@ path factors for the scattering couplings, and the analytic row-sum
 bounds for the four operator blocks.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 from ritesolver.assembly import (
     Assembler,
     CollocationSet,
+    SolvabilityViolation,
     collocation_points,
     element_integral,
     element_rule,
+    intrinsic_projection,
     operator_row_sums,
     quad_flux_shapes,
     read_matrix,
@@ -24,11 +28,22 @@ from ritesolver.assembly import (
     write_matrix,
 )
 from ritesolver.cli import builtin_case
-from ritesolver.geometry import VoxelGrid, build_element
-from ritesolver.kernels import KernelKind, RadiativeProperties, path_factors
-from ritesolver.visibility import VisibilityReport
+from ritesolver.geometry import (
+    SurfaceMesh,
+    VoxelGrid,
+    bilinear_jacobian,
+    bilinear_points,
+    build_element,
+    segment_element_hits,
+)
+from ritesolver.kernels import KernelKind, RadiativeProperties, path_factors, solvability_margin
+from ritesolver.visibility import VisibilityReport, build_blocking_list, classify_visibility
 
 from conftest import make_cube_mesh, make_dented_cube_mesh
+
+
+BOTTOM = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+TOP = [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
 
 
 def unit_square(z=0.0):
@@ -186,6 +201,54 @@ def test_shape_contributions_sum_to_plain_integral():
         for a in range(4)
     )
     assert parts == pytest.approx(whole, rel=1e-12)
+
+
+def test_partial_integral_matches_masked_quadrature():
+    # A plate at mid-height shades x in [0.3, 0.7], y in [0.3, 0.8] of the
+    # top square. Those edges are cell lines of a 40 x 40 composite Gauss
+    # rule, so masking each point by its own sight line integrates the
+    # visible part without a cut cell.
+    plate = [[0.3, 0.35, 0.5], [0.5, 0.35, 0.5], [0.5, 0.6, 0.5], [0.3, 0.6, 0.5]]
+    faces = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
+    scene = SurfaceMesh(np.array(BOTTOM + TOP + plate), faces, check_closed=False)
+    top = scene.elements[1]
+    p = np.array([0.3, 0.4, 0.0])
+    n_p = np.array([0.0, 0.0, 1.0])
+    report = classify_visibility(p, build_blocking_list(p, 1, scene, 0), scene)
+    assert report.fraction == pytest.approx(0.8, abs=1e-12)
+
+    cells = 40
+    x, w = np.polynomial.legendre.leggauss(4)
+    centers = np.linspace(-1.0, 1.0, cells + 1)[:-1] + 1.0 / cells
+    c = (centers[:, None] + x[None, :] / cells).ravel()
+    cw = np.tile(w / cells, cells)
+    uv = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
+    weights = np.outer(cw, cw).ravel() * bilinear_jacobian(top.vertices, uv)
+    pts = bilinear_points(top.vertices, uv)
+    hidden = segment_element_hits(np.broadcast_to(p, pts.shape), pts, scene.arrays()).any(axis=1)
+    diff = pts - p
+    dist = np.linalg.norm(diff, axis=1)
+    props = props_for(2.0, sigma_a=0.5)
+    kern = (np.exp(-props.beta * dist) / np.pi * (diff @ n_p) * -(diff @ top.normal) / dist**4
+            * weights * ~hidden)
+    shapes = quad_flux_shapes(uv)
+    for a in (None, 0, 1, 2, 3):
+        want = kern.sum() if a is None else kern @ shapes[:, a]
+        got = element_integral(p, n_p, top, KernelKind.WALL_TO_WALL, props, shape=a, report=report)
+        assert got == pytest.approx(want, rel=1e-5), a
+
+
+def test_intrinsic_projection_inverts_trapezoid_map():
+    # A tilted trapezoid: the bilinear map is not affine, so Newton needs
+    # several steps; points off the plane project along the normal.
+    flat = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 1.0, 0.0], [0.3, 1.0, 0.0]])
+    rot, _ = np.linalg.qr(np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.4], [0.2, 0.5, 1.0]]))
+    e = build_element(flat @ rot.T + [0.5, -1.0, 2.0])
+    uv = np.random.default_rng(7).uniform(-0.98, 0.98, (200, 2))
+    x = bilinear_points(e.vertices, uv)
+    back = intrinsic_projection(e, x + 0.3 * e.normal)
+    assert np.abs(bilinear_points(e.vertices, back) - x).max() < 1e-12
+    assert np.abs(back - uv).max() < 1e-12
 
 
 def test_discrete_reciprocity_cube_faces():
@@ -356,6 +419,21 @@ def test_fresh_assemblers_give_bit_identical_blocks():
     assert np.array_equal(v1.umat, v2.umat)
     assert np.array_equal(v1.vmat, v2.vmat)
     assert np.array_equal(v1.t, v2.t)
+
+
+def test_surface_assembly_warns_exactly_when_margin_fails():
+    # Margin eps_min - sigma_s / (beta + sigma_s) with eps_min 0.5: positive,
+    # exactly zero (a pure scatterer) and negative.
+    mesh = make_cube_mesh(emissivity=0.5)
+    grid = VoxelGrid([0.0, 0.0, 0.0], 1.0, [1, 1, 1], np.full(1, 1000.0))
+    for sigma_a, sigma_s in ((1.0, 0.5), (0.0, 1.0), (0.1, 2.0)):
+        props = props_for(mesh.diameter(), sigma_a, sigma_s)
+        margin, _ = solvability_margin(props, 0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Assembler(mesh, grid).assemble_surface(props)
+        warned = [c for c in caught if issubclass(c.category, SolvabilityViolation)]
+        assert len(warned) == (1 if margin <= 0.0 else 0), (sigma_a, sigma_s, margin)
 
 
 def test_assembler_cache_reused_across_properties():

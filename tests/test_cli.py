@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: generation, runs, profiles, validation."""
 
+import csv
 import json
 
 import numpy as np
@@ -129,11 +130,20 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_config_rejects_removed_keys(tmp_path):
-    # threads and use_culls were options once; old configs must fail loudly.
-    for key, value in (("threads", 2), ("use_culls", False)):
+    # These were options once; old configs must fail loudly.
+    for key, value in (("threads", 2), ("use_culls", False), ("min_area", 1e-3),
+                       ("min_area_fraction", 1e-4), ("max_depth", 8)):
         path = write_config(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=key):
             CaseConfig.from_file(path)
+
+
+def test_removed_subdivision_flag_is_a_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, profiles=[])
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--min-subdiv-area", "1e-4"])
+    assert exc.value.code == 2
+    assert "--min-subdiv-area" in capsys.readouterr().err
 
 
 def test_config_requires_core_keys(tmp_path):
@@ -219,6 +229,45 @@ def test_run_reports_nonconvergence(tmp_path, capsys):
         ])
     capsys.readouterr()
     assert code == 1
+
+
+def test_visibility_dump_matches_reports(tmp_path, capsys):
+    # The dented cube has partly visible pairs, so the dump carries every
+    # kind of row: one per (collocation point, active element).
+    from conftest import DENTED_FACES, make_dented_cube_mesh
+    from ritesolver.geometry import write_mesh_file
+    from ritesolver.visibility import build_active_list, build_blocking_list, classify_visibility
+
+    mesh = make_dented_cube_mesh()
+    records = [{"nodes": list(f), "epsilon": 1.0, "T": 500.0} for f in DENTED_FACES]
+    grid = {"origin": [0.0] * 3, "spacing": [0.5] * 3, "dims": [2, 2, 2], "T": [1000.0] * 8}
+    write_mesh_file(tmp_path / "dent.json", mesh.nodes, records, grid)
+    config = write_config(tmp_path, mesh="dent.json", profiles=[], dump_visibility=True)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "o" / "visibility.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+
+    asm = Assembler(*load_mesh(tmp_path / "dent.json"))
+    col = asm.collocation
+    expected = {}
+    for kind, points, normals, owners in (
+        ("b", col.boundary_points, col.boundary_normals, col.boundary_element),
+        ("i", col.interior_points, [None] * col.n_interior, [None] * col.n_interior),
+    ):
+        for idx, (p, n, own) in enumerate(zip(points, normals, owners)):
+            own = None if own is None else int(own)
+            for k in build_active_list(p, n, mesh, source_element=own).indices:
+                expected[(kind, idx, k)] = (p, own)
+    assert sorted((r["point_kind"], int(r["point_index"]), int(r["active_element"]))
+                  for r in rows) == sorted(expected)
+    partial = [r for r in rows if r["classification"].startswith("partial:")]
+    assert partial
+    for r in partial:
+        k = int(r["active_element"])
+        p, own = expected[(r["point_kind"], int(r["point_index"]), k)]
+        report = classify_visibility(p, build_blocking_list(p, k, mesh, own), mesh)
+        assert r["classification"] == f"partial:{report.fraction:.6f}"
 
 
 def test_validate_subcommand_passes(tmp_path, capsys):

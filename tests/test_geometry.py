@@ -1,4 +1,4 @@
-"""Geometry layer: elements, subdivision, ray casts, voxel traversal, meshes."""
+"""Geometry layer: elements, patches, ray casts, voxel traversal, meshes."""
 
 import json
 import math
@@ -28,7 +28,6 @@ from ritesolver.geometry import (
     ray_intersect_element,
     segment_element_hits,
     split_patch,
-    subdivide4,
     traverse_voxels,
     write_mesh_file,
 )
@@ -107,24 +106,22 @@ def test_planarity_tolerance_is_relative_to_diameter():
     "verts",
     [UNIT_TRI, UNIT_QUAD, np.array([[0, 0, 0], [2, 0, 1], [3, 2, 1.5], [1, 2, 0.5]], dtype=float)],
 )
-def test_subdivide4_partitions_area(verts):
+def test_split_patch_partitions_area(verts):
+    # The midline split of the full patch cuts the element at its edge
+    # midpoints (and, for quads, the center) into four children that tile it.
     parent = build_element(verts, emissivity=0.3)
-    children = subdivide4(parent)
+    children = [patch_subelement(parent, p) for p in split_patch(full_patch(parent))]
     assert len(children) == 4
     assert sum(c.area for c in children) == pytest.approx(parent.area, rel=1e-12)
     for c in children:
         assert c.emissivity == parent.emissivity
         assert c.diameter <= parent.diameter * (1 + 1e-12)
         assert float(c.normal @ parent.normal) > 0.99
-
-
-def test_split_patch_matches_subdivide4_geometry():
-    for verts in (UNIT_TRI, UNIT_QUAD):
-        parent = build_element(verts)
-        by_geometry = subdivide4(parent)
-        by_patch = [patch_subelement(parent, p) for p in split_patch(full_patch(parent))]
-        for a, b in zip(by_geometry, by_patch):
-            assert_allclose(a.vertices, b.vertices, atol=1e-15)
+    v = parent.vertices
+    assert_allclose(children[0].vertices[0], v[0], atol=1e-15)
+    assert_allclose(children[0].vertices[1], 0.5 * (v[0] + v[1]), atol=1e-15)
+    if parent.is_quad:
+        assert_allclose(children[0].vertices[2], v.mean(axis=0), atol=1e-15)
 
 
 def test_nested_patch_recovers_corner_cell():
