@@ -106,9 +106,9 @@ def test_planarity_tolerance_is_relative_to_diameter():
     "verts",
     [UNIT_TRI, UNIT_QUAD, np.array([[0, 0, 0], [2, 0, 1], [3, 2, 1.5], [1, 2, 0.5]], dtype=float)],
 )
-def test_split_patch_partitions_area(verts):
-    # The midline split of the full patch cuts the element at its edge
-    # midpoints (and, for quads, the center) into four children that tile it.
+def test_subdivide4_partitions_area(verts):
+    # The midline split of the full patch cuts the element into four
+    # children that tile it.
     parent = build_element(verts, emissivity=0.3)
     children = [patch_subelement(parent, p) for p in split_patch(full_patch(parent))]
     assert len(children) == 4
@@ -117,11 +117,27 @@ def test_split_patch_partitions_area(verts):
         assert c.emissivity == parent.emissivity
         assert c.diameter <= parent.diameter * (1 + 1e-12)
         assert float(c.normal @ parent.normal) > 0.99
-    v = parent.vertices
-    assert_allclose(children[0].vertices[0], v[0], atol=1e-15)
-    assert_allclose(children[0].vertices[1], 0.5 * (v[0] + v[1]), atol=1e-15)
-    if parent.is_quad:
-        assert_allclose(children[0].vertices[2], v.mean(axis=0), atol=1e-15)
+
+
+def midpoint_subdivide4(v):
+    """Corner sets of the four-way midpoint split: quads at the bilinear
+    midlines and center, triangles at the edge midpoints."""
+    if len(v) == 4:
+        m01, m12, m23, m30 = (0.5 * (v[i] + v[(i + 1) % 4]) for i in range(4))
+        c = v.mean(axis=0)
+        return [[v[0], m01, c, m30], [m01, v[1], m12, c], [c, m12, v[2], m23], [m30, c, m23, v[3]]]
+    m01, m12, m20 = (0.5 * (v[i] + v[(i + 1) % 3]) for i in range(3))
+    return [[v[0], m01, m20], [m01, v[1], m12], [m20, m12, v[2]], [m01, m12, m20]]
+
+
+def test_split_patch_matches_subdivide4_geometry():
+    for verts in (UNIT_TRI, UNIT_QUAD):
+        parent = build_element(verts)
+        by_geometry = midpoint_subdivide4(parent.vertices)
+        by_patch = [patch_subelement(parent, p) for p in split_patch(full_patch(parent))]
+        assert len(by_patch) == len(by_geometry)
+        for a, b in zip(by_geometry, by_patch):
+            assert_allclose(np.array(a), b.vertices, atol=1e-15)
 
 
 def test_nested_patch_recovers_corner_cell():
