@@ -18,11 +18,15 @@ Chord integrals over the medium resolve into exact per-cell attenuation
 factors, so each matrix entry is a closed form over the traversed cells.
 
 Integrals are evaluated with distance-banded Gauss quadrature (escalating
-order and one subdivision level as the source point approaches the
-element). Fully visible elements take tensor or triangle rules on the whole
-element; partly visible ones take triangle rules on each visible triangle
-the shadow clipper returns, with shape functions evaluated at the root
-intrinsic coordinates of the quadrature points.
+order, and one split as the source point approaches the element). Every
+rule is laid out on reference cells in root intrinsic coordinates (see
+geometry.quad_cells and geometry.tri_cells) and mapped through the Gauss
+rule for all cells at once: one cell away from the source point, and in the
+near band cells that meet at its in-plane projection. Fully visible
+elements take tensor or triangle rules on the whole element; partly
+visible ones take triangle rules on each visible triangle the shadow
+clipper returns, with shape functions evaluated at the root intrinsic
+coordinates of the quadrature points.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from ritesolver.geometry import (
-    FULL_TRI_PATCH,
     ElementArrays,
     SurfaceElement,
     SurfaceMesh,
@@ -44,11 +47,10 @@ from ritesolver.geometry import (
     as_point,
     bilinear_jacobian,
     bilinear_points,
-    full_patch,
-    patch_subelement,
+    cross3,
     points_in_mesh,
-    quad_patch_to_root,
-    split_patch,
+    quad_cells,
+    tri_cells,
 )
 from ritesolver.kernels import (
     KernelKind,
@@ -88,7 +90,7 @@ __all__ = [
 # Distance bands in units of element diameter: beyond FAR_BAND the base
 # order suffices, inside NEAR_BAND the order is escalated six-fold and the
 # element is split once toward the source point, so the integrand peak sits
-# at a corner of every child patch.
+# at a corner of every reference cell.
 FAR_BAND = 4.0
 NEAR_BAND = 1.0
 
@@ -190,44 +192,68 @@ class ElementRule:
 
     weights include the surface Jacobian, so sum(weights) is the physical
     area covered. flux_shapes and vertex_shapes are evaluated at the points
-    in the ROOT element's intrinsic coordinates.
+    in the ROOT element's intrinsic coordinates; triangles pad them with a
+    zero fourth column.
     """
 
     points: np.ndarray        # (n, 3)
     weights: np.ndarray       # (n,)
-    flux_shapes: np.ndarray   # (n, M)
-    vertex_shapes: np.ndarray  # (n, M)
+    flux_shapes: np.ndarray   # (n, 4)
+    vertex_shapes: np.ndarray  # (n, 4)
 
 
-def _rule_on_patch(element: SurfaceElement, patch, order: int) -> ElementRule:
-    if element.is_quad:
-        uv, w = quad_rule(order)
-        root_uv = quad_patch_to_root(patch, uv)
-        pts = bilinear_points(element.vertices, root_uv)
-        scale = 0.25 * (patch.xi1 - patch.xi0) * (patch.eta1 - patch.eta0)
-        weights = w * bilinear_jacobian(element.vertices, root_uv) * scale
-        return ElementRule(pts, weights, quad_flux_shapes(root_uv), quad_vertex_shapes(root_uv))
+def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int):
+    """Tensor rule mapped into every box of cells at once.
+
+    Returns (points, weights, root (xi, eta)), box by box.
+    """
+    uv, w = quad_rule(order)
+    xi0, xi1, eta0, eta1 = cells.T[:, :, None]
+    root = np.empty((len(cells), len(w), 2))
+    root[..., 0] = xi0 + 0.5 * (uv[:, 0] + 1.0) * (xi1 - xi0)
+    root[..., 1] = eta0 + 0.5 * (uv[:, 1] + 1.0) * (eta1 - eta0)
+    root = root.reshape(-1, 2)
+    scale = 0.25 * (xi1 - xi0) * (eta1 - eta0)
+    weights = w * bilinear_jacobian(verts4, root).reshape(len(cells), -1) * scale
+    return bilinear_points(verts4, root), weights.ravel(), root
+
+
+def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
+    """Triangle rule mapped into every barycentric cell at once.
+
+    Returns (points, weights, barycentric coordinates in verts3), cell by
+    cell. Cell areas take build_element's formula one cell at a time.
+    """
     bary, w = tri_rule(order)
-    root_bary = bary @ np.asarray(patch.corners)
-    pts = root_bary @ element.vertices
-    weights = w * patch_subelement(element, patch).area
-    return ElementRule(pts, weights, tri_flux_shapes(root_bary), root_bary)
+    root = bary @ cells                          # (c, n, 3)
+    areas = [0.5 * float(np.linalg.norm(cross3(v[1] - v[0], v[2] - v[0])))
+             for v in cells @ verts3]
+    weights = w * np.array(areas)[:, None]
+    return (root @ verts3).reshape(-1, 3), weights.ravel(), root.reshape(-1, 3)
 
 
-def element_rule(element: SurfaceElement, order: int, split: bool = False,
-                 toward=None) -> ElementRule:
-    """Banded quadrature rule over the whole element.
+def _shaped_rule(element: SurfaceElement, points, weights, coords) -> ElementRule:
+    """Attach shapes at root intrinsic coordinates, padded to four columns."""
+    if element.is_quad:
+        return ElementRule(points, weights, quad_flux_shapes(coords), quad_vertex_shapes(coords))
+    pad = np.zeros((len(coords), 1))
+    return ElementRule(points, weights, np.hstack([tri_flux_shapes(coords), pad]),
+                       np.hstack([coords, pad]))
+
+
+def element_rule(element: SurfaceElement, order: int, toward=None) -> ElementRule:
+    """Quadrature rule over the whole element.
 
     toward gives the root intrinsic coordinates of the source point's
-    in-plane projection; the split then lands the quasi-singular peak on
-    child corners instead of child interiors.
+    in-plane projection; the element is then split into cells that meet
+    there, so the quasi-singular peak lands on cell corners instead of
+    cell interiors.
     """
-    patch = full_patch(element)
-    if not split:
-        return _rule_on_patch(element, patch, order)
-    return _concat_rules(
-        [_rule_on_patch(element, child, order) for child in split_patch(patch, at=toward)]
-    )
+    if element.is_quad:
+        parts = _quad_cell_rule(element.vertices, quad_cells(toward), order)
+    else:
+        parts = _tri_cell_rule(element.vertices, tri_cells(toward), order)
+    return _shaped_rule(element, *parts)
 
 
 def _barycentric(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -255,29 +281,14 @@ def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...],
     dists = point_element_distances(p, np.concatenate([tris, tris[:, 2:]], axis=1), normals)
     diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
     pts, wts = [], []
-    for tri, piece, d in zip(tris, pieces, dists / diams):
+    for tri, d in zip(tris, dists / diams):
         order, split = _band(float(d), base_order)
-        bary, w = tri_rule(order)
         toward = _barycentric(tri, p[None, :])[0] if split else None
-        for child in split_patch(FULL_TRI_PATCH, at=toward) if split else [FULL_TRI_PATCH]:
-            corners = np.asarray(child.corners)
-            pts.append(bary @ corners @ tri)
-            wts.append(w * (piece.area * abs(np.linalg.det(corners))))
+        tri_pts, tri_wts, _ = _tri_cell_rule(tri, tri_cells(toward), order)
+        pts.append(tri_pts)
+        wts.append(tri_wts)
     pts = np.concatenate(pts)
-    weights = np.concatenate(wts)
-    coords = intrinsic_projection(element, pts)
-    if element.is_quad:
-        return ElementRule(pts, weights, quad_flux_shapes(coords), quad_vertex_shapes(coords))
-    return ElementRule(pts, weights, tri_flux_shapes(coords), coords)
-
-
-def _concat_rules(parts) -> ElementRule:
-    return ElementRule(
-        np.concatenate([p.points for p in parts]),
-        np.concatenate([p.weights for p in parts]),
-        np.concatenate([p.flux_shapes for p in parts]),
-        np.concatenate([p.vertex_shapes for p in parts]),
-    )
+    return _shaped_rule(element, pts, np.concatenate(wts), intrinsic_projection(element, pts))
 
 
 def intrinsic_projection(element: SurfaceElement, points) -> np.ndarray:
@@ -331,6 +342,14 @@ def _band(dist_over_diam: float, base_order: int) -> tuple[int, bool]:
     if dist_over_diam > NEAR_BAND:
         return 2 * base_order, False
     return 6 * base_order, True
+
+
+def _element_band(element: SurfaceElement, p: np.ndarray, dist_over_diam: float,
+                  base_order: int):
+    """Order of a whole-element rule for source point p, and in the near
+    band the root intrinsic point its cells meet at (None elsewhere)."""
+    order, split = _band(dist_over_diam, base_order)
+    return order, intrinsic_projection(element, p[None, :])[0] if split else None
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +522,7 @@ class Assembler:
         self.collocation = collocation if collocation is not None else collocation_points(mesh, grid)
         self.base_order = base_order
         self.arrays = mesh.arrays()
-        self._rule_cache: dict[tuple[int, int, bool], ElementRule] = {}
+        self._rule_cache: dict[tuple[int, int], ElementRule] = {}
         self._screen_cache: dict[tuple[str, int], dict[int, object]] = {}
         self._visibility_cache: dict[tuple[str, int, int], object] = {}
         self._active_mask = points_in_mesh_mask(mesh, grid)
@@ -517,19 +536,16 @@ class Assembler:
 
     # -- caches ---------------------------------------------------------
 
-    def _full_rule(self, k: int, order: int, split: bool,
-                   p: np.ndarray | None = None) -> ElementRule:
-        if split:
+    def _full_rule(self, k: int, p: np.ndarray, dist_over_diam: float) -> ElementRule:
+        element = self.mesh.elements[k]
+        order, toward = _element_band(element, p, dist_over_diam, self.base_order)
+        if toward is not None:
             # Near-band rules are split toward the source point, so they are
             # point-specific and bypass the shared cache.
-            element = self.mesh.elements[k]
-            toward = intrinsic_projection(element, p[None, :])[0] if p is not None else None
-            return element_rule(element, order, split, toward=toward)
-        key = (k, order, split)
-        rule = self._rule_cache.get(key)
+            return element_rule(element, order, toward)
+        rule = self._rule_cache.get((k, order))
         if rule is None:
-            rule = element_rule(self.mesh.elements[k], order, split)
-            self._rule_cache[key] = rule
+            rule = self._rule_cache[(k, order)] = element_rule(element, order)
         return rule
 
     def _screen_point(self, kind: str, pidx: int, p: np.ndarray, idx: np.ndarray,
@@ -590,28 +606,20 @@ class Assembler:
 
         pts, wts, eids, fsh, vsh = [], [], [], [], []
 
-        def push(rule: ElementRule, k: int):
-            pts.append(rule.points)
-            wts.append(rule.weights)
-            eids.append(np.full(rule.points.shape[0], k))
-            m = rule.flux_shapes.shape[1]
-            pad_f = np.zeros((rule.points.shape[0], 4))
-            pad_f[:, :m] = rule.flux_shapes
-            pad_v = np.zeros((rule.points.shape[0], 4))
-            pad_v[:, :m] = rule.vertex_shapes
-            fsh.append(pad_f)
-            vsh.append(pad_v)
-
         screened = self._screen_point(kind, pidx, p, idx, source_element)
-        for k, d in zip(idx, rel):
-            vis = self._visibility(kind, pidx, p, int(k), screened[int(k)])
+        for k, d in zip(idx.tolist(), rel):
+            vis = self._visibility(kind, pidx, p, k, screened[k])
             if vis == "blocked":
                 continue
             if vis == "full":
-                order, split = _band(float(d), self.base_order)
-                push(self._full_rule(int(k), order, split, p), int(k))
-                continue
-            push(visible_rule(p, self.mesh.elements[int(k)], vis.visible, self.base_order), int(k))
+                rule = self._full_rule(k, p, float(d))
+            else:
+                rule = visible_rule(p, self.mesh.elements[k], vis.visible, self.base_order)
+            pts.append(rule.points)
+            wts.append(rule.weights)
+            eids.append(np.full(rule.points.shape[0], k))
+            fsh.append(rule.flux_shapes)
+            vsh.append(rule.vertex_shapes)
         if not pts:
             return None
         return (
@@ -812,9 +820,8 @@ def element_integral(
     else:
         arrays = ElementArrays.from_elements([element])
         d = float(point_element_distances(p, arrays.vertices, arrays.normals)[0])
-        order, split = _band(d / element.diameter, base_order)
-        toward = intrinsic_projection(element, p[None, :])[0] if split else None
-        rule = element_rule(element, order, split, toward=toward)
+        order, toward = _element_band(element, p, d / element.diameter, base_order)
+        rule = element_rule(element, order, toward)
     diff = rule.points - p[None, :]
     dist = np.linalg.norm(diff, axis=1)
     n_p = as_point(n_p) if kind.receiver_on_wall else None

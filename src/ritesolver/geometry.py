@@ -1,5 +1,9 @@
 """Flat-element surface meshes, the medium voxel grid, and ray primitives.
 
+Quadrature on an element is laid out on reference cells in its root
+intrinsic coordinates: boxes of the (xi, eta) square for quads and
+barycentric corner sets for triangles (quad_cells, tri_cells).
+
 All coordinates are SI meters. Element vertices are ordered counter-clockwise
 when viewed from the side the unit normal points to, and enclosure meshes
 orient every normal toward the enclosed medium, so the cosine between a normal
@@ -29,19 +33,13 @@ __all__ = [
     "VoxelGrid",
     "SurfaceMesh",
     "ElementArrays",
-    "QuadPatch",
-    "TriPatch",
-    "FULL_QUAD_PATCH",
-    "FULL_TRI_PATCH",
     "as_point",
     "build_element",
     "ray_intersect_element",
     "segment_element_hits",
     "traverse_voxels",
-    "split_patch",
-    "patch_vertices",
-    "patch_subelement",
-    "full_patch",
+    "quad_cells",
+    "tri_cells",
     "point_in_mesh",
     "mesh_diameter",
     "load_mesh",
@@ -333,75 +331,48 @@ def ray_intersect_element(seg: Segment, element: SurfaceElement) -> tuple[bool, 
 
 
 # ---------------------------------------------------------------------------
-# Intrinsic patches
+# Reference cells
+
+# A split keeps its cut this fraction of each side away from the square's
+# edges, and fans a triangle from its target only when every barycentric
+# coordinate of the target reaches _FAN_MIN_BARY, so no cell degenerates.
+_SPLIT_MARGIN = 0.05
+_FAN_MIN_BARY = 0.08
 
 
-@dataclass(frozen=True)
-class QuadPatch:
-    """Axis-aligned rectangle in a quad's intrinsic (xi, eta) square."""
+def quad_cells(toward=None) -> np.ndarray:
+    """Boxes (xi0, xi1, eta0, eta1) of a quad's intrinsic square, (c, 4).
 
-    xi0: float
-    xi1: float
-    eta0: float
-    eta1: float
-
-
-@dataclass(frozen=True)
-class TriPatch:
-    """Sub-triangle given by three barycentric corner triples of the root."""
-
-    corners: tuple[tuple[float, float, float], ...]
-
-
-FULL_QUAD_PATCH = QuadPatch(-1.0, 1.0, -1.0, 1.0)
-FULL_TRI_PATCH = TriPatch(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-
-def full_patch(element: SurfaceElement):
-    return FULL_QUAD_PATCH if element.is_quad else FULL_TRI_PATCH
-
-
-def split_patch(patch, at=None):
-    """Children of a patch, by default its four midline quarters.
-
-    `at` directs the split toward a point: for quads, root intrinsic
-    (xi, eta) where the cut lands (clamped into the patch with a margin so
-    no child degenerates); for triangles, a root barycentric triple that
-    becomes the fan apex when it sits comfortably inside the patch.
-    Kept separate from the midpoint split so nearly singular quadrature can
-    park the peak on child corners, where Gauss rules behave.
+    Without toward the square is one box. With it, four boxes meet at the
+    intrinsic point toward, clamped inside the margin, so nearly singular
+    quadrature parks the peak on box corners, where Gauss rules behave.
     """
-    if isinstance(patch, QuadPatch):
-        margin = 0.05
-        if at is None:
-            xm = 0.5 * (patch.xi0 + patch.xi1)
-            em = 0.5 * (patch.eta0 + patch.eta1)
-        else:
-            dx = patch.xi1 - patch.xi0
-            de = patch.eta1 - patch.eta0
-            xm = float(np.clip(at[0], patch.xi0 + margin * dx, patch.xi1 - margin * dx))
-            em = float(np.clip(at[1], patch.eta0 + margin * de, patch.eta1 - margin * de))
-        return [
-            QuadPatch(patch.xi0, xm, patch.eta0, em),
-            QuadPatch(xm, patch.xi1, patch.eta0, em),
-            QuadPatch(xm, patch.xi1, em, patch.eta1),
-            QuadPatch(patch.xi0, xm, em, patch.eta1),
-        ]
-    c = np.asarray(patch.corners)
-    mk = lambda *rows: TriPatch(tuple(tuple(r) for r in rows))
-    if at is not None:
-        # Patch-local barycentric coordinates of the apex candidate.
-        try:
-            local = np.linalg.solve(c.T, np.asarray(at, dtype=float))
-        except np.linalg.LinAlgError:
-            local = None
-        if local is not None and np.all(local >= 0.08):
-            apex = tuple(np.asarray(at, dtype=float))
-            return [mk(apex, c[0], c[1]), mk(apex, c[1], c[2]), mk(apex, c[2], c[0])]
+    if toward is None:
+        return np.array([[-1.0, 1.0, -1.0, 1.0]])
+    lo, hi = -1.0 + _SPLIT_MARGIN * 2.0, 1.0 - _SPLIT_MARGIN * 2.0
+    xm, em = np.clip(toward, lo, hi)
+    return np.array(
+        [[-1.0, xm, -1.0, em], [xm, 1.0, -1.0, em], [xm, 1.0, em, 1.0], [-1.0, xm, em, 1.0]]
+    )
+
+
+def tri_cells(toward=None) -> np.ndarray:
+    """Barycentric corner sets of sub-triangles of a triangle, (c, 3, 3).
+
+    Without toward the triangle is one cell. With it, the cells fan from
+    the barycentric point toward when it sits comfortably inside, and are
+    the four edge-midpoint triangles otherwise.
+    """
+    c = np.eye(3)
+    if toward is None:
+        return c[None]
+    apex = np.asarray(toward, dtype=float)
+    if np.all(apex >= _FAN_MIN_BARY):
+        return np.array([[apex, c[0], c[1]], [apex, c[1], c[2]], [apex, c[2], c[0]]])
     m01 = 0.5 * (c[0] + c[1])
     m12 = 0.5 * (c[1] + c[2])
     m20 = 0.5 * (c[2] + c[0])
-    return [mk(c[0], m01, m20), mk(m01, c[1], m12), mk(m20, m12, c[2]), mk(m01, m12, m20)]
+    return np.array([[c[0], m01, m20], [m01, c[1], m12], [m20, m12, c[2]], [m01, m12, m20]])
 
 
 def bilinear_points(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -426,40 +397,7 @@ def bilinear_jacobian(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
     deta = 0.25 * (
         -(1 - xi) * verts4[0] - (1 + xi) * verts4[1] + (1 + xi) * verts4[2] + (1 - xi) * verts4[3]
     )
-    return np.linalg.norm(np.cross(dxi, deta), axis=1)
-
-
-def quad_patch_to_root(patch: QuadPatch, uv: np.ndarray) -> np.ndarray:
-    """Affine map from patch unit square [-1, 1]^2 to root intrinsic coords."""
-    out = np.empty_like(uv)
-    out[:, 0] = patch.xi0 + 0.5 * (uv[:, 0] + 1.0) * (patch.xi1 - patch.xi0)
-    out[:, 1] = patch.eta0 + 0.5 * (uv[:, 1] + 1.0) * (patch.eta1 - patch.eta0)
-    return out
-
-
-def tri_patch_to_root(patch: TriPatch, bary: np.ndarray) -> np.ndarray:
-    """Map patch barycentric coords to root barycentric coords."""
-    return bary @ np.asarray(patch.corners)
-
-
-def patch_vertices(element: SurfaceElement, patch) -> np.ndarray:
-    """Physical corner points of a patch, in element orientation."""
-    if element.is_quad:
-        uv = np.array(
-            [
-                [patch.xi0, patch.eta0],
-                [patch.xi1, patch.eta0],
-                [patch.xi1, patch.eta1],
-                [patch.xi0, patch.eta1],
-            ]
-        )
-        return bilinear_points(element.vertices, uv)
-    return np.asarray(patch.corners) @ element.vertices
-
-
-def patch_subelement(element: SurfaceElement, patch) -> SurfaceElement:
-    """Geometric element spanned by a patch, inheriting emissivity."""
-    return build_element(patch_vertices(element, patch), element.emissivity)
+    return np.linalg.norm(cross3(dxi, deta), axis=1)
 
 
 # ---------------------------------------------------------------------------

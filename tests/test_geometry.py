@@ -1,4 +1,4 @@
-"""Geometry layer: elements, patches, ray casts, voxel traversal, meshes."""
+"""Geometry layer: elements, reference cells, ray casts, voxel traversal, meshes."""
 
 import json
 import math
@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ritesolver.assembly import element_rule
 from ritesolver.geometry import (
     DegenerateElement,
     ElementArrays,
@@ -19,16 +20,16 @@ from ritesolver.geometry import (
     Segment,
     SurfaceMesh,
     VoxelGrid,
+    bilinear_points,
     build_element,
-    full_patch,
     load_mesh,
     mesh_diameter,
-    patch_subelement,
     point_in_mesh,
+    quad_cells,
     ray_intersect_element,
     segment_element_hits,
-    split_patch,
     traverse_voxels,
+    tri_cells,
     write_mesh_file,
 )
 from tests.conftest import CUBE_FACES, CUBE_NODES, make_cube_mesh
@@ -99,7 +100,39 @@ def test_planarity_tolerance_is_relative_to_diameter():
 
 
 # ---------------------------------------------------------------------------
-# Subdivision and patches
+# Reference cells
+
+
+def cell_corners(element, cells):
+    """Physical corners of reference cells, in element orientation."""
+    if element.is_quad:
+        return [
+            bilinear_points(element.vertices, np.array([[x0, e0], [x1, e0], [x1, e1], [x0, e1]]))
+            for x0, x1, e0, e1 in cells
+        ]
+    return list(cells @ element.vertices)
+
+
+def cover_counts(element, cells, n=2000, seed=0):
+    """How many cells contain each of n random interior reference points."""
+    rng = np.random.default_rng(seed)
+    if element.is_quad:
+        uv = rng.uniform(-1.0, 1.0, (n, 2))
+        x0, x1, e0, e1 = cells.T[:, :, None]
+        inside = (x0 <= uv[:, 0]) & (uv[:, 0] <= x1) & (e0 <= uv[:, 1]) & (uv[:, 1] <= e1)
+    else:
+        bary = rng.dirichlet(np.ones(3), n)
+        local = np.linalg.solve(np.transpose(cells, (0, 2, 1))[:, None], bary[None, :, :, None])
+        inside = np.all(local[..., 0] >= 0.0, axis=2)
+    return inside.sum(axis=0)
+
+
+def four_way_cells(element):
+    """The four midpoint cells: a quad split at its center, a triangle
+    split toward a vertex, which is too close to the edges to fan from."""
+    if element.is_quad:
+        return (0.0, 0.0), quad_cells((0.0, 0.0))
+    return (1.0, 0.0, 0.0), tri_cells((1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -107,16 +140,19 @@ def test_planarity_tolerance_is_relative_to_diameter():
     [UNIT_TRI, UNIT_QUAD, np.array([[0, 0, 0], [2, 0, 1], [3, 2, 1.5], [1, 2, 0.5]], dtype=float)],
 )
 def test_subdivide4_partitions_area(verts):
-    # The midline split of the full patch cuts the element into four
-    # children that tile it.
+    # The midline split cuts the element into four cells that tile it, and
+    # the split rule integrates the area.
     parent = build_element(verts, emissivity=0.3)
-    children = [patch_subelement(parent, p) for p in split_patch(full_patch(parent))]
-    assert len(children) == 4
+    toward, cells = four_way_cells(parent)
+    assert len(cells) == 4
+    assert np.all(cover_counts(parent, cells) == 1)
+    children = [build_element(c) for c in cell_corners(parent, cells)]
     assert sum(c.area for c in children) == pytest.approx(parent.area, rel=1e-12)
     for c in children:
-        assert c.emissivity == parent.emissivity
         assert c.diameter <= parent.diameter * (1 + 1e-12)
         assert float(c.normal @ parent.normal) > 0.99
+    rule = element_rule(parent, 4, toward)
+    assert abs(rule.weights.sum() - parent.area) <= 1e-12 * parent.area
 
 
 def midpoint_subdivide4(v):
@@ -134,28 +170,56 @@ def test_split_patch_matches_subdivide4_geometry():
     for verts in (UNIT_TRI, UNIT_QUAD):
         parent = build_element(verts)
         by_geometry = midpoint_subdivide4(parent.vertices)
-        by_patch = [patch_subelement(parent, p) for p in split_patch(full_patch(parent))]
-        assert len(by_patch) == len(by_geometry)
-        for a, b in zip(by_geometry, by_patch):
-            assert_allclose(np.array(a), b.vertices, atol=1e-15)
+        by_cells = cell_corners(parent, four_way_cells(parent)[1])
+        assert len(by_cells) == len(by_geometry)
+        for a, b in zip(by_geometry, by_cells):
+            assert_allclose(np.array(a), b, atol=1e-15)
 
 
 def test_nested_patch_recovers_corner_cell():
+    # A target at a corner is clamped 5% of each side inside the square, so
+    # the corner box spans a twentieth of each side.
     parent = build_element(UNIT_QUAD)
-    patch = full_patch(parent)
-    for _ in range(3):
-        patch = split_patch(patch)[0]
-    child = patch_subelement(parent, patch)
-    assert child.area == pytest.approx(parent.area / 64.0, rel=1e-12)
-    assert_allclose(child.vertices[0], parent.vertices[0], atol=1e-15)
+    corner = build_element(cell_corners(parent, quad_cells((-1.0, -1.0)))[0])
+    assert corner.area == pytest.approx(parent.area / 400.0, rel=1e-12)
+    assert_allclose(corner.vertices[0], parent.vertices[0], atol=1e-15)
 
 
 def test_full_patch_subelement_reproduces_element():
     for verts in (UNIT_TRI, UNIT_QUAD):
         e = build_element(verts, emissivity=0.5)
-        back = patch_subelement(e, full_patch(e))
-        assert_allclose(back.vertices, e.vertices)
-        assert back.emissivity == e.emissivity
+        cells = quad_cells() if e.is_quad else tri_cells()
+        assert len(cells) == 1
+        assert_allclose(cell_corners(e, cells)[0], e.vertices)
+        rule = element_rule(e, 4)
+        assert rule.weights.sum() == pytest.approx(e.area, rel=1e-12)
+        m = e.n_vertices
+        assert_allclose(rule.vertex_shapes[:, :m] @ e.vertices, rule.points, atol=1e-15)
+        # Triangles pad both shape arrays with a zero fourth column.
+        assert not rule.vertex_shapes[:, m:].any() and not rule.flux_shapes[:, m:].any()
+
+
+@pytest.mark.parametrize(
+    "toward, n_cells",
+    [((0.5, 0.3, 0.2), 3), ((0.08, 0.46, 0.46), 3), ((0.079, 0.46, 0.461), 4), ((-0.2, 0.6, 0.6), 4)],
+)
+def test_tri_split_fans_only_from_inner_targets(toward, n_cells):
+    # Targets with every barycentric coordinate at least 0.08 become the
+    # apex of three fan cells; others fall back to the midpoint cells.
+    # Either way the cells tile the triangle and integrate linear data.
+    e = build_element(np.array([[0.0, 0.0, 0.0], [2.0, 0.5, 0.0], [0.3, 1.5, 1.0]]))
+    cells = tri_cells(toward)
+    assert len(cells) == n_cells
+    if n_cells == 3:
+        assert_allclose(cells[:, 0], np.broadcast_to(toward, (3, 3)))
+    assert np.all(cover_counts(e, cells) == 1)
+    rule = element_rule(e, 4, toward)
+
+    def linear(x):
+        return 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1] + 0.5 * x[..., 2]
+
+    assert rule.weights @ linear(rule.points) == pytest.approx(e.area * linear(e.centroid),
+                                                               rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
