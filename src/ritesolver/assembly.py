@@ -525,7 +525,9 @@ class Assembler:
         self._rule_cache: dict[tuple[int, int], ElementRule] = {}
         self._screen_cache: dict[tuple[str, int], dict[int, object]] = {}
         self._visibility_cache: dict[tuple[str, int, int], object] = {}
-        self._active_mask = points_in_mesh_mask(mesh, grid)
+        # Cells with an interior unknown; the rest carry no medium emission.
+        self._active_mask = np.zeros(grid.n_cells, dtype=bool)
+        self._active_mask[self.collocation.interior_cells] = True
         # Vertex temperatures per element, padded like the vertex arrays.
         nt = mesh.node_temperatures
         self._vertex_temps = np.zeros((mesh.n_elements, 4))
@@ -776,11 +778,6 @@ class Assembler:
             cells=col.interior_cells.copy(),
             cell_temperatures=self.grid.temperatures[col.interior_cells].copy(),
         )
-
-
-def points_in_mesh_mask(mesh: SurfaceMesh, grid: VoxelGrid) -> np.ndarray:
-    """Boolean mask over flat cells: center inside the enclosure."""
-    return points_in_mesh(mesh, grid.cell_centers())
 
 
 # ---------------------------------------------------------------------------

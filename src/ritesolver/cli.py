@@ -185,34 +185,31 @@ def _lshape_case(resolution: int):
 BUILTIN_CASES = {"cube": _cube_case, "lshape": _lshape_case}
 
 
+def _builtin_records(kind: str, resolution: int):
+    """(nodes, element records, grid record) of a builtin enclosure."""
+    if resolution < 1:
+        raise ConfigError(f"resolution must be at least 1, got {resolution}")
+    try:
+        build = BUILTIN_CASES[kind.lower()]
+    except KeyError:
+        raise ConfigError(
+            f"unknown builtin case {kind!r}; choose from {sorted(BUILTIN_CASES)}"
+        ) from None
+    return build(resolution)
+
+
 def builtin_case(kind: str, resolution: int) -> tuple[SurfaceMesh, VoxelGrid]:
     """In-memory mesh and grid for a builtin enclosure.
 
     Goes through the same construction as loading the generated file, so
     library use and file use agree exactly.
     """
-    if resolution < 1:
-        raise ConfigError(f"resolution must be at least 1, got {resolution}")
-    try:
-        build = BUILTIN_CASES[kind.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown builtin case {kind!r}; choose from {sorted(BUILTIN_CASES)}"
-        ) from None
-    return mesh_from_records(*build(resolution))
+    return mesh_from_records(*_builtin_records(kind, resolution))
 
 
 def generate_case(kind: str, resolution: int, out_dir) -> Path:
     """Write the mesh-plus-grid file for a builtin enclosure; returns its path."""
-    if resolution < 1:
-        raise ConfigError(f"resolution must be at least 1, got {resolution}")
-    try:
-        build = BUILTIN_CASES[kind.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown builtin case {kind!r}; choose from {sorted(BUILTIN_CASES)}"
-        ) from None
-    nodes, records, grid = build(resolution)
+    nodes, records, grid = _builtin_records(kind, resolution)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{kind.lower()}_r{resolution}.json"
