@@ -297,7 +297,9 @@ def intrinsic_projection(element: SurfaceElement, points) -> np.ndarray:
     Quads invert the bilinear map by Newton iteration (exact in one step
     for parallelograms) and return (n, 2) (xi, eta); triangles return (n, 3)
     barycentric coordinates. A result may lie outside the reference domain
-    when its point projects off the element; callers clamp as needed. A
+    when its point projects off the element; callers clamp as needed. Quad
+    coordinates are clamped to [-3, 3]; a point whose Newton update leaves
+    that box twice in a row at the same bound stops there, unconverged. A
     singular Newton system raises numpy.linalg.LinAlgError.
     """
     pts = np.asarray(points, dtype=float)
@@ -329,8 +331,13 @@ def intrinsic_projection(element: SurfaceElement, points) -> np.ndarray:
         rhs[:, 0, 0] = dot(dxi, r)
         rhs[:, 1, 0] = dot(deta, r)
         step = np.linalg.solve(jtj, rhs)[:, :, 0]
-        uv[live] = np.clip(cur - step, -3.0, 3.0)
-        live = live[np.abs(step).max(axis=1) >= 1e-13]
+        nxt = cur - step
+        new = np.clip(nxt, -3.0, 3.0)
+        uv[live] = new
+        # A coordinate the clamp sends back to where it stood cannot move
+        # on; its point retires instead of wandering in the last bits.
+        stuck = np.any((np.abs(nxt) > 3.0) & (new == cur), axis=1)
+        live = live[(np.abs(step).max(axis=1) >= 1e-13) & ~stuck]
         if live.size == 0:
             break
     return uv

@@ -251,6 +251,22 @@ def test_intrinsic_projection_inverts_trapezoid_map():
     assert np.abs(back - uv).max() < 1e-12
 
 
+def test_intrinsic_projection_stops_at_the_clamp(monkeypatch):
+    # The foot of this point lies at xi = 4 of a parallelogram. Newton lands
+    # there in one step and is clamped to 3; the next step is clamped back
+    # to where it stood, so the point retires after two solves, not eight.
+    e = build_element(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.5, 1.0, 0.0],
+                                [0.5, 1.0, 0.0]]))
+    foot = bilinear_points(e.vertices, np.array([[4.0, 0.3]]))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    back = intrinsic_projection(e, foot + 0.2 * e.normal)
+    assert len(solves) == 2
+    assert back[0, 0] == 3.0
+    assert back[0, 1] == pytest.approx(0.3, abs=1e-14)
+
+
 def test_discrete_reciprocity_cube_faces():
     # A_i F(i -> j) vs A_j F(j -> i) with the same double-quadrature rule on
     # both sides; piecewise-constant transport must be near-symmetric.
