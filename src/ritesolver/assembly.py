@@ -222,7 +222,8 @@ def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
     """Triangle rule mapped into every barycentric cell at once.
 
     Returns (points, weights, barycentric coordinates in verts3), cell by
-    cell. Cell areas take build_element's formula one cell at a time.
+    cell. Cell areas take build_element's formula one cell at a time; a
+    norm over all cells at once can round differently in the last bit.
     """
     bary, w = tri_rule(order)
     root = bary @ cells                          # (c, n, 3)
