@@ -78,6 +78,7 @@ __all__ = [
     "VolumeSystem",
     "RowSumReport",
     "Assembler",
+    "RowPlan",
     "collocation_points",
     "assemble_surface",
     "assemble_volume",
@@ -203,19 +204,22 @@ class ElementRule:
 
 
 def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int):
-    """Tensor rule mapped into every box of cells at once.
+    """Tensor rule mapped into every box of a stack of quads at once.
 
-    Returns (points, weights, root (xi, eta)), box by box.
+    verts4 is (m, 4, 3) and cells (m, c, 4), the boxes of each quad.
+    Returns (points, weights, root (xi, eta)), quad by quad and box by box;
+    each quad's part equals what it gives alone, bit for bit.
     """
     uv, w = quad_rule(order)
-    xi0, xi1, eta0, eta1 = cells.T[:, :, None]
-    root = np.empty((len(cells), len(w), 2))
+    m, c = cells.shape[:2]
+    xi0, xi1, eta0, eta1 = np.moveaxis(cells, -1, 0)[..., None]
+    root = np.empty((m, c, len(w), 2))
     root[..., 0] = xi0 + 0.5 * (uv[:, 0] + 1.0) * (xi1 - xi0)
     root[..., 1] = eta0 + 0.5 * (uv[:, 1] + 1.0) * (eta1 - eta0)
-    root = root.reshape(-1, 2)
+    root = root.reshape(m, -1, 2)
     scale = 0.25 * (xi1 - xi0) * (eta1 - eta0)
-    weights = w * bilinear_jacobian(verts4, root).reshape(len(cells), -1) * scale
-    return bilinear_points(verts4, root), weights.ravel(), root
+    weights = w * bilinear_jacobian(verts4, root).reshape(m, c, -1) * scale
+    return bilinear_points(verts4, root).reshape(-1, 3), weights.ravel(), root.reshape(-1, 2)
 
 
 def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
@@ -251,7 +255,7 @@ def element_rule(element: SurfaceElement, order: int, toward=None) -> ElementRul
     cell interiors.
     """
     if element.is_quad:
-        parts = _quad_cell_rule(element.vertices, quad_cells(toward), order)
+        parts = _quad_cell_rule(element.vertices[None], quad_cells(toward)[None], order)
     else:
         parts = _tri_cell_rule(element.vertices, tri_cells(toward), order)
     return _shaped_rule(element, *parts)
@@ -377,7 +381,7 @@ def point_element_distances(p: np.ndarray, verts: np.ndarray, normals: np.ndarra
         a = verts[:, i]
         b = verts[:, (i + 1) % 4]
         edge = b - a
-        side = np.einsum("mj,mj->m", np.cross(edge, proj - a), normals)
+        side = np.einsum("mj,mj->m", cross3(edge, proj - a), normals)
         inside &= side >= 0.0
         ee = np.einsum("mj,mj->m", edge, edge)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -508,12 +512,39 @@ class SolvabilityViolation(UserWarning):
 # Assembler
 
 
+@dataclass(frozen=True)
+class RowPlan:
+    """Geometry of one collocation row, recorded on the row's first visit.
+
+    Fields run parallel over the row's active elements, in active-list
+    order, which is also the order its quadrature points are concatenated
+    in. screens holds each element's blockers from screen_active_set and
+    visibility its outcome: "full", "blocked" or a VisibilityReport.
+    towards holds the root intrinsic point the cells of a near-band, fully
+    visible element meet at (None elsewhere); near_quads lists the
+    positions of those that are quads, whose rules are built in one pass.
+    """
+
+    elements: np.ndarray        # (a,) element ids
+    dist_over_diam: np.ndarray  # (a,)
+    orders: np.ndarray          # (a,) band order of a whole-element rule
+    screens: tuple
+    visibility: tuple
+    towards: tuple
+    near_quads: np.ndarray      # positions into the fields above
+
+
 class Assembler:
     """Builds the four blocks and source vectors for one mesh/grid pair.
 
-    Visibility classifications and banded element rules are cached on the
-    instance, so sweeping radiative properties over a fixed geometry pays
-    the ray-casting cost once.
+    Geometry is cached on the instance, so sweeping radiative properties
+    over a fixed geometry pays for it once. row_plans maps each visited
+    row (kind "b" or "i", index) to its RowPlan: active elements, their
+    bands, screen and visibility outcomes and near-band split points.
+    Element rules away from the source point are cached per (element,
+    order). Near-band rules are split toward the source point, so they are
+    rebuilt from the plan at every property point, all quads of a row in
+    one batched pass; no quadrature point is kept between property points.
     """
 
     def __init__(
@@ -530,9 +561,8 @@ class Assembler:
         self.collocation = collocation if collocation is not None else collocation_points(mesh, grid)
         self.base_order = base_order
         self.arrays = mesh.arrays()
+        self.row_plans: dict[tuple[str, int], RowPlan] = {}
         self._rule_cache: dict[tuple[int, int], ElementRule] = {}
-        self._screen_cache: dict[tuple[str, int], dict[int, object]] = {}
-        self._visibility_cache: dict[tuple[str, int, int], object] = {}
         # Cells with an interior unknown; the rest carry no medium emission.
         self._active_mask = np.zeros(grid.n_cells, dtype=bool)
         self._active_mask[self.collocation.interior_cells] = True
@@ -546,48 +576,56 @@ class Assembler:
 
     # -- caches ---------------------------------------------------------
 
-    def _full_rule(self, k: int, p: np.ndarray, dist_over_diam: float) -> ElementRule:
-        element = self.mesh.elements[k]
-        order, toward = _element_band(element, p, dist_over_diam, self.base_order)
-        if toward is not None:
-            # Near-band rules are split toward the source point, so they are
-            # point-specific and bypass the shared cache.
-            return element_rule(element, order, toward)
+    def _cached_rule(self, k: int, order: int) -> ElementRule:
         rule = self._rule_cache.get((k, order))
         if rule is None:
-            rule = self._rule_cache[(k, order)] = element_rule(element, order)
+            rule = self._rule_cache[(k, order)] = element_rule(self.mesh.elements[k], order)
         return rule
 
-    def _screen_point(self, kind: str, pidx: int, p: np.ndarray, idx: np.ndarray,
-                      source_element: int | None) -> dict[int, object]:
-        """Blocking-list outcomes for one source point, batched and cached."""
-        key = (kind, pidx)
-        hit = self._screen_cache.get(key)
-        if hit is None:
-            outcomes = screen_active_set(p, idx, self.mesh, source_element=source_element)
-            hit = {int(k): out for k, out in zip(idx, outcomes)}
-            self._screen_cache[key] = hit
-        return hit
-
-    def _visibility(self, kind: str, pidx: int, p: np.ndarray, k: int, screened):
+    def _visibility(self, p: np.ndarray, k: int, screened):
         """'full', 'blocked', or a VisibilityReport for the pair."""
-        key = (kind, pidx, k)
-        hit = self._visibility_cache.get(key)
-        if hit is not None:
-            return hit
         if not screened:
-            out = "full"
-        else:
-            listing = BlockingList(point=p, active_index=k, blockers=screened)
-            report = classify_visibility(p, listing, self.mesh)
-            if report.classification is Classification.FULLY_VISIBLE:
-                out = "full"
-            elif report.classification is Classification.FULLY_BLOCKED:
-                out = "blocked"
-            else:
-                out = report
-        self._visibility_cache[key] = out
-        return out
+            return "full"
+        listing = BlockingList(point=p, active_index=k, blockers=screened)
+        report = classify_visibility(p, listing, self.mesh)
+        if report.classification is Classification.FULLY_VISIBLE:
+            return "full"
+        if report.classification is Classification.FULLY_BLOCKED:
+            return "blocked"
+        return report
+
+    def _row_plan(self, kind: str, pidx: int, p: np.ndarray, normal: np.ndarray | None,
+                  source_element: int | None) -> RowPlan:
+        """The row's plan, built on its first visit."""
+        plan = self.row_plans.get((kind, pidx))
+        if plan is not None:
+            return plan
+        active = build_active_list(p, normal, self.mesh, source_element=source_element)
+        idx = np.asarray(active.indices, dtype=int)
+        rel, screens = np.zeros(0), []
+        if idx.size:
+            dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
+            rel = dists / self.arrays.diameters[idx]
+            screens = screen_active_set(p, idx, self.mesh, source_element=source_element)
+        orders, visibility, towards, near_quads = [], [], [], []
+        for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
+            order, split = _band(float(d), self.base_order)
+            vis = self._visibility(p, k, screened)
+            toward = None
+            if split and vis == "full":
+                element = self.mesh.elements[k]
+                toward = intrinsic_projection(element, p[None, :])[0]
+                if element.is_quad:
+                    near_quads.append(j)
+            orders.append(order)
+            visibility.append(vis)
+            towards.append(toward)
+        plan = self.row_plans[(kind, pidx)] = RowPlan(
+            elements=idx, dist_over_diam=rel, orders=np.array(orders, dtype=int),
+            screens=tuple(screens), visibility=tuple(visibility), towards=tuple(towards),
+            near_quads=np.array(near_quads, dtype=int),
+        )
+        return plan
 
     def _dof_columns(self, eids: np.ndarray) -> np.ndarray:
         """Flux-unknown column indices, (n, 4) aligned with padded shapes.
@@ -605,26 +643,36 @@ class Assembler:
         """Concatenated quadrature data over all visible element portions.
 
         Returns None when nothing is radiatively connected to the point,
-        otherwise (points, weights, element_ids, flux_shapes, vertex_shapes).
+        otherwise (points, weights, element_ids, flux_shapes, vertex_shapes),
+        element by element in the plan's order.
         """
-        active = build_active_list(p, normal, self.mesh, source_element=source_element)
-        if not active.indices:
-            return None
-        idx = np.asarray(active.indices, dtype=int)
-        dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
-        rel = dists / self.arrays.diameters[idx]
+        plan = self._row_plan(kind, pidx, p, normal, source_element)
+        near = {}
+        if plan.near_quads.size:
+            # Near-band quads share one order, so their rules map in one call.
+            ids = plan.elements[plan.near_quads]
+            cells = quad_cells(np.array([plan.towards[j] for j in plan.near_quads]))
+            points, weights, root = _quad_cell_rule(self.arrays.vertices[ids], cells,
+                                                    int(plan.orders[plan.near_quads[0]]))
+            flux, vertex = quad_flux_shapes(root), quad_vertex_shapes(root)
+            n = len(weights) // len(ids)
+            for i, j in enumerate(plan.near_quads.tolist()):
+                cut = slice(i * n, (i + 1) * n)
+                near[j] = ElementRule(points[cut], weights[cut], flux[cut], vertex[cut])
 
         pts, wts, eids, fsh, vsh = [], [], [], [], []
-
-        screened = self._screen_point(kind, pidx, p, idx, source_element)
-        for k, d in zip(idx.tolist(), rel):
-            vis = self._visibility(kind, pidx, p, k, screened[k])
+        for j, (k, order, vis, toward) in enumerate(
+                zip(plan.elements.tolist(), plan.orders.tolist(), plan.visibility, plan.towards)):
             if vis == "blocked":
                 continue
-            if vis == "full":
-                rule = self._full_rule(k, p, float(d))
-            else:
+            if vis != "full":
                 rule = visible_rule(p, self.mesh.elements[k], vis.visible, self.base_order)
+            elif toward is None:
+                rule = self._cached_rule(k, order)
+            elif j in near:
+                rule = near[j]
+            else:
+                rule = element_rule(self.mesh.elements[k], order, toward)
             pts.append(rule.points)
             wts.append(rule.weights)
             eids.append(np.full(rule.points.shape[0], k))
@@ -660,7 +708,7 @@ class Assembler:
             da = d[:, a][:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = (planes[None, :] - p[a]) / da
-            t = np.where((t > 0.0) & (t < 1.0) & np.isfinite(t), t, 1.0)
+            t = np.where((t > 0.0) & (t < 1.0), t, 1.0)
             cols.append(t)
         t = np.sort(np.concatenate(cols, axis=1), axis=1)
         dt = np.diff(t, axis=1)

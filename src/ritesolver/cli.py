@@ -440,16 +440,11 @@ def _dump_visibility_csv(path, assembler: Assembler) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point_kind", "point_index", "active_element", "screen", "classification"])
-        for (kind, pidx), outcomes in sorted(assembler._screen_cache.items()):
-            for k, out in sorted(outcomes.items()):
+        for (kind, pidx), plan in sorted(assembler.row_plans.items()):
+            for k, out, cls in sorted(zip(plan.elements.tolist(), plan.screens, plan.visibility),
+                                      key=lambda entry: entry[0]):
                 screen = ";".join(str(i) for i in out) if out else "empty"
-                cls = assembler._visibility_cache.get((kind, pidx, k))
-                if cls is None:
-                    label = "unvisited"
-                elif isinstance(cls, str):
-                    label = cls
-                else:
-                    label = f"partial:{cls.fraction:.6f}"
+                label = cls if isinstance(cls, str) else f"partial:{cls.fraction:.6f}"
                 writer.writerow([kind, pidx, k, screen, label])
 
 

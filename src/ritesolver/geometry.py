@@ -345,15 +345,16 @@ def quad_cells(toward=None) -> np.ndarray:
 
     Without toward the square is one box. With it, four boxes meet at the
     intrinsic point toward, clamped inside the margin, so nearly singular
-    quadrature parks the peak on box corners, where Gauss rules behave.
+    quadrature parks the peak on box corners, where Gauss rules behave. A
+    stack of points toward (..., 2) gives a stack of boxes (..., 4, 4).
     """
     if toward is None:
         return np.array([[-1.0, 1.0, -1.0, 1.0]])
     lo, hi = -1.0 + _SPLIT_MARGIN * 2.0, 1.0 - _SPLIT_MARGIN * 2.0
-    xm, em = np.clip(toward, lo, hi)
-    return np.array(
-        [[-1.0, xm, -1.0, em], [xm, 1.0, -1.0, em], [xm, 1.0, em, 1.0], [-1.0, xm, em, 1.0]]
-    )
+    xm, em = np.moveaxis(np.clip(toward, lo, hi), -1, 0)
+    one = np.ones_like(xm)
+    boxes = [-one, xm, -one, em, xm, one, -one, em, xm, one, em, one, -one, xm, em, one]
+    return np.stack(boxes, axis=-1).reshape(xm.shape + (4, 4))
 
 
 def tri_cells(toward=None) -> np.ndarray:
@@ -376,28 +377,39 @@ def tri_cells(toward=None) -> np.ndarray:
 
 
 def bilinear_points(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Map intrinsic (xi, eta) in [-1, 1]^2 to physical points, (n, 3)."""
-    xi = uv[:, 0][:, None]
-    eta = uv[:, 1][:, None]
+    """Map intrinsic (xi, eta) in [-1, 1]^2 to physical points.
+
+    verts4 (..., 4, 3) and uv (..., n, 2) broadcast over their leading axes,
+    giving (..., n, 3); stacked elements map exactly as one at a time.
+    """
+    v = np.asarray(verts4)[..., None, :, :]
+    xi = uv[..., 0][..., None]
+    eta = uv[..., 1][..., None]
     return 0.25 * (
-        (1 - xi) * (1 - eta) * verts4[0]
-        + (1 + xi) * (1 - eta) * verts4[1]
-        + (1 + xi) * (1 + eta) * verts4[2]
-        + (1 - xi) * (1 + eta) * verts4[3]
+        (1 - xi) * (1 - eta) * v[..., 0, :]
+        + (1 + xi) * (1 - eta) * v[..., 1, :]
+        + (1 + xi) * (1 + eta) * v[..., 2, :]
+        + (1 - xi) * (1 + eta) * v[..., 3, :]
     )
 
 
 def bilinear_jacobian(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (n,)."""
-    xi = uv[:, 0][:, None]
-    eta = uv[:, 1][:, None]
+    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (..., n).
+
+    Broadcasts over leading axes like bilinear_points.
+    """
+    v = np.asarray(verts4)[..., None, :, :]
+    xi = uv[..., 0][..., None]
+    eta = uv[..., 1][..., None]
     dxi = 0.25 * (
-        -(1 - eta) * verts4[0] + (1 - eta) * verts4[1] + (1 + eta) * verts4[2] - (1 + eta) * verts4[3]
+        -(1 - eta) * v[..., 0, :] + (1 - eta) * v[..., 1, :]
+        + (1 + eta) * v[..., 2, :] - (1 + eta) * v[..., 3, :]
     )
     deta = 0.25 * (
-        -(1 - xi) * verts4[0] - (1 + xi) * verts4[1] + (1 + xi) * verts4[2] + (1 - xi) * verts4[3]
+        -(1 - xi) * v[..., 0, :] - (1 + xi) * v[..., 1, :]
+        + (1 + xi) * v[..., 2, :] + (1 - xi) * v[..., 3, :]
     )
-    return np.linalg.norm(cross3(dxi, deta), axis=1)
+    return np.linalg.norm(cross3(dxi, deta), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ritesolver import assembly
 from ritesolver.assembly import (
     Assembler,
     CollocationSet,
@@ -23,6 +24,7 @@ from ritesolver.assembly import (
     intrinsic_projection,
     operator_row_sums,
     quad_flux_shapes,
+    quad_vertex_shapes,
     read_matrix,
     tri_flux_shapes,
     write_matrix,
@@ -34,6 +36,7 @@ from ritesolver.geometry import (
     bilinear_jacobian,
     bilinear_points,
     build_element,
+    quad_cells,
     segment_element_hits,
 )
 from ritesolver.kernels import KernelKind, RadiativeProperties, path_factors, solvability_margin
@@ -267,6 +270,51 @@ def test_intrinsic_projection_stops_at_the_clamp(monkeypatch):
     assert back[0, 1] == pytest.approx(0.3, abs=1e-14)
 
 
+def _cube_row_near_quads():
+    # Every near-band quad of the first wall row of cube r2, with the split
+    # points its row plan recorded.
+    mesh, grid = builtin_case("cube", 2)
+    asm = Assembler(mesh, grid)
+    col = asm.collocation
+    own = int(col.boundary_element[0])
+    plan = asm._row_plan("b", 0, col.boundary_points[0], col.boundary_normals[0], own)
+    assert plan.near_quads.size > 1
+    elements = [mesh.elements[k] for k in plan.elements[plan.near_quads]]
+    return elements, [plan.towards[j] for j in plan.near_quads]
+
+
+def _trapezoids():
+    flat = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 1.0, 0.0], [0.3, 1.0, 0.0]])
+    return [build_element(flat), build_element(flat[:, [0, 2, 1]] + [0.0, 0.5, 0.2])]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cube_row", "trapezoid", "toward_outside"],
+)
+def test_stacked_quad_rules_match_element_rules(case):
+    # Near-band quads of a row are mapped in one stacked call; each part
+    # must equal the element's own rule bit for bit, including a split
+    # point off the element, which the margin clamps.
+    if case == "cube_row":
+        elements, towards = _cube_row_near_quads()
+    elif case == "trapezoid":
+        elements, towards = _trapezoids(), [np.array([0.3, -0.6]), np.array([-0.9, 0.95])]
+    else:
+        elements, towards = _trapezoids(), [np.array([1.7, -2.4]), np.array([-3.0, 0.2])]
+    order = 6 * 2
+    verts = np.array([e.vertices for e in elements])
+    pts, wts, root = assembly._quad_cell_rule(verts, quad_cells(np.array(towards)), order)
+    n = len(wts) // len(elements)
+    for i, (e, toward) in enumerate(zip(elements, towards)):
+        rule = element_rule(e, order, toward)
+        cut = slice(i * n, (i + 1) * n)
+        assert np.array_equal(pts[cut], rule.points)
+        assert np.array_equal(wts[cut], rule.weights)
+        assert np.array_equal(quad_flux_shapes(root[cut]), rule.flux_shapes)
+        assert np.array_equal(quad_vertex_shapes(root[cut]), rule.vertex_shapes)
+
+
 def test_discrete_reciprocity_cube_faces():
     # A_i F(i -> j) vs A_j F(j -> i) with the same double-quadrature rule on
     # both sides; piecewise-constant transport must be near-symmetric.
@@ -428,7 +476,8 @@ def test_fresh_assemblers_give_bit_identical_blocks():
     one, two = Assembler(mesh, grid), Assembler(mesh, grid)
     s1, s2 = one.assemble_surface(props), two.assemble_surface(props)
     v1, v2 = one.assemble_volume(props), two.assemble_volume(props)
-    assert any(isinstance(v, VisibilityReport) for v in one._visibility_cache.values())
+    assert any(isinstance(v, VisibilityReport)
+               for plan in one.row_plans.values() for v in plan.visibility)
     assert np.array_equal(s1.gmat, s2.gmat)
     assert np.array_equal(s1.fmat, s2.fmat)
     assert np.array_equal(s1.h, s2.h)
@@ -452,13 +501,31 @@ def test_surface_assembly_warns_exactly_when_margin_fails():
         assert len(warned) == (1 if margin <= 0.0 else 0), (sigma_a, sigma_s, margin)
 
 
-def test_assembler_cache_reused_across_properties():
+def test_assembler_cache_reused_across_properties(monkeypatch):
+    # A warm property point reads every geometric quantity from the row
+    # plans: it screens, measures and projects nothing, and its blocks are
+    # those of a fresh Assembler.
     mesh, grid = builtin_case("cube", 2)
+    calls = {}
+    for name in ("build_active_list", "screen_active_set", "point_element_distances",
+                 "intrinsic_projection"):
+        def counted(*args, _name=name, _fn=getattr(assembly, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(assembly, name, counted)
     asm = Assembler(mesh, grid)
     asm.assemble_surface(props_for(mesh.diameter(), sigma_a=0.1))
-    cached = len(asm._screen_cache)
-    asm.assemble_surface(props_for(mesh.diameter(), sigma_a=1.0))
-    assert len(asm._screen_cache) == cached
+    asm.assemble_volume(props_for(mesh.diameter(), sigma_a=0.1))
+    assert calls["intrinsic_projection"] > 0
+    calls.clear()
+    props = props_for(mesh.diameter(), sigma_a=1.0, sigma_s=0.3)
+    warm_s, warm_v = asm.assemble_surface(props), asm.assemble_volume(props)
+    assert calls == {}
+    fresh = Assembler(mesh, grid)
+    cold_s, cold_v = fresh.assemble_surface(props), fresh.assemble_volume(props)
+    for a, b in ((warm_s.gmat, cold_s.gmat), (warm_s.fmat, cold_s.fmat), (warm_s.h, cold_s.h),
+                 (warm_v.umat, cold_v.umat), (warm_v.vmat, cold_v.vmat), (warm_v.t, cold_v.t)):
+        assert np.array_equal(a, b)
 
 
 def test_matrix_dump_round_trip(tmp_path):

@@ -20,8 +20,10 @@ from ritesolver.geometry import (
     Segment,
     SurfaceMesh,
     VoxelGrid,
+    bilinear_jacobian,
     bilinear_points,
     build_element,
+    cross3,
     load_mesh,
     mesh_diameter,
     point_in_mesh,
@@ -220,6 +222,25 @@ def test_tri_split_fans_only_from_inner_targets(toward, n_cells):
 
     assert rule.weights @ linear(rule.points) == pytest.approx(e.area * linear(e.centroid),
                                                                rel=1e-12)
+
+
+def test_bilinear_maps_of_stacked_quads_match_single_calls():
+    # Stacked vertices (m, 4, 3) with points (m, n, 2) must give exactly
+    # what each quad gives alone, so batched rules keep their bits.
+    rng = np.random.default_rng(5)
+    verts = UNIT_QUAD + rng.uniform(-0.3, 0.3, (6, 4, 3))
+    uv = rng.uniform(-1.0, 1.0, (6, 50, 2))
+    points = bilinear_points(verts, uv)
+    jac = bilinear_jacobian(verts, uv)
+    assert points.shape == (6, 50, 3) and jac.shape == (6, 50)
+    for i in range(6):
+        assert np.array_equal(points[i], bilinear_points(verts[i], uv[i]))
+        assert np.array_equal(jac[i], bilinear_jacobian(verts[i], uv[i]))
+
+
+def test_cross3_matches_np_cross():
+    a, b = np.random.default_rng(9).normal(size=(2, 100_000, 3))
+    assert np.array_equal(cross3(a, b), np.cross(a, b))
 
 
 # ---------------------------------------------------------------------------
