@@ -353,7 +353,10 @@ def quad_cells(toward=None) -> np.ndarray:
     lo, hi = -1.0 + _SPLIT_MARGIN * 2.0, 1.0 - _SPLIT_MARGIN * 2.0
     xm, em = np.moveaxis(np.clip(toward, lo, hi), -1, 0)
     one = np.ones_like(xm)
-    boxes = [-one, xm, -one, em, xm, one, -one, em, xm, one, em, one, -one, xm, em, one]
+    boxes = [-one, xm, -one, em,
+             xm, one, -one, em,
+             xm, one, em, one,
+             -one, xm, em, one]
     return np.stack(boxes, axis=-1).reshape(xm.shape + (4, 4))
 
 
