@@ -288,10 +288,7 @@ def _trapezoids():
     return [build_element(flat), build_element(flat[:, [0, 2, 1]] + [0.0, 0.5, 0.2])]
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["cube_row", "trapezoid", "toward_outside"],
-)
+@pytest.mark.parametrize("case", ["cube_row", "trapezoid", "toward_outside"])
 def test_stacked_quad_rules_match_element_rules(case):
     # Near-band quads of a row are mapped in one stacked call; each part
     # must equal the element's own rule bit for bit, including a split
