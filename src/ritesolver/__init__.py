@@ -45,7 +45,6 @@ from ritesolver.validation import (
 )
 from ritesolver.visibility import (
     build_active_list,
-    build_blocking_list,
     chi_point,
     classify_visibility,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "assemble_volume",
     "blackbody_emission",
     "build_active_list",
-    "build_blocking_list",
     "build_element",
     "builtin_case",
     "chi_point",

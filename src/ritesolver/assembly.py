@@ -63,9 +63,10 @@ from ritesolver.kernels import (
     solvability_margin,
 )
 from ritesolver.visibility import (
-    BlockingList,
+    UNOBSTRUCTED,
     Classification,
     SubElement,
+    VisibilityReport,
     build_active_list,
     classify_visibility,
     screen_active_set,
@@ -519,17 +520,18 @@ class RowPlan:
     Fields run parallel over the row's active elements, in active-list
     order, which is also the order its quadrature points are concatenated
     in. screens holds each element's blockers from screen_active_set and
-    visibility its outcome: "full", "blocked" or a VisibilityReport.
-    towards holds the root intrinsic point the cells of a near-band, fully
-    visible element meet at (None elsewhere); near_quads lists the
-    positions of those that are quads, whose rules are built in one pass.
+    visibility its VisibilityReport; a pair with no blockers is
+    UNOBSTRUCTED without a classify_visibility call. towards holds the root
+    intrinsic point the cells of a near-band, fully visible element meet
+    at (None elsewhere); near_quads lists the positions of those that are
+    quads, whose rules are built in one pass.
     """
 
     elements: np.ndarray        # (a,) element ids
     dist_over_diam: np.ndarray  # (a,)
     orders: np.ndarray          # (a,) band order of a whole-element rule
     screens: tuple
-    visibility: tuple
+    visibility: tuple[VisibilityReport, ...]
     towards: tuple
     near_quads: np.ndarray      # positions into the fields above
 
@@ -540,7 +542,7 @@ class Assembler:
     Geometry is cached on the instance, so sweeping radiative properties
     over a fixed geometry pays for it once. row_plans maps each visited
     row (kind "b" or "i", index) to its RowPlan: active elements, their
-    bands, screen and visibility outcomes and near-band split points.
+    bands, blocker lists, VisibilityReports and near-band split points.
     Element rules away from the source point are cached per (element,
     order). Near-band rules are split toward the source point, so they are
     rebuilt from the plan at every property point, all quads of a row in
@@ -582,26 +584,13 @@ class Assembler:
             rule = self._rule_cache[(k, order)] = element_rule(self.mesh.elements[k], order)
         return rule
 
-    def _visibility(self, p: np.ndarray, k: int, screened):
-        """'full', 'blocked', or a VisibilityReport for the pair."""
-        if not screened:
-            return "full"
-        listing = BlockingList(point=p, active_index=k, blockers=screened)
-        report = classify_visibility(p, listing, self.mesh)
-        if report.classification is Classification.FULLY_VISIBLE:
-            return "full"
-        if report.classification is Classification.FULLY_BLOCKED:
-            return "blocked"
-        return report
-
     def _row_plan(self, kind: str, pidx: int, p: np.ndarray, normal: np.ndarray | None,
                   source_element: int | None) -> RowPlan:
         """The row's plan, built on its first visit."""
         plan = self.row_plans.get((kind, pidx))
         if plan is not None:
             return plan
-        active = build_active_list(p, normal, self.mesh, source_element=source_element)
-        idx = np.asarray(active.indices, dtype=int)
+        idx = build_active_list(p, normal, self.mesh, source_element=source_element)
         rel, screens = np.zeros(0), []
         if idx.size:
             dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
@@ -610,9 +599,9 @@ class Assembler:
         orders, visibility, towards, near_quads = [], [], [], []
         for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
             order, split = _band(float(d), self.base_order)
-            vis = self._visibility(p, k, screened)
+            vis = classify_visibility(p, k, screened, self.mesh) if screened else UNOBSTRUCTED
             toward = None
-            if split and vis == "full":
+            if split and vis.classification is Classification.FULLY_VISIBLE:
                 element = self.mesh.elements[k]
                 toward = intrinsic_projection(element, p[None, :])[0]
                 if element.is_quad:
@@ -663,9 +652,9 @@ class Assembler:
         pts, wts, eids, fsh, vsh = [], [], [], [], []
         for j, (k, order, vis, toward) in enumerate(
                 zip(plan.elements.tolist(), plan.orders.tolist(), plan.visibility, plan.towards)):
-            if vis == "blocked":
+            if vis.classification is Classification.FULLY_BLOCKED:
                 continue
-            if vis != "full":
+            if vis.classification is Classification.PARTIALLY_VISIBLE:
                 rule = visible_rule(p, self.mesh.elements[k], vis.visible, self.base_order)
             elif toward is None:
                 rule = self._cached_rule(k, order)

@@ -55,7 +55,7 @@ from ritesolver.validation import (
     visibility_report_check,
     write_report_csv,
 )
-from ritesolver.visibility import build_active_list
+from ritesolver.visibility import Classification, build_active_list
 
 __all__ = [
     "BUILTIN_CASES",
@@ -436,6 +436,10 @@ class RunResult:
     exit_code: int
 
 
+_VISIBILITY_LABELS = {Classification.FULLY_VISIBLE: "full",
+                      Classification.FULLY_BLOCKED: "blocked"}
+
+
 def _dump_visibility_csv(path, assembler: Assembler) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -444,7 +448,7 @@ def _dump_visibility_csv(path, assembler: Assembler) -> None:
             for k, out, cls in sorted(zip(plan.elements.tolist(), plan.screens, plan.visibility),
                                       key=lambda entry: entry[0]):
                 screen = ";".join(str(i) for i in out) if out else "empty"
-                label = cls if isinstance(cls, str) else f"partial:{cls.fraction:.6f}"
+                label = _VISIBILITY_LABELS.get(cls.classification, f"partial:{cls.fraction:.6f}")
                 writer.writerow([kind, pidx, k, screen, label])
 
 
@@ -553,9 +557,9 @@ def validate_case(config: CaseConfig, n_pairs: int = 3) -> int:
         p = col.boundary_points[i]
         own = int(col.boundary_element[i])
         active = build_active_list(p, col.boundary_normals[i], mesh, source_element=own)
-        if not active.indices:
+        if not active.size:
             continue
-        k = int(active.indices[int(rng.integers(len(active.indices)))])
+        k = int(active[int(rng.integers(active.size))])
         reports.append(
             visibility_report_check(p, k, mesh, source_element=own, seed=config.seed)
         )

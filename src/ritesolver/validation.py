@@ -26,7 +26,7 @@ from ritesolver.assembly import CollocationSet, collocation_points
 from ritesolver.geometry import SurfaceMesh, VoxelGrid, as_point, segment_element_hits
 from ritesolver.kernels import RadiativeProperties, blackbody_emission
 from ritesolver.solver import SolutionState
-from ritesolver.visibility import build_blocking_list, classify_visibility
+from ritesolver.visibility import classify_visibility, screen_active_set
 
 __all__ = [
     "DEFAULT_ORACLE_SEED",
@@ -254,8 +254,8 @@ def visibility_report_check(
 ) -> OracleReport:
     """Clipped visible fraction against the ray oracle for one pair."""
     p = as_point(point)
-    listing = build_blocking_list(p, active_index, mesh, source_element=source_element)
-    report = classify_visibility(p, listing, mesh)
+    blockers = screen_active_set(p, [active_index], mesh, source_element)[0]
+    report = classify_visibility(p, active_index, blockers, mesh)
     fraction = report.fraction
     oracle = visibility_oracle(p, mesh.elements[active_index], mesh, n_rays=n_rays, seed=seed)
     return OracleReport(

@@ -34,13 +34,11 @@ from ritesolver.geometry import (
 
 __all__ = [
     "EARLY_BLOCKED",
-    "ActiveList",
-    "BlockingList",
+    "UNOBSTRUCTED",
     "Classification",
     "SubElement",
     "VisibilityReport",
     "build_active_list",
-    "build_blocking_list",
     "chi_point",
     "classify_visibility",
     "facing_test",
@@ -75,24 +73,6 @@ class Classification(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ActiveList:
-    """Elements passing the facing test for one source point."""
-
-    point: np.ndarray
-    normal: np.ndarray | None
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BlockingList:
-    """Potential occluders for one (point, active element) pair."""
-
-    point: np.ndarray
-    active_index: int
-    blockers: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SubElement:
     """A fully visible triangle of an element, in physical coordinates."""
 
@@ -108,6 +88,10 @@ class VisibilityReport:
     visible: tuple[SubElement, ...] = field(default=())
     fraction: float = 0.0
     depth_reached: int = 0
+
+
+# The outcome of a pair no shadow reaches, screened clear or clipped.
+UNOBSTRUCTED = VisibilityReport(Classification.FULLY_VISIBLE, (), 1.0, 0)
 
 
 def facing_test(p, n_p, element: SurfaceElement) -> bool:
@@ -128,8 +112,9 @@ def facing_test(p, n_p, element: SurfaceElement) -> bool:
     return float(as_point(n_p) @ to_c) > 0.0
 
 
-def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = None) -> ActiveList:
-    """All elements mutually facing the point, excluding the one it sits on.
+def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = None) -> np.ndarray:
+    """Indices of all elements mutually facing the point, in mesh order,
+    excluding the one it sits on.
 
     The facing test is necessary but not sufficient: on non-convex meshes
     listed elements may still turn out blocked.
@@ -144,7 +129,7 @@ def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = No
         mask &= to_c @ n_p > 0.0
     if source_element is not None:
         mask[source_element] = False
-    return ActiveList(point=p, normal=n_p, indices=tuple(int(i) for i in np.nonzero(mask)[0]))
+    return np.nonzero(mask)[0]
 
 
 def _separates(p, vertices: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
@@ -159,18 +144,6 @@ def _separates(p, vertices: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
     above = (side_p > tol)[:, None] & (side_v < -tol[:, None])
     below = (side_p < -tol)[:, None] & (side_v > tol[:, None])
     return (above | below).any(axis=1)
-
-
-def build_blocking_list(
-    p,
-    active_index: int,
-    mesh: SurfaceMesh,
-    source_element: int | None = None,
-) -> BlockingList:
-    """Potential occluders of one active element."""
-    p = as_point(p)
-    (blockers,) = screen_active_set(p, [active_index], mesh, source_element)
-    return BlockingList(point=p, active_index=active_index, blockers=blockers)
 
 
 def screen_active_set(
@@ -299,18 +272,18 @@ def _subtract(piece: np.ndarray, p, cuts: np.ndarray, tol: float, min_area: floa
     return [q for q in outside if len(q) >= 3 and _polygon_area(q, normal) >= min_area]
 
 
-def classify_visibility(p, blockers: BlockingList, mesh: SurfaceMesh) -> VisibilityReport:
+def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh) -> VisibilityReport:
     """Exact visible part of an active element behind its listed blockers.
 
-    Each listed blocker whose plane separates p from the element casts a
+    blockers is the element's entry in screen_active_set. Each listed blocker whose plane separates p from the element casts a
     convex shadow on the element plane, which is cut away from the current
     convex pieces. An element no shadow reaches is fully visible, one with
     no pieces left fully blocked; otherwise the pieces are fan-triangulated.
     """
     p = as_point(p)
-    element = mesh.elements[blockers.active_index]
+    element = mesh.elements[active_index]
     arrays = mesh.arrays()
-    cands = np.asarray(blockers.blockers, dtype=int)
+    cands = np.asarray(blockers, dtype=int)
     targets = np.broadcast_to(element.vertices, (cands.size,) + element.vertices.shape)
     cands = cands[_separates(p, targets, arrays, cands)]
     normal = element.normal
@@ -339,7 +312,7 @@ def classify_visibility(p, blockers: BlockingList, mesh: SurfaceMesh) -> Visibil
         pieces = kept
 
     if shadows == 0:
-        return VisibilityReport(Classification.FULLY_VISIBLE, (), 1.0, 0)
+        return UNOBSTRUCTED
     visible = []
     for piece in pieces:
         for i in range(1, len(piece) - 1):

@@ -40,7 +40,7 @@ from ritesolver.geometry import (
     segment_element_hits,
 )
 from ritesolver.kernels import KernelKind, RadiativeProperties, path_factors, solvability_margin
-from ritesolver.visibility import VisibilityReport, build_blocking_list, classify_visibility
+from ritesolver.visibility import Classification, classify_visibility, screen_active_set
 
 from conftest import make_cube_mesh, make_dented_cube_mesh
 
@@ -217,7 +217,7 @@ def test_partial_integral_matches_masked_quadrature():
     top = scene.elements[1]
     p = np.array([0.3, 0.4, 0.0])
     n_p = np.array([0.0, 0.0, 1.0])
-    report = classify_visibility(p, build_blocking_list(p, 1, scene, 0), scene)
+    report = classify_visibility(p, 1, screen_active_set(p, [1], scene, 0)[0], scene)
     assert report.fraction == pytest.approx(0.8, abs=1e-12)
 
     cells = 40
@@ -473,7 +473,7 @@ def test_fresh_assemblers_give_bit_identical_blocks():
     one, two = Assembler(mesh, grid), Assembler(mesh, grid)
     s1, s2 = one.assemble_surface(props), two.assemble_surface(props)
     v1, v2 = one.assemble_volume(props), two.assemble_volume(props)
-    assert any(isinstance(v, VisibilityReport)
+    assert any(v.classification is Classification.PARTIALLY_VISIBLE
                for plan in one.row_plans.values() for v in plan.visibility)
     assert np.array_equal(s1.gmat, s2.gmat)
     assert np.array_equal(s1.fmat, s2.fmat)

@@ -236,7 +236,7 @@ def test_visibility_dump_matches_reports(tmp_path, capsys):
     # kind of row: one per (collocation point, active element).
     from conftest import DENTED_FACES, make_dented_cube_mesh
     from ritesolver.geometry import write_mesh_file
-    from ritesolver.visibility import build_active_list, build_blocking_list, classify_visibility
+    from ritesolver.visibility import build_active_list, classify_visibility, screen_active_set
 
     mesh = make_dented_cube_mesh()
     records = [{"nodes": list(f), "epsilon": 1.0, "T": 500.0} for f in DENTED_FACES]
@@ -257,7 +257,7 @@ def test_visibility_dump_matches_reports(tmp_path, capsys):
     ):
         for idx, (p, n, own) in enumerate(zip(points, normals, owners)):
             own = None if own is None else int(own)
-            for k in build_active_list(p, n, mesh, source_element=own).indices:
+            for k in build_active_list(p, n, mesh, source_element=own).tolist():
                 expected[(kind, idx, k)] = (p, own)
     assert sorted((r["point_kind"], int(r["point_index"]), int(r["active_element"]))
                   for r in rows) == sorted(expected)
@@ -266,7 +266,7 @@ def test_visibility_dump_matches_reports(tmp_path, capsys):
     for r in partial:
         k = int(r["active_element"])
         p, own = expected[(r["point_kind"], int(r["point_index"]), k)]
-        report = classify_visibility(p, build_blocking_list(p, k, mesh, own), mesh)
+        report = classify_visibility(p, k, screen_active_set(p, [k], mesh, own)[0], mesh)
         assert r["classification"] == f"partial:{report.fraction:.6f}"
 
 

@@ -8,10 +8,8 @@ from numpy.testing import assert_allclose
 
 from ritesolver.geometry import SurfaceMesh, build_element
 from ritesolver.visibility import (
-    BlockingList,
     Classification,
     build_active_list,
-    build_blocking_list,
     chi_point,
     classify_visibility,
     facing_test,
@@ -79,17 +77,22 @@ def test_medium_point_uses_single_sided_test():
 def test_active_list_on_cube_face_point():
     mesh = make_cube_mesh()
     active = build_active_list(P_BOTTOM, N_BOTTOM, mesh, source_element=0)
-    assert active.indices == (1, 2, 3, 4, 5)
+    assert active.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_active_list_at_cube_center():
     mesh = make_cube_mesh()
     active = build_active_list([0.5, 0.5, 0.5], None, mesh)
-    assert active.indices == (0, 1, 2, 3, 4, 5)
+    assert active.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------
 # Blocking lists
+
+
+def blockers_of(scene, p, active_index, source_element):
+    """The screen's blocker list for one (point, active element) pair."""
+    return screen_active_set(p, [active_index], scene, source_element)[0]
 
 
 def test_convex_cube_blocking_lists_are_empty():
@@ -102,35 +105,29 @@ def test_convex_cube_blocking_lists_are_empty():
     ]
     for p, own in points:
         active = build_active_list(p, mesh.elements[own].normal, mesh, source_element=own)
-        assert len(active.indices) == 5
-        for k in active.indices:
-            result = build_blocking_list(p, k, mesh, source_element=own)
-            assert isinstance(result, BlockingList)
-            assert result.blockers == ()
+        assert active.size == 5
+        for k in active:
+            assert blockers_of(mesh, p, k, own) == ()
 
 
 def test_wide_plate_triggers_early_block():
     # Once a shadow covers the whole element, later blockers are not clipped.
     scene = open_scene(plate(0.5, 0.5, 0.5, 0.7), plate(0.5, 0.5, 0.25, 0.1))
-    result = build_blocking_list(P_BOTTOM, 1, scene, source_element=0)
-    assert result.blockers == (2, 3)
-    report = classify_visibility(P_BOTTOM, result, scene)
+    blockers = blockers_of(scene, P_BOTTOM, 1, 0)
+    assert blockers == (2, 3)
+    report = classify_visibility(P_BOTTOM, 1, blockers, scene)
     assert report.classification is Classification.FULLY_BLOCKED
     assert report.depth_reached == 1
 
 
 def test_small_offset_plate_enters_via_view_window():
     scene = open_scene(plate(0.55, 0.5, 0.5, 0.05))
-    result = build_blocking_list(P_BOTTOM, 1, scene, source_element=0)
-    assert isinstance(result, BlockingList)
-    assert result.blockers == (2,)
+    assert blockers_of(scene, P_BOTTOM, 1, 0) == (2,)
 
 
 def test_coplanar_neighbor_of_active_is_excluded():
     scene = open_scene(plate(1.6, 0.5, 1.0, 0.5))
-    result = build_blocking_list(P_BOTTOM, 1, scene, source_element=0)
-    assert isinstance(result, BlockingList)
-    assert 2 not in result.blockers
+    assert 2 not in blockers_of(scene, P_BOTTOM, 1, 0)
 
 
 def test_corner_covering_plates_trigger_union_rule():
@@ -139,9 +136,9 @@ def test_corner_covering_plates_trigger_union_rule():
     plates = [plate(0.25, 0.25, 0.5, 0.06), plate(0.75, 0.25, 0.5, 0.06),
               plate(0.75, 0.75, 0.5, 0.06), plate(0.25, 0.75, 0.5, 0.06)]
     scene = open_scene(*plates)
-    result = build_blocking_list(P_BOTTOM, 1, scene, source_element=0)
-    assert result.blockers == (2, 3, 4, 5)
-    report = classify_visibility(P_BOTTOM, result, scene)
+    blockers = blockers_of(scene, P_BOTTOM, 1, 0)
+    assert blockers == (2, 3, 4, 5)
+    report = classify_visibility(P_BOTTOM, 1, blockers, scene)
     assert report.fraction == pytest.approx(1.0 - 4 * 0.12**2, abs=1e-9)
 
 
@@ -164,8 +161,8 @@ def test_refined_convex_cube_screens_everything_out():
         if e.normal[2] == 1.0 and np.all(np.abs(p[:2] - e.centroid[:2]) < 1.0 / 6.0)
     )
     active = build_active_list(p, mesh.elements[own].normal, mesh, source_element=own)
-    outcomes = screen_active_set(p, active.indices, mesh, source_element=own)
-    assert len(outcomes) == len(active.indices)
+    outcomes = screen_active_set(p, active, mesh, source_element=own)
+    assert len(outcomes) == active.size
     for outcome in outcomes:
         assert outcome == ()
 
@@ -186,8 +183,8 @@ def lshape_screen_outcomes(p):
         and np.all(np.abs(p - e.centroid) <= e.diameter)
     )
     active = build_active_list(p, mesh.elements[own].normal, mesh, source_element=own)
-    outcomes = screen_active_set(p, active.indices, mesh, source_element=own)
-    return mesh, list(zip(active.indices, outcomes))
+    outcomes = screen_active_set(p, active, mesh, source_element=own)
+    return mesh, list(zip(active.tolist(), outcomes))
 
 
 def test_clear_screen_outcomes_are_fully_visible():
@@ -215,7 +212,7 @@ def test_classified_fractions_match_ray_oracle():
         for k, blockers in pairs:
             if not blockers:
                 continue
-            report = classify_visibility(p, BlockingList(p, k, blockers), mesh)
+            report = classify_visibility(p, k, blockers, mesh)
             fraction = visibility_oracle(p, mesh.elements[k], mesh, n_rays=10_000)
             assert report.fraction == pytest.approx(fraction, abs=0.01), (p, k)
             outcomes.append(report.classification)
@@ -228,8 +225,8 @@ def test_classified_fractions_match_ray_oracle():
 
 
 def classify(scene, p, active_index, source_element):
-    blockers = build_blocking_list(p, active_index, scene, source_element)
-    return classify_visibility(p, blockers, scene)
+    blockers = blockers_of(scene, p, active_index, source_element)
+    return classify_visibility(p, active_index, blockers, scene)
 
 
 def shadow_fraction(half, center=(0.5, 0.5)):
@@ -298,7 +295,7 @@ def test_cull_free_classification_is_identical():
         unculled = tuple(range(2, scene.n_elements))
         for p in points:
             fast = classify(scene, p, 1, 0)
-            brute = classify_visibility(p, BlockingList(p, 1, unculled), scene)
+            brute = classify_visibility(p, 1, unculled, scene)
             assert fast.classification is brute.classification
             assert fast.fraction == brute.fraction
             assert fast.depth_reached == brute.depth_reached
