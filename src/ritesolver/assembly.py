@@ -89,10 +89,10 @@ __all__ = [
     "read_matrix",
 ]
 
-# Distance bands in units of element diameter: beyond FAR_BAND the base
-# order suffices, inside NEAR_BAND the order is escalated six-fold and the
-# element is split once toward the source point, so the integrand peak sits
-# at a corner of every reference cell.
+# Distance bands in units of element diameter: beyond FAR_BAND the Gauss
+# order is 2, between the bands 4, and inside NEAR_BAND 12 with the element
+# split once toward the source point, so the integrand peak sits at a
+# corner of every reference cell.
 FAR_BAND = 4.0
 NEAR_BAND = 1.0
 
@@ -273,8 +273,7 @@ def _barycentric(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.column_stack([1.0 - ab.sum(axis=1), ab])
 
 
-def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...],
-                 base_order: int) -> ElementRule:
+def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...]) -> ElementRule:
     """Banded triangle rules over the visible triangles of an element.
 
     Each triangle takes the band of its own distance from p over its own
@@ -288,7 +287,7 @@ def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...],
     diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
     pts, wts = [], []
     for tri, d in zip(tris, dists / diams):
-        order, split = _band(float(d), base_order)
+        order, split = _band(float(d))
         toward = _barycentric(tri, p[None, :])[0] if split else None
         tri_pts, tri_wts, _ = _tri_cell_rule(tri, tri_cells(toward), order)
         pts.append(tri_pts)
@@ -349,19 +348,20 @@ def intrinsic_projection(element: SurfaceElement, points) -> np.ndarray:
     return uv
 
 
-def _band(dist_over_diam: float, base_order: int) -> tuple[int, bool]:
-    if dist_over_diam > FAR_BAND:
-        return base_order, False
-    if dist_over_diam > NEAR_BAND:
-        return 2 * base_order, False
-    return 6 * base_order, True
+def _band(d: float) -> tuple[int, bool]:
+    """Gauss order and whether to split, for distance over diameter d."""
+    if d > FAR_BAND:
+        return 2, False
+    if d > NEAR_BAND:
+        return 4, False
+    return 12, True
 
 
-def _element_band(element: SurfaceElement, p: np.ndarray, dist_over_diam: float,
-                  base_order: int):
-    """Order of a whole-element rule for source point p, and in the near
-    band the root intrinsic point its cells meet at (None elsewhere)."""
-    order, split = _band(dist_over_diam, base_order)
+def _element_band(element: SurfaceElement, p: np.ndarray, d: float):
+    """Order of a whole-element rule for source point p at distance over
+    diameter d, and in the near band the root intrinsic point its cells
+    meet at (None elsewhere)."""
+    order, split = _band(d)
     return order, intrinsic_projection(element, p[None, :])[0] if split else None
 
 
@@ -471,7 +471,7 @@ class SurfaceSystem:
     """Wall-equation blocks: q = Gmat q + Fmat G + h."""
 
     gmat: np.ndarray   # (N_p, N_q)
-    fmat: np.ndarray   # (N_p, n_cells)
+    fmat: np.ndarray   # (N_p, N_i)
     h: np.ndarray      # (N_p,)
 
 
@@ -479,12 +479,11 @@ class SurfaceSystem:
 class VolumeSystem:
     """Medium-equation blocks: G = Umat G + Vmat q + t.
 
-    cells are the flat grid indices behind the N_i interior unknowns (the
-    scatter map from the G vector into full-grid cell space), and
+    cells are the flat grid indices behind the N_i interior unknowns, and
     cell_temperatures their prescribed medium temperatures.
     """
 
-    umat: np.ndarray   # (N_i, n_cells)
+    umat: np.ndarray   # (N_i, N_i)
     vmat: np.ndarray   # (N_i, N_q)
     t: np.ndarray      # (N_i,)
     cells: np.ndarray  # (N_i,)
@@ -528,7 +527,6 @@ class RowPlan:
     """
 
     elements: np.ndarray        # (a,) element ids
-    dist_over_diam: np.ndarray  # (a,)
     orders: np.ndarray          # (a,) band order of a whole-element rule
     screens: tuple
     visibility: tuple[VisibilityReport, ...]
@@ -542,11 +540,13 @@ class Assembler:
     Geometry is cached on the instance, so sweeping radiative properties
     over a fixed geometry pays for it once. row_plans maps each visited
     row (kind "b" or "i", index) to its RowPlan: active elements, their
-    bands, blocker lists, VisibilityReports and near-band split points.
-    Element rules away from the source point are cached per (element,
-    order). Near-band rules are split toward the source point, so they are
-    rebuilt from the plan at every property point, all quads of a row in
-    one batched pass; no quadrature point is kept between property points.
+    band orders, blocker lists, VisibilityReports and near-band split
+    points. Element rules away from the source point are cached per
+    (element, order). Near-band rules are split toward the source point, so
+    they are rebuilt from the plan at every property point, all quads of a
+    row in one batched pass; no quadrature point is kept between property
+    points. The medium blocks Fmat and Umat have one column per interior
+    unknown.
     """
 
     def __init__(
@@ -554,14 +554,10 @@ class Assembler:
         mesh: SurfaceMesh,
         grid: VoxelGrid,
         collocation: CollocationSet | None = None,
-        base_order: int = 2,
     ):
-        if base_order < 1:
-            raise ValueError(f"base_order must be at least 1, got {base_order}")
         self.mesh = mesh
         self.grid = grid
         self.collocation = collocation if collocation is not None else collocation_points(mesh, grid)
-        self.base_order = base_order
         self.arrays = mesh.arrays()
         self.row_plans: dict[tuple[str, int], RowPlan] = {}
         self._rule_cache: dict[tuple[int, int], ElementRule] = {}
@@ -598,7 +594,7 @@ class Assembler:
             screens = screen_active_set(p, idx, self.mesh, source_element=source_element)
         orders, visibility, towards, near_quads = [], [], [], []
         for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
-            order, split = _band(float(d), self.base_order)
+            order, split = _band(float(d))
             vis = classify_visibility(p, k, screened, self.mesh) if screened else UNOBSTRUCTED
             toward = None
             if split and vis.classification is Classification.FULLY_VISIBLE:
@@ -610,7 +606,7 @@ class Assembler:
             visibility.append(vis)
             towards.append(toward)
         plan = self.row_plans[(kind, pidx)] = RowPlan(
-            elements=idx, dist_over_diam=rel, orders=np.array(orders, dtype=int),
+            elements=idx, orders=np.array(orders, dtype=int),
             screens=tuple(screens), visibility=tuple(visibility), towards=tuple(towards),
             near_quads=np.array(near_quads, dtype=int),
         )
@@ -655,7 +651,7 @@ class Assembler:
             if vis.classification is Classification.FULLY_BLOCKED:
                 continue
             if vis.classification is Classification.PARTIALLY_VISIBLE:
-                rule = visible_rule(p, self.mesh.elements[k], vis.visible, self.base_order)
+                rule = visible_rule(p, self.mesh.elements[k], vis.visible)
             elif toward is None:
                 rule = self._cached_rule(k, order)
             elif j in near:
@@ -769,7 +765,7 @@ class Assembler:
             if props.sigma_s > 0.0:
                 scatter_block[r] = kernel_prefactor(scatter, props, dist, rx) * np.bincount(
                     cells.ravel(), (geo[:, None] * cw).ravel(), minlength=self.grid.n_cells
-                )
+                )[col.interior_cells]
 
     # -- public assembly -------------------------------------------------
 
@@ -793,7 +789,7 @@ class Assembler:
             )
         col = self.collocation
         gmat = np.zeros((col.n_boundary, col.n_boundary))
-        fmat = np.zeros((col.n_boundary, self.grid.n_cells))
+        fmat = np.zeros((col.n_boundary, col.n_interior))
         h = np.zeros(col.n_boundary)
         eb_vertices = self._node_blackbody(props)
         ib_cells = self._cell_intensity(props)
@@ -806,7 +802,7 @@ class Assembler:
 
     def assemble_volume(self, props: RadiativeProperties) -> VolumeSystem:
         col = self.collocation
-        umat = np.zeros((col.n_interior, self.grid.n_cells))
+        umat = np.zeros((col.n_interior, col.n_interior))
         vmat = np.zeros((col.n_interior, col.n_boundary))
         t = np.zeros(col.n_interior)
         eb_vertices = self._node_blackbody(props)
@@ -829,12 +825,12 @@ class Assembler:
 # Spec-level convenience entry points
 
 
-def assemble_surface(mesh, grid, props, collocation=None, **kwargs) -> SurfaceSystem:
-    return Assembler(mesh, grid, collocation, **kwargs).assemble_surface(props)
+def assemble_surface(mesh, grid, props, collocation=None) -> SurfaceSystem:
+    return Assembler(mesh, grid, collocation).assemble_surface(props)
 
 
-def assemble_volume(mesh, grid, props, collocation=None, **kwargs) -> VolumeSystem:
-    return Assembler(mesh, grid, collocation, **kwargs).assemble_volume(props)
+def assemble_volume(mesh, grid, props, collocation=None) -> VolumeSystem:
+    return Assembler(mesh, grid, collocation).assemble_volume(props)
 
 
 def element_integral(
@@ -844,7 +840,6 @@ def element_integral(
     kind: KernelKind,
     props: RadiativeProperties,
     shape: int | None = None,
-    base_order: int = 2,
     report=None,
 ) -> float:
     """Banded quadrature of F_shape x kernel over the element's visible part.
@@ -858,11 +853,11 @@ def element_integral(
     if report is not None and report.classification is Classification.FULLY_BLOCKED:
         return 0.0
     if report is not None and report.classification is Classification.PARTIALLY_VISIBLE:
-        rule = visible_rule(p, element, report.visible, base_order)
+        rule = visible_rule(p, element, report.visible)
     else:
         arrays = ElementArrays.from_elements([element])
         d = float(point_element_distances(p, arrays.vertices, arrays.normals)[0])
-        order, toward = _element_band(element, p, d / element.diameter, base_order)
+        order, toward = _element_band(element, p, d / element.diameter)
         rule = element_rule(element, order, toward)
     diff = rule.points - p[None, :]
     dist = np.linalg.norm(diff, axis=1)

@@ -242,8 +242,8 @@ class ProfileSpec:
 
 _CONFIG_KEYS = {
     "mesh", "sigma_a", "sigma_s", "sigma_sb", "tolerance", "max_iterations",
-    "quad_order", "output", "seed", "dump_matrices", "dump_visibility",
-    "reference_temperature", "profiles",
+    "output", "seed", "dump_matrices", "dump_visibility", "reference_temperature",
+    "profiles",
 }
 
 
@@ -257,7 +257,6 @@ class CaseConfig:
     sigma_sb: float | None = None
     tolerance: float = 1e-8
     max_iterations: int = 200
-    quad_order: int = 2
     output: str = "out"
     seed: int = DEFAULT_ORACLE_SEED
     dump_matrices: bool = False
@@ -268,6 +267,23 @@ class CaseConfig:
     def __post_init__(self):
         if not Path(self.mesh).is_file():
             raise ConfigError(f"mesh file does not exist: {self.mesh}")
+        # The run builds both from these values; building them here turns a
+        # bad value into a ConfigError before any work starts.
+        try:
+            self.radiative_properties(domain_diameter=1.0)
+            self.solver_config()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
+
+    def radiative_properties(self, domain_diameter: float) -> RadiativeProperties:
+        """The configured medium inside an enclosure of the given diameter."""
+        sigma_sb = {} if self.sigma_sb is None else {"sigma_sb": self.sigma_sb}
+        return RadiativeProperties(sigma_a=self.sigma_a, sigma_s=self.sigma_s,
+                                   domain_diameter=domain_diameter, **sigma_sb)
+
+    def solver_config(self) -> SolverConfig:
+        """The configured outer-iteration controls."""
+        return SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
     @classmethod
     def from_dict(cls, data: dict, base_dir=".") -> "CaseConfig":
@@ -297,6 +313,8 @@ class CaseConfig:
                 )
             except KeyError as exc:
                 raise ConfigError(f"profile record missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"profile record has a bad value: {exc}") from exc
         try:
             return cls(mesh=str(mesh.resolve()), profiles=tuple(profiles), **data)
         except TypeError as exc:
@@ -319,7 +337,6 @@ class CaseConfig:
             "sigma_sb": self.sigma_sb,
             "tolerance": self.tolerance,
             "max_iterations": self.max_iterations,
-            "quad_order": self.quad_order,
             "output": self.output,
             "seed": self.seed,
             "dump_matrices": self.dump_matrices,
@@ -462,15 +479,8 @@ def run_case(config: CaseConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     mesh, grid = load_mesh(config.mesh)
-    sigma_sb = config.sigma_sb
-    props_kwargs = {} if sigma_sb is None else {"sigma_sb": sigma_sb}
-    props = RadiativeProperties(
-        sigma_a=config.sigma_a,
-        sigma_s=config.sigma_s,
-        domain_diameter=mesh.diameter(),
-        **props_kwargs,
-    )
-    assembler = Assembler(mesh, grid, base_order=config.quad_order)
+    props = config.radiative_properties(mesh.diameter())
+    assembler = Assembler(mesh, grid)
 
     eps_min = float(mesh.arrays().emissivities.min())
     margin, solvable = solvability_margin(props, eps_min)
@@ -482,10 +492,7 @@ def run_case(config: CaseConfig) -> RunResult:
     log.info("assembled %d wall rows and %d medium rows in %.1f s",
              surface.gmat.shape[0], volume.umat.shape[0], time.perf_counter() - t0)
 
-    state = solve_rites(
-        surface, volume, props,
-        SolverConfig(tolerance=config.tolerance, max_iterations=config.max_iterations),
-    )
+    state = solve_rites(surface, volume, props, config.solver_config())
     log.info("solver %s after %d iterations",
              "converged" if state.converged else "DID NOT CONVERGE", state.iterations)
 
@@ -535,7 +542,11 @@ def run_case(config: CaseConfig) -> RunResult:
     )
 
 
-def validate_case(config: CaseConfig, n_pairs: int = 3) -> int:
+# Pairs the validate subcommand draws for the ray-oracle check.
+_VALIDATE_PAIRS = 3
+
+
+def validate_case(config: CaseConfig) -> int:
     """Geometry-level oracle run: closure identities plus sampled pair checks.
 
     Picks a few (boundary point, active element) pairs with the configured
@@ -545,14 +556,12 @@ def validate_case(config: CaseConfig, n_pairs: int = 3) -> int:
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh, grid = load_mesh(config.mesh)
-    props = RadiativeProperties(
-        sigma_a=config.sigma_a, sigma_s=config.sigma_s, domain_diameter=mesh.diameter()
-    )
+    props = config.radiative_properties(mesh.diameter())
     col = collocation_points(mesh, grid)
     reports = standard_suite(mesh, grid, props, state=None, collocation=col)
 
     rng = np.random.default_rng(config.seed)
-    for _ in range(n_pairs):
+    for _ in range(_VALIDATE_PAIRS):
         i = int(rng.integers(col.n_boundary))
         p = col.boundary_points[i]
         own = int(col.boundary_element[i])
@@ -579,8 +588,6 @@ def _apply_overrides(config: CaseConfig, args) -> CaseConfig:
     updates = {}
     if args.out is not None:
         updates["output"] = args.out
-    if args.quad_order is not None:
-        updates["quad_order"] = args.quad_order
     if args.tol is not None:
         updates["tolerance"] = args.tol
     if args.max_iter is not None:
@@ -597,7 +604,6 @@ def _apply_overrides(config: CaseConfig, args) -> CaseConfig:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON case configuration")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--quad-order", type=int, metavar="N", help="base quadrature order")
     parser.add_argument("--tol", type=float, metavar="X", help="outer iteration tolerance")
     parser.add_argument("--max-iter", type=int, metavar="N", help="outer iteration cap")
     parser.add_argument("--dump-matrices", action="store_true",

@@ -78,8 +78,7 @@ class SolutionState:
     contraction_ratio: float
 
 
-def contraction_bound(props: RadiativeProperties, eps_min: float,
-                      domain_diameter: float | None = None) -> float:
+def contraction_bound(props: RadiativeProperties, eps_min: float) -> float:
     """A priori outer-iteration rate bound (sigma_s/beta)(1/eps_min - e^-beta R).
 
     Zero without scattering (the outer update is then a one-shot
@@ -89,8 +88,9 @@ def contraction_bound(props: RadiativeProperties, eps_min: float,
         raise ValueError(f"eps_min must lie in (0, 1], got {eps_min}")
     if props.sigma_s == 0.0:
         return 0.0
-    r = props.domain_diameter if domain_diameter is None else domain_diameter
-    return (props.sigma_s / props.beta) * (1.0 / eps_min - np.exp(-props.beta * r))
+    return (props.sigma_s / props.beta) * (
+        1.0 / eps_min - np.exp(-props.beta * props.domain_diameter)
+    )
 
 
 def _factor_wall_system(gmat: np.ndarray):
@@ -124,8 +124,6 @@ def solve_rites(
     config = config if config is not None else SolverConfig()
     lu_piv = _factor_wall_system(surface.gmat)
 
-    n_cells = volume.umat.shape[1]
-    cells = volume.cells
     g = 4.0 * blackbody_emission(volume.cell_temperatures, props.sigma_sb)
 
     # Without scattering neither block feeds G back into the update, so the
@@ -135,12 +133,9 @@ def solve_rites(
     history: list[float] = []
     converged = False
     q = np.zeros(surface.gmat.shape[0])
-    g_full = np.zeros(n_cells)
     for outer in range(1, config.max_iterations + 1):
-        g_full[:] = 0.0
-        g_full[cells] = g
-        q = scipy.linalg.lu_solve(lu_piv, surface.fmat @ g_full + surface.h)
-        g_next = volume.umat @ g_full + volume.vmat @ q + volume.t
+        q = scipy.linalg.lu_solve(lu_piv, surface.fmat @ g + surface.h)
+        g_next = volume.umat @ g + volume.vmat @ q + volume.t
         scale = float(np.abs(g_next).max(initial=0.0))
         change = float(np.abs(g_next - g).max(initial=0.0))
         residual = change / scale if scale > 0.0 else change

@@ -119,7 +119,7 @@ def lemma1_identity(
     point,
     normal,
     source_element: int | None = None,
-    base_order: int = 6,
+    order: int = 6,
     tolerance: float = 0.01,
 ) -> OracleReport:
     """Closure of the wall exchange kernel over a convex enclosure.
@@ -136,7 +136,7 @@ def lemma1_identity(
     for k, element in enumerate(mesh.elements):
         if source_element is not None and k == source_element:
             continue
-        pts, wq = _plain_rule(element, base_order)
+        pts, wq = _plain_rule(element, order)
         diff = pts - p
         dist = np.linalg.norm(diff, axis=1)
         keep = dist > 0.0
@@ -148,7 +148,7 @@ def lemma1_identity(
         value=total,
         reference=math.pi,
         tolerance=tolerance,
-        resolution={"elements": mesh.n_elements, "base_order": base_order},
+        resolution={"elements": mesh.n_elements, "order": order},
     )
 
 
@@ -156,7 +156,7 @@ def lemma3_interior_identity(
     mesh: SurfaceMesh,
     point,
     props: RadiativeProperties | None = None,
-    base_order: int = 6,
+    order: int = 6,
     tolerance: float = 0.01,
 ) -> OracleReport:
     """Solid-angle closure of the interior-receiver kernel.
@@ -171,7 +171,7 @@ def lemma3_interior_identity(
     beta = props.beta if props is not None else 0.0
     total = 0.0
     for element in mesh.elements:
-        pts, wq = _plain_rule(element, base_order)
+        pts, wq = _plain_rule(element, order)
         diff = pts - p
         dist = np.linalg.norm(diff, axis=1)
         cos_r = np.clip(-np.einsum("ij,j->i", diff, element.normal) / dist, 0.0, None)
@@ -183,7 +183,7 @@ def lemma3_interior_identity(
         value=total,
         reference=4.0 * math.pi,
         tolerance=tolerance,
-        resolution={"elements": mesh.n_elements, "base_order": base_order},
+        resolution={"elements": mesh.n_elements, "order": order},
     )
 
 
@@ -334,7 +334,7 @@ def standard_suite(
     props: RadiativeProperties,
     state: SolutionState | None = None,
     collocation: CollocationSet | None = None,
-    base_order: int = 6,
+    order: int = 6,
 ) -> list[OracleReport]:
     """The mandatory checks for a solved case.
 
@@ -350,12 +350,12 @@ def standard_suite(
             col.boundary_points[0],
             col.boundary_normals[0],
             source_element=int(col.boundary_element[0]),
-            base_order=base_order,
+            order=order,
         )
     ]
     if col.n_interior:
         mid = col.interior_points[col.n_interior // 2]
-        reports.append(lemma3_interior_identity(mesh, mid, base_order=base_order))
+        reports.append(lemma3_interior_identity(mesh, mid, order=order))
     if state is not None:
         reports.append(energy_balance(state, mesh, grid, props, collocation=col))
     return reports

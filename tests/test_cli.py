@@ -132,18 +132,19 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_rejects_removed_keys(tmp_path):
     # These were options once; old configs must fail loudly.
     for key, value in (("threads", 2), ("use_culls", False), ("min_area", 1e-3),
-                       ("min_area_fraction", 1e-4), ("max_depth", 8)):
+                       ("min_area_fraction", 1e-4), ("max_depth", 8), ("quad_order", 2)):
         path = write_config(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=key):
             CaseConfig.from_file(path)
 
 
-def test_removed_subdivision_flag_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--min-subdiv-area", "--quad-order"])
+def test_removed_subdivision_flag_is_a_usage_error(tmp_path, capsys, flag):
     config = write_config(tmp_path, profiles=[])
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(config), "--min-subdiv-area", "1e-4"])
+        main(["run", "--config", str(config), flag, "2"])
     assert exc.value.code == 2
-    assert "--min-subdiv-area" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_config_requires_core_keys(tmp_path):
@@ -173,6 +174,21 @@ def test_main_reports_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"mesh": "missing.json", "sigma_a": 1, "sigma_s": 0}))
     assert main(["run", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    {"profiles": [{"name": "p", "start": [0, 0.5, 0], "end": [1, 0.5, 0],
+                   "samples": "many", "quantity": "q"}]},
+    {"sigma_a": -1},
+    {"sigma_a": "x"},
+    {"tolerance": 0},
+    {"max_iterations": 0},
+], ids=["samples", "sigma_a_negative", "sigma_a_text", "tolerance", "max_iterations"])
+def test_bad_config_values_exit_with_usage_error(tmp_path, capsys, body):
+    config = write_config(tmp_path, **body)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
