@@ -47,6 +47,7 @@ from ritesolver.geometry import (
     as_point,
     bilinear_jacobian,
     bilinear_points,
+    bilinear_tangents,
     cross3,
     points_in_mesh,
     quad_cells,
@@ -107,6 +108,8 @@ QUAD_NODES_UV = np.array(
         [-_GAUSS_OFFSET, _GAUSS_OFFSET],
     ]
 )
+# Reference-square corners, in the order of a quad's vertices.
+_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 # Symmetric interior triangle nodes, barycentric.
 TRI_NODES_BARY = np.array(
     [
@@ -143,8 +146,7 @@ def quad_vertex_shapes(uv: np.ndarray) -> np.ndarray:
     """Standard bilinear corner basis for interpolating nodal data."""
     xi = uv[:, 0][:, None]
     eta = uv[:, 1][:, None]
-    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    return 0.25 * (1.0 + corners[None, :, 0] * xi) * (1.0 + corners[None, :, 1] * eta)
+    return 0.25 * (1.0 + _CORNERS[None, :, 0] * xi) * (1.0 + _CORNERS[None, :, 1] * eta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +206,43 @@ class ElementRule:
     vertex_shapes: np.ndarray  # (n, 4)
 
 
-def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int):
+def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> ElementRule:
     """Tensor rule mapped into every box of a stack of quads at once.
 
     verts4 is (m, 4, 3) and cells (m, c, 4), the boxes of each quad.
-    Returns (points, weights, root (xi, eta)), quad by quad and box by box;
-    each quad's part equals what it gives alone, bit for bit.
+    Returns the rule quad by quad and box by box; each quad's part equals
+    what it gives alone, bit for bit. Every factor that varies along one
+    intrinsic axis is evaluated at the box's order distinct xi or eta
+    values and broadcast over its order x order points: the Jacobian's
+    x_xi (from eta) and x_eta (from xi), and both shape bases, which are
+    products of a xi factor and an eta factor. The arithmetic per point
+    is that of bilinear_jacobian and the quad shape functions.
     """
-    uv, w = quad_rule(order)
+    x, _ = _gauss_1d(order)
+    _, w = quad_rule(order)
     m, c = cells.shape[:2]
     xi0, xi1, eta0, eta1 = np.moveaxis(cells, -1, 0)[..., None]
-    root = np.empty((m, c, len(w), 2))
-    root[..., 0] = xi0 + 0.5 * (uv[:, 0] + 1.0) * (xi1 - xi0)
-    root[..., 1] = eta0 + 0.5 * (uv[:, 1] + 1.0) * (eta1 - eta0)
+    xs = xi0 + 0.5 * (x + 1.0) * (xi1 - xi0)          # (m, c, o)
+    es = eta0 + 0.5 * (x + 1.0) * (eta1 - eta0)
+    root = np.empty((m, c, order, order, 2))
+    root[..., 0] = xs[..., :, None]
+    root[..., 1] = es[..., None, :]
     root = root.reshape(m, -1, 2)
+
+    xi, eta = xs[..., None], es[..., None]
+    dxi, deta = bilinear_tangents(verts4[:, None, None], xi, eta)   # (m, c, o, 3)
+    jac = np.linalg.norm(cross3(dxi[..., None, :, :], deta[..., :, None, :]), axis=-1)
     scale = 0.25 * (xi1 - xi0) * (eta1 - eta0)
-    weights = w * bilinear_jacobian(verts4, root).reshape(m, c, -1) * scale
-    return bilinear_points(verts4, root).reshape(-1, 3), weights.ravel(), root.reshape(-1, 2)
+    weights = w * jac.reshape(m, c, -1) * scale
+
+    def outer(fx, fe):
+        return (fx[..., :, None, :] * fe[..., None, :, :]).reshape(-1, 4)
+
+    xn, en = QUAD_NODES_UV[:, 0], QUAD_NODES_UV[:, 1]
+    flux = outer(0.25 * (1.0 + 3.0 * xn * xi), 1.0 + 3.0 * en * eta)
+    vertex = outer(0.25 * (1.0 + _CORNERS[:, 0] * xi), 1.0 + _CORNERS[:, 1] * eta)
+    return ElementRule(bilinear_points(verts4, root).reshape(-1, 3), weights.ravel(),
+                       flux, vertex)
 
 
 def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
@@ -256,10 +278,8 @@ def element_rule(element: SurfaceElement, order: int, toward=None) -> ElementRul
     cell interiors.
     """
     if element.is_quad:
-        parts = _quad_cell_rule(element.vertices[None], quad_cells(toward)[None], order)
-    else:
-        parts = _tri_cell_rule(element.vertices, tri_cells(toward), order)
-    return _shaped_rule(element, *parts)
+        return _quad_cell_rule(element.vertices[None], quad_cells(toward)[None], order)
+    return _shaped_rule(element, *_tri_cell_rule(element.vertices, tri_cells(toward), order))
 
 
 def _barycentric(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -296,11 +316,15 @@ def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...]) -> 
     return _shaped_rule(element, pts, np.concatenate(wts), intrinsic_projection(element, pts))
 
 
-def intrinsic_projection(element: SurfaceElement, points) -> np.ndarray:
+def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points) -> np.ndarray:
     """Root intrinsic coordinates of the in-plane projections of points (n, 3).
 
-    Quads invert the bilinear map by Newton iteration (exact in one step
-    for parallelograms) and return (n, 2) (xi, eta); triangles return (n, 3)
+    element is the SurfaceElement every point projects onto, or a sequence
+    of n elements of one kind, point i projecting onto element i, so the
+    split points of a row's near-band elements take one call. Each point's
+    result equals what it gives alone, bit for bit. Quads invert the
+    bilinear map by Newton iteration (exact in one step for
+    parallelograms) and return (n, 2) (xi, eta); triangles return (n, 3)
     barycentric coordinates. A result may lie outside the reference domain
     when its point projects off the element; callers clamp as needed. Quad
     coordinates are clamped to [-3, 3]; a point whose Newton update leaves
@@ -308,26 +332,30 @@ def intrinsic_projection(element: SurfaceElement, points) -> np.ndarray:
     singular Newton system raises numpy.linalg.LinAlgError.
     """
     pts = np.asarray(points, dtype=float)
-    v = element.vertices
+    elements = [element] if isinstance(element, SurfaceElement) else element
+    # Vertices and normal per point; one element broadcasts over all points.
+    v = np.broadcast_to(np.array([e.vertices for e in elements]),
+                        (len(pts),) + elements[0].vertices.shape)
+    normal = np.broadcast_to(np.array([e.normal for e in elements]), pts.shape)
 
     def dot(a, b):
         # Row-wise dot products through stacked matmul, which rounds each
         # row exactly like a 1-D a @ b.
         return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    rel = pts - v[0]
-    foot = pts - dot(rel, np.tile(element.normal, (len(pts), 1)))[:, None] * element.normal
-    if not element.is_quad:
-        return _barycentric(v, foot)
+    rel = pts - v[:, 0]
+    foot = pts - dot(rel, normal)[:, None] * normal
+    if not elements[0].is_quad:
+        if len(elements) == 1:
+            return _barycentric(elements[0].vertices, foot)
+        return np.concatenate([_barycentric(tri, f[None]) for tri, f in zip(v, foot)])
     uv = np.zeros((pts.shape[0], 2))
     live = np.arange(pts.shape[0])
     for _ in range(8):
         cur = uv[live]
-        r = bilinear_points(v, cur) - foot[live]
-        xi = cur[:, 0:1]
-        eta = cur[:, 1:2]
-        dxi = 0.25 * (-(1 - eta) * v[0] + (1 - eta) * v[1] + (1 + eta) * v[2] - (1 + eta) * v[3])
-        deta = 0.25 * (-(1 - xi) * v[0] - (1 + xi) * v[1] + (1 + xi) * v[2] + (1 - xi) * v[3])
+        vl = v[live]
+        r = bilinear_points(vl, cur[:, None])[:, 0] - foot[live]
+        dxi, deta = bilinear_tangents(vl, cur[:, 0:1], cur[:, 1:2])
         jtj = np.empty((live.size, 2, 2))
         jtj[:, 0, 0] = dot(dxi, dxi)
         jtj[:, 0, 1] = jtj[:, 1, 0] = dot(dxi, deta)
@@ -541,12 +569,16 @@ class Assembler:
     over a fixed geometry pays for it once. row_plans maps each visited
     row (kind "b" or "i", index) to its RowPlan: active elements, their
     band orders, blocker lists, VisibilityReports and near-band split
-    points. Element rules away from the source point are cached per
+    points; a row's split points are projected in one call per element
+    kind. Element rules away from the source point are cached per
     (element, order). Near-band rules are split toward the source point, so
     they are rebuilt from the plan at every property point, all quads of a
-    row in one batched pass; no quadrature point is kept between property
-    points. The medium blocks Fmat and Umat have one column per interior
-    unknown.
+    row in one batched pass that evaluates each one-axis factor once per
+    distinct xi or eta. Chords are traversed afresh at every property point
+    and yield only the segments they cross, so chord work scales with the
+    cells crossed, not with the grid planes. No quadrature point or chord
+    segment is kept between property points. The medium blocks Fmat and
+    Umat have one column per interior unknown.
     """
 
     def __init__(
@@ -592,19 +624,23 @@ class Assembler:
             dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
             rel = dists / self.arrays.diameters[idx]
             screens = screen_active_set(p, idx, self.mesh, source_element=source_element)
-        orders, visibility, towards, near_quads = [], [], [], []
+        orders, visibility, near = [], [], []
         for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
             order, split = _band(float(d))
             vis = classify_visibility(p, k, screened, self.mesh) if screened else UNOBSTRUCTED
-            toward = None
             if split and vis.classification is Classification.FULLY_VISIBLE:
-                element = self.mesh.elements[k]
-                toward = intrinsic_projection(element, p[None, :])[0]
-                if element.is_quad:
-                    near_quads.append(j)
+                near.append(j)
             orders.append(order)
             visibility.append(vis)
-            towards.append(toward)
+        # The split points of the near-band elements, one call per kind.
+        towards = [None] * idx.size
+        near_quads = [j for j in near if self.mesh.elements[idx[j]].is_quad]
+        for group in (near_quads, [j for j in near if j not in near_quads]):
+            if group:
+                elements = [self.mesh.elements[idx[j]] for j in group]
+                coords = intrinsic_projection(elements, np.tile(p, (len(group), 1)))
+                for j, toward in zip(group, coords):
+                    towards[j] = toward
         plan = self.row_plans[(kind, pidx)] = RowPlan(
             elements=idx, orders=np.array(orders, dtype=int),
             screens=tuple(screens), visibility=tuple(visibility), towards=tuple(towards),
@@ -637,13 +673,13 @@ class Assembler:
             # Near-band quads share one order, so their rules map in one call.
             ids = plan.elements[plan.near_quads]
             cells = quad_cells(np.array([plan.towards[j] for j in plan.near_quads]))
-            points, weights, root = _quad_cell_rule(self.arrays.vertices[ids], cells,
-                                                    int(plan.orders[plan.near_quads[0]]))
-            flux, vertex = quad_flux_shapes(root), quad_vertex_shapes(root)
-            n = len(weights) // len(ids)
+            rule = _quad_cell_rule(self.arrays.vertices[ids], cells,
+                                   int(plan.orders[plan.near_quads[0]]))
+            n = len(rule.weights) // len(ids)
             for i, j in enumerate(plan.near_quads.tolist()):
                 cut = slice(i * n, (i + 1) * n)
-                near[j] = ElementRule(points[cut], weights[cut], flux[cut], vertex[cut])
+                near[j] = ElementRule(rule.points[cut], rule.weights[cut],
+                                      rule.flux_shapes[cut], rule.vertex_shapes[cut])
 
         pts, wts, eids, fsh, vsh = [], [], [], [], []
         for j, (k, order, vis, toward) in enumerate(
@@ -673,41 +709,50 @@ class Assembler:
             np.concatenate(vsh),
         )
 
-    def _chord_factors(self, p: np.ndarray, pts: np.ndarray, beta: float):
-        """Per-cell attenuated path weights for chords p -> pts, batched.
+    def _chord_factors(self, p: np.ndarray, d: np.ndarray, lengths: np.ndarray, beta: float):
+        """Per-cell attenuated path weights for the chords p -> p + d, batched.
 
-        Returns (flat_cells (n, m), weights (n, m)); weights sum per row to
-        the exact chord integral of exp(-beta s) with s from p. Chords are
+        d is (n, 3) and lengths its row norms. Returns flat (point, cell,
+        weight) arrays with one entry per chord segment of positive length,
+        point by point and in order along each chord, so the work scales
+        with the cells the chords cross. Per point, the weights sum to the
+        exact chord integral of exp(-beta s) with s from p. Chords are
         assumed inside the grid box (enclosure chords always are).
         """
         grid = self.grid
-        d = pts - p[None, :]
-        lengths = np.linalg.norm(d, axis=1)
         lo, _ = grid.box()
-        n = pts.shape[0]
-        cols = [np.zeros((n, 1)), np.ones((n, 1))]
+        axis = np.repeat(np.arange(3), grid.dims - 1)
+        index = np.concatenate([np.arange(1, k) for k in grid.dims])
+        planes = lo[axis] + index * grid.spacing[axis]
+        # Crossing parameters of every grid plane; a plane the chord does
+        # not cross sorts to the end point, t = 1, and leaves an empty slot.
+        t = np.empty((len(d), planes.size + 2))
+        t[:, 0], t[:, -1] = 0.0, 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = (planes - p[axis]) / d[:, axis]
+        inner[~((inner > 0.0) & (inner < 1.0))] = 1.0
+        inner.sort(axis=1)
+        t[:, 1:-1] = inner
+        dt = np.diff(t, axis=1).ravel()
+        live = np.flatnonzero(dt > 0.0)
+        point = live // (planes.size + 1)
+        t0, dt = t.ravel()[live + point], dt[live]
+        # Each segment's cell holds its midpoint, found one axis at a time.
+        mid = t0 + 0.5 * dt
+        cells = np.zeros(live.size, dtype=int)
+        stride = 1
         for a in range(3):
-            if grid.dims[a] < 2:
-                continue
-            planes = lo[a] + np.arange(1, grid.dims[a]) * grid.spacing[a]
-            da = d[:, a][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (planes[None, :] - p[a]) / da
-            t = np.where((t > 0.0) & (t < 1.0), t, 1.0)
-            cols.append(t)
-        t = np.sort(np.concatenate(cols, axis=1), axis=1)
-        dt = np.diff(t, axis=1)
-        mids = p[None, None, :] + (t[:, :-1] + 0.5 * dt)[:, :, None] * d[:, None, :]
-        ijk = np.floor((mids - lo[None, None, :]) / grid.spacing[None, None, :]).astype(int)
-        ijk = np.clip(ijk, 0, (grid.dims - 1)[None, None, :])
-        flat = ijk[:, :, 0] + grid.dims[0] * (ijk[:, :, 1] + grid.dims[1] * ijk[:, :, 2])
-        s0 = t[:, :-1] * lengths[:, None]
-        ds = dt * lengths[:, None]
+            ia = np.floor((p[a] + mid * d[:, a][point] - lo[a]) / grid.spacing[a]).astype(int)
+            cells += stride * np.clip(ia, 0, grid.dims[a] - 1)
+            stride *= int(grid.dims[a])
+        length = lengths[point]
+        s0 = t0 * length
+        ds = dt * length
         if beta > 0.0:
             w = np.exp(-beta * s0) * (-np.expm1(-beta * ds)) / beta
         else:
             w = ds
-        return flat, w
+        return point, cells, w
 
     def _row(self, kind: str, r: int, props: RadiativeProperties, eb_vertices: np.ndarray,
              ib_cells: np.ndarray, refl_block, scatter_block, src):
@@ -757,14 +802,14 @@ class Assembler:
 
         # Chord-coupled terms share the geometric factor without attenuation.
         if props.sigma_a > 0.0 or props.sigma_s > 0.0:
-            cells, cw = self._chord_factors(p, pts, props.beta)
+            point, cells, cw = self._chord_factors(p, diff, dist, props.beta)
             if props.sigma_a > 0.0:
                 src[r] += kernel_prefactor(emission, props, dist, rx) * float(
-                    geo @ (cw * ib_cells[cells]).sum(1)
+                    geo @ np.bincount(point, cw * ib_cells[cells], minlength=len(pts))
                 )
             if props.sigma_s > 0.0:
                 scatter_block[r] = kernel_prefactor(scatter, props, dist, rx) * np.bincount(
-                    cells.ravel(), (geo[:, None] * cw).ravel(), minlength=self.grid.n_cells
+                    cells, geo[point] * cw, minlength=self.grid.n_cells
                 )[col.interior_cells]
 
     # -- public assembly -------------------------------------------------

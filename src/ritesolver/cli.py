@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import logging
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -267,6 +268,15 @@ class CaseConfig:
     def __post_init__(self):
         if not Path(self.mesh).is_file():
             raise ConfigError(f"mesh file does not exist: {self.mesh}")
+        # bool is an int subclass, but true is no iteration count or seed.
+        for key in ("max_iterations", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"bad config value: {key} must be an integer, got {value!r}")
+        temp = self.reference_temperature
+        if temp is not None and (not isinstance(temp, numbers.Real) or isinstance(temp, bool)):
+            raise ConfigError(
+                f"bad config value: reference_temperature must be a number, got {temp!r}")
         # The run builds both from these values; building them here turns a
         # bad value into a ConfigError before any work starts.
         try:

@@ -396,14 +396,14 @@ def bilinear_points(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
     )
 
 
-def bilinear_jacobian(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (..., n).
+def bilinear_tangents(verts4: np.ndarray, xi: np.ndarray, eta: np.ndarray):
+    """Tangents (x_xi, x_eta) of the bilinear map, each (..., 3).
 
-    Broadcasts over leading axes like bilinear_points.
+    verts4 (..., 4, 3) broadcasts against xi and eta (..., 1). x_xi depends
+    on eta alone and x_eta on xi alone, so each can be evaluated at the
+    distinct values of one coordinate and broadcast over the other.
     """
-    v = np.asarray(verts4)[..., None, :, :]
-    xi = uv[..., 0][..., None]
-    eta = uv[..., 1][..., None]
+    v = np.asarray(verts4)
     dxi = 0.25 * (
         -(1 - eta) * v[..., 0, :] + (1 - eta) * v[..., 1, :]
         + (1 + eta) * v[..., 2, :] - (1 + eta) * v[..., 3, :]
@@ -412,6 +412,16 @@ def bilinear_jacobian(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
         -(1 - xi) * v[..., 0, :] - (1 + xi) * v[..., 1, :]
         + (1 + xi) * v[..., 2, :] + (1 - xi) * v[..., 3, :]
     )
+    return dxi, deta
+
+
+def bilinear_jacobian(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (..., n).
+
+    Broadcasts over leading axes like bilinear_points.
+    """
+    v = np.asarray(verts4)[..., None, :, :]
+    dxi, deta = bilinear_tangents(v, uv[..., 0][..., None], uv[..., 1][..., None])
     return np.linalg.norm(cross3(dxi, deta), axis=-1)
 
 

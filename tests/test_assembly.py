@@ -43,6 +43,7 @@ from ritesolver.kernels import KernelKind, RadiativeProperties, path_factors, so
 from ritesolver.visibility import Classification, classify_visibility, screen_active_set
 
 from conftest import make_cube_mesh, make_dented_cube_mesh
+from oracles import padded_chord_factors
 
 
 BOTTOM = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
@@ -270,6 +271,23 @@ def test_intrinsic_projection_stops_at_the_clamp(monkeypatch):
     assert back[0, 1] == pytest.approx(0.3, abs=1e-14)
 
 
+def test_stacked_projections_match_single_calls():
+    # A row projects one point onto many elements in one call; each result
+    # must equal the element's own single-point call bit for bit, including
+    # a point the clamp retires early while its neighbours keep iterating.
+    flat = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 1.0, 0.0], [0.3, 1.0, 0.0]])
+    rot, _ = np.linalg.qr(np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.4], [0.2, 0.5, 1.0]]))
+    quads = [build_element(flat), build_element(flat @ rot.T + [0.5, -1.0, 2.0]),
+             build_element(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.5, 1.0, 0.0],
+                                     [0.5, 1.0, 0.0]]))]
+    tris = [build_element(flat[:3]), build_element(flat[[0, 2, 3]] @ rot.T)]
+    for elements in (quads, tris):
+        for p in (np.array([0.9, 0.4, 0.7]), np.array([9.0, 0.3, 0.2])):
+            stacked = intrinsic_projection(elements, np.tile(p, (len(elements), 1)))
+            for e, got in zip(elements, stacked):
+                assert np.array_equal(got, intrinsic_projection(e, p[None, :])[0])
+
+
 def _cube_row_near_quads():
     # Every near-band quad of the first wall row of cube r2, with the split
     # points its row plan recorded.
@@ -292,7 +310,10 @@ def _trapezoids():
 def test_stacked_quad_rules_match_element_rules(case):
     # Near-band quads of a row are mapped in one stacked call; each part
     # must equal the element's own rule bit for bit, including a split
-    # point off the element, which the margin clamps.
+    # point off the element, which the margin clamps. The rule evaluates
+    # one-axis factors at each box's distinct xi and eta values; the oracle
+    # evaluates the Jacobian and both shape bases at every point of the
+    # unfactored tensor grid.
     if case == "cube_row":
         elements, towards = _cube_row_near_quads()
     elif case == "trapezoid":
@@ -301,15 +322,26 @@ def test_stacked_quad_rules_match_element_rules(case):
         elements, towards = _trapezoids(), [np.array([1.7, -2.4]), np.array([-3.0, 0.2])]
     order = 6 * 2
     verts = np.array([e.vertices for e in elements])
-    pts, wts, root = assembly._quad_cell_rule(verts, quad_cells(np.array(towards)), order)
-    n = len(wts) // len(elements)
+    cells = quad_cells(np.array(towards))
+    stacked = assembly._quad_cell_rule(verts, cells, order)
+    uv, w = assembly.quad_rule(order)
+    n = len(stacked.weights) // len(elements)
     for i, (e, toward) in enumerate(zip(elements, towards)):
         rule = element_rule(e, order, toward)
         cut = slice(i * n, (i + 1) * n)
-        assert np.array_equal(pts[cut], rule.points)
-        assert np.array_equal(wts[cut], rule.weights)
-        assert np.array_equal(quad_flux_shapes(root[cut]), rule.flux_shapes)
-        assert np.array_equal(quad_vertex_shapes(root[cut]), rule.vertex_shapes)
+        assert np.array_equal(stacked.points[cut], rule.points)
+        assert np.array_equal(stacked.weights[cut], rule.weights)
+        assert np.array_equal(stacked.flux_shapes[cut], rule.flux_shapes)
+        assert np.array_equal(stacked.vertex_shapes[cut], rule.vertex_shapes)
+        xi0, xi1, eta0, eta1 = cells[i].T[..., None]
+        root = np.stack([xi0 + 0.5 * (uv[:, 0] + 1.0) * (xi1 - xi0),
+                         eta0 + 0.5 * (uv[:, 1] + 1.0) * (eta1 - eta0)], axis=-1).reshape(-1, 2)
+        scale = np.repeat(0.25 * (xi1 - xi0) * (eta1 - eta0), len(w))
+        weights = np.tile(w, len(cells[i])) * bilinear_jacobian(e.vertices, root) * scale
+        assert np.array_equal(rule.points, bilinear_points(e.vertices, root))
+        assert np.array_equal(rule.weights, weights)
+        assert np.array_equal(rule.flux_shapes, quad_flux_shapes(root))
+        assert np.array_equal(rule.vertex_shapes, quad_vertex_shapes(root))
 
 
 def test_discrete_reciprocity_cube_faces():
@@ -339,21 +371,67 @@ def test_discrete_reciprocity_cube_faces():
 # Chord factors
 
 
+def _chords(asm, p, targets, beta):
+    d = targets - p[None, :]
+    return asm._chord_factors(p, d, np.linalg.norm(d, axis=1), beta)
+
+
 def test_chord_factors_match_path_factors():
     mesh, grid = builtin_case("cube", 3)
     asm = Assembler(mesh, grid)
     rng = np.random.default_rng(5)
-    p = np.array([0.11, 0.42, 0.0])
-    targets = rng.random((40, 3))
-    for beta in (0.0, 0.8, 2.5):
-        flat, w = asm._chord_factors(p, targets, beta)
-        for row in range(targets.shape[0]):
-            cells, weights = path_factors(p, targets[row], grid, beta)
-            dense = np.zeros(int(np.prod(grid.dims)))
-            np.add.at(dense, cells, weights)
-            batched = np.zeros_like(dense)
-            np.add.at(batched, flat[row], w[row])
-            assert np.allclose(batched, dense, atol=1e-12)
+    plane = grid.spacing  # the first interior plane along each axis
+    floor = np.array([0.11, 0.42, 0.0])
+    cases = [
+        (floor, rng.random((40, 3))),
+        # p on an interior plane
+        (np.array([plane[0], 0.42, 0.2]), rng.random((10, 3))),
+        # a chord lying in an interior plane
+        (np.array([0.2, 2.0 * plane[1], 0.1]), np.array([[0.9, 2.0 * plane[1], 0.8]])),
+        # an end point on an interior plane
+        (floor, np.array([[0.5, plane[1], 0.7]])),
+    ]
+    for p, targets in cases:
+        lengths = np.linalg.norm(targets - p, axis=1)
+        for beta in (0.0, 0.8, 2.5):
+            point, cells, w = _chords(asm, p, targets, beta)
+            assert np.all(np.diff(point) >= 0)
+            if beta == 0.0:
+                # No empty segment survives, and each chord's weights
+                # telescope to its length.
+                assert np.all(w > 0.0)
+                total = np.bincount(point, w, minlength=len(targets))
+                assert np.allclose(total, lengths, rtol=1e-14, atol=0.0)
+            for row in range(targets.shape[0]):
+                ref_cells, ref_w = path_factors(p, targets[row], grid, beta)
+                dense = np.zeros(grid.n_cells)
+                np.add.at(dense, ref_cells, ref_w)
+                mine = point == row
+                batched = np.bincount(cells[mine], w[mine], minlength=grid.n_cells)
+                assert np.allclose(batched, dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_compact_chords_match_padded_oracle(n):
+    # Dropping the padded chord's empty slots leaves every scatter sum bit
+    # for bit; the emission sum per point regroups, so it agrees to 1e-15.
+    grid = VoxelGrid([0.0, 0.0, 0.0], 1.0 / n, [n, n, n], np.zeros(n**3))
+    asm = Assembler(make_cube_mesh(), grid)
+    rng = np.random.default_rng(n)
+    ib = rng.random(grid.n_cells)
+    targets = rng.random((300, 3))
+    targets[::3, 2] = 1.0  # points on the ceiling
+    for p in (np.array([0.3, 0.6, 0.0]), grid.cell_centers()[1]):
+        geo = rng.random(len(targets))
+        for beta in (0.0, 1.3):
+            flat, padded = padded_chord_factors(grid, p, targets, beta)
+            point, cells, w = _chords(asm, p, targets, beta)
+            assert np.array_equal(
+                np.bincount(cells, geo[point] * w, minlength=grid.n_cells),
+                np.bincount(flat.ravel(), (geo[:, None] * padded).ravel(), minlength=grid.n_cells))
+            emitted = geo @ np.bincount(point, w * ib[cells], minlength=len(targets))
+            expected = geo @ (padded * ib[flat]).sum(1)
+            assert abs(emitted - expected) <= 1e-15 * abs(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +544,7 @@ def test_boundary_points_interior_to_elements():
 
 def test_fresh_assemblers_give_bit_identical_blocks():
     # A non-convex mesh with partly visible pairs runs every stage: screen,
-    # quadtree, piecewise rules, chords. Two fresh assemblers must agree.
+    # shadow clipper, piecewise rules, chords. Two fresh assemblers must agree.
     mesh = make_dented_cube_mesh(emissivity=0.7)
     grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
     props = RadiativeProperties(sigma_a=0.4, sigma_s=0.6, domain_diameter=mesh.diameter())

@@ -183,7 +183,12 @@ def test_main_reports_config_errors(tmp_path, capsys):
     {"sigma_a": "x"},
     {"tolerance": 0},
     {"max_iterations": 0},
-], ids=["samples", "sigma_a_negative", "sigma_a_text", "tolerance", "max_iterations"])
+    {"max_iterations": 1.5},
+    {"max_iterations": True},
+    {"seed": "x"},
+    {"reference_temperature": "x"},
+], ids=["samples", "sigma_a_negative", "sigma_a_text", "tolerance", "max_iterations",
+        "max_iterations_fraction", "max_iterations_bool", "seed_text", "reference_temperature_text"])
 def test_bad_config_values_exit_with_usage_error(tmp_path, capsys, body):
     config = write_config(tmp_path, **body)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
