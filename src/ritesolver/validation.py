@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -80,6 +81,12 @@ class OracleReport:
         )
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, kept apart from assembly's rules."""
+    return np.polynomial.legendre.leggauss(order)
+
+
 def _plain_rule(element, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed tensor-Gauss rule on one element, independent of assembly.
 
@@ -89,7 +96,7 @@ def _plain_rule(element, order: int) -> tuple[np.ndarray, np.ndarray]:
     receiver point, which keeps the closure error a pure, one-signed
     discretization error that shrinks under uniform refinement.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     uu, vv = np.meshgrid(x, x, indexing="ij")
     ww = np.outer(w, w).ravel()
     uu = uu.ravel()

@@ -6,7 +6,14 @@ path factors for the scattering couplings, and the analytic row-sum
 bounds for the four operator blocks.
 """
 
+import ctypes
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -601,6 +608,62 @@ def test_assembler_cache_reused_across_properties(monkeypatch):
     for a, b in ((warm_s.gmat, cold_s.gmat), (warm_s.fmat, cold_s.fmat), (warm_s.h, cold_s.h),
                  (warm_v.umat, cold_v.umat), (warm_v.vmat, cold_v.vmat), (warm_v.t, cold_v.t)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is glibc's policy")
+def test_warm_assembly_does_not_page_fault():
+    # A fresh interpreter, so no earlier test has moved the allocator's
+    # thresholds. Each row frees a few MB of temporaries; at glibc's default
+    # trim point the next row faults them back in, about 60,000 minor faults
+    # per warm cube r2 assembly. cube r1 rows are too small to show it.
+    script = textwrap.dedent("""
+        import resource
+        from ritesolver.assembly import Assembler
+        from ritesolver.cli import builtin_case
+        from ritesolver.kernels import RadiativeProperties
+
+        mesh, grid = builtin_case("cube", 2)
+        props = RadiativeProperties(sigma_a=0.5, sigma_s=0.5,
+                                    domain_diameter=float(mesh.diameter()))
+        asm = Assembler(mesh, grid)
+        asm.assemble_surface(props)
+        asm.assemble_volume(props)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        asm.assemble_surface(props)
+        asm.assemble_volume(props)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    path = [str(Path(assembly.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1000
+
+
+def test_heap_setting_calls_mallopt_or_skips_quietly(monkeypatch):
+    calls = []
+
+    class Mallopt:
+        def __call__(self, *args):
+            calls.append((self.argtypes, self.restype, args))
+            return 1
+
+    class Libc:
+        mallopt = Mallopt()
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    keep = assembly._keep_freed_heap.__wrapped__
+    monkeypatch.setattr(assembly.ctypes, "CDLL", lambda name: Libc())
+    assert keep() is None
+    assert calls == [([ctypes.c_int, ctypes.c_int], ctypes.c_int, (-1, 64 << 20))]
+    monkeypatch.setattr(assembly.ctypes, "CDLL", no_library)
+    assert keep() is None
+    monkeypatch.setattr(assembly.ctypes, "CDLL", lambda name: object())
+    assert keep() is None
 
 
 def test_matrix_dump_round_trip(tmp_path):
