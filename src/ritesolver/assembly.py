@@ -32,6 +32,7 @@ coordinates of the quadrature points.
 from __future__ import annotations
 
 import ctypes
+import platform
 import struct
 import warnings
 from dataclasses import dataclass
@@ -125,8 +126,9 @@ class AssemblyFailure(RuntimeError):
     """A non-finite matrix entry appeared; geometry or tolerances are off."""
 
 
-# glibc's mallopt parameter number for M_TRIM_THRESHOLD (malloc.h).
+# glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 @cache
@@ -138,11 +140,18 @@ def _keep_freed_heap() -> None:
     those pages go back to the kernel when the row frees them, and the
     next row faults them in again: about 60,000 minor faults and a fifth
     of the wall time of a warm cube r2 assembly. Raising the trim
-    threshold keeps them for the next row. The setting is process-wide,
-    so it applies to every allocation in the process; peak RSS does not
-    move, because the kept pages were resident at each row's peak. Other
-    C libraries have no mallopt, and the call is skipped.
+    threshold keeps them for the next row. Setting it also stops glibc
+    from raising its mmap threshold as blocks are freed, so that
+    threshold is pinned too, at 32 MiB (glibc's own ceiling on 64-bit):
+    otherwise every temporary above the threshold left by the allocation
+    history so far (128 KiB in a fresh process) would still be mapped and
+    unmapped on every row. The settings are process-wide, so they apply
+    to every allocation in the process; peak RSS does not move, because
+    the kept pages were resident at each row's peak. Other C libraries
+    are left alone.
     """
+    if platform.libc_ver()[0] != "glibc":
+        return
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -150,6 +159,7 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 # ---------------------------------------------------------------------------

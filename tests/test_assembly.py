@@ -610,36 +610,70 @@ def test_assembler_cache_reused_across_properties(monkeypatch):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is glibc's policy")
-def test_warm_assembly_does_not_page_fault():
-    # A fresh interpreter, so no earlier test has moved the allocator's
-    # thresholds. Each row frees a few MB of temporaries; at glibc's default
-    # trim point the next row faults them back in, about 60,000 minor faults
-    # per warm cube r2 assembly. cube r1 rows are too small to show it.
-    script = textwrap.dedent("""
-        import resource
-        from ritesolver.assembly import Assembler
-        from ritesolver.cli import builtin_case
-        from ritesolver.kernels import RadiativeProperties
+_WARM_CUBE_FAULTS = """
+    from ritesolver.cli import builtin_case
+    from ritesolver.kernels import RadiativeProperties
 
-        mesh, grid = builtin_case("cube", 2)
-        props = RadiativeProperties(sigma_a=0.5, sigma_s=0.5,
-                                    domain_diameter=float(mesh.diameter()))
-        asm = Assembler(mesh, grid)
-        asm.assemble_surface(props)
-        asm.assemble_volume(props)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        asm.assemble_surface(props)
-        asm.assemble_volume(props)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    """)
+    mesh, grid = builtin_case("cube", 2)
+    props = RadiativeProperties(sigma_a=0.5, sigma_s=0.5,
+                                domain_diameter=float(mesh.diameter()))
+    asm = Assembler(mesh, grid)
+    asm.assemble_surface(props)
+    asm.assemble_volume(props)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    asm.assemble_surface(props)
+    asm.assemble_volume(props)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _fresh_interpreter_counts(*scripts):
+    # A fresh interpreter, so no earlier test has moved the allocator's
+    # thresholds; the script prints one fault count per line.
     path = [str(Path(assembly.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
                OPENBLAS_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=300)
+    script = "".join(textwrap.dedent(part) for part in scripts)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) < 1000
+    return [int(line) for line in run.stdout.split()]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is glibc's policy")
+def test_warm_assembly_does_not_page_fault():
+    # Each row frees a few MB of temporaries; at glibc's default trim point
+    # the next row faults them back in, about 60,000 minor faults per warm
+    # cube r2 assembly. cube r1 rows are too small to show it.
+    script = """
+        import resource
+        from ritesolver.assembly import Assembler
+    """
+    [warm] = _fresh_interpreter_counts(script, _WARM_CUBE_FAULTS)
+    assert warm < 1000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is glibc's policy")
+def test_heap_setting_holds_from_a_fresh_process():
+    # Set before anything has raised glibc's dynamic mmap threshold from its
+    # 128 KiB start: 1 MiB arrays must still come from the kept heap, not
+    # be mapped and unmapped on each pass (50 passes fault about 24,000
+    # pages when only the trim threshold is set).
+    script = """
+        import resource
+        import numpy as np
+        from ritesolver.assembly import Assembler, _keep_freed_heap
+
+        _keep_freed_heap()
+        a = np.ones(1 << 17); b = a * 2.0; del a, b
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            a = np.ones(1 << 17); b = a * 2.0; del a, b
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    loop, warm = _fresh_interpreter_counts(script, _WARM_CUBE_FAULTS)
+    assert loop < 1000
+    assert warm < 1000
 
 
 def test_heap_setting_calls_mallopt_or_skips_quietly(monkeypatch):
@@ -656,14 +690,27 @@ def test_heap_setting_calls_mallopt_or_skips_quietly(monkeypatch):
     def no_library(name):
         raise OSError("no C library")
 
+    def windows_cdll(name):
+        # ctypes.CDLL(None) on Windows fails inside its path handling.
+        raise TypeError("argument of type 'NoneType' is not iterable")
+
     keep = assembly._keep_freed_heap.__wrapped__
+    monkeypatch.setattr(assembly.platform, "libc_ver", lambda: ("glibc", "2.36"))
     monkeypatch.setattr(assembly.ctypes, "CDLL", lambda name: Libc())
     assert keep() is None
-    assert calls == [([ctypes.c_int, ctypes.c_int], ctypes.c_int, (-1, 64 << 20))]
+    c_ints = [ctypes.c_int, ctypes.c_int]
+    assert calls == [(c_ints, ctypes.c_int, (-1, 64 << 20)), (c_ints, ctypes.c_int, (-3, 32 << 20))]
     monkeypatch.setattr(assembly.ctypes, "CDLL", no_library)
     assert keep() is None
     monkeypatch.setattr(assembly.ctypes, "CDLL", lambda name: object())
     assert keep() is None
+    for libc in (("", ""), ("musl", "1.2")):
+        monkeypatch.setattr(assembly.platform, "libc_ver", lambda libc=libc: libc)
+        monkeypatch.setattr(assembly.ctypes, "CDLL", windows_cdll)
+        assert keep() is None
+        monkeypatch.setattr(assembly.ctypes, "CDLL", lambda name: Libc())
+        assert keep() is None
+    assert len(calls) == 2
 
 
 def test_matrix_dump_round_trip(tmp_path):
