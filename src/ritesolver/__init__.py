@@ -6,33 +6,31 @@ from ritesolver.assembly import (
     CollocationSet,
     SurfaceSystem,
     VolumeSystem,
-    assemble_surface,
-    assemble_volume,
     collocation_points,
-    element_integral,
     operator_row_sums,
 )
 from ritesolver.cli import CaseConfig, builtin_case, generate_case, run_case
 from ritesolver.geometry import (
     GeometryError,
     MeshError,
-    OutsideGrid,
-    Segment,
     SurfaceElement,
     SurfaceMesh,
     VoxelGrid,
     build_element,
     load_mesh,
-    traverse_voxels,
 )
-from ritesolver.kernels import KernelKind, RadiativeProperties, blackbody_emission
+from ritesolver.kernels import (
+    KernelKind,
+    RadiativeProperties,
+    blackbody_emission,
+    solvability_margin,
+)
 from ritesolver.solver import (
     NotConverged,
     SingularInnerSystem,
     SolutionState,
     SolverConfig,
     contraction_bound,
-    solvability_margin,
     solve_rites,
 )
 from ritesolver.validation import (
@@ -43,11 +41,7 @@ from ritesolver.validation import (
     standard_suite,
     visibility_oracle,
 )
-from ritesolver.visibility import (
-    build_active_list,
-    chi_point,
-    classify_visibility,
-)
+from ritesolver.visibility import build_active_list, classify_visibility
 
 __version__ = "0.1.0"
 
@@ -60,9 +54,7 @@ __all__ = [
     "MeshError",
     "NotConverged",
     "OracleReport",
-    "OutsideGrid",
     "RadiativeProperties",
-    "Segment",
     "SingularInnerSystem",
     "SolutionState",
     "SolverConfig",
@@ -71,17 +63,13 @@ __all__ = [
     "SurfaceSystem",
     "VolumeSystem",
     "VoxelGrid",
-    "assemble_surface",
-    "assemble_volume",
     "blackbody_emission",
     "build_active_list",
     "build_element",
     "builtin_case",
-    "chi_point",
     "classify_visibility",
     "collocation_points",
     "contraction_bound",
-    "element_integral",
     "energy_balance",
     "generate_case",
     "lemma1_identity",
@@ -92,7 +80,6 @@ __all__ = [
     "solvability_margin",
     "solve_rites",
     "standard_suite",
-    "traverse_voxels",
     "visibility_oracle",
     "__version__",
 ]

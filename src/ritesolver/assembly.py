@@ -42,11 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from ritesolver.geometry import (
-    ElementArrays,
     SurfaceElement,
     SurfaceMesh,
     VoxelGrid,
-    as_point,
     bilinear_jacobian,
     bilinear_points,
     bilinear_tangents,
@@ -84,9 +82,6 @@ __all__ = [
     "Assembler",
     "RowPlan",
     "collocation_points",
-    "assemble_surface",
-    "assemble_volume",
-    "element_integral",
     "operator_row_sums",
     "write_matrix",
     "read_matrix",
@@ -423,14 +418,6 @@ def _band(d: float) -> tuple[int, bool]:
     return 12, True
 
 
-def _element_band(element: SurfaceElement, p: np.ndarray, d: float):
-    """Order of a whole-element rule for source point p at distance over
-    diameter d, and in the near band the root intrinsic point its cells
-    meet at (None elsewhere)."""
-    order, split = _band(d)
-    return order, intrinsic_projection(element, p[None, :])[0] if split else None
-
-
 # ---------------------------------------------------------------------------
 # Point-to-element distance
 
@@ -623,16 +610,11 @@ class Assembler:
     pages the previous row freed instead of faulting them in again.
     """
 
-    def __init__(
-        self,
-        mesh: SurfaceMesh,
-        grid: VoxelGrid,
-        collocation: CollocationSet | None = None,
-    ):
+    def __init__(self, mesh: SurfaceMesh, grid: VoxelGrid):
         _keep_freed_heap()
         self.mesh = mesh
         self.grid = grid
-        self.collocation = collocation if collocation is not None else collocation_points(mesh, grid)
+        self.collocation = collocation_points(mesh, grid)
         self.arrays = mesh.arrays()
         # Flux-unknown columns per element, (E, 4) aligned with the padded
         # shapes: a triangle's fourth column is clipped into range and
@@ -908,54 +890,6 @@ class Assembler:
             cells=col.interior_cells.copy(),
             cell_temperatures=self.grid.temperatures[col.interior_cells].copy(),
         )
-
-
-# ---------------------------------------------------------------------------
-# Spec-level convenience entry points
-
-
-def assemble_surface(mesh, grid, props, collocation=None) -> SurfaceSystem:
-    return Assembler(mesh, grid, collocation).assemble_surface(props)
-
-
-def assemble_volume(mesh, grid, props, collocation=None) -> VolumeSystem:
-    return Assembler(mesh, grid, collocation).assemble_volume(props)
-
-
-def element_integral(
-    p,
-    n_p,
-    element: SurfaceElement,
-    kind: KernelKind,
-    props: RadiativeProperties,
-    shape: int | None = None,
-    report=None,
-) -> float:
-    """Banded quadrature of F_shape x kernel over the element's visible part.
-
-    shape None integrates the kernel alone; an integer selects one flux
-    shape function. report limits integration to a VisibilityReport's
-    visible triangles. Self-plane configurations return exactly zero for
-    wall-receiver kernels because the receiver cosine vanishes.
-    """
-    p = as_point(p)
-    if report is not None and report.classification is Classification.FULLY_BLOCKED:
-        return 0.0
-    if report is not None and report.classification is Classification.PARTIALLY_VISIBLE:
-        rule = visible_rule(p, element, report.visible)
-    else:
-        arrays = ElementArrays.from_elements([element])
-        d = float(point_element_distances(p, arrays.vertices, arrays.normals)[0])
-        order, toward = _element_band(element, p, d / element.diameter)
-        rule = element_rule(element, order, toward)
-    diff = rule.points - p[None, :]
-    dist = np.linalg.norm(diff, axis=1)
-    n_p = as_point(n_p) if kind.receiver_on_wall else None
-    cos_p, cos_r = sight_cosines(diff, dist, np.broadcast_to(element.normal, diff.shape), n_p)
-    vals = kernel_prefactor(kind, props, dist) * projected_solid_angle(
-        cos_p, cos_r, dist, rule.weights
-    )
-    return float(vals.sum() if shape is None else vals @ rule.flux_shapes[:, shape])
 
 
 def operator_row_sums(

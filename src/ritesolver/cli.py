@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import numbers
 import sys
 import time
@@ -233,8 +234,16 @@ class ProfileSpec:
     quantity: str  # "q" or "G"
 
     def __post_init__(self):
+        # The name becomes part of a file name in the output directory.
+        if "/" in self.name or "\0" in self.name or self.name in (".", ".."):
+            raise ConfigError(f"profile {self.name!r}: name must not be a path")
+        if not isinstance(self.samples, numbers.Integral) or isinstance(self.samples, bool):
+            raise ConfigError(f"profile {self.name!r}: samples must be an integer, "
+                              f"got {self.samples!r}")
         if self.samples < 2:
             raise ConfigError(f"profile {self.name!r}: need at least 2 samples, got {self.samples}")
+        if len(self.start) != 3 or len(self.end) != 3:
+            raise ConfigError(f"profile {self.name!r}: start and end must be 3-vectors")
         if self.quantity not in ("q", "G"):
             raise ConfigError(f"profile {self.name!r}: quantity must be 'q' or 'G', got {self.quantity!r}")
         if not np.all(np.isfinite(self.start)) or not np.all(np.isfinite(self.end)):
@@ -245,6 +254,20 @@ _CONFIG_KEYS = {
     "mesh", "sigma_a", "sigma_s", "sigma_sb", "tolerance", "max_iterations",
     "output", "seed", "dump_matrices", "dump_visibility", "reference_temperature",
     "profiles",
+}
+# The type each scalar key must have. bool is an int subclass, so true and
+# false are accepted only where a flag is expected.
+_CONFIG_TYPES = {
+    "sigma_a": (numbers.Real, "a number"),
+    "sigma_s": (numbers.Real, "a number"),
+    "sigma_sb": (numbers.Real, "a number"),
+    "tolerance": (numbers.Real, "a number"),
+    "reference_temperature": (numbers.Real, "a number"),
+    "max_iterations": (numbers.Integral, "an integer"),
+    "seed": (numbers.Integral, "an integer"),
+    "output": (str, "a string"),
+    "dump_matrices": (bool, "true or false"),
+    "dump_visibility": (bool, "true or false"),
 }
 
 
@@ -268,15 +291,17 @@ class CaseConfig:
     def __post_init__(self):
         if not Path(self.mesh).is_file():
             raise ConfigError(f"mesh file does not exist: {self.mesh}")
-        # bool is an int subclass, but true is no iteration count or seed.
-        for key in ("max_iterations", "seed"):
+        for key, (kind, noun) in _CONFIG_TYPES.items():
             value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"bad config value: {key} must be an integer, got {value!r}")
+            if value is None and key in ("sigma_sb", "reference_temperature"):
+                continue
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigError(f"bad config value: {key} must be {noun}, got {value!r}")
+        # Profiles are divided by sigma_sb T^4 of this temperature.
         temp = self.reference_temperature
-        if temp is not None and (not isinstance(temp, numbers.Real) or isinstance(temp, bool)):
+        if temp is not None and not (math.isfinite(temp) and temp > 0.0):
             raise ConfigError(
-                f"bad config value: reference_temperature must be a number, got {temp!r}")
+                f"bad config value: reference_temperature must be positive, got {temp!r}")
         # The run builds both from these values; building them here turns a
         # bad value into a ConfigError before any work starts.
         try:
@@ -306,8 +331,12 @@ class CaseConfig:
         data = dict(data)
         mesh = Path(base_dir) / str(data.pop("mesh"))
         raw_profiles = data.pop("profiles", [])
+        if not isinstance(raw_profiles, list):
+            raise ConfigError(f"bad config value: profiles must be a list, got {raw_profiles!r}")
         profiles = []
         for rec in raw_profiles:
+            if not isinstance(rec, dict):
+                raise ConfigError(f"profile record must be an object, got {rec!r}")
             extra = set(rec) - {"name", "start", "end", "samples", "quantity"}
             if extra:
                 raise ConfigError(f"unknown profile keys: {sorted(extra)}")
@@ -317,7 +346,7 @@ class CaseConfig:
                         name=str(rec["name"]),
                         start=tuple(float(c) for c in rec["start"]),
                         end=tuple(float(c) for c in rec["end"]),
-                        samples=int(rec["samples"]),
+                        samples=rec["samples"],
                         quantity=str(rec["quantity"]),
                     )
                 )

@@ -25,23 +25,16 @@ __all__ = [
     "GeometryError",
     "DegenerateElement",
     "NonPlanar",
-    "OutsideGrid",
     "MeshError",
     "SurfaceElement",
-    "Segment",
-    "VoxelSpan",
     "VoxelGrid",
     "SurfaceMesh",
     "ElementArrays",
     "as_point",
     "build_element",
-    "ray_intersect_element",
     "segment_element_hits",
-    "traverse_voxels",
     "quad_cells",
     "tri_cells",
-    "point_in_mesh",
-    "mesh_diameter",
     "load_mesh",
     "mesh_from_records",
     "write_mesh_file",
@@ -51,7 +44,6 @@ __all__ = [
 PLANARITY_RTOL = 1e-9       # max vertex deviation from the quad plane
 ENDPOINT_RTOL = 1e-10       # open-segment exclusion zone at each endpoint
 EDGE_INCLUSION_RTOL = 1e-10  # edge touches count as hits, inclusive margin (x diameter^2)
-_SPAN_MERGE_TOL = 1e-14     # voxel breakpoints closer than this (in segment fraction) merge
 _AREA_RTOL = 1e-10          # area below this fraction of diameter^2 is degenerate
 
 # Fixed skew direction for parity ray casts; avoids grazing axis-aligned faces.
@@ -69,10 +61,6 @@ class DegenerateElement(GeometryError):
 
 class NonPlanar(GeometryError):
     """Quad vertices deviate from a common plane beyond tolerance."""
-
-
-class OutsideGrid(GeometryError):
-    """Segment does not intersect the voxel grid box."""
 
 
 class MeshError(GeometryError):
@@ -186,30 +174,6 @@ def build_element(vertices, emissivity: float = 1.0) -> SurfaceElement:
     )
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Directed straight segment; arclength s runs from start to end."""
-
-    start: np.ndarray
-    end: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", as_point(self.start))
-        object.__setattr__(self, "end", as_point(self.end))
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
-    @property
-    def direction(self) -> np.ndarray:
-        d = self.end - self.start
-        n = np.linalg.norm(d)
-        if n == 0.0:
-            raise GeometryError("zero-length segment has no direction")
-        return d / n
-
-
 @dataclass
 class ElementArrays:
     """Structure-of-arrays view of an element list for vectorized queries.
@@ -264,7 +228,7 @@ class ElementArrays:
 def segment_element_hits(starts, ends, arrays: ElementArrays, indices=None) -> np.ndarray:
     """Open-segment intersection mask, shape (S, E).
 
-    Segment i runs starts[i] -> ends[i]; column j refers to element
+    The i-th segment runs starts[i] -> ends[i]; column j refers to element
     indices[j] (all elements when indices is None). Crossings of an element
     interior or edge count as hits; touches within ENDPOINT_RTOL times the
     element diameter of either endpoint do not. Symmetric under segment
@@ -312,22 +276,6 @@ def segment_element_hits(starts, ends, arrays: ElementArrays, indices=None) -> n
         side = np.einsum("sek,ek->se", pts - a[None, :, :], en)
         inside &= side >= -tol_in[None, :]
     return ok & inside
-
-
-def ray_intersect_element(seg: Segment, element: SurfaceElement) -> tuple[bool, float]:
-    """Test one open segment against one element.
-
-    Returns (hit, s) with s the arclength of the crossing from seg.start;
-    s is nan when there is no hit.
-    """
-    arrays = ElementArrays.from_elements([element])
-    hit = bool(segment_element_hits(seg.start[None, :], seg.end[None, :], arrays)[0, 0])
-    if not hit:
-        return False, math.nan
-    d = seg.end - seg.start
-    denom = float(d @ element.normal)
-    t = float((element.vertices[0] - seg.start) @ element.normal) / denom
-    return True, t * seg.length
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +377,6 @@ def bilinear_jacobian(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
 # Voxel grid
 
 
-@dataclass(frozen=True)
-class VoxelSpan:
-    """One traversed cell: index triple plus entry and exit arclengths."""
-
-    cell: tuple[int, int, int]
-    s_enter: float
-    s_exit: float
-
-
 class VoxelGrid:
     """Axis-aligned box of cuboid cells with per-cell medium temperature.
 
@@ -493,68 +432,6 @@ class VoxelGrid:
             zz, yy, xx = np.meshgrid(cz, cy, cx, indexing="ij")
             self._centers = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
         return self._centers
-
-
-def traverse_voxels(seg: Segment, grid: VoxelGrid) -> list[VoxelSpan]:
-    """Decompose a segment into per-cell spans.
-
-    The segment is clipped to the grid box first; OutsideGrid is raised when
-    nothing remains. Spans are sorted, disjoint, and telescope to the clipped
-    length. A point on a shared cell face belongs to the higher-index cell,
-    clamped at the outer boundary.
-    """
-    start = seg.start
-    d = seg.end - seg.start
-    length = float(np.linalg.norm(d))
-    if length <= 0.0:
-        raise GeometryError("cannot traverse a zero-length segment")
-    lo, hi = grid.box()
-    scale = float(np.max(hi - lo))
-
-    t0, t1 = 0.0, 1.0
-    for a in range(3):
-        if d[a] != 0.0:
-            with np.errstate(over="ignore"):
-                ta = (lo[a] - start[a]) / d[a]
-                tb = (hi[a] - start[a]) / d[a]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-        elif start[a] < lo[a] - 1e-12 * scale or start[a] > hi[a] + 1e-12 * scale:
-            raise OutsideGrid("segment lies outside the grid slab")
-    if t1 - t0 <= _SPAN_MERGE_TOL:
-        raise OutsideGrid("segment does not cross the grid box")
-
-    cuts = [np.array([t0, t1])]
-    for a in range(3):
-        if d[a] == 0.0 or grid.dims[a] < 2:
-            continue
-        planes = lo[a] + np.arange(1, grid.dims[a]) * grid.spacing[a]
-        ta = (planes - start[a]) / d[a]
-        cuts.append(ta[(ta > t0) & (ta < t1)])
-    breaks = np.sort(np.concatenate(cuts))
-
-    kept = [breaks[0]]
-    for b in breaks[1:]:
-        if b - kept[-1] > _SPAN_MERGE_TOL:
-            kept.append(b)
-    # The final breakpoint must sit exactly at the clip end.
-    if kept[-1] != t1:
-        if len(kept) > 1:
-            kept[-1] = t1
-        else:
-            kept.append(t1)
-
-    spans = []
-    for ta, tb in zip(kept[:-1], kept[1:]):
-        mid = start + (0.5 * (ta + tb)) * d
-        cell = tuple(
-            int(np.clip(math.floor((mid[a] - lo[a]) / grid.spacing[a]), 0, grid.dims[a] - 1))
-            for a in range(3)
-        )
-        spans.append(VoxelSpan(cell=cell, s_enter=ta * length, s_exit=tb * length))
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -639,34 +516,25 @@ class SurfaceMesh:
             raise MeshError("element normals must point into the enclosed medium")
 
     def diameter(self) -> float:
-        return mesh_diameter(self)
-
-
-def mesh_diameter(mesh: SurfaceMesh) -> float:
-    """Max pairwise node distance; for polyhedral enclosures this is the
-    domain diameter."""
-    pts = mesh.nodes
-    best = 0.0
-    step = 512
-    for i in range(0, pts.shape[0], step):
-        chunk = pts[i : i + step]
-        d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+        """Max pairwise node distance; for polyhedral enclosures this is the
+        domain diameter."""
+        pts = self.nodes
+        best = 0.0
+        step = 512
+        for i in range(0, pts.shape[0], step):
+            chunk = pts[i : i + step]
+            d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+            best = max(best, float(d2.max()))
+        return math.sqrt(best)
 
 
 def points_in_mesh(mesh: SurfaceMesh, points) -> np.ndarray:
     """Parity ray cast along a fixed skew direction, batched over points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    reach = mesh_diameter(mesh) * 2.0 + 1.0
+    reach = mesh.diameter() * 2.0 + 1.0
     far = pts + _PARITY_DIRECTION[None, :] * reach
     hits = segment_element_hits(pts, far, mesh.arrays())
     return hits.sum(axis=1) % 2 == 1
-
-
-def point_in_mesh(mesh: SurfaceMesh, point) -> bool:
-    """Parity ray cast for a single point."""
-    return bool(points_in_mesh(mesh, as_point(point)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

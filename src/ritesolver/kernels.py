@@ -1,4 +1,4 @@
-"""Pointwise exchange kernels, blackbody emission, and chord path integrals.
+"""Pointwise exchange kernels and blackbody emission.
 
 Six kernels connect a source point r on the enclosure wall to a receiver,
 which is either another wall point p (with inward normal n_p) or a point in
@@ -24,21 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ritesolver.geometry import Segment, VoxelGrid, as_point, traverse_voxels
-
 __all__ = [
     "STEFAN_BOLTZMANN",
     "RadiativeProperties",
     "KernelKind",
-    "CoincidentPoints",
     "blackbody_emission",
     "blackbody_intensity",
     "transmittance",
-    "kernel_components",
     "kernel_prefactor",
-    "kernel_value",
-    "path_factors",
-    "path_source_integral",
     "projected_solid_angle",
     "sight_cosines",
     "solvability_margin",
@@ -46,12 +39,6 @@ __all__ = [
 
 # CODATA value, W m^-2 K^-4.
 STEFAN_BOLTZMANN = 5.670374419e-8
-
-_COINCIDENCE_RTOL = 1e-12
-
-
-class CoincidentPoints(ValueError):
-    """Kernel evaluated at a source-receiver distance below tolerance."""
 
 
 @dataclass(frozen=True)
@@ -95,10 +82,6 @@ class RadiativeProperties:
         """beta times the domain diameter."""
         return self.beta * self.domain_diameter
 
-    @property
-    def coincidence_tolerance(self) -> float:
-        return _COINCIDENCE_RTOL * self.domain_diameter
-
 
 def solvability_margin(props: RadiativeProperties, eps_min: float) -> tuple[float, bool]:
     """Uniqueness margin eps_min - sigma_s/(beta + sigma_s); positive is safe.
@@ -123,14 +106,6 @@ class KernelKind(enum.Enum):
     WALL_TO_MEDIUM = "wall_to_medium"
     EMISSION_TO_MEDIUM = "emission_to_medium"
     SCATTER_TO_MEDIUM = "scatter_to_medium"
-
-    @property
-    def receiver_on_wall(self) -> bool:
-        return self in (
-            KernelKind.WALL_TO_WALL,
-            KernelKind.EMISSION_TO_WALL,
-            KernelKind.SCATTER_TO_WALL,
-        )
 
     @property
     def is_direct(self) -> bool:
@@ -194,75 +169,3 @@ def kernel_prefactor(kind: KernelKind, props: RadiativeProperties, dist, scale=1
     if kind.is_emission:
         return scale * props.sigma_a
     return scale * props.sigma_s / (4.0 * np.pi)
-
-
-def kernel_components(kind: KernelKind, dist, cos_p, cos_r, props: RadiativeProperties):
-    """Vectorized kernel values for precomputed distances and cosines.
-
-    cos_p is ignored for interior receivers and may be None there. Cosines
-    clamp to [0, 1]; distances below the coincidence tolerance raise.
-    """
-    d = np.asarray(dist, dtype=float)
-    if np.any(d < props.coincidence_tolerance):
-        raise CoincidentPoints(
-            f"kernel distance below {props.coincidence_tolerance:g} m"
-        )
-    cp = np.asarray(cos_p, dtype=float) if kind.receiver_on_wall else 1.0
-    geo = projected_solid_angle(cp, np.asarray(cos_r, dtype=float), d)
-    vals = kernel_prefactor(kind, props, d) * geo
-    return float(vals) if vals.ndim == 0 else vals
-
-
-def kernel_value(
-    kind: KernelKind,
-    receiver,
-    receiver_normal,
-    source,
-    source_normal,
-    props: RadiativeProperties,
-) -> float:
-    """Single kernel evaluation from raw points and normals.
-
-    receiver_normal is None for interior receivers. Normals point into the
-    medium, so a visible pair yields nonnegative cosines.
-    """
-    p = as_point(receiver)
-    r = as_point(source)
-    diff = (r - p)[None, :]
-    d = np.linalg.norm(diff, axis=1)
-    if d[0] < props.coincidence_tolerance:
-        raise CoincidentPoints(f"points {p} and {r} are {d[0]:g} m apart")
-    n_p = as_point(receiver_normal) if kind.receiver_on_wall else None
-    cos_p, cos_r = sight_cosines(diff, d, as_point(source_normal)[None, :], n_p)
-    return float(kernel_components(kind, d, cos_p, cos_r, props)[0])
-
-
-def path_factors(receiver, source, grid: VoxelGrid, beta: float):
-    """Attenuated chord weights per traversed cell.
-
-    Returns (flat_cells, weights) such that the chord integral of any
-    cellwise-constant field f against exp(-beta s), with s measured from the
-    receiver, equals sum(weights * f[flat_cells]). Each weight is
-    (exp(-beta s_enter) - exp(-beta s_exit)) / beta, the exact integral over
-    the span; for beta = 0 it degenerates to the span length.
-    """
-    spans = traverse_voxels(Segment(receiver, source), grid)
-    cells = np.array([grid.flat_index(*sp.cell) for sp in spans], dtype=int)
-    s0 = np.array([sp.s_enter for sp in spans])
-    s1 = np.array([sp.s_exit for sp in spans])
-    if beta > 0.0:
-        weights = np.exp(-beta * s0) * (-np.expm1(-beta * (s1 - s0))) / beta
-    else:
-        weights = s1 - s0
-    return cells, weights
-
-
-def path_source_integral(receiver, source, grid: VoxelGrid, field, beta: float) -> float:
-    """Chord integral of a cellwise-constant field against exp(-beta s).
-
-    field holds one value per grid cell in flat order; s runs from the
-    receiver toward the source, matching the attenuation the receiver sees.
-    """
-    cells, weights = path_factors(receiver, source, grid, beta)
-    f = np.asarray(field, dtype=float).reshape(-1)
-    return float(weights @ f[cells])

@@ -18,14 +18,13 @@ import numpy as np
 import scipy.linalg
 
 from ritesolver.assembly import SurfaceSystem, VolumeSystem
-from ritesolver.kernels import RadiativeProperties, blackbody_emission, solvability_margin
+from ritesolver.kernels import RadiativeProperties, blackbody_emission
 
 __all__ = [
     "SingularInnerSystem",
     "NotConverged",
     "SolverConfig",
     "SolutionState",
-    "solvability_margin",
     "contraction_bound",
     "solve_rites",
 ]

@@ -1,6 +1,6 @@
 """Line-of-sight classification between collocation points and wall elements.
 
-Occlusion handling runs in three stages. First, a facing test keeps only
+Occlusion handling runs in three stages. First, the active list keeps only
 elements that can exchange radiation with the source point at all. Second,
 one screen lists the potential blockers of each surviving element: a
 cylinder cull around the sight line, then a plane-side test that keeps a
@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ritesolver.geometry import (
-    SurfaceElement,
-    SurfaceMesh,
-    as_point,
-    cross3,
-    segment_element_hits,
-)
+from ritesolver.geometry import SurfaceElement, SurfaceMesh, as_point, cross3
+
+# Not called here: perfbench/spans.py traces segment_element_hits under this
+# module's name.
+from ritesolver.geometry import segment_element_hits  # noqa: F401
 
 __all__ = [
     "EARLY_BLOCKED",
@@ -39,9 +37,7 @@ __all__ = [
     "SubElement",
     "VisibilityReport",
     "build_active_list",
-    "chi_point",
     "classify_visibility",
-    "facing_test",
     "screen_active_set",
 ]
 
@@ -92,24 +88,6 @@ class VisibilityReport:
 
 # The outcome of a pair no shadow reaches, screened clear or clipped.
 UNOBSTRUCTED = VisibilityReport(Classification.FULLY_VISIBLE, (), 1.0, 0)
-
-
-def facing_test(p, n_p, element: SurfaceElement) -> bool:
-    """Mutual orientation test with strict positivity.
-
-    With inward normals, the element centroid must lie in front of the
-    source plane (when a source normal exists) and the source point in front
-    of the element plane. Tangent configurations carry zero kernel weight
-    and are classified not facing.
-    """
-    p = as_point(p)
-    to_c = element.centroid - p
-    d2 = float(element.normal @ (-to_c))
-    if d2 <= 0.0:
-        return False
-    if n_p is None:
-        return True
-    return float(as_point(n_p) @ to_c) > 0.0
 
 
 def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = None) -> np.ndarray:
@@ -275,10 +253,11 @@ def _subtract(piece: np.ndarray, p, cuts: np.ndarray, tol: float, min_area: floa
 def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh) -> VisibilityReport:
     """Exact visible part of an active element behind its listed blockers.
 
-    blockers is the element's entry in screen_active_set. Each listed blocker whose plane separates p from the element casts a
-    convex shadow on the element plane, which is cut away from the current
-    convex pieces. An element no shadow reaches is fully visible, one with
-    no pieces left fully blocked; otherwise the pieces are fan-triangulated.
+    blockers is the element's entry in screen_active_set. Each listed
+    blocker whose plane separates p from the element casts a convex shadow
+    on the element plane, which is cut away from the current convex pieces.
+    An element no shadow reaches is fully visible, one with no pieces left
+    fully blocked; otherwise the pieces are fan-triangulated.
     """
     p = as_point(p)
     element = mesh.elements[active_index]
@@ -324,11 +303,3 @@ def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh) -> Vi
         return VisibilityReport(Classification.FULLY_BLOCKED, (), 0.0, shadows)
     fraction = min(sum(s.area for s in visible) / element.area, 1.0)
     return VisibilityReport(Classification.PARTIALLY_VISIBLE, tuple(visible), fraction, shadows)
-
-
-def chi_point(p, r, mesh: SurfaceMesh) -> int:
-    """Unobstructed-sight indicator between two points, endpoint-exclusive."""
-    p = as_point(p)
-    r = as_point(r)
-    hits = segment_element_hits(p[None, :], r[None, :], mesh.arrays())
-    return 0 if bool(hits.any()) else 1

@@ -26,7 +26,6 @@ from ritesolver.assembly import (
     CollocationSet,
     SolvabilityViolation,
     collocation_points,
-    element_integral,
     element_rule,
     intrinsic_projection,
     operator_row_sums,
@@ -38,6 +37,7 @@ from ritesolver.assembly import (
 )
 from ritesolver.cli import builtin_case
 from ritesolver.geometry import (
+    ElementArrays,
     SurfaceMesh,
     VoxelGrid,
     bilinear_jacobian,
@@ -46,11 +46,18 @@ from ritesolver.geometry import (
     quad_cells,
     segment_element_hits,
 )
-from ritesolver.kernels import KernelKind, RadiativeProperties, path_factors, solvability_margin
+from ritesolver.kernels import (
+    KernelKind,
+    RadiativeProperties,
+    kernel_prefactor,
+    projected_solid_angle,
+    sight_cosines,
+    solvability_margin,
+)
 from ritesolver.visibility import Classification, classify_visibility, screen_active_set
 
 from conftest import make_cube_mesh, make_dented_cube_mesh
-from oracles import padded_chord_factors
+from oracles import padded_chord_factors, path_factors
 
 
 BOTTOM = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
@@ -115,6 +122,31 @@ def test_tri_flux_shapes_partition(a, b):
 
 # ---------------------------------------------------------------------------
 # element_integral against independent references
+
+
+def element_integral(p, n_p, element, kind, props, shape=None, report=None):
+    """Banded quadrature of F_shape x kernel over one element for point p.
+
+    It makes the rule and kernel calls a row makes, for one element alone,
+    so it shares their arithmetic and checks how a row combines them, not
+    the calls themselves. shape None integrates the kernel alone; an integer
+    selects one flux shape function. A partly visible report limits the
+    integral to its visible triangles.
+    """
+    if report is not None:
+        rule = assembly.visible_rule(p, element, report.visible)
+    else:
+        arrays = ElementArrays.from_elements([element])
+        d = float(assembly.point_element_distances(p, arrays.vertices, arrays.normals)[0])
+        order, split = assembly._band(d / element.diameter)
+        rule = element_rule(element, order, intrinsic_projection(element, p[None, :])[0]
+                            if split else None)
+    diff = rule.points - p[None, :]
+    dist = np.linalg.norm(diff, axis=1)
+    cos_p, cos_r = sight_cosines(diff, dist, np.broadcast_to(element.normal, diff.shape), n_p)
+    vals = kernel_prefactor(kind, props, dist) * projected_solid_angle(
+        cos_p, cos_r, dist, rule.weights)
+    return float(vals.sum() if shape is None else vals @ rule.flux_shapes[:, shape])
 
 
 def _reference_direct_integral(p, n_p, verts, beta, depth=4, order=16):

@@ -18,11 +18,10 @@ from ritesolver.cli import (
     main,
     run_case,
 )
-from ritesolver.geometry import load_mesh
+from ritesolver.geometry import load_mesh, segment_element_hits
 from ritesolver.kernels import RadiativeProperties
 from ritesolver.solver import solve_rites
 from ritesolver.validation import lemma3_interior_identity
-from ritesolver.visibility import chi_point
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +58,12 @@ def test_generate_lshape_geometry(tmp_path):
 def test_lshape_notch_blocks_line_of_sight():
     mesh, _ = builtin_case("lshape", 2)
     # High up in the tall arm to the far end of the low arm: the inside
-    # corner of the notch cuts the line.
-    assert chi_point((0.5, 0.5, 2.999), (0.5, 2.9, 0.001), mesh) == 0.0
-    # Dropping the start low enough clears the corner.
-    assert chi_point((0.5, 0.5, 0.5), (0.5, 2.9, 0.001), mesh) == 1.0
+    # corner of the notch cuts the line. Dropping the start low enough
+    # clears the corner.
+    starts = np.array([[0.5, 0.5, 2.999], [0.5, 0.5, 0.5]])
+    ends = np.array([[0.5, 2.9, 0.001], [0.5, 2.9, 0.001]])
+    blocked = segment_element_hits(starts, ends, mesh.arrays()).any(axis=1)
+    assert blocked.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("kind", ["cube", "lshape"])
@@ -176,19 +177,40 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", [
-    {"profiles": [{"name": "p", "start": [0, 0.5, 0], "end": [1, 0.5, 0],
-                   "samples": "many", "quantity": "q"}]},
-    {"sigma_a": -1},
-    {"sigma_a": "x"},
-    {"tolerance": 0},
-    {"max_iterations": 0},
-    {"max_iterations": 1.5},
-    {"max_iterations": True},
-    {"seed": "x"},
-    {"reference_temperature": "x"},
-], ids=["samples", "sigma_a_negative", "sigma_a_text", "tolerance", "max_iterations",
-        "max_iterations_fraction", "max_iterations_bool", "seed_text", "reference_temperature_text"])
+def one_profile(**fields):
+    rec = {"name": "p", "start": [0, 0.5, 0], "end": [1, 0.5, 0], "samples": 3, "quantity": "q"}
+    return {"profiles": [dict(rec, **fields)]}
+
+
+BAD_CONFIG_VALUES = {
+    "samples": one_profile(samples="many"),
+    "samples_fraction": one_profile(samples=2.7),
+    "start_two_components": one_profile(start=[0, 0.5]),
+    "name_slash": one_profile(name="a/b"),
+    "name_dot": one_profile(name="."),
+    "name_dotdot": one_profile(name=".."),
+    "name_nul": one_profile(name="a\0b"),
+    "profiles_number": {"profiles": 5},
+    "sigma_a_negative": {"sigma_a": -1},
+    "sigma_a_text": {"sigma_a": "x"},
+    "sigma_a_bool": {"sigma_a": True},
+    "sigma_s_bool": {"sigma_s": True},
+    "sigma_sb_bool": {"sigma_sb": True},
+    "tolerance": {"tolerance": 0},
+    "tolerance_bool": {"tolerance": True},
+    "max_iterations": {"max_iterations": 0},
+    "max_iterations_fraction": {"max_iterations": 1.5},
+    "max_iterations_bool": {"max_iterations": True},
+    "seed_text": {"seed": "x"},
+    "reference_temperature_text": {"reference_temperature": "x"},
+    "reference_temperature_zero": {"reference_temperature": 0},
+    "output_number": {"output": 5},
+    "dump_matrices_text": {"dump_matrices": "false"},
+    "dump_visibility_text": {"dump_visibility": "false"},
+}
+
+
+@pytest.mark.parametrize("body", BAD_CONFIG_VALUES.values(), ids=BAD_CONFIG_VALUES.keys())
 def test_bad_config_values_exit_with_usage_error(tmp_path, capsys, body):
     config = write_config(tmp_path, **body)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

@@ -16,8 +16,6 @@ from ritesolver.geometry import (
     GeometryError,
     MeshError,
     NonPlanar,
-    OutsideGrid,
-    Segment,
     SurfaceMesh,
     VoxelGrid,
     bilinear_jacobian,
@@ -25,16 +23,14 @@ from ritesolver.geometry import (
     build_element,
     cross3,
     load_mesh,
-    mesh_diameter,
-    point_in_mesh,
+    points_in_mesh,
     quad_cells,
-    ray_intersect_element,
     segment_element_hits,
-    traverse_voxels,
     tri_cells,
     write_mesh_file,
 )
 from tests.conftest import CUBE_FACES, CUBE_NODES, make_cube_mesh
+from tests.oracles import OutsideGrid, traverse_voxels
 
 UNIT_TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 UNIT_QUAD = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -300,8 +296,7 @@ def test_batched_hits_match_scalar_loop(rng):
     batched = segment_element_hits(starts, ends, arrays)
     for i in range(starts.shape[0]):
         for j, e in enumerate(elements):
-            hit, _ = ray_intersect_element(Segment(starts[i], ends[i]), e)
-            assert batched[i, j] == hit
+            assert batched[i, j] == hits_one(starts[i], ends[i], e)
 
 
 @given(
@@ -316,30 +311,18 @@ def test_hit_symmetry_under_reversal(coords):
     assert hits_one(a, b, e) == hits_one(b, a, e)
 
 
-def test_ray_intersect_reports_arclength():
-    e = build_element(UNIT_QUAD)
-    hit, s = ray_intersect_element(Segment([0.25, 0.25, -2.0], [0.25, 0.25, 2.0]), e)
-    assert hit
-    assert s == pytest.approx(2.0)
-    hit, s = ray_intersect_element(Segment([0.25, 0.25, 2.0], [0.25, 0.25, -1.0]), e)
-    assert hit
-    assert s == pytest.approx(2.0)
-    hit, s = ray_intersect_element(Segment([5.0, 5.0, -1.0], [5.0, 5.0, 1.0]), e)
-    assert not hit
-    assert math.isnan(s)
-
-
 # ---------------------------------------------------------------------------
 # Voxel traversal
 
 
-def sample_cell_oracle(seg, grid, spans):
+def sample_cell_oracle(start, end, grid, spans):
     """Dense-sample the segment and check each point lands in its span's cell."""
     lo, _ = grid.box()
+    length = np.linalg.norm(end - start)
     for span in spans:
         for f in (0.25, 0.5, 0.75):
             s = span.s_enter + f * (span.s_exit - span.s_enter)
-            p = seg.start + (s / seg.length) * (seg.end - seg.start)
+            p = start + (s / length) * (end - start)
             expect = tuple(
                 int(np.clip(math.floor((p[a] - lo[a]) / grid.spacing[a]), 0, grid.dims[a] - 1))
                 for a in range(3)
@@ -349,8 +332,7 @@ def sample_cell_oracle(seg, grid, spans):
 
 def test_axis_aligned_traversal():
     grid = VoxelGrid([0, 0, 0], 0.25, [4, 1, 1])
-    seg = Segment([0.0, 0.1, 0.1], [1.0, 0.1, 0.1])
-    spans = traverse_voxels(seg, grid)
+    spans = traverse_voxels([0.0, 0.1, 0.1], [1.0, 0.1, 0.1], grid)
     assert [sp.cell for sp in spans] == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]
     assert_allclose([sp.s_exit - sp.s_enter for sp in spans], 0.25)
     assert spans[0].s_enter == 0.0
@@ -359,8 +341,7 @@ def test_axis_aligned_traversal():
 
 def test_diagonal_traversal_lengths():
     grid = VoxelGrid([0, 0, 0], 0.5, [2, 2, 1])
-    seg = Segment([0.0, 0.0, 0.25], [1.0, 1.0, 0.25])
-    spans = traverse_voxels(seg, grid)
+    spans = traverse_voxels([0.0, 0.0, 0.25], [1.0, 1.0, 0.25], grid)
     assert [sp.cell for sp in spans] == [(0, 0, 0), (1, 1, 0)]
     total = sum(sp.s_exit - sp.s_enter for sp in spans)
     assert total == pytest.approx(math.sqrt(2.0))
@@ -368,8 +349,7 @@ def test_diagonal_traversal_lengths():
 
 def test_traversal_clips_exterior_portion():
     grid = VoxelGrid([0, 0, 0], 1.0, [1, 1, 1])
-    seg = Segment([-1.0, 0.5, 0.5], [2.0, 0.5, 0.5])
-    spans = traverse_voxels(seg, grid)
+    spans = traverse_voxels([-1.0, 0.5, 0.5], [2.0, 0.5, 0.5], grid)
     assert len(spans) == 1
     assert spans[0].s_enter == pytest.approx(1.0)
     assert spans[0].s_exit == pytest.approx(2.0)
@@ -378,18 +358,18 @@ def test_traversal_clips_exterior_portion():
 def test_traversal_outside_grid_raises():
     grid = VoxelGrid([0, 0, 0], 1.0, [2, 2, 2])
     with pytest.raises(OutsideGrid):
-        traverse_voxels(Segment([5, 5, 5], [6, 6, 6]), grid)
+        traverse_voxels([5, 5, 5], [6, 6, 6], grid)
     with pytest.raises(OutsideGrid):
-        traverse_voxels(Segment([-1, 0.5, 0.5], [-0.1, 0.5, 0.5]), grid)
+        traverse_voxels([-1, 0.5, 0.5], [-0.1, 0.5, 0.5], grid)
 
 
 def test_face_graze_assigns_higher_index_cell():
     # Segment in the shared plane x = 0.5 between cells 0 and 1.
     grid = VoxelGrid([0, 0, 0], 0.5, [2, 1, 1])
-    spans = traverse_voxels(Segment([0.5, 0.0, 0.25], [0.5, 0.5, 0.25]), grid)
+    spans = traverse_voxels([0.5, 0.0, 0.25], [0.5, 0.5, 0.25], grid)
     assert [sp.cell for sp in spans] == [(1, 0, 0)]
     # On the outer boundary the last cell owns the face.
-    spans = traverse_voxels(Segment([1.0, 0.0, 0.25], [1.0, 0.5, 0.25]), grid)
+    spans = traverse_voxels([1.0, 0.0, 0.25], [1.0, 0.5, 0.25], grid)
     assert [sp.cell for sp in spans] == [(1, 0, 0)]
 
 
@@ -399,17 +379,16 @@ def test_traversal_spans_are_contiguous(rng):
     for _ in range(60):
         a = rng.uniform(lo - 0.2, hi + 0.2)
         b = rng.uniform(lo - 0.2, hi + 0.2)
-        seg = Segment(a, b)
-        if seg.length < 1e-9:
+        if np.linalg.norm(b - a) < 1e-9:
             continue
         try:
-            spans = traverse_voxels(seg, grid)
+            spans = traverse_voxels(a, b, grid)
         except OutsideGrid:
             continue
         for s0, s1 in zip(spans[:-1], spans[1:]):
             assert s1.s_enter == pytest.approx(s0.s_exit, abs=1e-12)
             assert s1.cell != s0.cell
-        sample_cell_oracle(seg, grid, spans)
+        sample_cell_oracle(a, b, grid, spans)
 
 
 @given(
@@ -421,13 +400,12 @@ def test_traversal_telescopes_to_clipped_length(coords):
     b = np.array(coords[3:])
     if np.linalg.norm(b - a) < 1e-6:
         return
-    seg = Segment(a, b)
     try:
-        spans = traverse_voxels(seg, grid)
+        spans = traverse_voxels(a, b, grid)
     except OutsideGrid:
         return
     total = sum(sp.s_exit - sp.s_enter for sp in spans)
-    assert total <= seg.length * (1 + 1e-9)
+    assert total <= np.linalg.norm(b - a) * (1 + 1e-9)
     for sp in spans:
         assert sp.s_exit > sp.s_enter
 
@@ -506,20 +484,18 @@ def test_open_scene_allowed_without_closure_check():
 
 
 def test_mesh_diameter_of_cube():
-    assert mesh_diameter(make_cube_mesh()) == pytest.approx(math.sqrt(3.0))
+    assert make_cube_mesh().diameter() == pytest.approx(math.sqrt(3.0))
 
 
 def test_point_in_mesh_cube_faces(rng):
     mesh = make_cube_mesh()
-    assert point_in_mesh(mesh, [0.5, 0.5, 0.5])
-    assert not point_in_mesh(mesh, [1.5, 0.5, 0.5])
-    assert not point_in_mesh(mesh, [-0.2, -0.2, -0.2])
+    probes = [[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [-0.2, -0.2, -0.2]]
+    assert points_in_mesh(mesh, probes).tolist() == [True, False, False]
     pts = rng.uniform(-0.4, 1.4, size=(120, 3))
-    for p in pts:
-        inside = bool(np.all((p > 1e-6) & (p < 1 - 1e-6)))
-        outside = bool(np.any((p < -1e-6) | (p > 1 + 1e-6)))
-        if inside or outside:
-            assert point_in_mesh(mesh, p) == inside
+    inside = np.all((pts > 1e-6) & (pts < 1 - 1e-6), axis=1)
+    outside = np.any((pts < -1e-6) | (pts > 1 + 1e-6), axis=1)
+    clear = inside | outside
+    assert np.array_equal(points_in_mesh(mesh, pts[clear]), inside[clear])
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ritesolver.geometry import Segment, VoxelGrid, traverse_voxels
+from ritesolver.assembly import Assembler
+from ritesolver.geometry import VoxelGrid
 from ritesolver.kernels import (
     STEFAN_BOLTZMANN,
-    CoincidentPoints,
     KernelKind,
     RadiativeProperties,
     blackbody_emission,
     blackbody_intensity,
-    kernel_components,
-    kernel_value,
-    path_factors,
-    path_source_integral,
+    kernel_prefactor,
+    projected_solid_angle,
+    sight_cosines,
     transmittance,
 )
+
+from conftest import make_cube_mesh
+from oracles import path_factors, traverse_voxels
 
 PROPS = RadiativeProperties(sigma_a=0.4, sigma_s=0.6, domain_diameter=2.0)
 
@@ -78,6 +80,19 @@ HEAD_ON = dict(
 )
 
 
+def kernel_value(kind, receiver, receiver_normal, source, source_normal, props):
+    """One kernel value through the calls the assembly row makes.
+
+    receiver_normal is None for interior receivers.
+    """
+    diff = np.array([source], dtype=float) - np.array(receiver, dtype=float)
+    dist = np.linalg.norm(diff, axis=1)
+    n_p = None if receiver_normal is None else np.array(receiver_normal, dtype=float)
+    cos_p, cos_r = sight_cosines(diff, dist, np.array([source_normal], dtype=float), n_p)
+    geo = projected_solid_angle(cos_p, cos_r, dist)
+    return float((kernel_prefactor(kind, props, dist) * geo)[0])
+
+
 def test_wall_to_wall_head_on():
     val = kernel_value(KernelKind.WALL_TO_WALL, props=PROPS, **HEAD_ON)
     assert val == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-12)
@@ -105,7 +120,8 @@ def test_oblique_geometry_factors():
     d = 2.0
     cos_p = math.cos(math.radians(60.0))
     cos_r = math.cos(math.radians(45.0))
-    val = kernel_components(KernelKind.WALL_TO_WALL, d, cos_p, cos_r, PROPS)
+    geo = projected_solid_angle(cos_p, cos_r, d)
+    val = kernel_prefactor(KernelKind.WALL_TO_WALL, PROPS, d) * geo
     assert val == pytest.approx(math.exp(-2.0) * cos_p * cos_r / (math.pi * 4.0), rel=1e-12)
 
 
@@ -122,20 +138,6 @@ def test_transparent_limit_reduces_to_view_factor_integrand():
     assert val == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
-def test_coincident_points_raise():
-    with pytest.raises(CoincidentPoints):
-        kernel_value(
-            KernelKind.WALL_TO_WALL,
-            [0, 0, 0],
-            [0, 0, 1],
-            [0, 0, 1e-14],
-            [0, 0, -1],
-            PROPS,
-        )
-    with pytest.raises(CoincidentPoints):
-        kernel_components(KernelKind.WALL_TO_MEDIUM, np.array([1.0, 0.0]), None, 1.0, PROPS)
-
-
 @given(
     st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
 )
@@ -148,16 +150,6 @@ def test_wall_kernel_reciprocity(coords):
     forward = kernel_value(KernelKind.WALL_TO_WALL, p, n_p, r, n_r, PROPS)
     backward = kernel_value(KernelKind.WALL_TO_WALL, r, n_r, p, n_p, PROPS)
     assert forward == pytest.approx(backward, rel=1e-12, abs=1e-300)
-
-
-def test_vectorized_matches_scalar(rng):
-    d = rng.uniform(0.1, 2.0, size=17)
-    cp = rng.uniform(-0.2, 1.0, size=17)
-    cr = rng.uniform(-0.2, 1.0, size=17)
-    for kind in KernelKind:
-        batch = kernel_components(kind, d, cp, cr, PROPS)
-        singles = [kernel_components(kind, d[i], cp[i], cr[i], PROPS) for i in range(17)]
-        assert_allclose(batch, singles, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +171,30 @@ def dense_path_oracle(receiver, source, grid, field, beta, n=200_000):
     return float(np.sum(f * np.exp(-beta * s)) * length / n)
 
 
+def chord_factors(receiver, source, grid, beta):
+    """The assembly's (cell, weight) pairs for the one chord receiver -> source."""
+    p = np.asarray(receiver, dtype=float)
+    d = np.asarray(source, dtype=float)[None, :] - p
+    _, cells, w = Assembler(make_cube_mesh(), grid)._chord_factors(
+        p, d, np.linalg.norm(d, axis=1), beta)
+    return cells, w
+
+
+def chord_integral(receiver, source, grid, field, beta):
+    """Chord integral of a cellwise-constant field against exp(-beta s)."""
+    cells, w = chord_factors(receiver, source, grid, beta)
+    return float(w @ np.asarray(field, dtype=float)[cells])
+
+
 def test_uniform_field_has_closed_form():
     grid = VoxelGrid([0, 0, 0], 0.25, [4, 4, 4])
     field = np.full(grid.n_cells, 3.0)
     receiver = [0.0, 0.5, 0.5]
     source = [1.0, 0.5, 0.5]
     beta = 1.7
-    got = path_source_integral(receiver, source, grid, field, beta)
+    got = chord_integral(receiver, source, grid, field, beta)
     assert got == pytest.approx(3.0 * (1.0 - math.exp(-beta)) / beta, rel=1e-12)
-    assert path_source_integral(receiver, source, grid, field, 0.0) == pytest.approx(3.0)
+    assert chord_integral(receiver, source, grid, field, 0.0) == pytest.approx(3.0)
 
 
 def test_attenuation_is_measured_from_the_receiver(rng):
@@ -196,8 +203,8 @@ def test_attenuation_is_measured_from_the_receiver(rng):
     a = [0.0, 0.5, 0.5]
     b = [1.0, 0.5, 0.5]
     beta = 2.0
-    near_heavy = path_source_integral(a, b, grid, field, beta)
-    far_heavy = path_source_integral(b, a, grid, field, beta)
+    near_heavy = chord_integral(a, b, grid, field, beta)
+    far_heavy = chord_integral(b, a, grid, field, beta)
     # The bright cell sits next to a, so it is attenuated less seen from a.
     assert near_heavy > far_heavy
     assert near_heavy == pytest.approx(dense_path_oracle(a, b, grid, field, beta), rel=1e-4)
@@ -210,7 +217,7 @@ def test_oblique_chord_matches_dense_oracle(rng):
     receiver = [0.05, 0.1, 0.3]
     source = [1.3, 1.2, 1.3]
     for beta in (0.0, 0.6, 3.0):
-        got = path_source_integral(receiver, source, grid, field, beta)
+        got = chord_integral(receiver, source, grid, field, beta)
         want = dense_path_oracle(receiver, source, grid, field, beta)
         assert got == pytest.approx(want, rel=2e-4)
 
@@ -219,8 +226,8 @@ def test_path_weights_stable_for_tiny_beta():
     grid = VoxelGrid([0, 0, 0], 0.125, [8, 1, 1])
     a = [0.0, 0.06, 0.06]
     b = [1.0, 0.06, 0.06]
-    _, w0 = path_factors(a, b, grid, 0.0)
-    _, w1 = path_factors(a, b, grid, 1e-12)
+    _, w0 = chord_factors(a, b, grid, 0.0)
+    _, w1 = chord_factors(a, b, grid, 1e-12)
     assert_allclose(w1, w0, rtol=1e-9)
 
 
@@ -229,6 +236,6 @@ def test_path_factors_cover_traversal():
     a = [0.1, 0.1, 0.1]
     b = [0.9, 0.9, 0.9]
     cells, weights = path_factors(a, b, grid, 0.0)
-    spans = traverse_voxels(Segment(a, b), grid)
+    spans = traverse_voxels(a, b, grid)
     assert len(cells) == len(spans)
     assert weights.sum() == pytest.approx(sum(s.s_exit - s.s_enter for s in spans), rel=1e-12)

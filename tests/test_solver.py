@@ -12,13 +12,12 @@ from conftest import make_cube_mesh
 from ritesolver.assembly import Assembler, SurfaceSystem, VolumeSystem
 from ritesolver.cli import builtin_case
 from ritesolver.geometry import SurfaceMesh, VoxelGrid
-from ritesolver.kernels import RadiativeProperties, blackbody_emission
+from ritesolver.kernels import RadiativeProperties, blackbody_emission, solvability_margin
 from ritesolver.solver import (
     NotConverged,
     SingularInnerSystem,
     SolverConfig,
     contraction_bound,
-    solvability_margin,
     solve_rites,
 )
 

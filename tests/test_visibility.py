@@ -1,4 +1,4 @@
-"""Facing tests, blocker listing, exact shadow clipping, sight indicator."""
+"""Active lists, blocker listing, exact shadow clipping, sight lines."""
 
 import math
 
@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ritesolver.geometry import SurfaceMesh, build_element
+from ritesolver.geometry import SurfaceMesh, segment_element_hits
 from ritesolver.visibility import (
     Classification,
     build_active_list,
-    chi_point,
     classify_visibility,
-    facing_test,
     screen_active_set,
 )
 from tests.conftest import make_cube_mesh
@@ -30,19 +28,32 @@ def plate(cx, cy, z, half):
     ]
 
 
+def quad_scene(*quads):
+    """An open scene of the given quads, element i being quads[i]."""
+    faces = [tuple(range(4 * i, 4 * i + 4)) for i in range(len(quads))]
+    return SurfaceMesh(np.concatenate(quads), faces, check_closed=False)
+
+
 def open_scene(*extra_quads):
     """Two facing unit squares plus occluders; bottom is element 0, top 1."""
-    nodes = []
-    faces = []
-    for quad in (BOTTOM, TOP, *extra_quads):
-        base = len(nodes)
-        nodes.extend(quad)
-        faces.append(tuple(range(base, base + 4)))
-    return SurfaceMesh(np.array(nodes), faces, check_closed=False)
+    return quad_scene(BOTTOM, TOP, *extra_quads)
 
 
 P_BOTTOM = np.array([0.5, 0.5, 0.0])
 N_BOTTOM = np.array([0.0, 0.0, 1.0])
+
+
+def faces(p, n_p, *quads):
+    """Whether the point p (normal n_p, None inside the medium) and each
+    quad face each other, as the active list decides it."""
+    active = build_active_list(np.asarray(p, dtype=float), n_p, quad_scene(*quads))
+    return [k in active for k in range(len(quads))]
+
+
+def sees(a, b, scene):
+    """Unobstructed sight between two points, endpoints excluded."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return not segment_element_hits(a[None, :], b[None, :], scene.arrays()).any()
 
 
 # ---------------------------------------------------------------------------
@@ -50,28 +61,21 @@ N_BOTTOM = np.array([0.0, 0.0, 1.0])
 
 
 def test_parallel_squares_face_each_other():
-    scene = open_scene()
-    assert facing_test(P_BOTTOM, N_BOTTOM, scene.elements[1])
+    assert faces(P_BOTTOM, N_BOTTOM, TOP) == [True]
 
 
 def test_flipped_normal_fails_facing():
-    flipped = build_element(np.array(TOP)[::-1])
-    assert not facing_test(P_BOTTOM, N_BOTTOM, flipped)
-    assert not facing_test(P_BOTTOM, -N_BOTTOM, open_scene().elements[1])
+    assert faces(P_BOTTOM, N_BOTTOM, TOP[::-1]) == [False]
+    assert faces(P_BOTTOM, -N_BOTTOM, TOP) == [False]
 
 
 def test_coplanar_configurations_are_not_facing():
-    side_by_side = build_element(plate(1.6, 0.5, 0.0, 0.5))
-    assert not facing_test(P_BOTTOM, N_BOTTOM, side_by_side)
-    above = build_element(plate(0.5, 0.5, 0.5, 0.2))
-    assert not facing_test(np.array([0.5, 0.5, 0.5]), N_BOTTOM, above)
+    assert faces(P_BOTTOM, N_BOTTOM, plate(1.6, 0.5, 0.0, 0.5)) == [False]
+    assert faces([0.5, 0.5, 0.5], N_BOTTOM, plate(0.5, 0.5, 0.5, 0.2)) == [False]
 
 
 def test_medium_point_uses_single_sided_test():
-    scene = open_scene()
-    mid = np.array([0.5, 0.5, 0.4])
-    assert facing_test(mid, None, scene.elements[0])
-    assert facing_test(mid, None, scene.elements[1])
+    assert faces([0.5, 0.5, 0.4], None, BOTTOM, TOP) == [True, True]
 
 
 def test_active_list_on_cube_face_point():
@@ -307,15 +311,15 @@ def test_cull_free_classification_is_identical():
 
 def test_chi_point_on_cube_pairs():
     mesh = make_cube_mesh()
-    assert chi_point([0.5, 0.5, 0.0], [0.5, 0.5, 1.0], mesh) == 1
-    assert chi_point([0.1, 0.1, 0.0], [0.9, 0.9, 1.0], mesh) == 1
-    assert chi_point([0.5, 0.5, 0.5], [0.5, 0.5, 0.0], mesh) == 1
+    assert sees([0.5, 0.5, 0.0], [0.5, 0.5, 1.0], mesh)
+    assert sees([0.1, 0.1, 0.0], [0.9, 0.9, 1.0], mesh)
+    assert sees([0.5, 0.5, 0.5], [0.5, 0.5, 0.0], mesh)
 
 
 def test_chi_point_detects_occluder():
     scene = open_scene(plate(0.5, 0.5, 0.5, 0.2))
-    assert chi_point([0.5, 0.5, 0.0], [0.5, 0.5, 1.0], scene) == 0
-    assert chi_point([0.05, 0.05, 0.0], [0.05, 0.05, 1.0], scene) == 1
+    assert not sees([0.5, 0.5, 0.0], [0.5, 0.5, 1.0], scene)
+    assert sees([0.05, 0.05, 0.0], [0.05, 0.05, 1.0], scene)
 
 
 def test_chi_point_symmetry(rng):
@@ -325,7 +329,7 @@ def test_chi_point_symmetry(rng):
         b = rng.uniform([0, 0, 0], [1, 1, 1])
         if np.linalg.norm(a - b) < 1e-6:
             continue
-        assert chi_point(a, b, scene) == chi_point(b, a, scene)
+        assert sees(a, b, scene) == sees(b, a, scene)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,7 @@ def test_chi_point_symmetry(rng):
 
 
 def sampled_fraction(scene, p, element, n_side=120):
-    """Stratified chi average over the element; brute-force ground truth."""
+    """Stratified sight-line average over the element; brute-force ground truth."""
     u = (np.arange(n_side) + 0.5) / n_side
     uu, vv = np.meshgrid(u, u)
     v = element.vertices
@@ -342,8 +346,8 @@ def sampled_fraction(scene, p, element, n_side=120):
         + np.outer(uu.ravel(), v[1] - v[0])
         + np.outer(vv.ravel(), v[3] - v[0])
     )
-    hits = np.array([chi_point(p, q, scene) for q in pts])
-    return hits.mean()
+    hits = segment_element_hits(np.broadcast_to(p, pts.shape), pts, scene.arrays())
+    return 1.0 - hits.any(axis=1).mean()
 
 
 def test_fraction_tracks_ray_oracle():
