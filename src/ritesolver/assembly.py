@@ -161,25 +161,29 @@ def _keep_freed_heap() -> None:
 # Shape functions
 
 
-def quad_flux_shapes(uv: np.ndarray) -> np.ndarray:
+# Quad bases are products of a xi factor and an eta factor, one per node or
+# corner, and are component-major: xi and eta (same number of axes) give
+# (4, ...), the broadcast of the two. On a tensor grid, with xi and eta along
+# different axes, each factor is evaluated only at the distinct values of
+# its coordinate.
+
+
+def quad_flux_shapes(xi, eta) -> np.ndarray:
     """Nodal interpolants on the 2x2 Gauss nodes; delta at nodes, sum 1."""
-    xi = uv[:, 0][:, None]
-    eta = uv[:, 1][:, None]
-    xa = QUAD_NODES_UV[:, 0][None, :]
-    ea = QUAD_NODES_UV[:, 1][None, :]
-    return 0.25 * (1.0 + 3.0 * xa * xi) * (1.0 + 3.0 * ea * eta)
+    xa, ea = 3.0 * QUAD_NODES_UV.T
+    return 0.25 * (1.0 + np.multiply.outer(xa, xi)) * (1.0 + np.multiply.outer(ea, eta))
 
 
 def tri_flux_shapes(bary: np.ndarray) -> np.ndarray:
-    """Nodal interpolants on the symmetric triangle nodes."""
+    """Nodal interpolants on the symmetric triangle nodes, (3, ...) from
+    barycentric coordinates (3, ...)."""
     return 2.0 * bary - 1.0 / 3.0
 
 
-def quad_vertex_shapes(uv: np.ndarray) -> np.ndarray:
+def quad_vertex_shapes(xi, eta) -> np.ndarray:
     """Standard bilinear corner basis for interpolating nodal data."""
-    xi = uv[:, 0][:, None]
-    eta = uv[:, 1][:, None]
-    return 0.25 * (1.0 + _CORNERS[None, :, 0] * xi) * (1.0 + _CORNERS[None, :, 1] * eta)
+    xc, ec = _CORNERS.T
+    return 0.25 * (1.0 + np.multiply.outer(xc, xi)) * (1.0 + np.multiply.outer(ec, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +234,16 @@ class ElementRule:
     weights include the surface Jacobian, so sum(weights) is the physical
     area covered. flux_shapes and vertex_shapes are evaluated at the points
     in the ROOT element's intrinsic coordinates; triangles pad them with a
-    zero fourth column.
+    zero fourth column. The (n, 3) and (n, 4) arrays are column-major
+    (Fortran order), so points.T and the shapes' .T are contiguous
+    component-major blocks that a row concatenates and computes on along
+    the points.
     """
 
-    points: np.ndarray        # (n, 3)
+    points: np.ndarray        # (n, 3), Fortran order
     weights: np.ndarray       # (n,)
-    flux_shapes: np.ndarray   # (n, 4)
-    vertex_shapes: np.ndarray  # (n, 4)
+    flux_shapes: np.ndarray   # (n, 4), Fortran order
+    vertex_shapes: np.ndarray  # (n, 4), Fortran order
 
 
 def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> ElementRule:
@@ -244,12 +251,11 @@ def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> Elemen
 
     verts4 is (m, 4, 3) and cells (m, c, 4), the boxes of each quad.
     Returns the rule quad by quad and box by box; each quad's part equals
-    what it gives alone, bit for bit. Every factor that varies along one
-    intrinsic axis is evaluated at the box's order distinct xi or eta
-    values and broadcast over its order x order points: the Jacobian's
-    x_xi (from eta) and x_eta (from xi), and both shape bases, which are
-    products of a xi factor and an eta factor. The arithmetic per point
-    is that of bilinear_jacobian and the quad shape functions.
+    what it gives alone, bit for bit. Each box's points form an order x
+    order grid with xi along the first axis and eta along the second, so
+    the map, its Jacobian and the shape bases broadcast over that grid and
+    evaluate every factor that varies along one intrinsic axis at the
+    box's order distinct xi or eta values only.
     """
     x, _ = _gauss_1d(order)
     _, w = quad_rule(order)
@@ -257,25 +263,13 @@ def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> Elemen
     xi0, xi1, eta0, eta1 = np.moveaxis(cells, -1, 0)[..., None]
     xs = xi0 + 0.5 * (x + 1.0) * (xi1 - xi0)          # (m, c, o)
     es = eta0 + 0.5 * (x + 1.0) * (eta1 - eta0)
-    root = np.empty((m, c, order, order, 2))
-    root[..., 0] = xs[..., :, None]
-    root[..., 1] = es[..., None, :]
-    root = root.reshape(m, -1, 2)
-
-    xi, eta = xs[..., None], es[..., None]
-    dxi, deta = bilinear_tangents(verts4[:, None, None], xi, eta)   # (m, c, o, 3)
-    jac = np.linalg.norm(cross3(dxi[..., None, :, :], deta[..., :, None, :]), axis=-1)
+    xi, eta = xs[..., :, None], es[..., None, :]      # (m, c, o, 1), (m, c, 1, o)
+    verts = verts4[:, None, None, None]
     scale = 0.25 * (xi1 - xi0) * (eta1 - eta0)
-    weights = w * jac.reshape(m, c, -1) * scale
-
-    def outer(fx, fe):
-        return (fx[..., :, None, :] * fe[..., None, :, :]).reshape(-1, 4)
-
-    xn, en = QUAD_NODES_UV[:, 0], QUAD_NODES_UV[:, 1]
-    flux = outer(0.25 * (1.0 + 3.0 * xn * xi), 1.0 + 3.0 * en * eta)
-    vertex = outer(0.25 * (1.0 + _CORNERS[:, 0] * xi), 1.0 + _CORNERS[:, 1] * eta)
-    return ElementRule(bilinear_points(verts4, root).reshape(-1, 3), weights.ravel(),
-                       flux, vertex)
+    weights = w * bilinear_jacobian(verts, xi, eta).reshape(m, c, -1) * scale
+    return ElementRule(bilinear_points(verts, xi, eta).reshape(3, -1).T, weights.ravel(),
+                       quad_flux_shapes(xi, eta).reshape(4, -1).T,
+                       quad_vertex_shapes(xi, eta).reshape(4, -1).T)
 
 
 def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
@@ -294,12 +288,16 @@ def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
 
 
 def _shaped_rule(element: SurfaceElement, points, weights, coords) -> ElementRule:
-    """Attach shapes at root intrinsic coordinates, padded to four columns."""
+    """Attach shapes at root intrinsic coordinates (n, 2 or 3), padded to
+    four columns, and store the rule column-major."""
     if element.is_quad:
-        return ElementRule(points, weights, quad_flux_shapes(coords), quad_vertex_shapes(coords))
-    pad = np.zeros((len(coords), 1))
-    return ElementRule(points, weights, np.hstack([tri_flux_shapes(coords), pad]),
-                       np.hstack([coords, pad]))
+        xi, eta = coords.T
+        flux, vertex = quad_flux_shapes(xi, eta), quad_vertex_shapes(xi, eta)
+    else:
+        flux, vertex = np.zeros((2, 4, len(coords)))
+        flux[:3] = tri_flux_shapes(coords.T)
+        vertex[:3] = coords.T
+    return ElementRule(np.asfortranarray(points), weights, flux.T, vertex.T)
 
 
 def element_rule(element: SurfaceElement, order: int, toward=None) -> ElementRule:
@@ -387,8 +385,10 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points)
     for _ in range(8):
         cur = uv[live]
         vl = v[live]
-        r = bilinear_points(vl, cur[:, None])[:, 0] - foot[live]
-        dxi, deta = bilinear_tangents(vl, cur[:, 0:1], cur[:, 1:2])
+        # dot() takes contiguous point-major rows.
+        xi, eta = cur.T
+        r = np.ascontiguousarray(bilinear_points(vl, xi, eta).T) - foot[live]
+        dxi, deta = (np.ascontiguousarray(t.T) for t in bilinear_tangents(vl, xi, eta))
         jtj = np.empty((live.size, 2, 2))
         jtj[:, 0, 0] = dot(dxi, dxi)
         jtj[:, 0, 1] = jtj[:, 1, 0] = dot(dxi, deta)
@@ -489,8 +489,8 @@ def collocation_points(mesh: SurfaceMesh, grid: VoxelGrid) -> CollocationSet:
     for k, e in enumerate(mesh.elements):
         first.append(dof)
         if e.is_quad:
-            p = bilinear_points(e.vertices, QUAD_NODES_UV)
-            w = bilinear_jacobian(e.vertices, QUAD_NODES_UV)
+            p = np.ascontiguousarray(bilinear_points(e.vertices, *QUAD_NODES_UV.T).T)
+            w = bilinear_jacobian(e.vertices, *QUAD_NODES_UV.T)
             m = 4
         else:
             p = TRI_NODES_BARY @ e.vertices
@@ -605,6 +605,13 @@ class Assembler:
     segment is kept between property points. The medium blocks Fmat and
     Umat have one column per interior unknown.
 
+    A row's quadrature data is component-major: points and their
+    differences from the source point are (3, n) and shape bases (4, n),
+    so every array operation runs along the n quadrature points rather
+    than along x, y, z. Per-element data (normals, flux-unknown columns,
+    vertex emission) is repeated out to the points from (3, E) and (4, E)
+    tables.
+
     The first Assembler of a process raises glibc's heap trim threshold
     for the whole process (see _keep_freed_heap), so each row reuses the
     pages the previous row freed instead of faulting them in again.
@@ -616,12 +623,14 @@ class Assembler:
         self.grid = grid
         self.collocation = collocation_points(mesh, grid)
         self.arrays = mesh.arrays()
-        # Flux-unknown columns per element, (E, 4) aligned with the padded
+        # Flux-unknown columns per element, (4, E) aligned with the padded
         # shapes: a triangle's fourth column is clipped into range and
         # meets an exactly-zero shape value.
         col = self.collocation
-        self._columns = np.minimum(col.element_first_dof[:, None] + np.arange(4),
+        self._columns = np.minimum(np.arange(4)[:, None] + col.element_first_dof,
                                    col.n_boundary - 1)
+        # Element normals component-major, (3, E), to gather per point.
+        self._normals = np.ascontiguousarray(self.arrays.normals.T)
         eps = self.arrays.emissivities
         self._reflectance = (1.0 - eps) / eps
         self.row_plans: dict[tuple[str, int], RowPlan] = {}
@@ -688,8 +697,11 @@ class Assembler:
         """Concatenated quadrature data over all visible element portions.
 
         Returns None when nothing is radiatively connected to the point,
-        otherwise (points, weights, element_ids, flux_shapes, vertex_shapes),
-        element by element in the plan's order.
+        otherwise (points, weights, elements, counts, flux_shapes,
+        vertex_shapes), element by element in the plan's order: counts[i]
+        points come from element elements[i]. Points (3, n) and shapes
+        (4, n) are component-major and C-contiguous, the rules' transposes
+        joined along the points.
         """
         plan = self._row_plan(kind, pidx, p, normal, source_element)
         near = {}
@@ -705,7 +717,7 @@ class Assembler:
                 near[j] = ElementRule(rule.points[cut], rule.weights[cut],
                                       rule.flux_shapes[cut], rule.vertex_shapes[cut])
 
-        pts, wts, eids, fsh, vsh = [], [], [], [], []
+        pts, wts, ks, counts, fsh, vsh = [], [], [], [], [], []
         for j, (k, order, vis, toward) in enumerate(
                 zip(plan.elements.tolist(), plan.orders.tolist(), plan.visibility, plan.towards)):
             if vis.classification is Classification.FULLY_BLOCKED:
@@ -718,30 +730,33 @@ class Assembler:
                 rule = near[j]
             else:
                 rule = element_rule(self.mesh.elements[k], order, toward)
-            pts.append(rule.points)
+            pts.append(rule.points.T)
             wts.append(rule.weights)
-            eids.append(np.full(rule.points.shape[0], k))
-            fsh.append(rule.flux_shapes)
-            vsh.append(rule.vertex_shapes)
+            ks.append(k)
+            counts.append(rule.points.shape[0])
+            fsh.append(rule.flux_shapes.T)
+            vsh.append(rule.vertex_shapes.T)
         if not pts:
             return None
         return (
-            np.concatenate(pts),
+            np.concatenate(pts, axis=1),
             np.concatenate(wts),
-            np.concatenate(eids),
-            np.concatenate(fsh),
-            np.concatenate(vsh),
+            np.array(ks),
+            np.array(counts),
+            np.concatenate(fsh, axis=1),
+            np.concatenate(vsh, axis=1),
         )
 
     def _chord_factors(self, p: np.ndarray, d: np.ndarray, lengths: np.ndarray, beta: float):
         """Per-cell attenuated path weights for the chords p -> p + d, batched.
 
-        d is (n, 3) and lengths its row norms. Returns flat (point, cell,
-        weight) arrays with one entry per chord segment of positive length,
-        point by point and in order along each chord, so the work scales
-        with the cells the chords cross. Per point, the weights sum to the
-        exact chord integral of exp(-beta s) with s from p. Chords are
-        assumed inside the grid box (enclosure chords always are).
+        d is component-major, (3, n), and lengths its column norms. Returns
+        flat (point, cell, weight) arrays with one entry per chord segment
+        of positive length, point by point and in order along each chord,
+        so the work scales with the cells the chords cross. Per point, the
+        weights sum to the exact chord integral of exp(-beta s) with s from
+        p. Chords are assumed inside the grid box (enclosure chords always
+        are).
         """
         grid = self.grid
         lo, _ = grid.box()
@@ -750,13 +765,13 @@ class Assembler:
         planes = lo[axis] + index * grid.spacing[axis]
         # Crossing parameters of every grid plane; a plane the chord does
         # not cross sorts to the end point, t = 1, and leaves an empty slot.
-        t = np.empty((len(d), planes.size + 2))
+        t = np.empty((d.shape[1], planes.size + 2))
         t[:, 0], t[:, -1] = 0.0, 1.0
+        inner = t[:, 1:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            inner = (planes - p[axis]) / d[:, axis]
+            np.divide((planes - p[axis])[:, None], d[axis], out=inner.T)
         inner[~((inner > 0.0) & (inner < 1.0))] = 1.0
         inner.sort(axis=1)
-        t[:, 1:-1] = inner
         dt = np.diff(t, axis=1).ravel()
         live = np.flatnonzero(dt > 0.0)
         point = live // (planes.size + 1)
@@ -766,7 +781,7 @@ class Assembler:
         cells = np.zeros(live.size, dtype=int)
         stride = 1
         for a in range(3):
-            ia = np.floor((p[a] + mid * d[:, a][point] - lo[a]) / grid.spacing[a]).astype(int)
+            ia = np.floor((p[a] + mid * d[a][point] - lo[a]) / grid.spacing[a]).astype(int)
             cells += stride * np.clip(ia, 0, grid.dims[a] - 1)
             stride *= int(grid.dims[a])
         length = lengths[point]
@@ -794,7 +809,7 @@ class Assembler:
             rx = self.arrays.emissivities[own]
             local = r - col.element_first_dof[own]
             if self.mesh.elements[own].is_quad:
-                eb_p = float(quad_vertex_shapes(QUAD_NODES_UV[[local]])[0] @ eb_vertices[own])
+                eb_p = float(quad_vertex_shapes(*QUAD_NODES_UV[local]) @ eb_vertices[own])
             else:
                 eb_p = float(TRI_NODES_BARY[local] @ eb_vertices[own, :3])
             src[r] = -rx * eb_p
@@ -809,21 +824,30 @@ class Assembler:
         gathered = self._gather_row_rule(kind, r, p, normal, own)
         if gathered is None:
             return
-        pts, w, eids, fshape, vshape = gathered
-        diff = pts - p[None, :]
-        dist = np.linalg.norm(diff, axis=1)
-        cos_p, cos_r = sight_cosines(diff, dist, self.arrays.normals[eids], normal)
+        pts, w, elements, counts, fshape, vshape = gathered
+
+        def per_point(per_element):
+            # Repeating each element's column is several times faster than
+            # fancy-indexing the columns of a component-major table.
+            return np.repeat(per_element, counts, axis=-1)
+
+        diff = pts - p[:, None]
+        dist = np.linalg.norm(diff, axis=0)
+        cos_p, cos_r = sight_cosines(diff, dist, per_point(self._normals[:, elements]), normal)
         geo = projected_solid_angle(cos_p, cos_r, dist, w)
 
         # Direct transport of the reflected part of the wall radiosity.
         direct_k = kernel_prefactor(direct, props, dist) * geo
         # bincount adds in input order from 0.0, as add.at into a zero row.
+        # Each column still takes its points in order; a triangle's padded
+        # fourth slot adds exact zeros.
         refl_block[r] = np.bincount(
-            self._columns[eids].ravel(),
-            ((rx * self._reflectance[eids] * direct_k)[:, None] * fshape).ravel(),
+            per_point(self._columns[:, elements]).ravel(),
+            (per_point(rx * self._reflectance[elements]) * direct_k * fshape).ravel(),
             minlength=col.n_boundary,
         )
-        eb_pts = np.einsum("nv,nv->n", vshape, eb_vertices[eids])
+        vs, eb = vshape, per_point(eb_vertices.T[:, elements])
+        eb_pts = (vs[0] * eb[0] + vs[2] * eb[2]) + (vs[1] * eb[1] + vs[3] * eb[3])
         src[r] += rx * float(direct_k @ eb_pts)
 
         # Chord-coupled terms share the geometric factor without attenuation.
@@ -831,7 +855,7 @@ class Assembler:
             point, cells, cw = self._chord_factors(p, diff, dist, props.beta)
             if props.sigma_a > 0.0:
                 src[r] += kernel_prefactor(emission, props, dist, rx) * float(
-                    geo @ np.bincount(point, cw * ib_cells[cells], minlength=len(pts))
+                    geo @ np.bincount(point, cw * ib_cells[cells], minlength=len(dist))
                 )
             if props.sigma_s > 0.0:
                 scatter_block[r] = kernel_prefactor(scatter, props, dist, rx) * np.bincount(

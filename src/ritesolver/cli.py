@@ -223,9 +223,17 @@ def generate_case(kind: str, resolution: int, out_dir) -> Path:
 # Configuration
 
 
+# Longest file name, in bytes, that common file systems accept.
+_NAME_MAX = 255
+
+
 @dataclass(frozen=True)
 class ProfileSpec:
-    """One sampled line: where it runs, how densely, and what it reads."""
+    """One sampled line: where it runs, how densely, and what it reads.
+
+    Its CSV, profile_<name>.csv, is written after the solve, so a name the
+    file system cannot take is refused here, before any work starts.
+    """
 
     name: str
     start: tuple[float, float, float]
@@ -237,6 +245,10 @@ class ProfileSpec:
         # The name becomes part of a file name in the output directory.
         if "/" in self.name or "\0" in self.name or self.name in (".", ".."):
             raise ConfigError(f"profile {self.name!r}: name must not be a path")
+        size = len(f"profile_{self.name}.csv".encode())
+        if size > _NAME_MAX:
+            raise ConfigError(f"profile {self.name[:16]!r}...: file name profile_<name>.csv "
+                              f"takes {size} bytes, more than {_NAME_MAX}")
         if not isinstance(self.samples, numbers.Integral) or isinstance(self.samples, bool):
             raise ConfigError(f"profile {self.name!r}: samples must be an integer, "
                               f"got {self.samples!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,18 +77,20 @@ def as_point(p) -> np.ndarray:
     return a
 
 
-def cross3(a, b) -> np.ndarray:
-    """Cross product over the last axis.
+def cross3(a, b, axis: int = -1) -> np.ndarray:
+    """Cross product over the given axis, the last by default.
 
     Component formulas avoid the axis bookkeeping of np.cross, which
-    dominates profiles when called on many small batches.
+    dominates profiles when called on many small batches. axis=0 takes
+    component-major (3, ...) arrays, so each product runs along the points.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    a, b, c = (x.swapaxes(0, axis) for x in (a, b, out))
+    c[0] = a[1] * b[2] - a[2] * b[1]
+    c[1] = a[2] * b[0] - a[0] * b[2]
+    c[2] = a[0] * b[1] - a[1] * b[0]
     return out
 
 
@@ -220,10 +222,6 @@ class ElementArrays:
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
-    def take(self, indices) -> "ElementArrays":
-        """The listed elements, in the given order."""
-        return ElementArrays(*(getattr(self, f.name)[indices] for f in fields(self)))
-
 
 def segment_element_hits(starts, ends, arrays: ElementArrays, indices=None) -> np.ndarray:
     """Open-segment intersection mask, shape (S, E).
@@ -327,50 +325,60 @@ def tri_cells(toward=None) -> np.ndarray:
     return np.array([[c[0], m01, m20], [m01, c[1], m12], [m20, m12, c[2]], [m01, m12, m20]])
 
 
-def bilinear_points(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Map intrinsic (xi, eta) in [-1, 1]^2 to physical points.
+def _vertex_rows(verts4, xi, eta) -> np.ndarray:
+    """Vertices (..., 4, 3) as (4, 3, ...), with leading axes of length one
+    added so that vertex k's coordinates (3, ...) broadcast with xi and eta."""
+    v = np.asarray(verts4)
+    lead = max(np.ndim(xi), np.ndim(eta), v.ndim - 2)
+    v = v.reshape((1,) * (lead - v.ndim + 2) + v.shape)
+    return v.transpose(lead, lead + 1, *range(lead))
 
-    verts4 (..., 4, 3) and uv (..., n, 2) broadcast over their leading axes,
-    giving (..., n, 3); stacked elements map exactly as one at a time.
+
+def bilinear_points(verts4: np.ndarray, xi, eta) -> np.ndarray:
+    """Map intrinsic (xi, eta) in [-1, 1]^2 to physical points, (3, ...).
+
+    Component-major: the result's first axis is x, y, z and the rest is
+    the broadcast of verts4's leading axes (verts4 is (..., 4, 3)) with xi
+    and eta, so every product runs along the points. Stacked elements map
+    exactly as one at a time.
     """
-    v = np.asarray(verts4)[..., None, :, :]
-    xi = uv[..., 0][..., None]
-    eta = uv[..., 1][..., None]
+    v = _vertex_rows(verts4, xi, eta)
     return 0.25 * (
-        (1 - xi) * (1 - eta) * v[..., 0, :]
-        + (1 + xi) * (1 - eta) * v[..., 1, :]
-        + (1 + xi) * (1 + eta) * v[..., 2, :]
-        + (1 - xi) * (1 + eta) * v[..., 3, :]
+        (1 - xi) * (1 - eta) * v[0]
+        + (1 + xi) * (1 - eta) * v[1]
+        + (1 + xi) * (1 + eta) * v[2]
+        + (1 - xi) * (1 + eta) * v[3]
     )
 
 
-def bilinear_tangents(verts4: np.ndarray, xi: np.ndarray, eta: np.ndarray):
-    """Tangents (x_xi, x_eta) of the bilinear map, each (..., 3).
+def bilinear_tangents(verts4: np.ndarray, xi, eta):
+    """Tangents (x_xi, x_eta) of the bilinear map, each (3, ...).
 
-    verts4 (..., 4, 3) broadcasts against xi and eta (..., 1). x_xi depends
-    on eta alone and x_eta on xi alone, so each can be evaluated at the
-    distinct values of one coordinate and broadcast over the other.
+    Broadcasts like bilinear_points. x_xi depends on eta alone and x_eta on
+    xi alone, so each is evaluated only at the distinct values of one
+    coordinate when xi and eta vary along different axes.
     """
-    v = np.asarray(verts4)
+    v = _vertex_rows(verts4, xi, eta)
     dxi = 0.25 * (
-        -(1 - eta) * v[..., 0, :] + (1 - eta) * v[..., 1, :]
-        + (1 + eta) * v[..., 2, :] - (1 + eta) * v[..., 3, :]
+        -(1 - eta) * v[0] + (1 - eta) * v[1]
+        + (1 + eta) * v[2] - (1 + eta) * v[3]
     )
     deta = 0.25 * (
-        -(1 - xi) * v[..., 0, :] - (1 + xi) * v[..., 1, :]
-        + (1 + xi) * v[..., 2, :] + (1 - xi) * v[..., 3, :]
+        -(1 - xi) * v[0] - (1 + xi) * v[1]
+        + (1 + xi) * v[2] + (1 - xi) * v[3]
     )
     return dxi, deta
 
 
-def bilinear_jacobian(verts4: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (..., n).
+def bilinear_jacobian(verts4: np.ndarray, xi, eta) -> np.ndarray:
+    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (...).
 
-    Broadcasts over leading axes like bilinear_points.
+    Broadcasts like bilinear_points. On a tensor grid (xi and eta along
+    different axes) the tangents are evaluated per distinct coordinate and
+    only the cross product and its norm run over every point.
     """
-    v = np.asarray(verts4)[..., None, :, :]
-    dxi, deta = bilinear_tangents(v, uv[..., 0][..., None], uv[..., 1][..., None])
-    return np.linalg.norm(cross3(dxi, deta), axis=-1)
+    dxi, deta = bilinear_tangents(verts4, xi, eta)
+    return np.linalg.norm(cross3(dxi, deta, axis=0), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +425,6 @@ class VoxelGrid:
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.origin, self.origin + self.spacing * self.dims
-
-    def flat_index(self, ix: int, iy: int, iz: int) -> int:
-        nx, ny, _ = self.dims
-        return int(ix + nx * (iy + ny * iz))
 
     def cell_centers(self) -> np.ndarray:
         """(n_cells, 3) centers in flat (x-fastest) order."""

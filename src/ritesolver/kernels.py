@@ -140,15 +140,20 @@ def transmittance(distance, beta: float):
 def sight_cosines(diff, dist, source_normals, receiver_normal=None):
     """Unclamped cosines (cos_p, cos_r) at the receiver and at the source.
 
-    diff (n, 3) holds source minus receiver, dist (n,) its lengths, and
-    source_normals (n, 3) the source normals. cos_p is exactly 1.0 for
-    interior receivers (receiver_normal None), so the projected solid angle
-    reduces to the plain one without rounding.
+    Component-major: diff (3, n) holds source minus receiver, dist (n,) its
+    lengths, and source_normals (3, n) the source normals. Each dot product
+    is a sum of components in a fixed order, so the result does not depend
+    on how the arguments are laid out in memory (a strided receiver normal
+    rounds like a contiguous one). cos_p is exactly 1.0 for interior
+    receivers (receiver_normal None), so the projected solid angle reduces
+    to the plain one without rounding.
     """
-    cos_r = -np.einsum("nj,nj->n", diff, source_normals) / dist
+    d, s = diff, source_normals
+    cos_r = -((d[0] * s[0] + d[2] * s[2]) + d[1] * s[1]) / dist
     if receiver_normal is None:
         return 1.0, cos_r
-    return np.einsum("nj,j->n", diff, receiver_normal) / dist, cos_r
+    r = receiver_normal
+    return ((d[0] * r[0] + d[1] * r[1]) + d[2] * r[2]) / dist, cos_r
 
 
 def projected_solid_angle(cos_p, cos_r, dist, weights=1.0):

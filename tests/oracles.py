@@ -25,6 +25,12 @@ class VoxelSpan(NamedTuple):
     s_exit: float
 
 
+def flat_index(grid, ix: int, iy: int, iz: int) -> int:
+    """Flat index of cell (ix, iy, iz) in the grid's x-fastest order."""
+    nx, ny, _ = grid.dims
+    return int(ix + nx * (iy + ny * iz))
+
+
 def traverse_voxels(start, end, grid) -> list[VoxelSpan]:
     """Decompose the segment start -> end into per-cell spans, one at a time.
 
@@ -97,7 +103,7 @@ def path_factors(receiver, source, grid, beta):
     the span; for beta = 0 it degenerates to the span length.
     """
     spans = traverse_voxels(receiver, source, grid)
-    cells = np.array([grid.flat_index(*sp.cell) for sp in spans], dtype=int)
+    cells = np.array([flat_index(grid, *sp.cell) for sp in spans], dtype=int)
     s0 = np.array([sp.s_enter for sp in spans])
     s1 = np.array([sp.s_exit for sp in spans])
     if beta > 0.0:

@@ -104,7 +104,7 @@ def test_partition_of_unity_gives_area():
     v=st.floats(0.0, 1.0, allow_nan=False),
 )
 def test_quad_flux_shapes_partition(u, v):
-    vals = quad_flux_shapes(np.array([[u, v]]))[0]
+    vals = quad_flux_shapes(u, v)
     assert vals.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -141,9 +141,10 @@ def element_integral(p, n_p, element, kind, props, shape=None, report=None):
         order, split = assembly._band(d / element.diameter)
         rule = element_rule(element, order, intrinsic_projection(element, p[None, :])[0]
                             if split else None)
-    diff = rule.points - p[None, :]
-    dist = np.linalg.norm(diff, axis=1)
-    cos_p, cos_r = sight_cosines(diff, dist, np.broadcast_to(element.normal, diff.shape), n_p)
+    diff = rule.points.T - p[:, None]
+    dist = np.linalg.norm(diff, axis=0)
+    cos_p, cos_r = sight_cosines(diff, dist, np.broadcast_to(element.normal[:, None], diff.shape),
+                                 n_p)
     vals = kernel_prefactor(kind, props, dist) * projected_solid_angle(
         cos_p, cos_r, dist, rule.weights)
     return float(vals.sum() if shape is None else vals @ rule.flux_shapes[:, shape])
@@ -266,15 +267,15 @@ def test_partial_integral_matches_masked_quadrature():
     c = (centers[:, None] + x[None, :] / cells).ravel()
     cw = np.tile(w / cells, cells)
     uv = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
-    weights = np.outer(cw, cw).ravel() * bilinear_jacobian(top.vertices, uv)
-    pts = bilinear_points(top.vertices, uv)
+    weights = np.outer(cw, cw).ravel() * bilinear_jacobian(top.vertices, *uv.T)
+    pts = bilinear_points(top.vertices, *uv.T).T
     hidden = segment_element_hits(np.broadcast_to(p, pts.shape), pts, scene.arrays()).any(axis=1)
     diff = pts - p
     dist = np.linalg.norm(diff, axis=1)
     props = props_for(2.0, sigma_a=0.5)
     kern = (np.exp(-props.beta * dist) / np.pi * (diff @ n_p) * -(diff @ top.normal) / dist**4
             * weights * ~hidden)
-    shapes = quad_flux_shapes(uv)
+    shapes = quad_flux_shapes(*uv.T).T
     for a in (None, 0, 1, 2, 3):
         want = kern.sum() if a is None else kern @ shapes[:, a]
         got = element_integral(p, n_p, top, KernelKind.WALL_TO_WALL, props, shape=a, report=report)
@@ -288,9 +289,9 @@ def test_intrinsic_projection_inverts_trapezoid_map():
     rot, _ = np.linalg.qr(np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.4], [0.2, 0.5, 1.0]]))
     e = build_element(flat @ rot.T + [0.5, -1.0, 2.0])
     uv = np.random.default_rng(7).uniform(-0.98, 0.98, (200, 2))
-    x = bilinear_points(e.vertices, uv)
+    x = bilinear_points(e.vertices, *uv.T).T
     back = intrinsic_projection(e, x + 0.3 * e.normal)
-    assert np.abs(bilinear_points(e.vertices, back) - x).max() < 1e-12
+    assert np.abs(bilinear_points(e.vertices, *back.T).T - x).max() < 1e-12
     assert np.abs(back - uv).max() < 1e-12
 
 
@@ -300,7 +301,7 @@ def test_intrinsic_projection_stops_at_the_clamp(monkeypatch):
     # to where it stood, so the point retires after two solves, not eight.
     e = build_element(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.5, 1.0, 0.0],
                                 [0.5, 1.0, 0.0]]))
-    foot = bilinear_points(e.vertices, np.array([[4.0, 0.3]]))
+    foot = bilinear_points(e.vertices, np.array([4.0]), np.array([0.3])).T
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
@@ -376,11 +377,34 @@ def test_stacked_quad_rules_match_element_rules(case):
         root = np.stack([xi0 + 0.5 * (uv[:, 0] + 1.0) * (xi1 - xi0),
                          eta0 + 0.5 * (uv[:, 1] + 1.0) * (eta1 - eta0)], axis=-1).reshape(-1, 2)
         scale = np.repeat(0.25 * (xi1 - xi0) * (eta1 - eta0), len(w))
-        weights = np.tile(w, len(cells[i])) * bilinear_jacobian(e.vertices, root) * scale
-        assert np.array_equal(rule.points, bilinear_points(e.vertices, root))
+        weights = np.tile(w, len(cells[i])) * bilinear_jacobian(e.vertices, *root.T) * scale
+        assert np.array_equal(rule.points, bilinear_points(e.vertices, *root.T).T)
         assert np.array_equal(rule.weights, weights)
-        assert np.array_equal(rule.flux_shapes, quad_flux_shapes(root))
-        assert np.array_equal(rule.vertex_shapes, quad_vertex_shapes(root))
+        assert np.array_equal(rule.flux_shapes, quad_flux_shapes(*root.T).T)
+        assert np.array_equal(rule.vertex_shapes, quad_vertex_shapes(*root.T).T)
+
+
+def test_row_quadrature_is_component_major():
+    # Every per-point array of a row runs along the points: each rule keeps
+    # (n, 3) points in Fortran order, so points.T is one contiguous block,
+    # and a row's gathered points and shapes are C-contiguous (3, n) and
+    # (4, n). The dented cube has quads, triangles and partly visible pairs.
+    for element in (unit_square(), build_element(BOTTOM[:3])):
+        rule = element_rule(element, 4)
+        assert rule.points.shape == (len(rule.weights), 3)
+        assert rule.points.T.flags.c_contiguous
+    mesh = make_dented_cube_mesh()
+    asm = Assembler(mesh, VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2]))
+    col = asm.collocation
+    for r in range(col.n_boundary):
+        pts, w, elements, counts, fshape, vshape = asm._gather_row_rule(
+            "b", r, col.boundary_points[r], col.boundary_normals[r], int(col.boundary_element[r]))
+        n = counts.sum()
+        assert pts.shape == (3, n) and w.shape == (n,) and len(elements) == len(counts)
+        assert fshape.shape == vshape.shape == (4, n)
+        assert pts.flags.c_contiguous and fshape.flags.c_contiguous and vshape.flags.c_contiguous
+    assert any(v.classification is Classification.PARTIALLY_VISIBLE
+               for plan in asm.row_plans.values() for v in plan.visibility)
 
 
 def test_discrete_reciprocity_cube_faces():
@@ -411,8 +435,8 @@ def test_discrete_reciprocity_cube_faces():
 
 
 def _chords(asm, p, targets, beta):
-    d = targets - p[None, :]
-    return asm._chord_factors(p, d, np.linalg.norm(d, axis=1), beta)
+    d = targets.T - p[:, None]
+    return asm._chord_factors(p, d, np.linalg.norm(d, axis=0), beta)
 
 
 def test_chord_factors_match_path_factors():

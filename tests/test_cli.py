@@ -190,6 +190,7 @@ BAD_CONFIG_VALUES = {
     "name_dot": one_profile(name="."),
     "name_dotdot": one_profile(name=".."),
     "name_nul": one_profile(name="a\0b"),
+    "name_too_long": one_profile(name="x" * 300),
     "profiles_number": {"profiles": 5},
     "sigma_a_negative": {"sigma_a": -1},
     "sigma_a_text": {"sigma_a": "x"},

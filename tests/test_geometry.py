@@ -30,7 +30,7 @@ from ritesolver.geometry import (
     write_mesh_file,
 )
 from tests.conftest import CUBE_FACES, CUBE_NODES, make_cube_mesh
-from tests.oracles import OutsideGrid, traverse_voxels
+from tests.oracles import OutsideGrid, flat_index, traverse_voxels
 
 UNIT_TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 UNIT_QUAD = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -105,7 +105,8 @@ def cell_corners(element, cells):
     """Physical corners of reference cells, in element orientation."""
     if element.is_quad:
         return [
-            bilinear_points(element.vertices, np.array([[x0, e0], [x1, e0], [x1, e1], [x0, e1]]))
+            bilinear_points(element.vertices, np.array([x0, x1, x1, x0]),
+                            np.array([e0, e0, e1, e1])).T
             for x0, x1, e0, e1 in cells
         ]
     return list(cells @ element.vertices)
@@ -221,22 +222,23 @@ def test_tri_split_fans_only_from_inner_targets(toward, n_cells):
 
 
 def test_bilinear_maps_of_stacked_quads_match_single_calls():
-    # Stacked vertices (m, 4, 3) with points (m, n, 2) must give exactly
+    # Stacked vertices (m, 1, 4, 3) with points (m, n) must give exactly
     # what each quad gives alone, so batched rules keep their bits.
     rng = np.random.default_rng(5)
     verts = UNIT_QUAD + rng.uniform(-0.3, 0.3, (6, 4, 3))
-    uv = rng.uniform(-1.0, 1.0, (6, 50, 2))
-    points = bilinear_points(verts, uv)
-    jac = bilinear_jacobian(verts, uv)
-    assert points.shape == (6, 50, 3) and jac.shape == (6, 50)
+    xi, eta = rng.uniform(-1.0, 1.0, (2, 6, 50))
+    points = bilinear_points(verts[:, None], xi, eta)
+    jac = bilinear_jacobian(verts[:, None], xi, eta)
+    assert points.shape == (3, 6, 50) and jac.shape == (6, 50)
     for i in range(6):
-        assert np.array_equal(points[i], bilinear_points(verts[i], uv[i]))
-        assert np.array_equal(jac[i], bilinear_jacobian(verts[i], uv[i]))
+        assert np.array_equal(points[:, i], bilinear_points(verts[i], xi[i], eta[i]))
+        assert np.array_equal(jac[i], bilinear_jacobian(verts[i], xi[i], eta[i]))
 
 
 def test_cross3_matches_np_cross():
     a, b = np.random.default_rng(9).normal(size=(2, 100_000, 3))
     assert np.array_equal(cross3(a, b), np.cross(a, b))
+    assert np.array_equal(cross3(a.T, b.T, axis=0), np.cross(a, b).T)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +422,7 @@ def test_flat_index_is_x_fastest():
     for iz in range(4):
         for iy in range(3):
             for ix in range(2):
-                assert grid.flat_index(ix, iy, iz) == flat
+                assert flat_index(grid, ix, iy, iz) == flat
                 flat += 1
 
 
@@ -428,10 +430,10 @@ def test_cell_centers_align_with_flat_order():
     grid = VoxelGrid([1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [2, 2, 2])
     centers = grid.cell_centers()
     assert centers.shape == (8, 3)
-    assert_allclose(centers[grid.flat_index(0, 0, 0)], [1.25, 2.5, 4.0])
-    assert_allclose(centers[grid.flat_index(1, 0, 0)], [1.75, 2.5, 4.0])
-    assert_allclose(centers[grid.flat_index(0, 1, 0)], [1.25, 3.5, 4.0])
-    assert_allclose(centers[grid.flat_index(1, 1, 1)], [1.75, 3.5, 6.0])
+    assert_allclose(centers[flat_index(grid, 0, 0, 0)], [1.25, 2.5, 4.0])
+    assert_allclose(centers[flat_index(grid, 1, 0, 0)], [1.75, 2.5, 4.0])
+    assert_allclose(centers[flat_index(grid, 0, 1, 0)], [1.25, 3.5, 4.0])
+    assert_allclose(centers[flat_index(grid, 1, 1, 1)], [1.75, 3.5, 6.0])
 
 
 def test_grid_validation_errors():

@@ -85,10 +85,10 @@ def kernel_value(kind, receiver, receiver_normal, source, source_normal, props):
 
     receiver_normal is None for interior receivers.
     """
-    diff = np.array([source], dtype=float) - np.array(receiver, dtype=float)
-    dist = np.linalg.norm(diff, axis=1)
+    diff = (np.array(source, dtype=float) - np.array(receiver, dtype=float))[:, None]
+    dist = np.linalg.norm(diff, axis=0)
     n_p = None if receiver_normal is None else np.array(receiver_normal, dtype=float)
-    cos_p, cos_r = sight_cosines(diff, dist, np.array([source_normal], dtype=float), n_p)
+    cos_p, cos_r = sight_cosines(diff, dist, np.array(source_normal, dtype=float)[:, None], n_p)
     geo = projected_solid_angle(cos_p, cos_r, dist)
     return float((kernel_prefactor(kind, props, dist) * geo)[0])
 
@@ -113,6 +113,21 @@ def test_interior_receiver_drops_receiver_cosine():
     sc = kernel_value(KernelKind.SCATTER_TO_MEDIUM, props=PROPS, **kw)
     assert em == pytest.approx(PROPS.sigma_a, rel=1e-12)
     assert sc == pytest.approx(PROPS.sigma_s / (4.0 * math.pi), rel=1e-12)
+
+
+def test_sight_cosines_ignore_argument_layout(rng):
+    # Wall receivers pass their normal as a row of a Fortran-ordered
+    # (N_p, 3) array, a strided view; it must round like a contiguous copy.
+    diff = rng.standard_normal((3, 1000))
+    dist = np.linalg.norm(diff, axis=0)
+    source_normals = rng.standard_normal((3, 1000))
+    normals = np.asfortranarray(rng.standard_normal((50, 3)))
+    strided = normals[7]
+    assert not strided.flags.c_contiguous
+    cos_a = sight_cosines(diff, dist, source_normals, strided)
+    cos_b = sight_cosines(diff, dist, source_normals, strided.copy())
+    for a, b in zip(cos_a, cos_b):
+        assert np.array_equal(a, b)
 
 
 def test_oblique_geometry_factors():
@@ -174,9 +189,9 @@ def dense_path_oracle(receiver, source, grid, field, beta, n=200_000):
 def chord_factors(receiver, source, grid, beta):
     """The assembly's (cell, weight) pairs for the one chord receiver -> source."""
     p = np.asarray(receiver, dtype=float)
-    d = np.asarray(source, dtype=float)[None, :] - p
+    d = (np.asarray(source, dtype=float) - p)[:, None]
     _, cells, w = Assembler(make_cube_mesh(), grid)._chord_factors(
-        p, d, np.linalg.norm(d, axis=1), beta)
+        p, d, np.linalg.norm(d, axis=0), beta)
     return cells, w
 
 

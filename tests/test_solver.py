@@ -1,7 +1,6 @@
 """Outer-iteration behaviour: screening numbers, sweeps, and failure modes."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -13,7 +13,6 @@ from ritesolver.geometry import SurfaceMesh
 from ritesolver.kernels import RadiativeProperties
 from ritesolver.solver import SolutionState, solve_rites
 from ritesolver.validation import (
-    DEFAULT_ORACLE_SEED,
     energy_balance,
     lemma1_identity,
     lemma3_interior_identity,

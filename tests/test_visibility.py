@@ -1,10 +1,7 @@
 """Active lists, blocker listing, exact shadow clipping, sight lines."""
 
-import math
-
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from ritesolver.geometry import SurfaceMesh, segment_element_hits
 from ritesolver.visibility import (
