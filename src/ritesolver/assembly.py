@@ -88,11 +88,12 @@ __all__ = [
 ]
 
 # Distance bands in units of element diameter: beyond FAR_BAND the Gauss
-# order is 2, between the bands 4, and inside NEAR_BAND 12 with the element
-# split once toward the source point, so the integrand peak sits at a
-# corner of every reference cell.
+# order is 2, between the bands 4, and inside NEAR_BAND NEAR_ORDER with the
+# element split once toward the source point, so the integrand peak sits at
+# a corner of every reference cell.
 FAR_BAND = 4.0
 NEAR_BAND = 1.0
+NEAR_ORDER = 12
 
 _GAUSS_OFFSET = 1.0 / np.sqrt(3.0)
 
@@ -415,7 +416,7 @@ def _band(d: float) -> tuple[int, bool]:
         return 2, False
     if d > NEAR_BAND:
         return 4, False
-    return 12, True
+    return NEAR_ORDER, True
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +572,14 @@ class RowPlan:
 
     Fields run parallel over the row's active elements, in active-list
     order, which is also the order its quadrature points are concatenated
-    in. screens holds each element's blockers from screen_active_set and
-    visibility its VisibilityReport; a pair with no blockers is
+    in. rules holds the ElementRule of every pair whose rule is the same at
+    every property point: the shared whole-element rule of a fully visible
+    element beyond the near band, and the visible-triangle rule of a partly
+    visible one. It holds None for fully blocked pairs, which take no
+    points, and for near-band, fully visible ones, whose rules are split
+    toward the source point and rebuilt from towards at every property
+    point. screens holds each element's blockers from screen_active_set
+    and visibility its VisibilityReport; a pair with no blockers is
     UNOBSTRUCTED without a classify_visibility call. towards holds the root
     intrinsic point the cells of a near-band, fully visible element meet
     at (None elsewhere); near_quads lists the positions of those that are
@@ -580,7 +587,7 @@ class RowPlan:
     """
 
     elements: np.ndarray        # (a,) element ids
-    orders: np.ndarray          # (a,) band order of a whole-element rule
+    rules: tuple[ElementRule | None, ...]
     screens: tuple
     visibility: tuple[VisibilityReport, ...]
     towards: tuple
@@ -592,18 +599,20 @@ class Assembler:
 
     Geometry is cached on the instance, so sweeping radiative properties
     over a fixed geometry pays for it once. row_plans maps each visited
-    row (kind "b" or "i", index) to its RowPlan: active elements, their
-    band orders, blocker lists, VisibilityReports and near-band split
-    points; a row's split points are projected in one call per element
-    kind. Element rules away from the source point are cached per
-    (element, order). Near-band rules are split toward the source point, so
-    they are rebuilt from the plan at every property point, all quads of a
-    row in one batched pass that evaluates each one-axis factor once per
-    distinct xi or eta. Chords are traversed afresh at every property point
-    and yield only the segments they cross, so chord work scales with the
-    cells crossed, not with the grid planes. No quadrature point or chord
-    segment is kept between property points. The medium blocks Fmat and
-    Umat have one column per interior unknown.
+    row (kind "b" or "i", index) to its RowPlan: active elements, blocker
+    lists, VisibilityReports, near-band split points and every rule that
+    does not change between property points; a row's split points are
+    projected in one call per element kind. Whole-element rules away from
+    the source point are cached per (element, order) and shared between
+    plans; a partly visible pair's rule over its visible triangles is built
+    once, on the row's first visit. Near-band rules of fully visible
+    elements are split toward the source point and rebuilt from the plan
+    at every property point, all quads of a row in one batched pass that
+    evaluates each one-axis factor once per distinct xi or eta. Chords are
+    traversed afresh at every property point and yield only the segments
+    they cross, so chord work scales with the cells crossed, not with the
+    grid planes. No chord segment is kept between property points. The
+    medium blocks Fmat and Umat have one column per interior unknown.
 
     A row's quadrature data is component-major: points and their
     differences from the source point are (3, n) and shape bases (4, n),
@@ -666,13 +675,19 @@ class Assembler:
             dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
             rel = dists / self.arrays.diameters[idx]
             screens = screen_active_set(p, idx, self.mesh, source_element=source_element)
-        orders, visibility, near = [], [], []
+        rules, visibility, near = [], [], []
         for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
             order, split = _band(float(d))
             vis = classify_visibility(p, k, screened, self.mesh) if screened else UNOBSTRUCTED
-            if split and vis.classification is Classification.FULLY_VISIBLE:
-                near.append(j)
-            orders.append(order)
+            rule = None
+            if vis.classification is Classification.PARTIALLY_VISIBLE:
+                rule = visible_rule(p, self.mesh.elements[k], vis.visible)
+            elif vis.classification is Classification.FULLY_VISIBLE:
+                if split:
+                    near.append(j)
+                else:
+                    rule = self._cached_rule(k, order)
+            rules.append(rule)
             visibility.append(vis)
         # The split points of the near-band elements, one call per kind.
         towards = [None] * idx.size
@@ -684,8 +699,8 @@ class Assembler:
                 for j, toward in zip(group, coords):
                     towards[j] = toward
         plan = self.row_plans[(kind, pidx)] = RowPlan(
-            elements=idx, orders=np.array(orders, dtype=int),
-            screens=tuple(screens), visibility=tuple(visibility), towards=tuple(towards),
+            elements=idx, rules=tuple(rules), screens=tuple(screens),
+            visibility=tuple(visibility), towards=tuple(towards),
             near_quads=np.array(near_quads, dtype=int),
         )
         return plan
@@ -704,47 +719,32 @@ class Assembler:
         joined along the points.
         """
         plan = self._row_plan(kind, pidx, p, normal, source_element)
-        near = {}
+        rules = list(plan.rules)
         if plan.near_quads.size:
             # Near-band quads share one order, so their rules map in one call.
             ids = plan.elements[plan.near_quads]
             cells = quad_cells(np.array([plan.towards[j] for j in plan.near_quads]))
-            rule = _quad_cell_rule(self.arrays.vertices[ids], cells,
-                                   int(plan.orders[plan.near_quads[0]]))
+            rule = _quad_cell_rule(self.arrays.vertices[ids], cells, NEAR_ORDER)
             n = len(rule.weights) // len(ids)
             for i, j in enumerate(plan.near_quads.tolist()):
                 cut = slice(i * n, (i + 1) * n)
-                near[j] = ElementRule(rule.points[cut], rule.weights[cut],
-                                      rule.flux_shapes[cut], rule.vertex_shapes[cut])
+                rules[j] = ElementRule(rule.points[cut], rule.weights[cut],
+                                       rule.flux_shapes[cut], rule.vertex_shapes[cut])
+        for j, toward in enumerate(plan.towards):
+            if rules[j] is None and toward is not None:
+                rules[j] = element_rule(self.mesh.elements[plan.elements[j]], NEAR_ORDER, toward)
 
-        pts, wts, ks, counts, fsh, vsh = [], [], [], [], [], []
-        for j, (k, order, vis, toward) in enumerate(
-                zip(plan.elements.tolist(), plan.orders.tolist(), plan.visibility, plan.towards)):
-            if vis.classification is Classification.FULLY_BLOCKED:
-                continue
-            if vis.classification is Classification.PARTIALLY_VISIBLE:
-                rule = visible_rule(p, self.mesh.elements[k], vis.visible)
-            elif toward is None:
-                rule = self._cached_rule(k, order)
-            elif j in near:
-                rule = near[j]
-            else:
-                rule = element_rule(self.mesh.elements[k], order, toward)
-            pts.append(rule.points.T)
-            wts.append(rule.weights)
-            ks.append(k)
-            counts.append(rule.points.shape[0])
-            fsh.append(rule.flux_shapes.T)
-            vsh.append(rule.vertex_shapes.T)
-        if not pts:
+        kept = [j for j, rule in enumerate(rules) if rule is not None]
+        if not kept:
             return None
+        rules = [rules[j] for j in kept]
         return (
-            np.concatenate(pts, axis=1),
-            np.concatenate(wts),
-            np.array(ks),
-            np.array(counts),
-            np.concatenate(fsh, axis=1),
-            np.concatenate(vsh, axis=1),
+            np.concatenate([rule.points.T for rule in rules], axis=1),
+            np.concatenate([rule.weights for rule in rules]),
+            plan.elements[kept],
+            np.array([len(rule.weights) for rule in rules]),
+            np.concatenate([rule.flux_shapes.T for rule in rules], axis=1),
+            np.concatenate([rule.vertex_shapes.T for rule in rules], axis=1),
         )
 
     def _chord_factors(self, p: np.ndarray, d: np.ndarray, lengths: np.ndarray, beta: float):
@@ -864,12 +864,21 @@ class Assembler:
 
     # -- public assembly -------------------------------------------------
 
-    def _node_blackbody(self, props: RadiativeProperties) -> np.ndarray:
-        return blackbody_emission(self._vertex_temps, props.sigma_sb)
-
-    def _cell_intensity(self, props: RadiativeProperties) -> np.ndarray:
-        ib = blackbody_intensity(self.grid.temperatures, props.sigma_sb)
-        return np.where(self._active_mask, ib, 0.0)
+    def _assemble(self, kind: str, props: RadiativeProperties, names: tuple[str, str, str]):
+        """Every row of one equation: (reflection block, scatter block,
+        source), checked for finite values under the given block names."""
+        col = self.collocation
+        n = col.n_boundary if kind == "b" else col.n_interior
+        blocks = (np.zeros((n, col.n_boundary)), np.zeros((n, col.n_interior)), np.zeros(n))
+        eb_vertices = blackbody_emission(self._vertex_temps, props.sigma_sb)
+        ib_cells = np.where(self._active_mask,
+                            blackbody_intensity(self.grid.temperatures, props.sigma_sb), 0.0)
+        for r in range(n):
+            self._row(kind, r, props, eb_vertices, ib_cells, *blocks)
+        for name, arr in zip(names, blocks):
+            if not np.all(np.isfinite(arr)):
+                raise AssemblyFailure(f"non-finite entries in {name}")
+        return blocks
 
     def assemble_surface(self, props: RadiativeProperties) -> SurfaceSystem:
         eps_min = float(self.arrays.emissivities.min())
@@ -882,31 +891,12 @@ class Assembler:
                 SolvabilityViolation,
                 stacklevel=2,
             )
-        col = self.collocation
-        gmat = np.zeros((col.n_boundary, col.n_boundary))
-        fmat = np.zeros((col.n_boundary, col.n_interior))
-        h = np.zeros(col.n_boundary)
-        eb_vertices = self._node_blackbody(props)
-        ib_cells = self._cell_intensity(props)
-        for i in range(col.n_boundary):
-            self._row("b", i, props, eb_vertices, ib_cells, gmat, fmat, h)
-        for name, arr in (("Gmat", gmat), ("Fmat", fmat), ("h", h)):
-            if not np.all(np.isfinite(arr)):
-                raise AssemblyFailure(f"non-finite entries in {name}")
+        gmat, fmat, h = self._assemble("b", props, ("Gmat", "Fmat", "h"))
         return SurfaceSystem(gmat=gmat, fmat=fmat, h=h)
 
     def assemble_volume(self, props: RadiativeProperties) -> VolumeSystem:
+        vmat, umat, t = self._assemble("i", props, ("Vmat", "Umat", "t"))
         col = self.collocation
-        umat = np.zeros((col.n_interior, col.n_interior))
-        vmat = np.zeros((col.n_interior, col.n_boundary))
-        t = np.zeros(col.n_interior)
-        eb_vertices = self._node_blackbody(props)
-        ib_cells = self._cell_intensity(props)
-        for j in range(col.n_interior):
-            self._row("i", j, props, eb_vertices, ib_cells, vmat, umat, t)
-        for name, arr in (("Umat", umat), ("Vmat", vmat), ("t", t)):
-            if not np.all(np.isfinite(arr)):
-                raise AssemblyFailure(f"non-finite entries in {name}")
         return VolumeSystem(
             umat=umat,
             vmat=vmat,

@@ -30,7 +30,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -262,11 +262,6 @@ class ProfileSpec:
             raise ConfigError(f"profile {self.name!r}: endpoints must be finite")
 
 
-_CONFIG_KEYS = {
-    "mesh", "sigma_a", "sigma_s", "sigma_sb", "tolerance", "max_iterations",
-    "output", "seed", "dump_matrices", "dump_visibility", "reference_temperature",
-    "profiles",
-}
 # The type each scalar key must have. bool is an int subclass, so true and
 # false are accepted only where a flag is expected.
 _CONFIG_TYPES = {
@@ -349,7 +344,7 @@ class CaseConfig:
         for rec in raw_profiles:
             if not isinstance(rec, dict):
                 raise ConfigError(f"profile record must be an object, got {rec!r}")
-            extra = set(rec) - {"name", "start", "end", "samples", "quantity"}
+            extra = set(rec) - {f.name for f in fields(ProfileSpec)}
             if extra:
                 raise ConfigError(f"unknown profile keys: {sorted(extra)}")
             try:
@@ -381,30 +376,10 @@ class CaseConfig:
         return cls.from_dict(data, base_dir=path.parent)
 
     def to_dict(self) -> dict:
-        out = {
-            "mesh": self.mesh,
-            "sigma_a": self.sigma_a,
-            "sigma_s": self.sigma_s,
-            "sigma_sb": self.sigma_sb,
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "output": self.output,
-            "seed": self.seed,
-            "dump_matrices": self.dump_matrices,
-            "dump_visibility": self.dump_visibility,
-            "reference_temperature": self.reference_temperature,
-            "profiles": [
-                {
-                    "name": p.name,
-                    "start": list(p.start),
-                    "end": list(p.end),
-                    "samples": p.samples,
-                    "quantity": p.quantity,
-                }
-                for p in self.profiles
-            ],
-        }
-        return out
+        return asdict(self)
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(CaseConfig))
 
 
 # ---------------------------------------------------------------------------

@@ -318,15 +318,9 @@ def energy_balance(
     denom = max(abs(wall_net), abs(medium_net), wall_gross, medium_gross)
     if denom <= 0.0:
         denom = 1.0
-    return OracleReport(
-        name="energy_balance",
-        value=residual / denom,
-        reference=0.0,
-        abs_deviation=residual / denom,
-        rel_deviation=residual / denom,
-        tolerance=float(tolerance),
-        passed=bool(residual / denom <= tolerance),
-        resolution={
+    return OracleReport.evaluate(
+        "energy_balance", residual / denom, 0.0, tolerance,
+        {
             "wall_net": wall_net,
             "medium_net": medium_net,
             "cells": int(col.n_interior),

@@ -639,14 +639,20 @@ def test_surface_assembly_warns_exactly_when_margin_fails():
         assert len(warned) == (1 if margin <= 0.0 else 0), (sigma_a, sigma_s, margin)
 
 
-def test_assembler_cache_reused_across_properties(monkeypatch):
+@pytest.mark.parametrize("case", ["cube_r2", "dented_cube"])
+def test_assembler_cache_reused_across_properties(monkeypatch, case):
     # A warm property point reads every geometric quantity from the row
-    # plans: it screens, measures and projects nothing, and its blocks are
-    # those of a fresh Assembler.
-    mesh, grid = builtin_case("cube", 2)
+    # plans: it screens, classifies, measures and projects nothing, builds
+    # no partly visible rule, and its blocks are those of a fresh
+    # Assembler. The dented cube has partly visible pairs.
+    if case == "cube_r2":
+        mesh, grid = builtin_case("cube", 2)
+    else:
+        mesh = make_dented_cube_mesh(emissivity=0.7)
+        grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
     calls = {}
-    for name in ("build_active_list", "screen_active_set", "point_element_distances",
-                 "intrinsic_projection"):
+    for name in ("build_active_list", "screen_active_set", "classify_visibility",
+                 "point_element_distances", "intrinsic_projection", "visible_rule"):
         def counted(*args, _name=name, _fn=getattr(assembly, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -655,6 +661,7 @@ def test_assembler_cache_reused_across_properties(monkeypatch):
     asm.assemble_surface(props_for(mesh.diameter(), sigma_a=0.1))
     asm.assemble_volume(props_for(mesh.diameter(), sigma_a=0.1))
     assert calls["intrinsic_projection"] > 0
+    assert (case == "dented_cube") == (calls.get("visible_rule", 0) > 0)
     calls.clear()
     props = props_for(mesh.diameter(), sigma_a=1.0, sigma_s=0.3)
     warm_s, warm_v = asm.assemble_surface(props), asm.assemble_volume(props)

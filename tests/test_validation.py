@@ -288,6 +288,13 @@ def test_standard_suite_shape_and_determinism(solved_cube):
     assert full == again
 
 
+def test_standard_suite_resolutions_are_read_only(solved_cube):
+    mesh, grid, props, state = solved_cube
+    for report in standard_suite(mesh, grid, props, state=state):
+        with pytest.raises(TypeError):
+            report.resolution["extra"] = 1.0
+
+
 def test_report_outputs_round_trip(tmp_path, solved_cube):
     mesh, grid, props, state = solved_cube
     reports = standard_suite(mesh, grid, props, state=state)
