@@ -47,7 +47,6 @@ from ritesolver.geometry import (
     VoxelGrid,
     bilinear_jacobian,
     bilinear_points,
-    bilinear_tangents,
     cross3,
     points_in_mesh,
     quad_cells,
@@ -314,34 +313,39 @@ def element_rule(element: SurfaceElement, order: int, toward=None) -> ElementRul
     return _shaped_rule(element, *_tri_cell_rule(element.vertices, tri_cells(toward), order))
 
 
-def _barycentric(tri: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates (n, 3) of the in-plane projections of points
-    onto the triangle tri (3, 3)."""
-    e1 = tri[1] - tri[0]
-    e2 = tri[2] - tri[0]
-    g = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-    rhs = (points - tri[0]) @ np.column_stack([e1, e2])
-    ab = np.linalg.solve(g, rhs.T).T
-    return np.column_stack([1.0 - ab.sum(axis=1), ab])
+def _barycentric(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (m, 3) of the in-plane projections of points
+    (m, 3) onto triangles (m, 3, 3); either stack may have length one.
+
+    Cramer's rule solves each point's 2x2 Gram system on its own.
+    """
+    t0, t1, t2 = tris.transpose(1, 2, 0)                  # (3, m) each
+    e1, e2, w = t1 - t0, t2 - t0, points.T - t0
+    g11, g12, g22 = (e1 * e1).sum(0), (e1 * e2).sum(0), (e2 * e2).sum(0)
+    r1, r2 = (w * e1).sum(0), (w * e2).sum(0)
+    det = g11 * g22 - g12 * g12
+    alpha = (g22 * r1 - g12 * r2) / det
+    beta = (g11 * r2 - g12 * r1) / det
+    return np.stack([1.0 - (alpha + beta), alpha, beta], axis=1)
 
 
 def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...]) -> ElementRule:
     """Banded triangle rules over the visible triangles of an element.
 
     Each triangle takes the band of its own distance from p over its own
-    diameter, near ones split toward p's in-plane projection. Flux and
-    vertex shapes are evaluated at the root intrinsic coordinates of all
-    points at once.
+    diameter, near ones split toward p's in-plane projection (one
+    _barycentric call for all). Flux and vertex shapes are evaluated at the
+    root intrinsic coordinates of all points at once.
     """
     tris = np.array([piece.vertices for piece in pieces])          # (T, 3, 3)
     normals = np.broadcast_to(element.normal, (len(tris), 3))
     dists = point_element_distances(p, np.concatenate([tris, tris[:, 2:]], axis=1), normals)
     diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
+    towards = _barycentric(tris, p[None, :])
     pts, wts = [], []
-    for tri, d in zip(tris, dists / diams):
+    for tri, d, toward in zip(tris, dists / diams, towards):
         order, split = _band(float(d))
-        toward = _barycentric(tri, p[None, :])[0] if split else None
-        tri_pts, tri_wts, _ = _tri_cell_rule(tri, tri_cells(toward), order)
+        tri_pts, tri_wts, _ = _tri_cell_rule(tri, tri_cells(toward if split else None), order)
         pts.append(tri_pts)
         wts.append(tri_wts)
     pts = np.concatenate(pts)
@@ -352,62 +356,56 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points)
     """Root intrinsic coordinates of the in-plane projections of points (n, 3).
 
     element is the SurfaceElement every point projects onto, or a sequence
-    of n elements of one kind, point i projecting onto element i, so the
-    split points of a row's near-band elements take one call. Each point's
-    result equals what it gives alone, bit for bit. Quads invert the
-    bilinear map by Newton iteration (exact in one step for
-    parallelograms) and return (n, 2) (xi, eta); triangles return (n, 3)
-    barycentric coordinates. A result may lie outside the reference domain
-    when its point projects off the element; callers clamp as needed. Quad
-    coordinates are clamped to [-3, 3]; a point whose Newton update leaves
-    that box twice in a row at the same bound stops there, unconverged. A
-    singular Newton system raises numpy.linalg.LinAlgError.
+    of n elements of one kind, point i onto element i, so a row's split
+    points take one call. Triangles return (n, 3) barycentric coordinates,
+    quads (n, 2) (xi, eta). Each point is solved on its own in closed form,
+    so it gives the same bits stacked as alone.
+
+    A quad (planar, convex) maps x = a + b xi + c eta + d xi eta, with a, b,
+    c, d a quarter of +-1 sums of the vertices. With r the point's foot less
+    a and cr(u, v) = (u x v) . normal, eta solves A eta^2 + B eta + C = 0,
+    A = cr(c, d), B = cr(c, b) - cr(r, d), C = -cr(r, b), and xi =
+    (r - c eta) . g / |g|^2 with g = b + d eta. At a root 2A eta + B is
+    minus the Jacobian, positive on the element, so eta is the root
+    (-B - sqrt(B^2 - 4AC)) / 2A, taken as C / q for B < 0 and q / A
+    otherwise, q = -(B + sign(B) sqrt(B^2 - 4AC)) / 2: no cancellation, and
+    exact for parallelograms (A = 0). Nothing is clamped: a foot at xi = 4
+    returns 4. Beyond the fold of a tapered quad (B^2 < 4AC) there is no
+    preimage, and eta is -B / 2A, the double root once the discriminant is
+    floored at 0. At a trapezoid's apex g = 0, and xi is 0; where A = B = 0,
+    eta is 0. Every finite input gives a finite result.
     """
     pts = np.asarray(points, dtype=float)
     elements = [element] if isinstance(element, SurfaceElement) else element
-    # Vertices and normal per point; one element broadcasts over all points.
-    v = np.broadcast_to(np.array([e.vertices for e in elements]),
-                        (len(pts),) + elements[0].vertices.shape)
-    normal = np.broadcast_to(np.array([e.normal for e in elements]), pts.shape)
-
-    def dot(a, b):
-        # Row-wise dot products through stacked matmul, which rounds each
-        # row exactly like a 1-D a @ b.
-        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-    rel = pts - v[:, 0]
-    foot = pts - dot(rel, normal)[:, None] * normal
+    # One element broadcasts over all points: its stack has length one.
+    v = np.array([e.vertices for e in elements])
     if not elements[0].is_quad:
-        if len(elements) == 1:
-            return _barycentric(elements[0].vertices, foot)
-        return np.concatenate([_barycentric(tri, f[None]) for tri, f in zip(v, foot)])
-    uv = np.zeros((pts.shape[0], 2))
-    live = np.arange(pts.shape[0])
-    for _ in range(8):
-        cur = uv[live]
-        vl = v[live]
-        # dot() takes contiguous point-major rows.
-        xi, eta = cur.T
-        r = np.ascontiguousarray(bilinear_points(vl, xi, eta).T) - foot[live]
-        dxi, deta = (np.ascontiguousarray(t.T) for t in bilinear_tangents(vl, xi, eta))
-        jtj = np.empty((live.size, 2, 2))
-        jtj[:, 0, 0] = dot(dxi, dxi)
-        jtj[:, 0, 1] = jtj[:, 1, 0] = dot(dxi, deta)
-        jtj[:, 1, 1] = dot(deta, deta)
-        rhs = np.empty((live.size, 2, 1))
-        rhs[:, 0, 0] = dot(dxi, r)
-        rhs[:, 1, 0] = dot(deta, r)
-        step = np.linalg.solve(jtj, rhs)[:, :, 0]
-        nxt = cur - step
-        new = np.clip(nxt, -3.0, 3.0)
-        uv[live] = new
-        # A coordinate the clamp sends back to where it stood cannot move
-        # on; its point retires instead of wandering in the last bits.
-        stuck = np.any((np.abs(nxt) > 3.0) & (new == cur), axis=1)
-        live = live[(np.abs(step).max(axis=1) >= 1e-13) & ~stuck]
-        if live.size == 0:
-            break
-    return uv
+        return _barycentric(v, pts)
+    v0, v1, v2, v3 = v.transpose(1, 2, 0)                   # (3, m) each
+    normal = np.array([e.normal for e in elements]).T
+    a = 0.25 * ((v0 + v1) + (v2 + v3))
+    b = 0.25 * ((v1 - v0) + (v2 - v3))
+    c = 0.25 * ((v3 - v0) + (v2 - v1))
+    d = 0.25 * ((v0 - v1) + (v2 - v3))
+    rel = pts.T - a
+    r = rel - (rel * normal).sum(0) * normal
+
+    def cr(u, w):
+        return (cross3(u, w, axis=0) * normal).sum(0)
+
+    qa, qb, qc = cr(c, d), cr(c, b) - cr(r, d), -cr(r, b)
+    disc = qb * qb - 4.0 * qa * qc
+    root = np.sqrt(np.maximum(disc, 0.0))
+    q = -0.5 * (qb + np.where(qb >= 0.0, root, -root))
+    # q / A is the element's root where B >= 0 and the fold's beyond the
+    # fold; C / q is the element's root elsewhere, A = 0 included.
+    by_a = ((qb >= 0.0) | (disc < 0.0)) & (qa != 0.0)
+    num, den = np.where(by_a, q, qc), np.where(by_a, qa, q)
+    eta = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    g = b + d * eta
+    gg = (g * g).sum(0)
+    xi = np.divide(((r - c * eta) * g).sum(0), gg, out=np.zeros_like(gg), where=gg != 0.0)
+    return np.column_stack([xi, eta])
 
 
 def _band(d: float) -> tuple[int, bool]:

@@ -41,6 +41,7 @@ from ritesolver.assembly import (
     write_matrix,
 )
 from ritesolver.geometry import (
+    GeometryError,
     SurfaceMesh,
     VoxelGrid,
     load_mesh,
@@ -673,7 +674,7 @@ def main(argv=None) -> int:
                   f"({'ok' if result.exit_code == 0 else 'convergence or oracle failure'})")
             return result.exit_code
         return validate_case(config)
-    except (ConfigError, LineOutsideDomain) as exc:
+    except (ConfigError, LineOutsideDomain, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -335,7 +335,6 @@ def standard_suite(
     props: RadiativeProperties,
     state: SolutionState | None = None,
     collocation: CollocationSet | None = None,
-    order: int = 6,
 ) -> list[OracleReport]:
     """The mandatory checks for a solved case.
 
@@ -351,12 +350,11 @@ def standard_suite(
             col.boundary_points[0],
             col.boundary_normals[0],
             source_element=int(col.boundary_element[0]),
-            order=order,
         )
     ]
     if col.n_interior:
         mid = col.interior_points[col.n_interior // 2]
-        reports.append(lemma3_interior_identity(mesh, mid, order=order))
+        reports.append(lemma3_interior_identity(mesh, mid))
     if state is not None:
         reports.append(energy_balance(state, mesh, grid, props, collocation=col))
     return reports

@@ -282,12 +282,14 @@ def test_partial_integral_matches_masked_quadrature():
         assert got == pytest.approx(want, rel=1e-5), a
 
 
+_TRAPEZOID = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 1.0, 0.0], [0.3, 1.0, 0.0]])
+
+
 def test_intrinsic_projection_inverts_trapezoid_map():
-    # A tilted trapezoid: the bilinear map is not affine, so Newton needs
-    # several steps; points off the plane project along the normal.
-    flat = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 1.0, 0.0], [0.3, 1.0, 0.0]])
+    # A tilted trapezoid: the bilinear map is not affine, so eta solves a
+    # true quadratic; points off the plane project along the normal.
     rot, _ = np.linalg.qr(np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.4], [0.2, 0.5, 1.0]]))
-    e = build_element(flat @ rot.T + [0.5, -1.0, 2.0])
+    e = build_element(_TRAPEZOID @ rot.T + [0.5, -1.0, 2.0])
     uv = np.random.default_rng(7).uniform(-0.98, 0.98, (200, 2))
     x = bilinear_points(e.vertices, *uv.T).T
     back = intrinsic_projection(e, x + 0.3 * e.normal)
@@ -295,26 +297,125 @@ def test_intrinsic_projection_inverts_trapezoid_map():
     assert np.abs(back - uv).max() < 1e-12
 
 
-def test_intrinsic_projection_stops_at_the_clamp(monkeypatch):
-    # The foot of this point lies at xi = 4 of a parallelogram. Newton lands
-    # there in one step and is clamped to 3; the next step is clamped back
-    # to where it stood, so the point retires after two solves, not eight.
+def test_intrinsic_projection_does_not_clamp():
+    # The foot of this point lies at xi = 4 of a parallelogram, off the
+    # element; its coordinates come back as they are.
     e = build_element(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.5, 1.0, 0.0],
                                 [0.5, 1.0, 0.0]]))
     foot = bilinear_points(e.vertices, np.array([4.0]), np.array([0.3])).T
-    solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
     back = intrinsic_projection(e, foot + 0.2 * e.normal)
-    assert len(solves) == 2
-    assert back[0, 0] == 3.0
-    assert back[0, 1] == pytest.approx(0.3, abs=1e-14)
+    assert np.abs(back - [[4.0, 0.3]]).max() < 1e-12
+
+
+def test_intrinsic_projection_at_the_apex():
+    # The legs of the trapezoid meet at (0.75, 2.5), eta = 4, where every
+    # xi maps to the same point; xi is defined as 0 there.
+    e = build_element(_TRAPEZOID)
+    assert intrinsic_projection(e, np.array([[0.75, 2.5, 0.4]])).tolist() == [[0.0, 4.0]]
+    # eta = 4 solves the quadratic of every point, since that whole line
+    # maps to the apex; a point below the element still gets its preimage.
+    back = intrinsic_projection(e, np.array([[0.75, -3.0, 0.0]]))
+    assert np.abs(back - [[-0.25, -7.0]]).max() < 1e-12
+
+
+def _bilinear_coefficients(e):
+    # x(xi, eta) = a + b xi + c eta + d xi eta, read off the map itself.
+    def x(xi, eta):
+        return bilinear_points(e.vertices, np.array(xi), np.array(eta))
+
+    return (x(0.0, 0.0), 0.5 * (x(1.0, 0.0) - x(-1.0, 0.0)), 0.5 * (x(0.0, 1.0) - x(0.0, -1.0)),
+            0.25 * (x(1.0, 1.0) - x(1.0, -1.0) - x(-1.0, 1.0) + x(-1.0, -1.0)))
+
+
+def test_intrinsic_projection_beyond_the_fold():
+    # Left of this kite-like quad the map folds over: (-1, 0.5) has no
+    # preimage. eta is the fold's double root -B / 2A, and xi the point's
+    # projection onto that eta line.
+    e = build_element(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                [0.0, 0.5, 0.0]]))
+    a, b, c, d = _bilinear_coefficients(e)
+
+    def cr(u, w):
+        return np.cross(u, w) @ e.normal
+
+    r = np.array([-1.0, 0.5, 0.0]) - a
+    qa, qb, qc = cr(c, d), cr(c, b) - cr(r, d), -cr(r, b)
+    assert qb * qb - 4.0 * qa * qc < 0.0
+    eta = -qb / (2.0 * qa)
+    g = b + d * eta
+    xi = (r - c * eta) @ g / (g @ g)
+    back = intrinsic_projection(e, np.array([[-1.0, 0.5, 0.3]]))
+    assert np.all(np.isfinite(back))
+    assert np.abs(back - [[xi, eta]]).max() < 1e-12
+    assert back[0, 1] == pytest.approx(1.0, abs=1e-14)
+
+
+def _rotation(angles):
+    a, b, c = angles
+    rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0], [-np.sin(b), 0.0, np.cos(b)]])
+    rc = np.array([[np.cos(c), -np.sin(c), 0.0], [np.sin(c), np.cos(c), 0.0], [0.0, 0.0, 1.0]])
+    return rz @ ry @ rc
+
+
+@st.composite
+def _convex_quads(draw):
+    """A planar convex quad (perturbed square or trapezoid), stretched,
+    turned and moved in space."""
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        flat = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        flat += 0.45 * np.array(draw(st.lists(unit, min_size=8, max_size=8))).reshape(4, 2)
+    else:
+        s, t = draw(st.floats(0.1, 1.0)), draw(st.floats(-0.5, 0.5))
+        flat = np.array([[-1.0, -1.0], [1.0, -1.0], [t + s, 1.0], [t - s, 1.0]])
+    flat[:, 1] *= draw(st.floats(0.25, 4.0))
+    turn = _rotation(np.pi * np.array(draw(st.lists(unit, min_size=3, max_size=3))))
+    shift = 5.0 * np.array(draw(st.lists(unit, min_size=3, max_size=3)))
+    return build_element(np.column_stack([flat, np.zeros(4)]) @ turn.T + shift)
+
+
+@given(e=_convex_quads(),
+       uv=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8),
+       height=st.floats(-2.0, 2.0),
+       near=st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=1, max_size=8))
+def test_intrinsic_projection_round_trips_on_convex_quads(e, uv, height, near):
+    # Points over the element come back to their intrinsic coordinates;
+    # any point within two diameters gives a finite result.
+    uv = np.array(uv)
+    x = bilinear_points(e.vertices, *uv.T).T
+    back = intrinsic_projection(e, x + height * e.diameter * e.normal)
+    assert np.abs(back - uv).max() < 1e-12
+    near = e.centroid + e.diameter * np.array(near)
+    assert np.all(np.isfinite(intrinsic_projection(e, near)))
+
+
+@given(k=st.integers(1, 6), t=st.integers(-4, 4), xs=st.lists(st.integers(-24, 24), min_size=1,
+                                                               max_size=6),
+       z=st.integers(-8, 8))
+def test_intrinsic_projection_apex_and_b_zero_placements(k, t, xs, z):
+    # A trapezoid with parallel sides along x whose legs meet at the apex
+    # eta = m = 2^(k+1) - 1, y = m. With dyadic data every step is exact:
+    # the apex comes back as exactly (0, m), and points on the line
+    # y = -m, where the quadratic's linear coefficient B is exactly zero,
+    # come back as their preimage eta = -m.
+    s, t, m = 1.0 - 2.0**-k, t / 8.0, 2.0 ** (k + 1) - 1.0
+    e = build_element(np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [t + s, 1.0, 0.0],
+                                [t - s, 1.0, 0.0]]))
+    apex = np.array([[0.5 * t * (1.0 + m), m, z / 8.0]])
+    assert intrinsic_projection(e, apex).tolist() == [[0.0, m]]
+    line = np.column_stack([np.array(xs) / 8.0, np.full(len(xs), -m), np.full(len(xs), z / 8.0)])
+    back = intrinsic_projection(e, line)
+    assert np.all(np.isfinite(back))
+    assert np.abs(back[:, 1] + m).max() < 1e-12
+    foot = bilinear_points(e.vertices, *back.T).T
+    assert np.abs(foot[:, :2] - line[:, :2]).max() < 1e-12 * m
 
 
 def test_stacked_projections_match_single_calls():
     # A row projects one point onto many elements in one call; each result
     # must equal the element's own single-point call bit for bit, including
-    # a point the clamp retires early while its neighbours keep iterating.
+    # a point whose foot lies far off its element.
     flat = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 1.0, 0.0], [0.3, 1.0, 0.0]])
     rot, _ = np.linalg.qr(np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.4], [0.2, 0.5, 1.0]]))
     quads = [build_element(flat), build_element(flat @ rot.T + [0.5, -1.0, 2.0]),

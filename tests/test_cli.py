@@ -170,10 +170,32 @@ def test_profile_spec_validation():
         ProfileSpec("p", (0, 0, 0), (1, 0, 0), 2, "flux")
 
 
-def test_main_reports_config_errors(tmp_path, capsys):
+def _input_error_config(tmp_path, case):
+    # A config whose run cannot start: its mesh file is missing, or is not a
+    # closed surface (one face of a cube dropped), or its output directory
+    # names an existing file.
+    config = {"mesh": "missing.json", "sigma_a": 1, "sigma_s": 0}
+    if case != "missing_mesh":
+        record = json.loads(generate_case("cube", 1, tmp_path).read_text())
+        if case.startswith("open_mesh"):
+            record["elements"] = record["elements"][:-1]
+        (tmp_path / "mesh.json").write_text(json.dumps(record))
+        config["mesh"] = "mesh.json"
+    if case == "output_is_a_file":
+        (tmp_path / "taken").write_text("")
+        config["output"] = str(tmp_path / "taken")
+    return config
+
+
+@pytest.mark.parametrize("case", ["missing_mesh", "open_mesh_run", "open_mesh_validate",
+                                  "output_is_a_file"])
+def test_main_reports_config_errors(tmp_path, capsys, case):
+    # Input errors exit 2 with a one-line message, not with a traceback or
+    # with exit 1, which means a convergence or oracle failure.
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"mesh": "missing.json", "sigma_a": 1, "sigma_s": 0}))
-    assert main(["run", "--config", str(bad)]) == 2
+    bad.write_text(json.dumps(_input_error_config(tmp_path, case)))
+    command = "validate" if case.endswith("validate") else "run"
+    assert main([command, "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
