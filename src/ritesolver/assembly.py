@@ -65,7 +65,6 @@ from ritesolver.kernels import (
 from ritesolver.visibility import (
     UNOBSTRUCTED,
     Classification,
-    SubElement,
     VisibilityReport,
     build_active_list,
     classify_visibility,
@@ -329,15 +328,14 @@ def _barycentric(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - (alpha + beta), alpha, beta], axis=1)
 
 
-def visible_rule(p, element: SurfaceElement, pieces: tuple[SubElement, ...]) -> ElementRule:
-    """Banded triangle rules over the visible triangles of an element.
+def visible_rule(p, element: SurfaceElement, tris: np.ndarray) -> ElementRule:
+    """Banded triangle rules over the visible triangles (T, 3, 3) of an element.
 
     Each triangle takes the band of its own distance from p over its own
     diameter, near ones split toward p's in-plane projection (one
     _barycentric call for all). Flux and vertex shapes are evaluated at the
     root intrinsic coordinates of all points at once.
     """
-    tris = np.array([piece.vertices for piece in pieces])          # (T, 3, 3)
     normals = np.broadcast_to(element.normal, (len(tris), 3))
     dists = point_element_distances(p, np.concatenate([tris, tris[:, 2:]], axis=1), normals)
     diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
@@ -811,14 +809,10 @@ class Assembler:
             else:
                 eb_p = float(TRI_NODES_BARY[local] @ eb_vertices[own, :3])
             src[r] = -rx * eb_p
-            direct, emission, scatter = (KernelKind.WALL_TO_WALL, KernelKind.EMISSION_TO_WALL,
-                                         KernelKind.SCATTER_TO_WALL)
         else:
             p = col.interior_points[r]
             normal = own = None
             rx = 1.0
-            direct, emission, scatter = (KernelKind.WALL_TO_MEDIUM, KernelKind.EMISSION_TO_MEDIUM,
-                                         KernelKind.SCATTER_TO_MEDIUM)
         gathered = self._gather_row_rule(kind, r, p, normal, own)
         if gathered is None:
             return
@@ -835,7 +829,7 @@ class Assembler:
         geo = projected_solid_angle(cos_p, cos_r, dist, w)
 
         # Direct transport of the reflected part of the wall radiosity.
-        direct_k = kernel_prefactor(direct, props, dist) * geo
+        direct_k = kernel_prefactor(KernelKind.DIRECT, props, dist) * geo
         # bincount adds in input order from 0.0, as add.at into a zero row.
         # Each column still takes its points in order; a triangle's padded
         # fourth slot adds exact zeros.
@@ -852,13 +846,13 @@ class Assembler:
         if props.sigma_a > 0.0 or props.sigma_s > 0.0:
             point, cells, cw = self._chord_factors(p, diff, dist, props.beta)
             if props.sigma_a > 0.0:
-                src[r] += kernel_prefactor(emission, props, dist, rx) * float(
+                src[r] += kernel_prefactor(KernelKind.EMISSION, props, dist, rx) * float(
                     geo @ np.bincount(point, cw * ib_cells[cells], minlength=len(dist))
                 )
             if props.sigma_s > 0.0:
-                scatter_block[r] = kernel_prefactor(scatter, props, dist, rx) * np.bincount(
-                    cells, geo[point] * cw, minlength=self.grid.n_cells
-                )[col.interior_cells]
+                cell_sums = np.bincount(cells, geo[point] * cw, minlength=self.grid.n_cells)
+                scatter_block[r] = (kernel_prefactor(KernelKind.SCATTER, props, dist, rx)
+                                    * cell_sums[col.interior_cells])
 
     # -- public assembly -------------------------------------------------
 

@@ -387,14 +387,22 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(CaseConfig))
 # Profile emission
 
 
-def emit_profile(state, collocation, grid: VoxelGrid, mesh: SurfaceMesh, spec: ProfileSpec):
-    """Sample a solved quantity along a line at the nearest entities.
+def _nearest(pts, ref):
+    """Index of the nearest row of ref (m, 3) to each point (n, 3), and its distance."""
+    d2 = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(-1)
+    nearest = d2.argmin(axis=1)
+    return nearest, np.sqrt(d2[np.arange(pts.shape[0]), nearest])
 
-    Returns an (n, 5) array of rows (s, x, y, z, value). Wall flux reads the
-    nearest boundary collocation node and requires the line to stay on the
-    boundary (within one element diameter of its nodes); incident energy
-    reads the nearest interior cell center and requires the line inside the
-    enclosure.
+
+def sample_profile(collocation, grid: VoxelGrid, mesh: SurfaceMesh, spec: ProfileSpec):
+    """Where a profile line samples and which unknown each sample reads.
+
+    Returns (s, pts, nearest): arc lengths (n,), points (n, 3) and indices
+    of the nearest entities. Wall flux reads the nearest boundary
+    collocation node and requires the line to stay on the boundary (within
+    one element diameter of its nodes); incident energy reads the nearest
+    interior cell center and requires the line inside the enclosure.
+    Needs no solution, so a bad line is refused before any work starts.
     """
     start = np.asarray(spec.start, dtype=float)
     end = np.asarray(spec.end, dtype=float)
@@ -418,10 +426,8 @@ def emit_profile(state, collocation, grid: VoxelGrid, mesh: SurfaceMesh, spec: P
             cand = np.nonzero(coplanar[collocation.boundary_element])[0]
         else:
             cand = np.arange(collocation.n_boundary)
-        ref = collocation.boundary_points[cand]
-        d2 = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(-1)
-        nearest = cand[d2.argmin(axis=1)]
-        dist = np.sqrt(d2[np.arange(pts.shape[0]), d2.argmin(axis=1)])
+        nearest, dist = _nearest(pts, collocation.boundary_points[cand])
+        nearest = cand[nearest]
         diam = arr.diameters[collocation.boundary_element[nearest]]
         if np.any(dist > diam):
             worst = int(np.argmax(dist - diam))
@@ -429,29 +435,37 @@ def emit_profile(state, collocation, grid: VoxelGrid, mesh: SurfaceMesh, spec: P
                 f"profile {spec.name!r}: sample {worst} at {pts[worst]} is "
                 f"{dist[worst]:.3g} m from the nearest wall flux node"
             )
-        values = state.q[nearest]
-    else:
-        inside = points_in_mesh(mesh, pts)
-        if not inside.all():
-            worst = int(np.argmin(inside))
-            raise LineOutsideDomain(
-                f"profile {spec.name!r}: sample {worst} at {pts[worst]} lies outside the enclosure"
-            )
-        ref = collocation.interior_points
-        if ref.shape[0] == 0:
-            raise LineOutsideDomain(f"profile {spec.name!r}: the grid has no interior cells")
-        d2 = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(-1)
-        nearest = d2.argmin(axis=1)
-        dist = np.sqrt(d2[np.arange(pts.shape[0]), nearest])
-        reach = float(np.linalg.norm(grid.spacing))
-        if np.any(dist > reach):
-            worst = int(np.argmax(dist))
-            raise LineOutsideDomain(
-                f"profile {spec.name!r}: sample {worst} at {pts[worst]} is "
-                f"{dist[worst]:.3g} m from the nearest interior cell center"
-            )
-        values = state.incident[nearest]
+        return s, pts, nearest
+    inside = points_in_mesh(mesh, pts)
+    if not inside.all():
+        worst = int(np.argmin(inside))
+        raise LineOutsideDomain(
+            f"profile {spec.name!r}: sample {worst} at {pts[worst]} lies outside the enclosure"
+        )
+    if collocation.n_interior == 0:
+        raise LineOutsideDomain(f"profile {spec.name!r}: the grid has no interior cells")
+    nearest, dist = _nearest(pts, collocation.interior_points)
+    reach = float(np.linalg.norm(grid.spacing))
+    if np.any(dist > reach):
+        worst = int(np.argmax(dist))
+        raise LineOutsideDomain(
+            f"profile {spec.name!r}: sample {worst} at {pts[worst]} is "
+            f"{dist[worst]:.3g} m from the nearest interior cell center"
+        )
+    return s, pts, nearest
+
+
+def _profile_rows(state, spec: ProfileSpec, samples) -> np.ndarray:
+    """(n, 5) rows (s, x, y, z, value) of a solved quantity at sample_profile's samples."""
+    s, pts, nearest = samples
+    values = (state.q if spec.quantity == "q" else state.incident)[nearest]
     return np.column_stack([s, pts, values])
+
+
+def emit_profile(state, collocation, grid: VoxelGrid, mesh: SurfaceMesh, spec: ProfileSpec):
+    """Rows (s, x, y, z, value) of a solved quantity along a line, (n, 5),
+    at the nearest entities sample_profile picks."""
+    return _profile_rows(state, spec, sample_profile(collocation, grid, mesh, spec))
 
 
 def _write_profile_csv(path, rows, spec: ProfileSpec, reference_temperature, sigma_sb):
@@ -508,6 +522,7 @@ def run_case(config: CaseConfig) -> RunResult:
     mesh, grid = load_mesh(config.mesh)
     props = config.radiative_properties(mesh.diameter())
     assembler = Assembler(mesh, grid)
+    samples = [sample_profile(assembler.collocation, grid, mesh, spec) for spec in config.profiles]
 
     eps_min = float(mesh.arrays().emissivities.min())
     margin, solvable = solvability_margin(props, eps_min)
@@ -538,11 +553,10 @@ def run_case(config: CaseConfig) -> RunResult:
     write_report_csv(out_dir / "oracles.csv", reports)
 
     sb = props.sigma_sb
-    for spec in config.profiles:
-        rows = emit_profile(state, assembler.collocation, grid, mesh, spec)
+    for spec, at in zip(config.profiles, samples):
         _write_profile_csv(
             out_dir / f"profile_{spec.name}.csv",
-            rows, spec, config.reference_temperature, sb,
+            _profile_rows(state, spec, at), spec, config.reference_temperature, sb,
         )
 
     if config.dump_matrices:
@@ -611,33 +625,26 @@ def validate_case(config: CaseConfig) -> int:
 # Argument parsing
 
 
-def _apply_overrides(config: CaseConfig, args) -> CaseConfig:
-    updates = {}
-    if args.out is not None:
-        updates["output"] = args.out
-    if args.tol is not None:
-        updates["tolerance"] = args.tol
-    if args.max_iter is not None:
-        updates["max_iterations"] = args.max_iter
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.dump_matrices:
-        updates["dump_matrices"] = True
-    if args.dump_visibility:
-        updates["dump_visibility"] = True
-    return replace(config, **updates) if updates else config
+# Flags that override one config key each: flag -> (key, add_argument options).
+_OVERRIDE_FLAGS = {
+    "--out": ("output", dict(metavar="DIR", help="output directory (overrides the config)")),
+    "--tol": ("tolerance", dict(type=float, metavar="X", help="outer iteration tolerance")),
+    "--max-iter": ("max_iterations", dict(type=int, metavar="N", help="outer iteration cap")),
+    "--dump-matrices": ("dump_matrices", dict(
+        action="store_true", help="write the four operator blocks and load vectors")),
+    "--dump-visibility": ("dump_visibility", dict(
+        action="store_true", help="write per-pair screening and classification outcomes")),
+    "--seed": ("seed", dict(type=int, metavar="N", help="oracle sampling seed")),
+}
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_case_flags(parser: argparse.ArgumentParser, flags) -> None:
+    """--config plus the override flags a subcommand reads; an omitted flag
+    leaves no attribute, so the config value stands."""
     parser.add_argument("--config", required=True, help="JSON case configuration")
-    parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--tol", type=float, metavar="X", help="outer iteration tolerance")
-    parser.add_argument("--max-iter", type=int, metavar="N", help="outer iteration cap")
-    parser.add_argument("--dump-matrices", action="store_true",
-                        help="write the four operator blocks and load vectors")
-    parser.add_argument("--dump-visibility", action="store_true",
-                        help="write per-pair screening and classification outcomes")
-    parser.add_argument("--seed", type=int, metavar="N", help="oracle sampling seed")
+    for flag in flags:
+        key, options = _OVERRIDE_FLAGS[flag]
+        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, **options)
 
 
 def main(argv=None) -> int:
@@ -654,10 +661,10 @@ def main(argv=None) -> int:
     gen.add_argument("--out", default=".", help="directory for the mesh file")
 
     run = sub.add_parser("run", help="solve a configured case")
-    _add_run_flags(run)
+    _add_case_flags(run, ["--out", "--tol", "--max-iter", "--dump-matrices", "--dump-visibility"])
 
     val = sub.add_parser("validate", help="oracle checks on a mesh, no solve")
-    _add_run_flags(val)
+    _add_case_flags(val, ["--out", "--seed"])
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -667,7 +674,8 @@ def main(argv=None) -> int:
             path = generate_case(args.case, args.resolution, args.out)
             print(path)
             return 0
-        config = _apply_overrides(CaseConfig.from_file(args.config), args)
+        overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
+        config = replace(CaseConfig.from_file(args.config), **overrides)
         if args.command == "run":
             result = run_case(config)
             print(f"exit status {result.exit_code} "

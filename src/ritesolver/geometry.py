@@ -397,8 +397,8 @@ class VoxelGrid:
         spacing = np.asarray(spacing, dtype=float)
         if spacing.shape == ():
             spacing = np.full(3, float(spacing))
-        if spacing.shape != (3,) or not np.all(spacing > 0):
-            raise GeometryError(f"spacing must be three positive values, got {spacing}")
+        if spacing.shape != (3,) or not np.all((spacing > 0) & np.isfinite(spacing)):
+            raise GeometryError(f"spacing must be three finite positive values, got {spacing}")
         self.spacing = spacing
         dims = np.asarray(dims, dtype=int)
         if dims.shape != (3,) or not np.all(dims >= 1):
@@ -492,12 +492,6 @@ class SurfaceMesh:
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.nodes.min(axis=0), self.nodes.max(axis=0)
-
-    def with_emissivities(self, emissivities) -> "SurfaceMesh":
-        """Same geometry and temperatures, different wall emissivities."""
-        return SurfaceMesh(
-            self.nodes, self.element_nodes, emissivities, self.node_temperatures
-        )
 
     def _check_closed_oriented(self):
         edges: dict[tuple[int, int], int] = {}

@@ -1,19 +1,20 @@
 """Pointwise exchange kernels and blackbody emission.
 
-Six kernels connect a source point r on the enclosure wall to a receiver,
-which is either another wall point p (with inward normal n_p) or a point in
-the medium interior. With d = |p - r|:
+Three kernels carry radiation from a source point r on the enclosure wall
+to a receiver p, named by the source route. With d = |p - r|:
 
-* direct kernels carry the line-of-sight transmittance exp(-beta d) and the
-  diffuse 1/pi, and multiply the surface radiosity;
-* emission kernels carry sigma_a and multiply the chord integral of the
-  blackbody intensity of the medium, attenuation living inside that integral;
-* scatter kernels carry sigma_s / (4 pi) and multiply the chord integral of
-  the incident energy field, attenuation again inside the integral.
+* the direct kernel carries the line-of-sight transmittance exp(-beta d)
+  and the diffuse 1/pi, and multiplies the surface radiosity;
+* the emission kernel carries sigma_a and multiplies the chord integral of
+  the blackbody intensity of the medium, attenuation inside that integral;
+* the scatter kernel carries sigma_s / (4 pi) and multiplies the chord
+  integral of the incident energy field, attenuation again inside it.
 
-Wall receivers see the projected solid angle cos(phi_p) cos(phi_r) / d^2,
-interior receivers the plain solid angle cos(phi_r) / d^2. Negative cosines
-mean the pair faces away and clamp to zero.
+Each multiplies the projected solid angle cos(phi_p) cos(phi_r) / d^2. The
+receiver enters only through cos(phi_p): n_p . (r - p) / d at a wall point
+with inward normal n_p, exactly 1 at an interior point, which leaves the
+plain solid angle. Negative cosines mean the pair faces away and clamp to
+zero.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ class RadiativeProperties:
             raise ValueError(f"sigma_s must be finite and >= 0, got {self.sigma_s}")
         if self.domain_diameter <= 0 or not math.isfinite(self.domain_diameter):
             raise ValueError(f"domain_diameter must be positive, got {self.domain_diameter}")
-        if self.sigma_sb <= 0:
-            raise ValueError(f"sigma_sb must be positive, got {self.sigma_sb}")
+        if self.sigma_sb <= 0 or not math.isfinite(self.sigma_sb):
+            raise ValueError(f"sigma_sb must be finite and positive, got {self.sigma_sb}")
 
     @property
     def beta(self) -> float:
@@ -76,11 +77,6 @@ class RadiativeProperties:
         """Scattering fraction sigma_s / beta; zero for a transparent medium."""
         b = self.beta
         return self.sigma_s / b if b > 0 else 0.0
-
-    @property
-    def optical_diameter(self) -> float:
-        """beta times the domain diameter."""
-        return self.beta * self.domain_diameter
 
 
 def solvability_margin(props: RadiativeProperties, eps_min: float) -> tuple[float, bool]:
@@ -98,22 +94,13 @@ def solvability_margin(props: RadiativeProperties, eps_min: float) -> tuple[floa
 
 
 class KernelKind(enum.Enum):
-    """The six exchange kernels, named by source route and receiver."""
+    """The three exchange kernels, named by source route. A wall receiver's
+    emissivity enters through kernel_prefactor's scale, its normal through
+    sight_cosines."""
 
-    WALL_TO_WALL = "wall_to_wall"
-    EMISSION_TO_WALL = "emission_to_wall"
-    SCATTER_TO_WALL = "scatter_to_wall"
-    WALL_TO_MEDIUM = "wall_to_medium"
-    EMISSION_TO_MEDIUM = "emission_to_medium"
-    SCATTER_TO_MEDIUM = "scatter_to_medium"
-
-    @property
-    def is_direct(self) -> bool:
-        return self in (KernelKind.WALL_TO_WALL, KernelKind.WALL_TO_MEDIUM)
-
-    @property
-    def is_emission(self) -> bool:
-        return self in (KernelKind.EMISSION_TO_WALL, KernelKind.EMISSION_TO_MEDIUM)
+    DIRECT = "direct"
+    EMISSION = "emission"
+    SCATTER = "scatter"
 
 
 def blackbody_emission(temperature, sigma_sb: float = STEFAN_BOLTZMANN):
@@ -162,15 +149,17 @@ def projected_solid_angle(cos_p, cos_r, dist, weights=1.0):
 
 
 def kernel_prefactor(kind: KernelKind, props: RadiativeProperties, dist, scale=1.0):
-    """The factor each kernel puts in front of the projected solid angle.
+    """The factor a kernel puts in front of the projected solid angle.
 
-    Direct kernels carry exp(-beta d) / pi, emission kernels
-    scale * sigma_a and scatter kernels scale * sigma_s / (4 pi). scale
-    multiplies the medium coefficient first, so a receiver factor folded
-    in through it costs no extra rounding.
+    The direct kernel carries exp(-beta d) / pi, the emission kernel
+    scale * sigma_a and the scatter kernel scale * sigma_s / (4 pi), the
+    same for wall and interior receivers. scale multiplies the medium
+    coefficient first, so a receiver factor folded in through it costs no
+    extra rounding; the direct kernel's receiver factor is applied by the
+    caller.
     """
-    if kind.is_direct:
+    if kind is KernelKind.DIRECT:
         return transmittance(dist, props.beta) / np.pi
-    if kind.is_emission:
+    if kind is KernelKind.EMISSION:
         return scale * props.sigma_a
     return scale * props.sigma_s / (4.0 * np.pi)

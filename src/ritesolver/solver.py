@@ -11,6 +11,7 @@ callers screen cases before iterating and check the observed rate after.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,8 +52,8 @@ class SolverConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 

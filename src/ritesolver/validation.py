@@ -121,6 +121,30 @@ def _plain_rule(element, order: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, ww * jac
 
 
+def _closure_total(mesh: SurfaceMesh, p, normal, skip, beta: float, order: int) -> float:
+    """exp(-beta d) cos(phi_p) cos(phi_r) / d^2 integrated over the surface.
+
+    Seen from p, each element but skip takes its plain rule, and points at
+    zero distance drop out. A wall receiver passes its normal; an interior
+    one passes None and has cos(phi_p) = 1.0, the plain solid angle. The
+    kernel is written out here, apart from kernels, so the check shares no
+    arithmetic with assembly.
+    """
+    total = 0.0
+    for k, element in enumerate(mesh.elements):
+        if k == skip:
+            continue
+        pts, wq = _plain_rule(element, order)
+        diff = pts - p
+        dist = np.linalg.norm(diff, axis=1)
+        keep = dist > 0.0
+        diff, dist, wq = diff[keep], dist[keep], wq[keep]
+        cos_p = 1.0 if normal is None else np.clip(diff @ normal / dist, 0.0, None)
+        cos_r = np.clip(-diff @ element.normal / dist, 0.0, None)
+        total += float((np.exp(-beta * dist) * cos_p * cos_r / dist**2 * wq).sum())
+    return total
+
+
 def lemma1_identity(
     mesh: SurfaceMesh,
     point,
@@ -132,24 +156,13 @@ def lemma1_identity(
     """Closure of the wall exchange kernel over a convex enclosure.
 
     Integrates cos(phi_p) cos(phi_r) / d^2 over the whole surface as seen
-    from a point on it; on any closed convex enclosure the exact value is
-    pi regardless of where the point sits. The element carrying the point
-    contributes nothing (its receiver cosine vanishes) but is excluded
-    anyway via source_element to keep the quadrature clean.
+    from a point on it with the given normal, in a transparent medium; on
+    any closed convex enclosure the exact value is pi regardless of where
+    the point sits. The element carrying the point contributes nothing (its
+    receiver cosine vanishes) but is excluded anyway via source_element to
+    keep the quadrature clean.
     """
-    p = as_point(point)
-    n_p = as_point(normal)
-    total = 0.0
-    for k, element in enumerate(mesh.elements):
-        if source_element is not None and k == source_element:
-            continue
-        pts, wq = _plain_rule(element, order)
-        diff = pts - p
-        dist = np.linalg.norm(diff, axis=1)
-        keep = dist > 0.0
-        cos_p = np.clip(diff[keep] @ n_p / dist[keep], 0.0, None)
-        cos_r = np.clip(-diff[keep] @ element.normal / dist[keep], 0.0, None)
-        total += float((cos_p * cos_r / dist[keep] ** 2 * wq[keep]).sum())
+    total = _closure_total(mesh, as_point(point), as_point(normal), source_element, 0.0, order)
     return OracleReport.evaluate(
         name="closure_wall_kernel",
         value=total,
@@ -168,23 +181,15 @@ def lemma3_interior_identity(
 ) -> OracleReport:
     """Solid-angle closure of the interior-receiver kernel.
 
-    From a point strictly inside the enclosure, cos(phi_r) / d^2 integrated
-    over the closed surface equals 4 pi exactly. With an attenuating medium
+    The same integral as lemma1_identity with the receiver cosine 1.0: from
+    a point strictly inside the enclosure, cos(phi_r) / d^2 integrated over
+    the closed surface equals 4 pi exactly. With an attenuating medium
     (props with beta > 0) the e^(-beta d) factor pulls the integral below
     that; the report then still uses 4 pi as the reference so the deviation
     reads as the attenuation deficit.
     """
-    p = as_point(point)
     beta = props.beta if props is not None else 0.0
-    total = 0.0
-    for element in mesh.elements:
-        pts, wq = _plain_rule(element, order)
-        diff = pts - p
-        dist = np.linalg.norm(diff, axis=1)
-        cos_r = np.clip(-np.einsum("ij,j->i", diff, element.normal) / dist, 0.0, None)
-        total += float(
-            (np.exp(-beta * dist) * cos_r / dist**2 * wq).sum()
-        )
+    total = _closure_total(mesh, as_point(point), None, None, beta, order)
     return OracleReport.evaluate(
         name="closure_interior_kernel",
         value=total,

@@ -34,7 +34,6 @@ __all__ = [
     "EARLY_BLOCKED",
     "UNOBSTRUCTED",
     "Classification",
-    "SubElement",
     "VisibilityReport",
     "build_active_list",
     "classify_visibility",
@@ -68,26 +67,23 @@ class Classification(enum.Enum):
     FULLY_BLOCKED = "fully_blocked"
 
 
-@dataclass(frozen=True)
-class SubElement:
-    """A fully visible triangle of an element, in physical coordinates."""
-
-    vertices: np.ndarray  # (3, 3)
-    area: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilityReport:
-    """Visible part of one element; depth_reached counts subtracted shadows."""
+    """Visible part of one element; depth_reached counts subtracted shadows.
+
+    visible holds the fully visible triangles in physical coordinates,
+    (T, 3, 3), with T = 0 unless the element is partly visible. An array
+    field has no truth value, so reports compare and hash by identity.
+    """
 
     classification: Classification
-    visible: tuple[SubElement, ...] = field(default=())
+    visible: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     fraction: float = 0.0
     depth_reached: int = 0
 
 
 # The outcome of a pair no shadow reaches, screened clear or clipped.
-UNOBSTRUCTED = VisibilityReport(Classification.FULLY_VISIBLE, (), 1.0, 0)
+UNOBSTRUCTED = VisibilityReport(Classification.FULLY_VISIBLE, fraction=1.0)
 
 
 def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = None) -> np.ndarray:
@@ -292,14 +288,15 @@ def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh) -> Vi
 
     if shadows == 0:
         return UNOBSTRUCTED
-    visible = []
+    visible, areas = [], []
     for piece in pieces:
         for i in range(1, len(piece) - 1):
             tri = np.array([piece[0], piece[i], piece[i + 1]])
             area = _polygon_area(tri, normal)
             if area >= min_area:
-                visible.append(SubElement(tri, area))
+                visible.append(tri)
+                areas.append(area)
     if not visible:
-        return VisibilityReport(Classification.FULLY_BLOCKED, (), 0.0, shadows)
-    fraction = min(sum(s.area for s in visible) / element.area, 1.0)
-    return VisibilityReport(Classification.PARTIALLY_VISIBLE, tuple(visible), fraction, shadows)
+        return VisibilityReport(Classification.FULLY_BLOCKED, depth_reached=shadows)
+    fraction = min(sum(areas) / element.area, 1.0)
+    return VisibilityReport(Classification.PARTIALLY_VISIBLE, np.array(visible), fraction, shadows)

@@ -70,6 +70,11 @@ def unit_square(z=0.0):
     )
 
 
+def with_emissivity(mesh, emissivity):
+    """The same geometry and temperatures with uniform wall emissivity."""
+    return SurfaceMesh(mesh.nodes, mesh.element_nodes, emissivity, mesh.node_temperatures)
+
+
 def props_for(mesh_or_grid_diam, sigma_a=0.0, sigma_s=0.0):
     return RadiativeProperties(
         sigma_a=sigma_a, sigma_s=sigma_s, domain_diameter=mesh_or_grid_diam
@@ -206,7 +211,7 @@ def test_near_singular_matches_high_order_reference():
     p = np.array([0.37, 0.62, 0.1 * e.diameter])
     n_p = np.array([0.0, 0.0, -1.0])
     props = props_for(np.sqrt(3.0), sigma_a=0.4, sigma_s=0.3)
-    got = element_integral(p, n_p, e, KernelKind.WALL_TO_WALL, props)
+    got = element_integral(p, n_p, e, KernelKind.DIRECT, props)
     want = _reference_direct_integral(p, n_p, verts, props.beta)
     assert got == pytest.approx(want, rel=1e-4)
 
@@ -217,7 +222,7 @@ def test_far_field_matches_reference_loosely():
     p = np.array([0.5, 0.5, 6.0])
     n_p = np.array([0.0, 0.0, -1.0])
     props = props_for(10.0)
-    got = element_integral(p, n_p, e, KernelKind.WALL_TO_WALL, props)
+    got = element_integral(p, n_p, e, KernelKind.DIRECT, props)
     want = _reference_direct_integral(p, n_p, verts, 0.0, depth=2, order=12)
     # The far band runs the cheap base rule, so only loose agreement is owed.
     assert got == pytest.approx(want, rel=1e-4)
@@ -231,7 +236,7 @@ def test_self_plane_integral_is_zero():
     p = np.array([0.5, 0.5, 0.0])
     n_p = np.array([0.0, 0.0, 1.0])
     props = props_for(3.0)
-    assert element_integral(p, n_p, other, KernelKind.WALL_TO_WALL, props) == 0.0
+    assert element_integral(p, n_p, other, KernelKind.DIRECT, props) == 0.0
 
 
 def test_shape_contributions_sum_to_plain_integral():
@@ -239,9 +244,9 @@ def test_shape_contributions_sum_to_plain_integral():
     p = np.array([0.3, 0.4, 0.7])
     n_p = np.array([0.0, 0.0, -1.0])
     props = props_for(2.0, sigma_a=0.2)
-    whole = element_integral(p, n_p, e, KernelKind.WALL_TO_WALL, props)
+    whole = element_integral(p, n_p, e, KernelKind.DIRECT, props)
     parts = sum(
-        element_integral(p, n_p, e, KernelKind.WALL_TO_WALL, props, shape=a)
+        element_integral(p, n_p, e, KernelKind.DIRECT, props, shape=a)
         for a in range(4)
     )
     assert parts == pytest.approx(whole, rel=1e-12)
@@ -278,7 +283,7 @@ def test_partial_integral_matches_masked_quadrature():
     shapes = quad_flux_shapes(*uv.T).T
     for a in (None, 0, 1, 2, 3):
         want = kern.sum() if a is None else kern @ shapes[:, a]
-        got = element_integral(p, n_p, top, KernelKind.WALL_TO_WALL, props, shape=a, report=report)
+        got = element_integral(p, n_p, top, KernelKind.DIRECT, props, shape=a, report=report)
         assert got == pytest.approx(want, rel=1e-5), a
 
 
@@ -522,7 +527,7 @@ def test_discrete_reciprocity_cube_faces():
                 continue
             total = sum(
                 w * element_integral(pt, ei.normal, mesh.elements[j],
-                                     KernelKind.WALL_TO_WALL, props)
+                                     KernelKind.DIRECT, props)
                 for pt, w in zip(rule.points, rule.weights)
             )
             exchanged[i, j] = total
@@ -605,7 +610,7 @@ def test_compact_chords_match_padded_oracle(n):
 @pytest.fixture(scope="module")
 def gray_cube_systems():
     mesh, grid = builtin_case("cube", 3)
-    mesh = mesh.with_emissivities(0.5)
+    mesh = with_emissivity(mesh, 0.5)
     props = RadiativeProperties(sigma_a=1.0, sigma_s=1.0, domain_diameter=mesh.diameter())
     asm = Assembler(mesh, grid)
     return mesh, grid, props, asm.assemble_surface(props), asm.assemble_volume(props)
@@ -649,7 +654,7 @@ def test_black_walls_zero_reflection_blocks():
 
 def test_no_scattering_zero_scatter_blocks():
     mesh, grid = builtin_case("cube", 2)
-    mesh = mesh.with_emissivities(0.5)
+    mesh = with_emissivity(mesh, 0.5)
     props = RadiativeProperties(sigma_a=1.0, sigma_s=0.0, domain_diameter=mesh.diameter())
     asm = Assembler(mesh, grid)
     surface = asm.assemble_surface(props)
@@ -662,7 +667,7 @@ def test_gmat_row_matches_per_element_route():
     # Convex case: every pair classifies as fully visible, so a row must
     # equal the sum of standalone shape-weighted element integrals.
     mesh, grid = builtin_case("cube", 2)
-    mesh = mesh.with_emissivities(0.5)
+    mesh = with_emissivity(mesh, 0.5)
     props = RadiativeProperties(sigma_a=0.3, sigma_s=0.0, domain_diameter=mesh.diameter())
     asm = Assembler(mesh, grid)
     surface = asm.assemble_surface(props)
@@ -677,7 +682,7 @@ def test_gmat_row_matches_per_element_route():
         if k == own or float(n_p @ (e.centroid - p)) <= 0.0:
             continue
         for a in range(4):
-            val = element_integral(p, n_p, e, KernelKind.WALL_TO_WALL, props, shape=a)
+            val = element_integral(p, n_p, e, KernelKind.DIRECT, props, shape=a)
             expected[col.element_first_dof[k] + a] += eps * (1.0 - eps) / eps * val
     assert np.allclose(surface.gmat[i], expected, atol=1e-12)
 

@@ -219,8 +219,11 @@ BAD_CONFIG_VALUES = {
     "sigma_a_bool": {"sigma_a": True},
     "sigma_s_bool": {"sigma_s": True},
     "sigma_sb_bool": {"sigma_sb": True},
+    "sigma_sb_nan": {"sigma_sb": float("nan")},
+    "sigma_sb_inf": {"sigma_sb": float("inf")},
     "tolerance": {"tolerance": 0},
     "tolerance_bool": {"tolerance": True},
+    "tolerance_inf": {"tolerance": float("inf")},
     "max_iterations": {"max_iterations": 0},
     "max_iterations_fraction": {"max_iterations": 1.5},
     "max_iterations_bool": {"max_iterations": True},
@@ -275,14 +278,13 @@ def test_run_flag_overrides_reach_the_echo(tmp_path, capsys):
     out = tmp_path / "o"
     code = main([
         "run", "--config", str(config), "--out", str(out),
-        "--tol", "1e-6", "--max-iter", "50", "--seed", "99",
+        "--tol", "1e-6", "--max-iter", "50",
     ])
     capsys.readouterr()
     assert code == 0
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["tolerance"] == 1e-6
     assert echoed["max_iterations"] == 50
-    assert echoed["seed"] == 99
 
 
 def test_run_reports_nonconvergence(tmp_path, capsys):
@@ -334,6 +336,27 @@ def test_visibility_dump_matches_reports(tmp_path, capsys):
         p, own = expected[(r["point_kind"], int(r["point_index"]), k)]
         report = classify_visibility(p, k, screen_active_set(p, [k], mesh, own)[0], mesh)
         assert r["classification"] == f"partial:{report.fraction:.6f}"
+
+
+# Flags a subcommand does not read: validate assembles and solves nothing,
+# and run samples nothing with a seed.
+UNREAD_FLAGS = [
+    ("validate", ["--tol", "5"]),
+    ("validate", ["--max-iter", "3"]),
+    ("validate", ["--dump-matrices"]),
+    ("validate", ["--dump-visibility"]),
+    ("run", ["--seed", "99"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[" ".join(f) for _, f in UNREAD_FLAGS])
+def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    config = write_config(tmp_path, profiles=[])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--out", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_subcommand_passes(tmp_path, capsys):
@@ -401,6 +424,15 @@ def test_profile_outside_domain_raises(solved_case):
     outside = ProfileSpec("up", (0.5, 0.5, 1.5), (0.5, 0.5, 2.5), 3, "G")
     with pytest.raises(LineOutsideDomain):
         emit_profile(state, collocation, grid, mesh, outside)
+
+
+def test_run_refuses_a_bad_profile_before_the_solve(tmp_path, capsys):
+    config = write_config(tmp_path, **one_profile(start=[0.5, 0.5, 1.5], end=[0.5, 0.5, 2.5],
+                                                  quantity="G"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "error: profile 'p'" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
 
 
 def test_run_case_library_route_matches_cli(tmp_path):

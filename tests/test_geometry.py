@@ -537,6 +537,19 @@ def test_mesh_file_grid_must_cover_mesh(tmp_path):
         load_mesh(path)
 
 
+def test_infinite_spacing_rejected(tmp_path):
+    with pytest.raises(GeometryError, match="finite"):
+        VoxelGrid([0, 0, 0], [np.inf, 0.5, 0.5], [2, 2, 2])
+    # json writes and reads Infinity, so a mesh file can carry it.
+    path = tmp_path / "cube.json"
+    elements = [{"nodes": list(f), "epsilon": 1.0, "T": 0.0} for f in CUBE_FACES]
+    grid = {"origin": [0, 0, 0], "spacing": [math.inf, 0.5, 0.5], "dims": [2, 2, 2],
+            "T": [0.0] * 8}
+    write_mesh_file(path, CUBE_NODES, elements, grid)
+    with pytest.raises(GeometryError, match="finite"):
+        load_mesh(path)
+
+
 def test_mesh_file_error_reporting(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

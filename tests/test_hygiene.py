@@ -1,6 +1,8 @@
 """Source hygiene of the package and of the test suite itself."""
 
 import ast
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,91 @@ def test_unused_import_check_finds_one():
 @pytest.mark.parametrize("name", FILES)
 def test_no_unused_imports(name):
     assert unused_imports(FILES[name].read_text()) == []
+
+
+ROOT = TESTS.parent
+PACKAGE = sorted((ROOT / "src" / "ritesolver").glob("*.py"))
+
+
+def _docstrings(tree) -> set[int]:
+    """ids of the docstring nodes of a module and its classes and functions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+                    and isinstance(body[0].value.value, str):
+                found.add(id(body[0].value))
+    return found
+
+
+def references(sources) -> set[str]:
+    """Every name a body of code reads: names, attributes, and the words of
+    its string constants (tools look functions up by name), not docstrings."""
+    refs = set()
+    for source in sources:
+        tree = ast.parse(source)
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docs:
+                refs.update(re.findall(r"\w+", node.value))
+    return refs
+
+
+def definitions(source: str):
+    """(name, line) of the top-level functions and classes of a module and
+    the non-dunder methods and properties of its classes."""
+    tree = ast.parse(source)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            defs.extend((f.name, f.lineno) for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not (f.name.startswith("__") and f.name.endswith("__")))
+    return defs
+
+
+def exported(source: str) -> set[str]:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unreferenced(modules, readers) -> list[str]:
+    """Definitions in modules that no __all__ names and no reader refers to."""
+    public = set().union(*(exported(src) for src in modules.values()))
+    refs = references(readers)
+    return [f"{name}:{line} {defined}" for name, src in modules.items()
+            for defined, line in definitions(src)
+            if defined not in public and defined not in refs]
+
+
+def test_unreferenced_check_finds_one():
+    module = textwrap.dedent('''
+        __all__ = ["f"]
+        def f(): """g is not read here."""
+        def g(): pass
+        def h(): pass
+        class C:
+            def __init__(self): pass
+            def m(self): pass
+            @property
+            def p(self): pass
+        TARGET = "h"
+    ''')
+    assert unreferenced({"mod": module}, [module, "C().p"]) == ["mod:4 g", "mod:8 m"]
+
+
+def test_every_definition_is_exported_or_used():
+    # Library code that only tests call belongs in the tests.
+    readers = [p.read_text() for p in PACKAGE + sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unreferenced({p.name: p.read_text() for p in PACKAGE}, readers) == []

@@ -35,7 +35,6 @@ PROPS = RadiativeProperties(sigma_a=0.4, sigma_s=0.6, domain_diameter=2.0)
 def test_derived_coefficients():
     assert PROPS.beta == pytest.approx(1.0)
     assert PROPS.albedo == pytest.approx(0.6)
-    assert PROPS.optical_diameter == pytest.approx(2.0)
 
 
 def test_transparent_medium_is_representable():
@@ -94,23 +93,23 @@ def kernel_value(kind, receiver, receiver_normal, source, source_normal, props):
 
 
 def test_wall_to_wall_head_on():
-    val = kernel_value(KernelKind.WALL_TO_WALL, props=PROPS, **HEAD_ON)
+    val = kernel_value(KernelKind.DIRECT, props=PROPS, **HEAD_ON)
     assert val == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-12)
 
 
 def test_emission_and_scatter_kernels_carry_no_transmittance():
-    em = kernel_value(KernelKind.EMISSION_TO_WALL, props=PROPS, **HEAD_ON)
-    sc = kernel_value(KernelKind.SCATTER_TO_WALL, props=PROPS, **HEAD_ON)
+    em = kernel_value(KernelKind.EMISSION, props=PROPS, **HEAD_ON)
+    sc = kernel_value(KernelKind.SCATTER, props=PROPS, **HEAD_ON)
     assert em == pytest.approx(PROPS.sigma_a, rel=1e-12)
     assert sc == pytest.approx(PROPS.sigma_s / (4.0 * math.pi), rel=1e-12)
 
 
 def test_interior_receiver_drops_receiver_cosine():
     kw = dict(HEAD_ON, receiver_normal=None)
-    direct = kernel_value(KernelKind.WALL_TO_MEDIUM, props=PROPS, **kw)
+    direct = kernel_value(KernelKind.DIRECT, props=PROPS, **kw)
     assert direct == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-12)
-    em = kernel_value(KernelKind.EMISSION_TO_MEDIUM, props=PROPS, **kw)
-    sc = kernel_value(KernelKind.SCATTER_TO_MEDIUM, props=PROPS, **kw)
+    em = kernel_value(KernelKind.EMISSION, props=PROPS, **kw)
+    sc = kernel_value(KernelKind.SCATTER, props=PROPS, **kw)
     assert em == pytest.approx(PROPS.sigma_a, rel=1e-12)
     assert sc == pytest.approx(PROPS.sigma_s / (4.0 * math.pi), rel=1e-12)
 
@@ -136,20 +135,20 @@ def test_oblique_geometry_factors():
     cos_p = math.cos(math.radians(60.0))
     cos_r = math.cos(math.radians(45.0))
     geo = projected_solid_angle(cos_p, cos_r, d)
-    val = kernel_prefactor(KernelKind.WALL_TO_WALL, PROPS, d) * geo
+    val = kernel_prefactor(KernelKind.DIRECT, PROPS, d) * geo
     assert val == pytest.approx(math.exp(-2.0) * cos_p * cos_r / (math.pi * 4.0), rel=1e-12)
 
 
 def test_facing_away_clamps_to_zero():
     turned = dict(HEAD_ON, source_normal=[0.0, 0.0, 1.0])
-    assert kernel_value(KernelKind.WALL_TO_WALL, props=PROPS, **turned) == 0.0
+    assert kernel_value(KernelKind.DIRECT, props=PROPS, **turned) == 0.0
     turned = dict(HEAD_ON, receiver_normal=[0.0, 0.0, -1.0])
-    assert kernel_value(KernelKind.WALL_TO_WALL, props=PROPS, **turned) == 0.0
+    assert kernel_value(KernelKind.DIRECT, props=PROPS, **turned) == 0.0
 
 
 def test_transparent_limit_reduces_to_view_factor_integrand():
     clear = RadiativeProperties(0.0, 0.0, 2.0)
-    val = kernel_value(KernelKind.WALL_TO_WALL, props=clear, **HEAD_ON)
+    val = kernel_value(KernelKind.DIRECT, props=clear, **HEAD_ON)
     assert val == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
@@ -162,8 +161,8 @@ def test_wall_kernel_reciprocity(coords):
     r = np.array(coords[3:]) + np.array([0.0, 0.0, 2.0])
     n_p = np.array([0.0, 0.0, 1.0])
     n_r = np.array([0.0, 0.0, -1.0])
-    forward = kernel_value(KernelKind.WALL_TO_WALL, p, n_p, r, n_r, PROPS)
-    backward = kernel_value(KernelKind.WALL_TO_WALL, r, n_r, p, n_p, PROPS)
+    forward = kernel_value(KernelKind.DIRECT, p, n_p, r, n_r, PROPS)
+    backward = kernel_value(KernelKind.DIRECT, r, n_r, p, n_p, PROPS)
     assert forward == pytest.approx(backward, rel=1e-12, abs=1e-300)
 
 

@@ -245,7 +245,7 @@ def test_convex_pair_is_fully_visible_without_subdivision():
     assert report.classification is Classification.FULLY_VISIBLE
     assert report.fraction == 1.0
     assert report.depth_reached == 0
-    assert report.visible == ()
+    assert report.visible.shape == (0, 3, 3)
 
 
 def test_centered_plate_fraction_matches_projection():
@@ -255,7 +255,9 @@ def test_centered_plate_fraction_matches_projection():
         assert report.classification is Classification.PARTIALLY_VISIBLE
         expect = shadow_fraction(half)
         assert report.fraction == pytest.approx(expect, abs=1e-9)
-        total = sum(sub.area for sub in report.visible)
+        tris = report.visible
+        total = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
+                                     axis=1).sum()
         assert total == pytest.approx(report.fraction * scene.elements[1].area, rel=1e-9)
 
 
