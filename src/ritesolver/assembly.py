@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import ctypes
 import platform
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -81,8 +79,6 @@ __all__ = [
     "RowPlan",
     "collocation_points",
     "operator_row_sums",
-    "write_matrix",
-    "read_matrix",
 ]
 
 # Distance bands in units of element diameter: beyond FAR_BAND the Gauss
@@ -862,9 +858,9 @@ class Assembler:
         col = self.collocation
         n = col.n_boundary if kind == "b" else col.n_interior
         blocks = (np.zeros((n, col.n_boundary)), np.zeros((n, col.n_interior)), np.zeros(n))
-        eb_vertices = blackbody_emission(self._vertex_temps, props.sigma_sb)
+        eb_vertices = blackbody_emission(self._vertex_temps)
         ib_cells = np.where(self._active_mask,
-                            blackbody_intensity(self.grid.temperatures, props.sigma_sb), 0.0)
+                            blackbody_intensity(self.grid.temperatures), 0.0)
         for r in range(n):
             self._row(kind, r, props, eb_vertices, ib_cells, *blocks)
         for name, arr in zip(names, blocks):
@@ -936,33 +932,3 @@ def operator_row_sums(
     return RowSumReport(row_sums=row_sums, bounds=bounds, tolerance=tolerance,
                         violations=violations)
 
-
-# ---------------------------------------------------------------------------
-# Binary block dumps
-
-_MATRIX_MAGIC = b"RITM"
-_MATRIX_VERSION = 1
-
-
-def write_matrix(path, matrix: np.ndarray) -> None:
-    """Little-endian float64 row-major dump with a dimension header."""
-    m = np.ascontiguousarray(matrix, dtype="<f8")
-    if m.ndim == 1:
-        m = m[None, :]
-    with open(path, "wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<B", _MATRIX_VERSION))
-        fh.write(struct.pack("<qq", m.shape[0], m.shape[1]))
-        fh.write(m.tobytes())
-
-
-def read_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MATRIX_MAGIC:
-        raise ValueError(f"{path} is not a matrix dump")
-    version = raw[4]
-    if version != _MATRIX_VERSION:
-        raise ValueError(f"unsupported matrix dump version {version}")
-    rows, cols = struct.unpack_from("<qq", raw, 5)
-    data = np.frombuffer(raw, dtype="<f8", offset=21, count=rows * cols)
-    return data.reshape(rows, cols).copy()

@@ -35,11 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ritesolver.assembly import (
-    Assembler,
-    collocation_points,
-    write_matrix,
-)
+from ritesolver.assembly import Assembler, collocation_points
 from ritesolver.geometry import (
     GeometryError,
     SurfaceMesh,
@@ -49,7 +45,7 @@ from ritesolver.geometry import (
     points_in_mesh,
     write_mesh_file,
 )
-from ritesolver.kernels import RadiativeProperties, solvability_margin
+from ritesolver.kernels import STEFAN_BOLTZMANN, RadiativeProperties, solvability_margin
 from ritesolver.solver import SolverConfig, solve_rites
 from ritesolver.validation import (
     DEFAULT_ORACLE_SEED,
@@ -268,7 +264,6 @@ class ProfileSpec:
 _CONFIG_TYPES = {
     "sigma_a": (numbers.Real, "a number"),
     "sigma_s": (numbers.Real, "a number"),
-    "sigma_sb": (numbers.Real, "a number"),
     "tolerance": (numbers.Real, "a number"),
     "reference_temperature": (numbers.Real, "a number"),
     "max_iterations": (numbers.Integral, "an integer"),
@@ -286,7 +281,6 @@ class CaseConfig:
     mesh: str
     sigma_a: float
     sigma_s: float
-    sigma_sb: float | None = None
     tolerance: float = 1e-8
     max_iterations: int = 200
     output: str = "out"
@@ -301,11 +295,11 @@ class CaseConfig:
             raise ConfigError(f"mesh file does not exist: {self.mesh}")
         for key, (kind, noun) in _CONFIG_TYPES.items():
             value = getattr(self, key)
-            if value is None and key in ("sigma_sb", "reference_temperature"):
+            if value is None and key == "reference_temperature":
                 continue
             if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
                 raise ConfigError(f"bad config value: {key} must be {noun}, got {value!r}")
-        # Profiles are divided by sigma_sb T^4 of this temperature.
+        # Profiles are divided by STEFAN_BOLTZMANN T^4 of this temperature.
         temp = self.reference_temperature
         if temp is not None and not (math.isfinite(temp) and temp > 0.0):
             raise ConfigError(
@@ -320,9 +314,8 @@ class CaseConfig:
 
     def radiative_properties(self, domain_diameter: float) -> RadiativeProperties:
         """The configured medium inside an enclosure of the given diameter."""
-        sigma_sb = {} if self.sigma_sb is None else {"sigma_sb": self.sigma_sb}
         return RadiativeProperties(sigma_a=self.sigma_a, sigma_s=self.sigma_s,
-                                   domain_diameter=domain_diameter, **sigma_sb)
+                                   domain_diameter=domain_diameter)
 
     def solver_config(self) -> SolverConfig:
         """The configured outer-iteration controls."""
@@ -468,11 +461,11 @@ def emit_profile(state, collocation, grid: VoxelGrid, mesh: SurfaceMesh, spec: P
     return _profile_rows(state, spec, sample_profile(collocation, grid, mesh, spec))
 
 
-def _write_profile_csv(path, rows, spec: ProfileSpec, reference_temperature, sigma_sb):
+def _write_profile_csv(path, rows, spec: ProfileSpec, reference_temperature):
     scale = 1.0
     unit = "W/m^2"
     if reference_temperature is not None:
-        scale = sigma_sb * reference_temperature**4
+        scale = STEFAN_BOLTZMANN * reference_temperature**4
         unit = "-"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -552,20 +545,17 @@ def run_case(config: CaseConfig) -> RunResult:
     (out_dir / "oracles.txt").write_text(table + "\n", encoding="utf-8")
     write_report_csv(out_dir / "oracles.csv", reports)
 
-    sb = props.sigma_sb
     for spec, at in zip(config.profiles, samples):
         _write_profile_csv(
             out_dir / f"profile_{spec.name}.csv",
-            _profile_rows(state, spec, at), spec, config.reference_temperature, sb,
+            _profile_rows(state, spec, at), spec, config.reference_temperature,
         )
 
     if config.dump_matrices:
-        write_matrix(out_dir / "gmat.bin", surface.gmat)
-        write_matrix(out_dir / "fmat.bin", surface.fmat)
-        write_matrix(out_dir / "umat.bin", volume.umat)
-        write_matrix(out_dir / "vmat.bin", volume.vmat)
-        write_matrix(out_dir / "h.bin", surface.h[:, None])
-        write_matrix(out_dir / "t.bin", volume.t[:, None])
+        blocks = {"gmat": surface.gmat, "fmat": surface.fmat, "h": surface.h,
+                  "umat": volume.umat, "vmat": volume.vmat, "t": volume.t}
+        for name, block in blocks.items():
+            np.save(out_dir / f"{name}.npy", block)
     if config.dump_visibility:
         _dump_visibility_csv(out_dir / "visibility.csv", assembler)
 
@@ -631,7 +621,7 @@ _OVERRIDE_FLAGS = {
     "--tol": ("tolerance", dict(type=float, metavar="X", help="outer iteration tolerance")),
     "--max-iter": ("max_iterations", dict(type=int, metavar="N", help="outer iteration cap")),
     "--dump-matrices": ("dump_matrices", dict(
-        action="store_true", help="write the four operator blocks and load vectors")),
+        action="store_true", help="write the four operator blocks and load vectors as .npy")),
     "--dump-visibility": ("dump_visibility", dict(
         action="store_true", help="write per-pair screening and classification outcomes")),
     "--seed": ("seed", dict(type=int, metavar="N", help="oracle sampling seed")),

@@ -38,7 +38,8 @@ __all__ = [
     "solvability_margin",
 ]
 
-# CODATA value, W m^-2 K^-4.
+# CODATA value, W m^-2 K^-4. Every source term is STEFAN_BOLTZMANN T^4
+# and no operator block carries it, so it is a constant, not a setting.
 STEFAN_BOLTZMANN = 5.670374419e-8
 
 
@@ -55,7 +56,6 @@ class RadiativeProperties:
     sigma_a: float
     sigma_s: float
     domain_diameter: float
-    sigma_sb: float = STEFAN_BOLTZMANN
 
     def __post_init__(self):
         if self.sigma_a < 0 or not math.isfinite(self.sigma_a):
@@ -64,8 +64,6 @@ class RadiativeProperties:
             raise ValueError(f"sigma_s must be finite and >= 0, got {self.sigma_s}")
         if self.domain_diameter <= 0 or not math.isfinite(self.domain_diameter):
             raise ValueError(f"domain_diameter must be positive, got {self.domain_diameter}")
-        if self.sigma_sb <= 0 or not math.isfinite(self.sigma_sb):
-            raise ValueError(f"sigma_sb must be finite and positive, got {self.sigma_sb}")
 
     @property
     def beta(self) -> float:
@@ -103,17 +101,17 @@ class KernelKind(enum.Enum):
     SCATTER = "scatter"
 
 
-def blackbody_emission(temperature, sigma_sb: float = STEFAN_BOLTZMANN):
-    """Hemispherical emissive power sigma T^4, W/m^2."""
+def blackbody_emission(temperature):
+    """Hemispherical emissive power sigma T^4, W/m^2, with sigma STEFAN_BOLTZMANN."""
     t = np.asarray(temperature, dtype=float)
-    out = sigma_sb * t**4
+    out = STEFAN_BOLTZMANN * t**4
     return float(out) if out.ndim == 0 else out
 
 
-def blackbody_intensity(temperature, sigma_sb: float = STEFAN_BOLTZMANN):
+def blackbody_intensity(temperature):
     """Isotropic blackbody intensity sigma T^4 / pi, W/(m^2 sr)."""
     t = np.asarray(temperature, dtype=float)
-    out = sigma_sb * t**4 / math.pi
+    out = STEFAN_BOLTZMANN * t**4 / math.pi
     return float(out) if out.ndim == 0 else out
 
 

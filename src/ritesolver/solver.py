@@ -124,7 +124,7 @@ def solve_rites(
     config = config if config is not None else SolverConfig()
     lu_piv = _factor_wall_system(surface.gmat)
 
-    g = 4.0 * blackbody_emission(volume.cell_temperatures, props.sigma_sb)
+    g = 4.0 * blackbody_emission(volume.cell_temperatures)
 
     # Without scattering neither block feeds G back into the update, so the
     # first sweep already lands on the exact fixed point.

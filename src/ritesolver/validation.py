@@ -311,13 +311,13 @@ def energy_balance(
     col = collocation if collocation is not None else collocation_points(mesh, grid)
     wall_net = float(state.q @ col.boundary_weights)
     cell_temps = grid.temperatures[col.interior_cells]
-    eb_cells = blackbody_emission(cell_temps, props.sigma_sb)
+    eb_cells = blackbody_emission(cell_temps)
     medium_net = float(
         props.sigma_a * ((4.0 * eb_cells - state.incident) * grid.cell_volume).sum()
     )
     residual = abs(wall_net - medium_net)
     arr = mesh.arrays()
-    emission = blackbody_emission(_element_mean_temperatures(mesh), props.sigma_sb)
+    emission = blackbody_emission(_element_mean_temperatures(mesh))
     wall_gross = float((arr.emissivities * arr.areas * emission).sum())
     medium_gross = float(props.sigma_a * 4.0 * (eb_cells * grid.cell_volume).sum())
     denom = max(abs(wall_net), abs(medium_net), wall_gross, medium_gross)

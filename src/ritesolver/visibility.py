@@ -258,16 +258,13 @@ def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh) -> Vi
     p = as_point(p)
     element = mesh.elements[active_index]
     arrays = mesh.arrays()
-    cands = np.asarray(blockers, dtype=int)
-    targets = np.broadcast_to(element.vertices, (cands.size,) + element.vertices.shape)
-    cands = cands[_separates(p, targets, arrays, cands)]
     normal = element.normal
     tol = _CUT_RTOL * element.diameter
     min_area = _SLIVER_RTOL * element.area
 
     pieces = [element.vertices]
     shadows = 0
-    for b in cands:
+    for b in blockers:
         if not pieces:
             break
         blocker = arrays.vertices[b, : arrays.n_vertices[b]]

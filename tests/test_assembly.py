@@ -31,9 +31,7 @@ from ritesolver.assembly import (
     operator_row_sums,
     quad_flux_shapes,
     quad_vertex_shapes,
-    read_matrix,
     tri_flux_shapes,
-    write_matrix,
 )
 from ritesolver.cli import builtin_case
 from ritesolver.geometry import (
@@ -86,10 +84,21 @@ def props_for(mesh_or_grid_diam, sigma_a=0.0, sigma_s=0.0):
 
 
 def test_rule_weights_sum_to_area():
-    e = unit_square()
-    for order in (2, 4, 8):
-        rule = element_rule(e, order)
-        assert rule.weights.sum() == pytest.approx(e.area, rel=1e-12)
+    tri = build_element([[0.0, 0.0, 0.0], [2.0, 0.0, 0.5], [0.5, 1.5, 1.0]])
+    for e in (unit_square(), tri):
+        for order in (2, 4, 8):
+            rule = element_rule(e, order)
+            assert rule.weights.sum() == pytest.approx(e.area, rel=1e-12)
+    # Order 2 on a triangle is the 3-point rule far triangles take; it is
+    # exact for quadratics, so it agrees with the order-8 rule.
+    def quadratic(points):
+        x, y, z = points.T
+        return 1.0 + 2.0 * y + x * x + 3.0 * x * y - z * z
+
+    far, fine = element_rule(tri, 2), element_rule(tri, 8)
+    assert len(far.weights) == 3
+    assert abs(far.weights @ quadratic(far.points)
+               - fine.weights @ quadratic(fine.points)) <= 1e-12
 
 
 def test_partition_of_unity_gives_area():
@@ -880,15 +889,3 @@ def test_heap_setting_calls_mallopt_or_skips_quietly(monkeypatch):
         monkeypatch.setattr(assembly.ctypes, "CDLL", lambda name: Libc())
         assert keep() is None
     assert len(calls) == 2
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    m = rng.random((7, 13))
-    path = tmp_path / "block.bin"
-    write_matrix(path, m)
-    back = read_matrix(path)
-    assert np.array_equal(back, m)
-    vec = rng.random(9)
-    write_matrix(path, vec)
-    assert np.array_equal(read_matrix(path), vec[None, :])

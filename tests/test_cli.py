@@ -19,7 +19,7 @@ from ritesolver.cli import (
     run_case,
 )
 from ritesolver.geometry import load_mesh, segment_element_hits
-from ritesolver.kernels import RadiativeProperties
+from ritesolver.kernels import STEFAN_BOLTZMANN, RadiativeProperties
 from ritesolver.solver import solve_rites
 from ritesolver.validation import lemma3_interior_identity
 
@@ -218,9 +218,7 @@ BAD_CONFIG_VALUES = {
     "sigma_a_text": {"sigma_a": "x"},
     "sigma_a_bool": {"sigma_a": True},
     "sigma_s_bool": {"sigma_s": True},
-    "sigma_sb_bool": {"sigma_sb": True},
-    "sigma_sb_nan": {"sigma_sb": float("nan")},
-    "sigma_sb_inf": {"sigma_sb": float("inf")},
+    "sigma_sb": {"sigma_sb": 5.670374419e-8},  # not a key: sigma is STEFAN_BOLTZMANN
     "tolerance": {"tolerance": 0},
     "tolerance_bool": {"tolerance": True},
     "tolerance_inf": {"tolerance": float("inf")},
@@ -248,29 +246,72 @@ def test_bad_config_values_exit_with_usage_error(tmp_path, capsys, body):
 # Full runs
 
 
+RUN_OUTPUTS = ["config.json", "convergence.csv", "oracles.csv", "oracles.txt",
+               "profile_column.csv", "profile_floor_mid.csv"]
+DUMPED_BLOCKS = ["gmat", "fmat", "h", "umat", "vmat", "t"]
+
+
+def read_profile(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=float)
+
+
 def test_run_writes_outputs_and_reruns_identically(tmp_path, capsys):
-    config = write_config(tmp_path)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert main(["run", "--config", str(config), "--out", str(out_a)]) == 0
-    assert main(["run", "--config", str(config), "--out", str(out_b)]) == 0
-    capsys.readouterr()
-    produced = sorted(f.name for f in out_a.iterdir())
-    assert produced == [
-        "config.json",
-        "convergence.csv",
-        "oracles.csv",
-        "oracles.txt",
-        "profile_column.csv",
-        "profile_floor_mid.csv",
+    # Once plain, once with both dumps and profiles scaled by a reference
+    # temperature; each input run twice.
+    (tmp_path / "scaled").mkdir()
+    t_ref = 1000.0
+    inputs = [
+        (write_config(tmp_path), [], RUN_OUTPUTS),
+        (write_config(tmp_path / "scaled", reference_temperature=t_ref),
+         ["--dump-matrices", "--dump-visibility"],
+         sorted(RUN_OUTPUTS + [f"{name}.npy" for name in DUMPED_BLOCKS] + ["visibility.csv"])),
     ]
-    for name in produced:
-        if name == "config.json":
-            continue  # echoes the differing output directory
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-    echoed = json.loads((out_a / "config.json").read_text())
-    assert echoed["sigma_a"] == 0.4
-    assert echoed["sigma_s"] == 0.6
+    outs = []
+    for i, (config, flags, expected) in enumerate(inputs):
+        out_a, out_b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        assert main(["run", "--config", str(config), "--out", str(out_a), *flags]) == 0
+        assert main(["run", "--config", str(config), "--out", str(out_b), *flags]) == 0
+        capsys.readouterr()
+        produced = sorted(f.name for f in out_a.iterdir())
+        assert produced == expected
+        for name in produced:
+            if name == "config.json":
+                continue  # echoes the differing output directory
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        echoed = json.loads((out_a / "config.json").read_text())
+        assert echoed["sigma_a"] == 0.4
+        assert echoed["sigma_s"] == 0.6
+        outs.append(out_a)
+
+    plain, scaled = outs
+    for name, quantity in (("profile_floor_mid.csv", "q"), ("profile_column.csv", "G")):
+        header, rows = read_profile(plain / name)
+        scaled_header, scaled_rows = read_profile(scaled / name)
+        assert header[-1] == f"{quantity} [W/m^2]"
+        assert scaled_header == header[:-1] + [f"{quantity} [-]"]
+        assert np.array_equal(scaled_rows[:, :4], rows[:, :4])
+        assert np.array_equal(scaled_rows[:, 4], rows[:, 4] / (STEFAN_BOLTZMANN * t_ref**4))
+
+
+def test_dumped_blocks_match_in_process_assembly(tmp_path, capsys):
+    config = write_config(tmp_path, profiles=[])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out), "--dump-matrices"]) == 0
+    capsys.readouterr()
+    case = CaseConfig.from_file(config)
+    mesh, grid = load_mesh(case.mesh)
+    props = case.radiative_properties(mesh.diameter())
+    asm = Assembler(mesh, grid)
+    surface, volume = asm.assemble_surface(props), asm.assemble_volume(props)
+    blocks = {"gmat": surface.gmat, "fmat": surface.fmat, "h": surface.h,
+              "umat": volume.umat, "vmat": volume.vmat, "t": volume.t}
+    assert sorted(blocks) == sorted(DUMPED_BLOCKS)
+    for name, block in blocks.items():
+        dumped = np.load(out / f"{name}.npy")
+        assert dumped.dtype == block.dtype and dumped.shape == block.shape, name
+        assert dumped.tobytes() == block.tobytes(), name
 
 
 def test_run_flag_overrides_reach_the_echo(tmp_path, capsys):

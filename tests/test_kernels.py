@@ -50,8 +50,6 @@ def test_property_validation():
         RadiativeProperties(0.0, -0.1, 1.0)
     with pytest.raises(ValueError):
         RadiativeProperties(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        RadiativeProperties(0.0, 0.0, 1.0, sigma_sb=0.0)
 
 
 def test_blackbody_reference_values():

@@ -121,7 +121,7 @@ def test_isothermal_cavity_stays_in_equilibrium():
     )
     state = solve_rites(surface, volume, props)
     assert state.converged
-    emission = blackbody_emission(np.array([temperature]), props.sigma_sb)[0]
+    emission = blackbody_emission(np.array([temperature]))[0]
     assert np.abs(state.q).max() <= 0.02 * emission
     assert np.abs(state.incident - 4.0 * emission).max() <= 0.02 * 4.0 * emission
 

@@ -10,7 +10,7 @@ from ritesolver.visibility import (
     classify_visibility,
     screen_active_set,
 )
-from tests.conftest import make_cube_mesh
+from tests.conftest import make_cube_mesh, make_dented_cube_mesh
 
 BOTTOM = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
 TOP = [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
@@ -173,6 +173,13 @@ def test_refined_convex_cube_screens_everything_out():
 NOTCH_VIEW_POINTS = (np.array([0.75, 0.75, 3.0]), np.array([0.51, 1.93, 0.0]))
 
 
+def screen_outcomes(mesh, p, own):
+    """[(active element, screen outcome)] for a point p on element own."""
+    active = build_active_list(p, mesh.elements[own].normal, mesh, source_element=own)
+    outcomes = screen_active_set(p, active, mesh, source_element=own)
+    return list(zip(active.tolist(), outcomes))
+
+
 def lshape_screen_outcomes(p):
     """(lshape r2 mesh, [(active element, screen outcome)]) for a wall point."""
     from ritesolver.cli import builtin_case
@@ -183,9 +190,7 @@ def lshape_screen_outcomes(p):
         if abs(e.normal @ (p - e.centroid)) < 1e-12
         and np.all(np.abs(p - e.centroid) <= e.diameter)
     )
-    active = build_active_list(p, mesh.elements[own].normal, mesh, source_element=own)
-    outcomes = screen_active_set(p, active, mesh, source_element=own)
-    return mesh, list(zip(active.tolist(), outcomes))
+    return mesh, screen_outcomes(mesh, p, own)
 
 
 def test_clear_screen_outcomes_are_fully_visible():
@@ -204,12 +209,21 @@ def test_clear_screen_outcomes_are_fully_visible():
 
 def test_classified_fractions_match_ray_oracle():
     # Every listed pair past the notch edge, partly hidden ones included
-    # (some of these a center-ray rule once blocked outright).
+    # (some of these a center-ray rule once blocked outright), and every
+    # listed pair from a slanted wall of the dented cube, whose targets
+    # include triangles.
     from ritesolver.validation import visibility_oracle
 
-    outcomes = []
+    views = []
     for p in NOTCH_VIEW_POINTS:
         mesh, pairs = lshape_screen_outcomes(p)
+        views.append((mesh, p, pairs))
+    dent = make_dented_cube_mesh()
+    p = dent.elements[4].centroid  # on the slanted x = 1 triangle
+    views.append((dent, p, screen_outcomes(dent, p, 4)))
+    outcomes = []
+    partial_triangles = 0
+    for mesh, p, pairs in views:
         for k, blockers in pairs:
             if not blockers:
                 continue
@@ -217,8 +231,11 @@ def test_classified_fractions_match_ray_oracle():
             fraction = visibility_oracle(p, mesh.elements[k], mesh, n_rays=10_000)
             assert report.fraction == pytest.approx(fraction, abs=0.01), (p, k)
             outcomes.append(report.classification)
+            partial_triangles += (not mesh.elements[k].is_quad
+                                  and report.classification is Classification.PARTIALLY_VISIBLE)
     assert len(outcomes) > 10
     assert outcomes.count(Classification.PARTIALLY_VISIBLE) > 5
+    assert partial_triangles >= 2
 
 
 # ---------------------------------------------------------------------------
