@@ -54,7 +54,6 @@ from ritesolver.kernels import (
     KernelKind,
     RadiativeProperties,
     blackbody_emission,
-    blackbody_intensity,
     kernel_prefactor,
     projected_solid_angle,
     sight_cosines,
@@ -574,8 +573,8 @@ class RowPlan:
     and visibility its VisibilityReport; a pair with no blockers is
     UNOBSTRUCTED without a classify_visibility call. towards holds the root
     intrinsic point the cells of a near-band, fully visible element meet
-    at (None elsewhere); near_quads lists the positions of those that are
-    quads, whose rules are built in one pass.
+    at (None elsewhere); the rules of those that are quads are built in one
+    pass.
     """
 
     elements: np.ndarray        # (a,) element ids
@@ -583,7 +582,6 @@ class RowPlan:
     screens: tuple
     visibility: tuple[VisibilityReport, ...]
     towards: tuple
-    near_quads: np.ndarray      # positions into the fields above
 
 
 class Assembler:
@@ -683,8 +681,8 @@ class Assembler:
             visibility.append(vis)
         # The split points of the near-band elements, one call per kind.
         towards = [None] * idx.size
-        near_quads = [j for j in near if self.mesh.elements[idx[j]].is_quad]
-        for group in (near_quads, [j for j in near if j not in near_quads]):
+        quads = [j for j in near if self.mesh.elements[idx[j]].is_quad]
+        for group in (quads, [j for j in near if j not in quads]):
             if group:
                 elements = [self.mesh.elements[idx[j]] for j in group]
                 coords = intrinsic_projection(elements, np.tile(p, (len(group), 1)))
@@ -693,7 +691,6 @@ class Assembler:
         plan = self.row_plans[(kind, pidx)] = RowPlan(
             elements=idx, rules=tuple(rules), screens=tuple(screens),
             visibility=tuple(visibility), towards=tuple(towards),
-            near_quads=np.array(near_quads, dtype=int),
         )
         return plan
 
@@ -712,13 +709,15 @@ class Assembler:
         """
         plan = self._row_plan(kind, pidx, p, normal, source_element)
         rules = list(plan.rules)
-        if plan.near_quads.size:
+        quads = [j for j, toward in enumerate(plan.towards)
+                 if toward is not None and self.mesh.elements[plan.elements[j]].is_quad]
+        if quads:
             # Near-band quads share one order, so their rules map in one call.
-            ids = plan.elements[plan.near_quads]
-            cells = quad_cells(np.array([plan.towards[j] for j in plan.near_quads]))
+            ids = plan.elements[quads]
+            cells = quad_cells(np.array([plan.towards[j] for j in quads]))
             rule = _quad_cell_rule(self.arrays.vertices[ids], cells, NEAR_ORDER)
             n = len(rule.weights) // len(ids)
-            for i, j in enumerate(plan.near_quads.tolist()):
+            for i, j in enumerate(quads):
                 cut = slice(i * n, (i + 1) * n)
                 rules[j] = ElementRule(rule.points[cut], rule.weights[cut],
                                        rule.flux_shapes[cut], rule.vertex_shapes[cut])
@@ -860,7 +859,7 @@ class Assembler:
         blocks = (np.zeros((n, col.n_boundary)), np.zeros((n, col.n_interior)), np.zeros(n))
         eb_vertices = blackbody_emission(self._vertex_temps)
         ib_cells = np.where(self._active_mask,
-                            blackbody_intensity(self.grid.temperatures), 0.0)
+                            blackbody_emission(self.grid.temperatures) / np.pi, 0.0)
         for r in range(n):
             self._row(kind, r, props, eb_vertices, ib_cells, *blocks)
         for name, arr in zip(names, blocks):

@@ -64,7 +64,6 @@ __all__ = [
     "ProfileSpec",
     "RunResult",
     "builtin_case",
-    "emit_profile",
     "generate_case",
     "main",
     "run_case",
@@ -453,12 +452,6 @@ def _profile_rows(state, spec: ProfileSpec, samples) -> np.ndarray:
     s, pts, nearest = samples
     values = (state.q if spec.quantity == "q" else state.incident)[nearest]
     return np.column_stack([s, pts, values])
-
-
-def emit_profile(state, collocation, grid: VoxelGrid, mesh: SurfaceMesh, spec: ProfileSpec):
-    """Rows (s, x, y, z, value) of a solved quantity along a line, (n, 5),
-    at the nearest entities sample_profile picks."""
-    return _profile_rows(state, spec, sample_profile(collocation, grid, mesh, spec))
 
 
 def _write_profile_csv(path, rows, spec: ProfileSpec, reference_temperature):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,11 @@ class NonPlanar(GeometryError):
 
 class MeshError(GeometryError):
     """Mesh-level consistency failure (closure, orientation, file format)."""
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bools are not counts or indices."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_point(p) -> np.ndarray:
@@ -400,11 +406,10 @@ class VoxelGrid:
         if spacing.shape != (3,) or not np.all((spacing > 0) & np.isfinite(spacing)):
             raise GeometryError(f"spacing must be three finite positive values, got {spacing}")
         self.spacing = spacing
-        dims = np.asarray(dims, dtype=int)
-        if dims.shape != (3,) or not np.all(dims >= 1):
+        if np.shape(dims) != (3,) or not all(_is_integer(c) and c >= 1 for c in dims):
             raise GeometryError(f"dims must be three positive integers, got {dims}")
-        self.dims = dims
-        n = int(dims.prod())
+        self.dims = np.asarray(dims, dtype=int)
+        n = self.n_cells
         if temperatures is None:
             temperatures = np.zeros(n)
         temperatures = np.asarray(temperatures, dtype=float).reshape(-1)
@@ -558,8 +563,9 @@ def mesh_from_records(nodes, elements, grid: dict) -> tuple[SurfaceMesh, VoxelGr
     """Build the mesh and grid that write_mesh_file's arguments describe.
 
     The records store one temperature per element; node temperatures are
-    the mean over incident elements, which is exact for uniform walls. The
-    grid box must contain the mesh bounding box.
+    the mean over incident elements, which is exact for uniform walls. Node
+    indices and grid dims must be integers, not bools; nothing is rounded.
+    The grid box must contain the mesh bounding box.
     """
     nodes = np.asarray(nodes, dtype=float)
     element_nodes = []
@@ -568,11 +574,13 @@ def mesh_from_records(nodes, elements, grid: dict) -> tuple[SurfaceMesh, VoxelGr
     temp_cnt = np.zeros(nodes.shape[0])
     for rec in elements:
         try:
-            en = [int(i) for i in rec["nodes"]]
+            en = list(rec["nodes"])
             eps = float(rec["epsilon"])
             temp = float(rec["T"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MeshError(f"bad element record {rec!r}: {exc}") from exc
+        if not all(_is_integer(i) for i in en):
+            raise MeshError(f"element node indices must be integers in {rec!r}")
         if min(en) < 0 or max(en) >= nodes.shape[0]:
             raise MeshError(f"element node index out of range in {rec!r}")
         element_nodes.append(en)

@@ -30,8 +30,6 @@ __all__ = [
     "RadiativeProperties",
     "KernelKind",
     "blackbody_emission",
-    "blackbody_intensity",
-    "transmittance",
     "kernel_prefactor",
     "projected_solid_angle",
     "sight_cosines",
@@ -108,20 +106,6 @@ def blackbody_emission(temperature):
     return float(out) if out.ndim == 0 else out
 
 
-def blackbody_intensity(temperature):
-    """Isotropic blackbody intensity sigma T^4 / pi, W/(m^2 sr)."""
-    t = np.asarray(temperature, dtype=float)
-    out = STEFAN_BOLTZMANN * t**4 / math.pi
-    return float(out) if out.ndim == 0 else out
-
-
-def transmittance(distance, beta: float):
-    """Beer attenuation exp(-beta d) along a clear chord."""
-    d = np.asarray(distance, dtype=float)
-    out = np.exp(-beta * d)
-    return float(out) if out.ndim == 0 else out
-
-
 def sight_cosines(diff, dist, source_normals, receiver_normal=None):
     """Unclamped cosines (cos_p, cos_r) at the receiver and at the source.
 
@@ -157,7 +141,7 @@ def kernel_prefactor(kind: KernelKind, props: RadiativeProperties, dist, scale=1
     caller.
     """
     if kind is KernelKind.DIRECT:
-        return transmittance(dist, props.beta) / np.pi
+        return np.exp(-props.beta * np.asarray(dist, dtype=float)) / np.pi
     if kind is KernelKind.EMISSION:
         return scale * props.sigma_a
     return scale * props.sigma_s / (4.0 * np.pi)

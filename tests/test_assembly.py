@@ -451,9 +451,10 @@ def _cube_row_near_quads():
     col = asm.collocation
     own = int(col.boundary_element[0])
     plan = asm._row_plan("b", 0, col.boundary_points[0], col.boundary_normals[0], own)
-    assert plan.near_quads.size > 1
-    elements = [mesh.elements[k] for k in plan.elements[plan.near_quads]]
-    return elements, [plan.towards[j] for j in plan.near_quads]
+    near = [j for j, toward in enumerate(plan.towards) if toward is not None]
+    elements = [mesh.elements[k] for k in plan.elements[near]]
+    assert len(near) > 1 and all(e.is_quad for e in elements)
+    return elements, [plan.towards[j] for j in near]
 
 
 def _trapezoids():

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ritesolver import cli
 from ritesolver.assembly import Assembler
 from ritesolver.cli import (
     CaseConfig,
@@ -13,7 +18,6 @@ from ritesolver.cli import (
     LineOutsideDomain,
     ProfileSpec,
     builtin_case,
-    emit_profile,
     generate_case,
     main,
     run_case,
@@ -172,13 +176,17 @@ def test_profile_spec_validation():
 
 def _input_error_config(tmp_path, case):
     # A config whose run cannot start: its mesh file is missing, or is not a
-    # closed surface (one face of a cube dropped), or its output directory
-    # names an existing file.
+    # closed surface (one face of a cube dropped), or holds a fractional grid
+    # size or node index, or its output directory names an existing file.
     config = {"mesh": "missing.json", "sigma_a": 1, "sigma_s": 0}
     if case != "missing_mesh":
         record = json.loads(generate_case("cube", 1, tmp_path).read_text())
         if case.startswith("open_mesh"):
             record["elements"] = record["elements"][:-1]
+        if case == "fractional_dims":
+            record["grid"]["dims"][0] += 0.7
+        if case == "fractional_nodes":
+            record["elements"][0]["nodes"] = [i + 0.4 for i in record["elements"][0]["nodes"]]
         (tmp_path / "mesh.json").write_text(json.dumps(record))
         config["mesh"] = "mesh.json"
     if case == "output_is_a_file":
@@ -188,7 +196,7 @@ def _input_error_config(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["missing_mesh", "open_mesh_run", "open_mesh_validate",
-                                  "output_is_a_file"])
+                                  "fractional_dims", "fractional_nodes", "output_is_a_file"])
 def test_main_reports_config_errors(tmp_path, capsys, case):
     # Input errors exit 2 with a one-line message, not with a traceback or
     # with exit 1, which means a convergence or oracle failure.
@@ -197,6 +205,18 @@ def test_main_reports_config_errors(tmp_path, capsys, case):
     command = "validate" if case.endswith("validate") else "run"
     assert main([command, "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_is_the_console_script():
+    # `python -m ritesolver.cli` runs the `ritesolve` entry point. runpy
+    # warns when importing the package root has already loaded cli.
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ritesolver.cli",
+                          "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "found in sys.modules" not in run.stderr
+    assert "usage: ritesolve" in run.stdout
 
 
 def one_profile(**fields):
@@ -413,6 +433,10 @@ def test_validate_subcommand_passes(tmp_path, capsys):
 # Profile extraction
 
 
+def _emit(state, collocation, grid, mesh, spec):
+    return cli._profile_rows(state, spec, cli.sample_profile(collocation, grid, mesh, spec))
+
+
 @pytest.fixture(scope="module")
 def solved_case():
     mesh, grid = builtin_case("cube", 2)
@@ -428,7 +452,7 @@ def solved_case():
 def test_profile_hits_cell_centers_exactly(solved_case):
     mesh, grid, collocation, volume, state = solved_case
     spec = ProfileSpec("column", (0.25, 0.25, 0.25), (0.25, 0.25, 0.75), 2, "G")
-    rows = emit_profile(state, collocation, grid, mesh, spec)
+    rows = _emit(state, collocation, grid, mesh, spec)
     assert rows.shape == (2, 5)
     # Both samples sit on cell centers, so the emitted values are the solved
     # incident energies of those cells, bit for bit.
@@ -442,7 +466,7 @@ def test_profile_hits_cell_centers_exactly(solved_case):
 def test_profile_flux_line_is_wall_bound(solved_case):
     mesh, grid, collocation, volume, state = solved_case
     spec = ProfileSpec("floor", (0.0, 0.5, 0.0), (1.0, 0.5, 0.0), 5, "q")
-    rows = emit_profile(state, collocation, grid, mesh, spec)
+    rows = _emit(state, collocation, grid, mesh, spec)
     assert rows.shape == (5, 5)
     # Samples on the floor plane read floor collocation values only: every
     # emitted value must be one of the floor points' fluxes.
@@ -461,10 +485,10 @@ def test_profile_outside_domain_raises(solved_case):
     mesh, grid, collocation, volume, state = solved_case
     far_wall = ProfileSpec("far", (2.0, 2.0, 0.0), (3.0, 3.0, 0.0), 3, "q")
     with pytest.raises(LineOutsideDomain):
-        emit_profile(state, collocation, grid, mesh, far_wall)
+        _emit(state, collocation, grid, mesh, far_wall)
     outside = ProfileSpec("up", (0.5, 0.5, 1.5), (0.5, 0.5, 2.5), 3, "G")
     with pytest.raises(LineOutsideDomain):
-        emit_profile(state, collocation, grid, mesh, outside)
+        _emit(state, collocation, grid, mesh, outside)
 
 
 def test_run_refuses_a_bad_profile_before_the_solve(tmp_path, capsys):

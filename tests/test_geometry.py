@@ -23,6 +23,7 @@ from ritesolver.geometry import (
     build_element,
     cross3,
     load_mesh,
+    mesh_from_records,
     points_in_mesh,
     quad_cells,
     segment_element_hits,
@@ -441,6 +442,10 @@ def test_grid_validation_errors():
         VoxelGrid([0, 0, 0], -1.0, [2, 2, 2])
     with pytest.raises(GeometryError):
         VoxelGrid([0, 0, 0], 1.0, [0, 2, 2])
+    # A fractional or boolean size is refused, not truncated to an integer.
+    for dims in ([1.7, 1, 1], [2, 2, 2.0], [True, 1, 1]):
+        with pytest.raises(GeometryError, match="dims"):
+            VoxelGrid([0, 0, 0], 1.0, dims)
     with pytest.raises(GeometryError):
         VoxelGrid([0, 0, 0], 1.0, [2, 2, 2], temperatures=np.ones(5))
     with pytest.raises(GeometryError):
@@ -558,3 +563,13 @@ def test_mesh_file_error_reporting(tmp_path):
     bad.write_text(json.dumps({"nodes": []}), encoding="utf-8")
     with pytest.raises(MeshError):
         load_mesh(bad)
+    # Records that would load only by truncating a fraction to an integer.
+    elements = [{"nodes": list(f), "epsilon": 1.0, "T": 0.0} for f in CUBE_FACES]
+    grid = {"origin": [0, 0, 0], "spacing": [1.0] * 3, "dims": [1, 1, 1], "T": [0.0]}
+    mesh_from_records(CUBE_NODES, elements, grid)
+    with pytest.raises(GeometryError, match="dims"):
+        mesh_from_records(CUBE_NODES, elements, dict(grid, dims=[1.7, 1, 1]))
+    for nodes in ([0.4, 1.4, 2.4, 3.4], [False, 1, 2, 3]):
+        fractional = [dict(elements[0], nodes=nodes)] + elements[1:]
+        with pytest.raises(MeshError, match="integers"):
+            mesh_from_records(CUBE_NODES, fractional, grid)

@@ -137,3 +137,34 @@ def test_every_definition_is_exported_or_used():
     # Library code that only tests call belongs in the tests.
     readers = [p.read_text() for p in PACKAGE + sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unreferenced({p.name: p.read_text() for p in PACKAGE}, readers) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in a module's __all__ that no top-level def, class or
+    assignment of the module binds, such as names it imports to re-export."""
+    bound = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return sorted(exported(source) - bound)
+
+
+def test_unbound_export_check_finds_one():
+    module = textwrap.dedent('''
+        from os import sep
+        import math as m
+        Y = 2
+        def f(): pass
+        class C: pass
+        __all__ = ["sep", "m", "Y", "f", "C"]
+    ''')
+    assert unbound_exports(module) == ["m", "sep"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_exports_are_defined_in_their_module(path):
+    # One import route per name: a name is imported from the module that
+    # defines it, never re-exported through another.
+    assert unbound_exports(path.read_text()) == []

@@ -15,11 +15,9 @@ from ritesolver.kernels import (
     KernelKind,
     RadiativeProperties,
     blackbody_emission,
-    blackbody_intensity,
     kernel_prefactor,
     projected_solid_angle,
     sight_cosines,
-    transmittance,
 )
 
 from conftest import make_cube_mesh
@@ -56,11 +54,14 @@ def test_blackbody_reference_values():
     assert STEFAN_BOLTZMANN == 5.670374419e-8
     assert blackbody_emission(1000.0) == pytest.approx(5.670374419e4, rel=1e-12)
     assert blackbody_emission(0.0) == 0.0
-    assert blackbody_intensity(1000.0) == pytest.approx(5.670374419e4 / math.pi, rel=1e-12)
     assert_allclose(blackbody_emission([0.0, 500.0]), [0.0, STEFAN_BOLTZMANN * 500.0**4])
 
 
 def test_transmittance_values():
+    # The direct kernel's prefactor is the transmittance exp(-beta d) over pi.
+    def transmittance(d, beta):
+        return kernel_prefactor(KernelKind.DIRECT, RadiativeProperties(beta, 0.0, 1.0), d) * math.pi
+
     assert transmittance(0.0, 5.0) == 1.0
     assert transmittance(2.0, 1.0) == pytest.approx(math.exp(-2.0))
     assert transmittance(1.0, 0.0) == 1.0
