@@ -69,7 +69,7 @@ __all__ = [
     "run_case",
 ]
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("ritesolver.cli")
 
 
 class ConfigError(ValueError):

@@ -565,13 +565,23 @@ def mesh_from_records(nodes, elements, grid: dict) -> tuple[SurfaceMesh, VoxelGr
     The records store one temperature per element; node temperatures are
     the mean over incident elements, which is exact for uniform walls. Node
     indices and grid dims must be integers, not bools; nothing is rounded.
-    The grid box must contain the mesh bounding box.
+    The grid box must contain the mesh bounding box. Malformed records,
+    such as ragged arrays, raise MeshError.
     """
+    try:
+        return _mesh_from_records(nodes, elements, grid)
+    except GeometryError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise MeshError(f"bad mesh records: {exc}") from exc
+
+
+def _mesh_from_records(nodes, elements, grid: dict) -> tuple[SurfaceMesh, VoxelGrid]:
     nodes = np.asarray(nodes, dtype=float)
     element_nodes = []
     emissivities = []
-    temp_sum = np.zeros(nodes.shape[0])
-    temp_cnt = np.zeros(nodes.shape[0])
+    temp_sum = np.zeros(len(nodes))
+    temp_cnt = np.zeros(len(nodes))
     for rec in elements:
         try:
             en = list(rec["nodes"])
@@ -579,9 +589,11 @@ def mesh_from_records(nodes, elements, grid: dict) -> tuple[SurfaceMesh, VoxelGr
             temp = float(rec["T"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MeshError(f"bad element record {rec!r}: {exc}") from exc
+        if not en:
+            raise MeshError(f"element has no nodes in {rec!r}")
         if not all(_is_integer(i) for i in en):
             raise MeshError(f"element node indices must be integers in {rec!r}")
-        if min(en) < 0 or max(en) >= nodes.shape[0]:
+        if min(en) < 0 or max(en) >= len(nodes):
             raise MeshError(f"element node index out of range in {rec!r}")
         element_nodes.append(en)
         emissivities.append(eps)

@@ -177,7 +177,8 @@ def test_profile_spec_validation():
 def _input_error_config(tmp_path, case):
     # A config whose run cannot start: its mesh file is missing, or is not a
     # closed surface (one face of a cube dropped), or holds a fractional grid
-    # size or node index, or its output directory names an existing file.
+    # size or node index or a ragged grid size, or its output directory names
+    # an existing file.
     config = {"mesh": "missing.json", "sigma_a": 1, "sigma_s": 0}
     if case != "missing_mesh":
         record = json.loads(generate_case("cube", 1, tmp_path).read_text())
@@ -187,6 +188,8 @@ def _input_error_config(tmp_path, case):
             record["grid"]["dims"][0] += 0.7
         if case == "fractional_nodes":
             record["elements"][0]["nodes"] = [i + 0.4 for i in record["elements"][0]["nodes"]]
+        if case == "ragged_dims":
+            record["grid"]["dims"][0] = [record["grid"]["dims"][0]]
         (tmp_path / "mesh.json").write_text(json.dumps(record))
         config["mesh"] = "mesh.json"
     if case == "output_is_a_file":
@@ -196,7 +199,8 @@ def _input_error_config(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["missing_mesh", "open_mesh_run", "open_mesh_validate",
-                                  "fractional_dims", "fractional_nodes", "output_is_a_file"])
+                                  "fractional_dims", "fractional_nodes", "ragged_dims",
+                                  "output_is_a_file"])
 def test_main_reports_config_errors(tmp_path, capsys, case):
     # Input errors exit 2 with a one-line message, not with a traceback or
     # with exit 1, which means a convergence or oracle failure.
@@ -207,16 +211,31 @@ def test_main_reports_config_errors(tmp_path, capsys, case):
     assert "error:" in capsys.readouterr().err
 
 
+def _run_module(*args):
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ritesolver.cli",
+                           *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_module_entry_point_is_the_console_script():
     # `python -m ritesolver.cli` runs the `ritesolve` entry point. runpy
     # warns when importing the package root has already loaded cli.
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ritesolver.cli",
-                          "--help"], env=env, capture_output=True, text=True, timeout=120)
+    run = _run_module("--help")
     assert run.returncode == 0, run.stderr
     assert "found in sys.modules" not in run.stderr
     assert "usage: ritesolve" in run.stdout
+
+
+def test_module_entry_point_logs_under_the_package(tmp_path):
+    # Run as __main__, the CLI still logs as ritesolver.cli, so logging set up
+    # for the ritesolver hierarchy sees its lines.
+    mesh = generate_case("cube", 1, tmp_path)
+    config = tmp_path / "case.json"
+    config.write_text(json.dumps({"mesh": mesh.name, "sigma_a": 0.5, "sigma_s": 0.5}))
+    run = _run_module("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert "exit status" in run.stdout, run.stderr
+    assert "INFO ritesolver.cli:" in run.stderr
 
 
 def one_profile(**fields):

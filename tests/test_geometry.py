@@ -573,3 +573,12 @@ def test_mesh_file_error_reporting(tmp_path):
         fractional = [dict(elements[0], nodes=nodes)] + elements[1:]
         with pytest.raises(MeshError, match="integers"):
             mesh_from_records(CUBE_NODES, fractional, grid)
+    # An element with no nodes, and ragged arrays numpy cannot shape.
+    empty = [dict(elements[0], nodes=[])] + elements[1:]
+    with pytest.raises(MeshError, match="no nodes"):
+        mesh_from_records(CUBE_NODES, empty, grid)
+    with pytest.raises(MeshError):
+        mesh_from_records(CUBE_NODES, elements, dict(grid, dims=[[1], 1, 1]))
+    ragged = [list(row) for row in CUBE_NODES[:-1]] + [[1.0, 1.0]]
+    with pytest.raises(MeshError):
+        mesh_from_records(ragged, elements, grid)
