@@ -111,6 +111,10 @@ TRI_NODES_BARY = np.array(
 )
 
 
+# Relative discretization slack operator_row_sums allows over each bound.
+_ROW_SUM_RTOL = 0.02
+
+
 class AssemblyFailure(RuntimeError):
     """A non-finite matrix entry appeared; geometry or tolerances are off."""
 
@@ -897,18 +901,17 @@ def operator_row_sums(
     surface: SurfaceSystem,
     volume: VolumeSystem,
     props: RadiativeProperties,
-    eps_min: float,
-    eps_max: float | None = None,
-    tolerance: float = 0.02,
+    emissivities,
 ) -> RowSumReport:
     """Max row sums of the four blocks against their theoretical bounds.
 
     The bounds are the uniform-emissivity operator estimates evaluated with
     the extreme emissivities, so they stay valid rowwise on mixed meshes. A
     block is flagged when its row sum exceeds its bound by more than the
-    discretization tolerance (relative, default 2%).
+    relative discretization tolerance _ROW_SUM_RTOL.
     """
-    eps_max = eps_min if eps_max is None else eps_max
+    eps_min = float(np.min(emissivities))
+    eps_max = float(np.max(emissivities))
     beta = props.beta
     r = props.domain_diameter
     row_sums = {
@@ -920,14 +923,14 @@ def operator_row_sums(
     bounds = {
         "wall_reflection": eps_max * (1.0 - eps_min) / eps_min,
         "wall_scatter": eps_max * props.sigma_s / (4.0 * beta) if beta > 0 else 0.0,
-        "medium_scatter": (props.sigma_s / beta) * -np.expm1(-beta * r) if beta > 0 else 0.0,
+        "medium_scatter": float((props.sigma_s / beta) * -np.expm1(-beta * r)) if beta > 0 else 0.0,
         "medium_reflection": 4.0 * (1.0 - eps_min) / eps_min,
     }
     violations = tuple(
         name
         for name in row_sums
-        if row_sums[name] > bounds[name] * (1.0 + tolerance) + 1e-14
+        if row_sums[name] > bounds[name] * (1.0 + _ROW_SUM_RTOL) + 1e-14
     )
-    return RowSumReport(row_sums=row_sums, bounds=bounds, tolerance=tolerance,
+    return RowSumReport(row_sums=row_sums, bounds=bounds, tolerance=_ROW_SUM_RTOL,
                         violations=violations)
 

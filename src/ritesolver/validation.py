@@ -53,6 +53,11 @@ __all__ = [
 
 DEFAULT_ORACLE_SEED = 1898
 _MIN_RAYS = 10_000
+# visibility_report_check's rays and visible-fraction tolerance, and
+# energy_balance's tolerance relative to the largest energy scale.
+_CHECK_RAYS = 2 * _MIN_RAYS
+_VISIBILITY_ATOL = 0.02
+_ENERGY_RTOL = 0.03
 # Relative tolerance of the closure checks. Their closed forms are exact, so
 # only rounding separates them from pi and 4 pi: at most 8.5e-16 relative on
 # the builtin enclosures.
@@ -198,7 +203,7 @@ def visibility_oracle(
     point,
     element,
     mesh: SurfaceMesh,
-    n_rays: int = 2 * _MIN_RAYS,
+    n_rays: int = _CHECK_RAYS,
     seed: int = DEFAULT_ORACLE_SEED,
 ) -> float:
     """Brute-force visible fraction of an element from a point.
@@ -235,26 +240,24 @@ def visibility_report_check(
     active_index: int,
     mesh: SurfaceMesh,
     source_element: int | None = None,
-    n_rays: int = 2 * _MIN_RAYS,
     seed: int = DEFAULT_ORACLE_SEED,
-    tolerance: float = 0.02,
 ) -> OracleReport:
     """Clipped visible fraction against the ray oracle for one pair."""
     p = as_point(point)
     blockers = screen_active_set(p, [active_index], mesh, source_element)[0]
     report = classify_visibility(p, active_index, blockers, mesh)
     fraction = report.fraction
-    oracle = visibility_oracle(p, mesh.elements[active_index], mesh, n_rays=n_rays, seed=seed)
+    oracle = visibility_oracle(p, mesh.elements[active_index], mesh, n_rays=_CHECK_RAYS, seed=seed)
     return OracleReport(
         name="visibility_fraction",
         value=float(fraction),
         reference=float(oracle),
         abs_deviation=abs(fraction - oracle),
         rel_deviation=abs(fraction - oracle),
-        tolerance=float(tolerance),
-        passed=bool(abs(fraction - oracle) <= tolerance),
+        tolerance=_VISIBILITY_ATOL,
+        passed=bool(abs(fraction - oracle) <= _VISIBILITY_ATOL),
         resolution=MappingProxyType(
-            {"active": active_index, "n_rays": n_rays, "seed": seed,
+            {"active": active_index, "n_rays": _CHECK_RAYS, "seed": seed,
              "shadows": report.depth_reached}
         ),
     )
@@ -271,7 +274,6 @@ def energy_balance(
     grid: VoxelGrid,
     props: RadiativeProperties,
     collocation: CollocationSet | None = None,
-    tolerance: float = 0.03,
 ) -> OracleReport:
     """Global balance between wall absorption and medium net emission.
 
@@ -299,7 +301,7 @@ def energy_balance(
     if denom <= 0.0:
         denom = 1.0
     return OracleReport.evaluate(
-        "energy_balance", residual / denom, 0.0, tolerance,
+        "energy_balance", residual / denom, 0.0, _ENERGY_RTOL,
         {
             "wall_net": wall_net,
             "medium_net": medium_net,

@@ -1,20 +1,21 @@
 """Line-of-sight classification between collocation points and wall elements.
 
 Occlusion handling runs in three stages. First, the active list keeps only
-elements that can exchange radiation with the source point at all. Second,
-one screen lists the potential blockers of each surviving element: a
-cylinder cull around the sight line, then a plane-side test that keeps a
-candidate only when its plane strictly separates the point from some
-vertex of the element. Both conditions are necessary for any occlusion,
-so an empty list means a fully visible element; on a convex enclosure
-every list is empty. Third, listed pairs go to an exact shadow clipper.
-Each candidate is clipped to the slab strictly between the point and the
-element plane and projected centrally from the point onto that plane,
-which keeps it convex; the projection is subtracted from the element's
-current convex pieces by half-plane cuts (Sutherland and Hodgman 1974),
-the way Walton's View3D (NISTIR 6925) computes obstructed view factors.
-The visible part is the remaining pieces, triangulated in physical space.
-Only slivers below a relative area tolerance are dropped.
+elements that can exchange radiation with the source point at all: a pair
+in one plane, within the planarity tolerance, stops there. Second, one
+screen lists the potential blockers of each surviving element: a cylinder
+cull around the sight line, then a plane-side test that keeps a candidate
+only when its plane separates the point from some vertex of the element by
+more than that tolerance. Both conditions are necessary for any occlusion,
+so an empty list means a fully visible element; on a convex enclosure every
+list is empty. Third, listed pairs go to an exact shadow clipper. Each
+candidate is clipped to the slab strictly between the point and the element
+plane and projected centrally from the point onto that plane, which keeps
+it convex; the projection is subtracted from the element's current convex
+pieces by half-plane cuts (Sutherland and Hodgman 1974), the way Walton's
+View3D (NISTIR 6925) computes obstructed view factors. The visible part is
+the remaining pieces, triangulated in physical space. Only slivers below a
+relative area tolerance are dropped.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ritesolver.geometry import SurfaceElement, SurfaceMesh, as_point, cross3
+from ritesolver.geometry import PLANARITY_RTOL, SurfaceElement, SurfaceMesh, as_point, cross3
 
 # Not called here: perfbench/spans.py traces segment_element_hits under this
 # module's name.
@@ -40,14 +41,12 @@ __all__ = [
     "screen_active_set",
 ]
 
-# Two elements count as coplanar when their normals are parallel to this
-# tolerance and their centroid offset along the normal stays below it times
-# the larger diameter.
-_COPLANAR_RTOL = 1e-9
-# A candidate plane separates the point from an element vertex only when
-# both lie off it by more than this fraction of the candidate's diameter,
-# so neighbors that merely touch the element or the point stay out.
-_PLANE_RTOL = 1e-10
+# The planarity tolerance of visibility, relative to the point-centroid
+# distance in the active list and to the candidate's diameter in the
+# plane-side test. Quads warped within PLANARITY_RTOL tilt their neighbors,
+# whose vertices then sit up to 4.5 times that off each other's planes
+# across a face of cube r4; ten times keeps such cubes' screens empty.
+_PLANE_RTOL = 10.0 * PLANARITY_RTOL
 # Vertices within this fraction of the element diameter of a cut plane
 # count as lying on it, so a grazing shadow does not split a piece.
 _CUT_RTOL = 1e-12
@@ -90,17 +89,20 @@ def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = No
     """Indices of all elements mutually facing the point, in mesh order,
     excluding the one it sits on.
 
-    The facing test is necessary but not sufficient: on non-convex meshes
-    listed elements may still turn out blocked.
+    p must lie in front of the element's plane and, for a wall point, the
+    centroid in front of p's tangent plane, each by more than _PLANE_RTOL
+    times their distance: a pair in one plane has a zero kernel. The test is
+    necessary, not sufficient: on non-convex meshes listed elements may
+    still turn out blocked.
     """
     p = as_point(p)
     arr = mesh.arrays()
     to_c = arr.centroids - p
-    d2 = -np.einsum("ij,ij->i", arr.normals, to_c)
-    mask = d2 > 0.0
+    tol = _PLANE_RTOL * np.linalg.norm(to_c, axis=1)
+    mask = -np.einsum("ij,ij->i", arr.normals, to_c) > tol
     if n_p is not None:
         n_p = as_point(n_p)
-        mask &= to_c @ n_p > 0.0
+        mask &= to_c @ n_p > tol
     if source_element is not None:
         mask[source_element] = False
     return np.nonzero(mask)[0]
@@ -129,13 +131,14 @@ def screen_active_set(
     """Potential blockers of every element in the active set of one point.
 
     Returns a list parallel to active_indices of blocker index tuples in
-    mesh order. Candidates are all elements but the active one, the one
-    under p, and those coplanar with the active one. A candidate is kept
+    mesh order. Candidates are all elements but the active one and the one
+    under p; a warped quad could otherwise list itself. A candidate is kept
     when its centroid lies within the sum of the two circumradii of the
     sight segment from p to the active element's centroid (tested as a
     cylinder padded by that radius at both ends; every point between p and
     the element lies within the element's circumradius of that segment) and
-    its plane strictly separates p from a vertex of the active element.
+    its plane separates p from a vertex of the active element by more than
+    _PLANE_RTOL, which no candidate in the active element's plane does.
     """
     p = as_point(p)
     arr = mesh.arrays()
@@ -147,17 +150,6 @@ def screen_active_set(
     keep[np.arange(act.size), act] = False
     if source_element is not None:
         keep[:, source_element] = False
-    n_a = arr.normals[act]                              # (A, 3)
-    parallel = (
-        np.linalg.norm(cross3(n_a[:, None, :], arr.normals[None, :, :]), axis=-1)
-        <= _COPLANAR_RTOL
-    )
-    offset = np.abs(
-        np.einsum("aj,ej->ae", n_a, arr.centroids)
-        - np.einsum("aj,aj->a", n_a, arr.centroids[act])[:, None]
-    )
-    scale = np.maximum(arr.diameters[None, :], arr.diameters[act][:, None])
-    keep &= ~(parallel & (offset <= _COPLANAR_RTOL * scale))
 
     axis = arr.centroids[act] - p                       # (A, 3)
     h = np.linalg.norm(axis, axis=1)

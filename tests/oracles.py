@@ -67,7 +67,8 @@ def traverse_voxels(start, end, grid) -> list[VoxelSpan]:
         if d[a] == 0.0 or grid.dims[a] < 2:
             continue
         planes = lo[a] + np.arange(1, grid.dims[a]) * grid.spacing[a]
-        ta = (planes - start[a]) / d[a]
+        with np.errstate(over="ignore"):
+            ta = (planes - start[a]) / d[a]
         cuts.append(ta[(ta > t0) & (ta < t1)])
     breaks = np.sort(np.concatenate(cuts))
 

@@ -35,6 +35,7 @@ from ritesolver.assembly import (
 )
 from ritesolver.cli import builtin_case
 from ritesolver.geometry import (
+    PLANARITY_RTOL,
     ElementArrays,
     SurfaceMesh,
     VoxelGrid,
@@ -52,6 +53,7 @@ from ritesolver.kernels import (
     sight_cosines,
     solvability_margin,
 )
+from ritesolver.validation import lemma1_identity, lemma3_interior_identity
 from ritesolver.visibility import Classification, classify_visibility, screen_active_set
 
 from conftest import make_cube_mesh, make_dented_cube_mesh
@@ -645,11 +647,24 @@ def test_entries_nonnegative_and_finite(gray_cube_systems):
 
 
 def test_row_sum_bounds_hold(gray_cube_systems):
-    _, _, props, surface, volume = gray_cube_systems
-    report = operator_row_sums(surface, volume, props, eps_min=0.5)
+    mesh, _, props, surface, volume = gray_cube_systems
+    report = operator_row_sums(surface, volume, props, mesh.arrays().emissivities)
     assert report.ok, report.violations
     for name in report.row_sums:
         assert report.row_sums[name] <= report.bounds[name] * 1.02 + 1e-14
+    # A black floor under 0.3 walls: the wall bounds take the largest
+    # emissivity, 1.0, and the reflectance of the smallest, 0.3.
+    mesh, grid = builtin_case("cube", 2)
+    floor = mesh.arrays().normals[:, 2] == 1.0
+    mesh = with_emissivity(mesh, np.where(floor, 1.0, 0.3))
+    props = props_for(mesh.diameter(), sigma_a=1.0, sigma_s=0.5)
+    asm = Assembler(mesh, grid)
+    report = operator_row_sums(asm.assemble_surface(props), asm.assemble_volume(props), props,
+                               mesh.arrays().emissivities)
+    assert report.ok, report.violations
+    assert report.bounds["wall_reflection"] == pytest.approx(0.7 / 0.3)
+    assert report.bounds["wall_scatter"] == pytest.approx(0.5 / 6.0)
+    assert all(type(bound) is float for bound in report.bounds.values())
 
 
 def test_black_walls_zero_reflection_blocks():
@@ -738,6 +753,41 @@ def test_fresh_assemblers_give_bit_identical_blocks():
     assert np.array_equal(v1.umat, v2.umat)
     assert np.array_equal(v1.vmat, v2.vmat)
     assert np.array_equal(v1.t, v2.t)
+
+
+def test_warped_cube_assembles_like_the_flat_cube():
+    # Every face-interior node of cube r2 moves along its face normal by up
+    # to the planarity tolerance build_element accepts. Pairs on one warped
+    # face lie in one plane within that tolerance: none may reach the screen
+    # or the shadow clipper, and the blocks must stay those of the flat cube.
+    flat, grid = builtin_case("cube", 2)
+    nodes = flat.nodes.copy()
+    on_wall = (nodes == 0.0) | (nodes == 1.0)
+    inner = np.nonzero(on_wall.sum(axis=1) == 1)[0]
+    axis = on_wall[inner].argmax(axis=1)
+    diameter = flat.arrays().diameters.min()
+    shift = np.random.default_rng(17).uniform(-1.0, 1.0, len(inner))
+    nodes[inner, axis] += shift * PLANARITY_RTOL * diameter
+    mesh = SurfaceMesh(nodes, flat.element_nodes, 1.0, flat.node_temperatures)
+    props = props_for(flat.diameter(), sigma_a=0.5, sigma_s=0.5)
+    reference = Assembler(flat, grid).assemble_surface(props)
+    asm = Assembler(mesh, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        surface = asm.assemble_surface(props)
+    for plan in asm.row_plans.values():
+        assert not any(plan.screens)
+        assert all(v.classification is Classification.FULLY_VISIBLE for v in plan.visibility)
+    np.testing.assert_allclose(surface.fmat, reference.fmat, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(surface.h, reference.h, rtol=1e-8, atol=0.0)
+    col = asm.collocation
+    for i in range(col.n_boundary):
+        report = lemma1_identity(mesh, col.boundary_points[i], col.boundary_normals[i],
+                                 source_element=int(col.boundary_element[i]))
+        assert report.passed, (i, report.value)
+    for p in col.interior_points:
+        report = lemma3_interior_identity(mesh, p)
+        assert report.passed, (p, report.value)
 
 
 def test_surface_assembly_warns_exactly_when_margin_fails():

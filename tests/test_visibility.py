@@ -71,6 +71,21 @@ def test_coplanar_configurations_are_not_facing():
     assert faces([0.5, 0.5, 0.5], N_BOTTOM, plate(0.5, 0.5, 0.5, 0.2)) == [False]
 
 
+def test_pairs_in_one_plane_within_tolerance_are_not_facing():
+    # A plate raised 1e-10 above the floor and tilted 1e-9 toward the point:
+    # the point lies 1e-9 in front of the plate's plane and the plate's
+    # centroid 1e-10 above the point's, both well inside the planarity
+    # tolerance over their distance of 1.1. Ten thousand times that tilt
+    # and lift is a genuine, if grazing, pair.
+    def tilted_plate(lift, tilt):
+        return [[x, y, lift + tilt * (x - 1.6)] for x, y, _ in plate(1.6, 0.5, 0.0, 0.5)]
+
+    assert faces(P_BOTTOM, N_BOTTOM, tilted_plate(1e-10, 1e-9)) == [False]
+    assert faces(P_BOTTOM, None, plate(1.6, 0.5, -1e-10, 0.5)) == [False]
+    assert faces(P_BOTTOM, N_BOTTOM, tilted_plate(1e-6, 1e-5)) == [True]
+    assert faces(P_BOTTOM, None, plate(1.6, 0.5, -1e-6, 0.5)) == [True]
+
+
 def test_medium_point_uses_single_sided_test():
     assert faces([0.5, 0.5, 0.4], None, BOTTOM, TOP) == [True, True]
 
