@@ -66,6 +66,7 @@ from ritesolver.visibility import (
     build_active_list,
     classify_visibility,
     screen_active_set,
+    shadow_cones,
 )
 
 __all__ = [
@@ -273,15 +274,21 @@ def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> Elemen
 def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
     """Triangle rule mapped into every barycentric cell at once.
 
-    Returns (points, weights, barycentric coordinates in verts3), cell by
-    cell. Cell areas take build_element's formula one cell at a time; a
-    norm over all cells at once can round differently in the last bit.
+    verts3 is the triangle (3, 3) all cells lie in, or one triangle per
+    cell (c, 3, 3); cells is (c, 3, 3). Returns (points, weights,
+    barycentric coordinates in the triangle of each cell), cell by cell; each
+    cell's part equals what it gives alone, bit for bit. A cell's area is
+    half the norm of its edge cross product, as build_element takes it. The
+    squared norm is the batched dot e[:, None, :] @ e[:, :, None], the same
+    per-vector dot product np.linalg.norm takes, where an einsum or a sum
+    over the components can round differently in the last bit.
     """
     bary, w = tri_rule(order)
     root = bary @ cells                          # (c, n, 3)
-    areas = [0.5 * float(np.linalg.norm(cross3(v[1] - v[0], v[2] - v[0])))
-             for v in cells @ verts3]
-    weights = w * np.array(areas)[:, None]
+    corners = cells @ verts3                     # (c, 3, 3)
+    e = cross3(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    areas = 0.5 * np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+    weights = w * areas[:, None]
     return (root @ verts3).reshape(-1, 3), weights.ravel(), root.reshape(-1, 3)
 
 
@@ -298,17 +305,35 @@ def _shaped_rule(element: SurfaceElement, points, weights, coords) -> ElementRul
     return ElementRule(np.asfortranarray(points), weights, flux.T, vertex.T)
 
 
-def element_rule(element: SurfaceElement, order: int, toward=None) -> ElementRule:
-    """Quadrature rule over the whole element.
+def element_rule(element: SurfaceElement | list[SurfaceElement], order: int,
+                 toward=None) -> ElementRule:
+    """Quadrature rule over whole elements.
 
-    toward gives the root intrinsic coordinates of the source point's
-    in-plane projection; the element is then split into cells that meet
-    there, so the quasi-singular peak lands on cell corners instead of
-    cell interiors.
+    element is one SurfaceElement or a sequence of elements of one kind,
+    whose rules are concatenated element by element; each element's part
+    equals its rule alone, bit for bit. toward gives the root intrinsic
+    coordinates of the source point's in-plane projection, one row per
+    element of a sequence; each element is then split into cells that meet
+    there, so the quasi-singular peak lands on cell corners instead of cell
+    interiors.
     """
-    if element.is_quad:
-        return _quad_cell_rule(element.vertices[None], quad_cells(toward)[None], order)
-    return _shaped_rule(element, *_tri_cell_rule(element.vertices, tri_cells(toward), order))
+    elements = [element] if isinstance(element, SurfaceElement) else list(element)
+    verts = np.array([e.vertices for e in elements])
+    if elements[0].is_quad:
+        boxes = quad_cells() if toward is None else quad_cells(np.reshape(toward, (-1, 2)))
+        return _quad_cell_rule(verts, np.broadcast_to(boxes, (len(elements),) + boxes.shape[-2:]),
+                               order)
+    cells = _tri_cell_sets(len(elements), toward)
+    points, weights, coords = _tri_cell_rule(np.repeat(verts, [len(c) for c in cells], axis=0),
+                                             np.concatenate(cells), order)
+    return _shaped_rule(elements[0], points, weights, coords)
+
+
+def _tri_cell_sets(m: int, toward=None) -> list[np.ndarray]:
+    """tri_cells of m triangles, split toward the rows of toward if given."""
+    if toward is None:
+        return [tri_cells()] * m
+    return [tri_cells(t) for t in np.reshape(toward, (m, 3))]
 
 
 def _barycentric(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -327,26 +352,42 @@ def _barycentric(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - (alpha + beta), alpha, beta], axis=1)
 
 
-def visible_rule(p, element: SurfaceElement, tris: np.ndarray) -> ElementRule:
-    """Banded triangle rules over the visible triangles (T, 3, 3) of an element.
+def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> list[ElementRule]:
+    """Banded triangle rules over the visible triangles of several elements.
 
-    Each triangle takes the band of its own distance from p over its own
-    diameter, near ones split toward p's in-plane projection (one
-    _barycentric call for all). Flux and vertex shapes are evaluated at the
-    root intrinsic coordinates of all points at once.
+    tris[i] holds the visible triangles (T, 3, 3) of elements[i]; returns
+    one rule per element. Each triangle takes the band of its own distance
+    from p over its own diameter, near ones split toward p's in-plane
+    projection. Distances and split points take one call for all triangles
+    and the rules one _tri_cell_rule call per band order; each element's
+    part equals what its triangles give alone. Flux and vertex shapes are
+    evaluated at the root intrinsic coordinates of each element's points.
     """
-    normals = np.broadcast_to(element.normal, (len(tris), 3))
+    counts = [len(t) for t in tris]
+    tris = np.concatenate(tris)
+    normals = np.repeat([e.normal for e in elements], counts, axis=0)
     dists = point_element_distances(p, np.concatenate([tris, tris[:, 2:]], axis=1), normals)
     diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
     towards = _barycentric(tris, p[None, :])
-    pts, wts = [], []
-    for tri, d, toward in zip(tris, dists / diams, towards):
-        order, split = _band(float(d))
-        tri_pts, tri_wts, _ = _tri_cell_rule(tri, tri_cells(toward if split else None), order)
-        pts.append(tri_pts)
-        wts.append(tri_wts)
-    pts = np.concatenate(pts)
-    return _shaped_rule(element, pts, np.concatenate(wts), intrinsic_projection(element, pts))
+    bands = [_band(float(d)) for d in dists / diams]
+    parts = [None] * len(tris)
+    for order in sorted({order for order, _ in bands}):
+        group = [i for i, (o, _) in enumerate(bands) if o == order]
+        cells = [tri_cells(towards[i] if bands[i][1] else None) for i in group]
+        sizes = [len(c) for c in cells]
+        pts, wts, _ = _tri_cell_rule(np.repeat(tris[group], sizes, axis=0),
+                                     np.concatenate(cells), order)
+        ends = np.cumsum(sizes) * (len(wts) // sum(sizes))
+        starts = np.concatenate([[0], ends[:-1]])
+        for i, a, b in zip(group, starts, ends):
+            parts[i] = (pts[a:b], wts[a:b])
+    rules = []
+    for element, end, count in zip(elements, np.cumsum(counts), counts):
+        own = parts[end - count:end]
+        pts = np.concatenate([q[0] for q in own])
+        wts = np.concatenate([q[1] for q in own])
+        rules.append(_shaped_rule(element, pts, wts, intrinsic_projection(element, pts)))
+    return rules
 
 
 def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points) -> np.ndarray:
@@ -373,22 +414,28 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points)
     eta is 0. Every finite input gives a finite result.
     """
     pts = np.asarray(points, dtype=float)
-    elements = [element] if isinstance(element, SurfaceElement) else element
     # One element broadcasts over all points: its stack has length one.
-    v = np.array([e.vertices for e in elements])
-    if not elements[0].is_quad:
+    if isinstance(element, SurfaceElement):
+        v, normal = element.vertices[None], element.normal[:, None]
+    else:
+        v = np.array([e.vertices for e in element])
+        normal = np.array([e.normal for e in element]).T
+    if v.shape[1] == 3:
         return _barycentric(v, pts)
     v0, v1, v2, v3 = v.transpose(1, 2, 0)                   # (3, m) each
-    normal = np.array([e.normal for e in elements]).T
     a = 0.25 * ((v0 + v1) + (v2 + v3))
     b = 0.25 * ((v1 - v0) + (v2 - v3))
     c = 0.25 * ((v3 - v0) + (v2 - v1))
     d = 0.25 * ((v0 - v1) + (v2 - v3))
     rel = pts.T - a
     r = rel - (rel * normal).sum(0) * normal
+    n0, n1, n2 = normal
 
     def cr(u, w):
-        return (cross3(u, w, axis=0) * normal).sum(0)
+        # The components of cross3(u, w, axis=0) times the normal, summed
+        # in order as .sum(0) sums them.
+        return (((u[1] * w[2] - u[2] * w[1]) * n0 + (u[2] * w[0] - u[0] * w[2]) * n1)
+                + (u[0] * w[1] - u[1] * w[0]) * n2)
 
     qa, qb, qc = cr(c, d), cr(c, b) - cr(r, d), -cr(r, b)
     disc = qb * qb - 4.0 * qa * qc
@@ -401,8 +448,10 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points)
     eta = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     g = b + d * eta
     gg = (g * g).sum(0)
-    xi = np.divide(((r - c * eta) * g).sum(0), gg, out=np.zeros_like(gg), where=gg != 0.0)
-    return np.column_stack([xi, eta])
+    coords = np.zeros((len(eta), 2))
+    np.divide(((r - c * eta) * g).sum(0), gg, out=coords[:, 0], where=gg != 0.0)
+    coords[:, 1] = eta
+    return coords
 
 
 def _band(d: float) -> tuple[int, bool]:
@@ -420,26 +469,23 @@ def _band(d: float) -> tuple[int, bool]:
 
 def point_element_distances(p: np.ndarray, verts: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance from a point to each flat element (m, 4, 3),
-    triangles padded with a repeated last vertex."""
+    triangles padded with a repeated last vertex.
+
+    All four edges are handled in one pass; each element's distance is
+    computed on its own, so it has the same bits in any stack.
+    """
     rel0 = p[None, :] - verts[:, 0]
     hn = np.einsum("mj,mj->m", rel0, normals)
     proj = p[None, :] - hn[:, None] * normals  # foot point in each plane
-
-    inside = np.ones(len(verts), dtype=bool)
-    edge_d2 = np.full(len(verts), np.inf)
-    for i in range(4):
-        a = verts[:, i]
-        b = verts[:, (i + 1) % 4]
-        edge = b - a
-        side = np.einsum("mj,mj->m", cross3(edge, proj - a), normals)
-        inside &= side >= 0.0
-        ee = np.einsum("mj,mj->m", edge, edge)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.einsum("mj,mj->m", p[None, :] - a, edge) / ee
-        t = np.clip(np.where(ee > 0.0, t, 0.0), 0.0, 1.0)
-        closest = a + t[:, None] * edge
-        edge_d2 = np.minimum(edge_d2, ((p[None, :] - closest) ** 2).sum(1))
-    return np.where(inside, np.abs(hn), np.sqrt(edge_d2))
+    edge = verts[:, [1, 2, 3, 0]] - verts      # (m, 4, 3)
+    side = np.einsum("mej,mj->me", cross3(edge, proj[:, None] - verts), normals)
+    ee = np.einsum("mej,mej->me", edge, edge)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.einsum("mej,mej->me", p - verts, edge) / ee
+    t = np.clip(np.where(ee > 0.0, t, 0.0), 0.0, 1.0)
+    closest = verts + t[..., None] * edge
+    edge_d2 = ((p - closest) ** 2).sum(axis=2).min(axis=1)
+    return np.where((side >= 0.0).all(axis=1), np.abs(hn), np.sqrt(edge_d2))
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +644,16 @@ class Assembler:
     does not change between property points; a row's split points are
     projected in one call per element kind. Whole-element rules away from
     the source point are cached per (element, order) and shared between
-    plans; a partly visible pair's rule over its visible triangles is built
-    once, on the row's first visit. Near-band rules of fully visible
-    elements are split toward the source point and rebuilt from the plan
-    at every property point, all quads of a row in one batched pass that
-    evaluates each one-axis factor once per distinct xi or eta. Chords are
-    traversed afresh at every property point and yield only the segments
-    they cross, so chord work scales with the cells crossed, not with the
-    grid planes. No chord segment is kept between property points. The
-    medium blocks Fmat and Umat have one column per interior unknown.
+    plans; the partly visible pairs' rules over their visible triangles are
+    built once, on the row's first visit, in one call for the row.
+    Near-band rules of fully visible elements are split toward the source
+    point and rebuilt from the plan at every property point, in one call per
+    element kind; the quads' pass evaluates each one-axis factor once per
+    distinct xi or eta. Chords are traversed afresh at every property point
+    and yield only the segments they cross, so chord work scales with the
+    cells crossed, not with the grid planes. No chord segment is kept
+    between property points. The medium blocks Fmat and Umat have one
+    column per interior unknown.
 
     A row's quadrature data is component-major: points and their
     differences from the source point are (3, n) and shape bases (4, n),
@@ -664,39 +711,51 @@ class Assembler:
         if plan is not None:
             return plan
         idx = build_active_list(p, normal, self.mesh, source_element=source_element)
-        rel, screens = np.zeros(0), []
+        rel, screens, cones = np.zeros(0), [], []
         if idx.size:
             dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
             rel = dists / self.arrays.diameters[idx]
             screens = screen_active_set(p, idx, self.mesh, source_element=source_element)
+            cones = shadow_cones(p, idx, screens, self.mesh) if any(screens) else []
         rules, visibility, near = [], [], []
         for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
             order, split = _band(float(d))
-            vis = classify_visibility(p, k, screened, self.mesh) if screened else UNOBSTRUCTED
+            vis = (classify_visibility(p, k, screened, self.mesh, cones[j]) if screened
+                   else UNOBSTRUCTED)
             rule = None
-            if vis.classification is Classification.PARTIALLY_VISIBLE:
-                rule = visible_rule(p, self.mesh.elements[k], vis.visible)
-            elif vis.classification is Classification.FULLY_VISIBLE:
+            if vis.classification is Classification.FULLY_VISIBLE:
                 if split:
                     near.append(j)
                 else:
                     rule = self._cached_rule(k, order)
             rules.append(rule)
             visibility.append(vis)
+        # The rules of the partly visible elements, one call for the row.
+        partial = [j for j, vis in enumerate(visibility)
+                   if vis.classification is Classification.PARTIALLY_VISIBLE]
+        if partial:
+            built = visible_rule(p, [self.mesh.elements[idx[j]] for j in partial],
+                                 [visibility[j].visible for j in partial])
+            for j, rule in zip(partial, built):
+                rules[j] = rule
         # The split points of the near-band elements, one call per kind.
         towards = [None] * idx.size
-        quads = [j for j in near if self.mesh.elements[idx[j]].is_quad]
-        for group in (quads, [j for j in near if j not in quads]):
-            if group:
-                elements = [self.mesh.elements[idx[j]] for j in group]
-                coords = intrinsic_projection(elements, np.tile(p, (len(group), 1)))
-                for j, toward in zip(group, coords):
-                    towards[j] = toward
+        for group in self._by_kind(idx, near):
+            elements = [self.mesh.elements[idx[j]] for j in group]
+            coords = intrinsic_projection(elements, np.tile(p, (len(group), 1)))
+            for j, toward in zip(group, coords):
+                towards[j] = toward
         plan = self.row_plans[(kind, pidx)] = RowPlan(
             elements=idx, rules=tuple(rules), screens=tuple(screens),
             visibility=tuple(visibility), towards=tuple(towards),
         )
         return plan
+
+    def _by_kind(self, elements: np.ndarray, picked: list[int]) -> list[list[int]]:
+        """The positions picked of elements, quads first, then triangles;
+        kinds with none picked are left out."""
+        quads = [j for j in picked if self.mesh.elements[elements[j]].is_quad]
+        return [group for group in (quads, [j for j in picked if j not in quads]) if group]
 
     # -- row integration ------------------------------------------------
 
@@ -713,21 +772,23 @@ class Assembler:
         """
         plan = self._row_plan(kind, pidx, p, normal, source_element)
         rules = list(plan.rules)
-        quads = [j for j, toward in enumerate(plan.towards)
-                 if toward is not None and self.mesh.elements[plan.elements[j]].is_quad]
-        if quads:
-            # Near-band quads share one order, so their rules map in one call.
-            ids = plan.elements[quads]
-            cells = quad_cells(np.array([plan.towards[j] for j in quads]))
-            rule = _quad_cell_rule(self.arrays.vertices[ids], cells, NEAR_ORDER)
-            n = len(rule.weights) // len(ids)
-            for i, j in enumerate(quads):
-                cut = slice(i * n, (i + 1) * n)
+        near = [j for j, toward in enumerate(plan.towards) if toward is not None]
+        for group in self._by_kind(plan.elements, near):
+            # A kind's near-band elements share one order and one call. Its
+            # quads take equal parts of the rule, its triangles one part per
+            # cell, three or four each.
+            elements = [self.mesh.elements[plan.elements[j]] for j in group]
+            towards = np.array([plan.towards[j] for j in group])
+            rule = element_rule(elements, NEAR_ORDER, towards)
+            parts = ([1] * len(group) if elements[0].is_quad
+                     else [len(c) for c in _tri_cell_sets(len(group), towards)])
+            per_part = len(rule.weights) // sum(parts)
+            end = 0
+            for j, size in zip(group, parts):
+                cut = slice(end, end + size * per_part)
+                end = cut.stop
                 rules[j] = ElementRule(rule.points[cut], rule.weights[cut],
                                        rule.flux_shapes[cut], rule.vertex_shapes[cut])
-        for j, toward in enumerate(plan.towards):
-            if rules[j] is None and toward is not None:
-                rules[j] = element_rule(self.mesh.elements[plan.elements[j]], NEAR_ORDER, toward)
 
         kept = [j for j, rule in enumerate(rules) if rule is not None]
         if not kept:

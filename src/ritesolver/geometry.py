@@ -78,7 +78,7 @@ def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise GeometryError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise GeometryError(f"point has non-finite components: {a}")
     return a
 
@@ -92,8 +92,8 @@ def cross3(a, b, axis: int = -1) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a, b, c = (x.swapaxes(0, axis) for x in (a, b, out))
+    out = np.empty(np.broadcast(a, b).shape)
+    a, b, c = a.swapaxes(0, axis), b.swapaxes(0, axis), out.swapaxes(0, axis)
     c[0] = a[1] * b[2] - a[2] * b[1]
     c[1] = a[2] * b[0] - a[0] * b[2]
     c[2] = a[0] * b[1] - a[1] * b[0]
@@ -312,6 +312,17 @@ def quad_cells(toward=None) -> np.ndarray:
     return np.stack(boxes, axis=-1).reshape(xm.shape + (4, 4))
 
 
+# The fan's cells with the apex slot left at zero, and the four edge-midpoint
+# triangles.
+_FAN_CELLS = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                       [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                       [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
+_MIDPOINT_CELLS = np.array([[[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+                            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+                            [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+                            [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]])
+
+
 def tri_cells(toward=None) -> np.ndarray:
     """Barycentric corner sets of sub-triangles of a triangle, (c, 3, 3).
 
@@ -319,16 +330,14 @@ def tri_cells(toward=None) -> np.ndarray:
     the barycentric point toward when it sits comfortably inside, and are
     the four edge-midpoint triangles otherwise.
     """
-    c = np.eye(3)
     if toward is None:
-        return c[None]
+        return np.eye(3)[None]
     apex = np.asarray(toward, dtype=float)
-    if np.all(apex >= _FAN_MIN_BARY):
-        return np.array([[apex, c[0], c[1]], [apex, c[1], c[2]], [apex, c[2], c[0]]])
-    m01 = 0.5 * (c[0] + c[1])
-    m12 = 0.5 * (c[1] + c[2])
-    m20 = 0.5 * (c[2] + c[0])
-    return np.array([[c[0], m01, m20], [m01, c[1], m12], [m20, m12, c[2]], [m01, m12, m20]])
+    if apex.min() >= _FAN_MIN_BARY:
+        cells = _FAN_CELLS.copy()
+        cells[:, 0] = apex
+        return cells
+    return _MIDPOINT_CELLS.copy()
 
 
 def _vertex_rows(verts4, xi, eta) -> np.ndarray:

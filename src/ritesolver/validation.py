@@ -36,6 +36,7 @@ from ritesolver.visibility import (
     build_active_list,
     classify_visibility,
     screen_active_set,
+    shadow_cones,
 )
 
 __all__ = [
@@ -129,14 +130,16 @@ def _closure_total(mesh: SurfaceMesh, p, normal, skip) -> float:
     """cos(phi_p) cos(phi_r) / d^2 integrated over the surface p sees.
 
     Each element facing p, except skip, goes through the blocker screen and
-    the shadow clipper; a fully visible element contributes its whole
-    polygon, a partly visible one its visible triangles, a blocked one
-    nothing. A wall receiver passes its normal; an interior one passes None.
+    the shadow clipper, whose cones are built for all of them in one pass; a
+    fully visible element contributes its whole polygon, a partly visible
+    one its visible triangles, a blocked one nothing. A wall receiver passes
+    its normal; an interior one passes None.
     """
     active = build_active_list(p, normal, mesh, source_element=skip)
+    screens = screen_active_set(p, active, mesh, skip)
     total = 0.0
-    for k, blockers in zip(active, screen_active_set(p, active, mesh, skip)):
-        report = classify_visibility(p, k, blockers, mesh)
+    for k, blockers, cones in zip(active, screens, shadow_cones(p, active, screens, mesh)):
+        report = classify_visibility(p, k, blockers, mesh, cones)
         full = report.classification is Classification.FULLY_VISIBLE
         polygons = [mesh.elements[k].vertices] if full else report.visible
         total += sum(_polygon_closure(p, poly, normal) for poly in polygons)

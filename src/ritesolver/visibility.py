@@ -3,19 +3,24 @@
 Occlusion handling runs in three stages. First, the active list keeps only
 elements that can exchange radiation with the source point at all: a pair
 in one plane, within the planarity tolerance, stops there. Second, one
-screen lists the potential blockers of each surviving element: a cylinder
-cull around the sight line, then a plane-side test that keeps a candidate
-only when its plane separates the point from some vertex of the element by
-more than that tolerance. Both conditions are necessary for any occlusion,
-so an empty list means a fully visible element; on a convex enclosure every
-list is empty. Third, listed pairs go to an exact shadow clipper. Each
-candidate is clipped to the slab strictly between the point and the element
-plane and projected centrally from the point onto that plane, which keeps
-it convex; the projection is subtracted from the element's current convex
-pieces by half-plane cuts (Sutherland and Hodgman 1974), the way Walton's
-View3D (NISTIR 6925) computes obstructed view factors. The visible part is
-the remaining pieces, triangulated in physical space. Only slivers below a
-relative area tolerance are dropped.
+screen lists the potential blockers of each surviving element in three
+tests, each necessary for any occlusion: a cylinder cull around the sight
+line; a plane-side test that keeps a candidate only when its plane
+separates the point from some vertex of the element by more than that
+tolerance; and a shaft test (Haines and Wallace 1991, "Shaft culling for
+efficient ray-traced radiosity") that drops a candidate lying wholly outside
+the slab between the point and the element plane or wholly beyond one side
+plane of the pyramid from the point over the element. An empty list means a
+fully visible element; on a convex enclosure every list is empty. Third,
+listed pairs go to an exact shadow clipper. Each candidate is clipped to the
+slab strictly between the point and the element plane and projected
+centrally from the point onto that plane, which keeps it convex; the
+shadow cones of all a point's listed pairs are built in one padded pass.
+Each projection is subtracted from the element's current convex pieces by
+half-plane cuts (Sutherland and Hodgman 1974), pair by pair, the way
+Walton's View3D (NISTIR 6925) computes obstructed view factors. The visible
+part is the remaining pieces, triangulated in physical space. Only slivers
+below a relative area tolerance are dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ritesolver.geometry import PLANARITY_RTOL, SurfaceElement, SurfaceMesh, as_point, cross3
+from ritesolver.geometry import PLANARITY_RTOL, SurfaceMesh, as_point, cross3
 
 # Not called here: perfbench/spans.py traces segment_element_hits under this
 # module's name.
@@ -39,6 +44,7 @@ __all__ = [
     "build_active_list",
     "classify_visibility",
     "screen_active_set",
+    "shadow_cones",
 ]
 
 # The planarity tolerance of visibility, relative to the point-centroid
@@ -122,6 +128,36 @@ def _separates(p, vertices: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
     return (above | below).any(axis=1)
 
 
+def _in_shaft(p, targets: np.ndarray, cols: np.ndarray, arrays) -> np.ndarray:
+    """Whether element cols[i] can reach the shaft from p to element
+    targets[i]; a candidate failing this leaves the clipper nothing to cut.
+
+    Against the target's plane the test is the clipper's own slab clip:
+    with no vertex in front by more than its tol and fewer than three
+    within tol, nothing is left in front, which is where a neighbour across
+    a shared edge sits. Against p's plane (parallel to the target's) and the
+    side planes through p and each target edge, a candidate is dropped only
+    when every vertex lies beyond the plane by more than _PLANE_RTOL times
+    the target's diameter. The five plane tests take one einsum.
+    """
+    verts = arrays.vertices[cols]                          # (L, 4, 3)
+    valid = np.arange(4) < arrays.n_vertices[cols][:, None]
+    normals = arrays.normals[targets]
+    corners = arrays.vertices[targets]
+    diameters = arrays.diameters[targets]
+    # The same stacked product as the clipper's slab clip, so the same bits.
+    g = ((verts - corners[:, :1]) @ normals[:, :, None])[..., 0]
+    tol = (_CUT_RTOL * diameters)[:, None]
+    behind = ~(g > tol).any(axis=1) & (((g >= -tol) & valid).sum(axis=1) < 3)
+    # Inward normals of p's plane and of the side planes, unnormalised; a
+    # triangle's repeated vertex gives a zero edge plane, which drops nothing.
+    rel = corners - p
+    planes = np.concatenate([-normals[:, None], cross3(rel[:, [1, 2, 3, 0]], rel)], axis=1)
+    margin = _PLANE_RTOL * diameters[:, None] * np.sqrt(np.einsum("lsj,lsj->ls", planes, planes))
+    beyond = np.einsum("lvj,lsj->lsv", verts - p, planes) < -margin[..., None]
+    return ~(behind | beyond.all(axis=2).any(axis=1))
+
+
 def screen_active_set(
     p,
     active_indices,
@@ -133,12 +169,19 @@ def screen_active_set(
     Returns a list parallel to active_indices of blocker index tuples in
     mesh order. Candidates are all elements but the active one and the one
     under p; a warped quad could otherwise list itself. A candidate is kept
-    when its centroid lies within the sum of the two circumradii of the
-    sight segment from p to the active element's centroid (tested as a
-    cylinder padded by that radius at both ends; every point between p and
-    the element lies within the element's circumradius of that segment) and
-    its plane separates p from a vertex of the active element by more than
-    _PLANE_RTOL, which no candidate in the active element's plane does.
+    when it passes three tests in turn:
+
+    - cylinder: its centroid lies within the sum of the two circumradii of
+      the sight segment from p to the active element's centroid (tested as
+      a cylinder padded by that radius at both ends; every point between p
+      and the element lies within the element's circumradius of that
+      segment)
+    - plane side: its plane separates p from a vertex of the active element
+      by more than _PLANE_RTOL, which no candidate in the active element's
+      plane does
+    - shaft: it is not wholly behind the active element's plane, beyond
+      p's plane or beyond a side plane of the pyramid from p over the
+      element (see _in_shaft)
     """
     p = as_point(p)
     arr = mesh.arrays()
@@ -161,7 +204,12 @@ def screen_active_set(
 
     rows, cols = np.nonzero(keep)
     keep[rows, cols] = _separates(p, arr.vertices[act[rows]], arr, cols)
-    return [tuple(int(i) for i in np.nonzero(row)[0]) for row in keep]
+    rows, cols = np.nonzero(keep)
+    if rows.size:
+        keep[rows, cols] = _in_shaft(p, act[rows], cols, arr)
+    counts = keep.sum(axis=1)
+    listed = np.nonzero(keep)[1].tolist()
+    return [tuple(listed[end - n:end]) for n, end in zip(counts.tolist(), np.cumsum(counts).tolist())]
 
 
 def _polygon_area(poly: np.ndarray, normal: np.ndarray) -> float:
@@ -192,75 +240,146 @@ def _split(poly: np.ndarray, g: np.ndarray, tol: float):
     return np.array(inner), np.array(outer)
 
 
-def _shadow_cuts(p, element: SurfaceElement, blocker: np.ndarray, blocker_normal, tol):
-    """Unit normals m of the half-spaces m . (y - p) >= 0 bounding the shadow
-    a blocker polygon casts from p onto the element plane, or None.
+def _split_inner(poly: np.ndarray, count: np.ndarray, g: np.ndarray, tol: np.ndarray):
+    """The g >= 0 parts of a stack of convex polygons, as _split gives them.
 
-    The blocker is clipped to the slab strictly between p and the element
-    plane; each edge of what is left spans a plane through p, and the
-    central projection of the polygon is the part of the element plane
-    inside all of them.
+    poly (L, K, 3) holds count[i] vertices of polygon i, padded; g (L, K) a
+    linear function's values there and tol (L,) each polygon's tolerance.
+    Returns the parts (L, W, 3), padded, and their vertex counts. Each
+    vertex and edge crossing is computed as _split computes it, in its
+    order, so every part equals _split's bit for bit.
     """
-    base, normal = element.vertices[0], element.normal
-    poly, _ = _split(blocker, (blocker - base) @ normal, tol)
-    if len(poly) >= 3:
-        poly, _ = _split(poly, (p - poly) @ normal, tol)
-    if len(poly) < 3:
-        return None
+    n, k = g.shape
+    slot = np.arange(k)
+    valid = slot < count[:, None]
+    tol = tol[:, None]
+    below = g < -tol
+    if not (below & valid).any():
+        return poly, count  # nothing to cut away
+    rows = np.arange(n)[:, None]
+    nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
+    gb = g[rows, nxt]
+    crossing = valid & (((g > tol) & (gb < -tol)) | (below & (gb > tol)))
+    t = np.divide(g, g - gb, out=np.zeros_like(g), where=crossing)
+    # Vertex i, then the crossing on edge i, in _split's order.
+    candidates = np.empty((n, k, 2, 3))
+    candidates[:, :, 0] = poly
+    candidates[:, :, 1] = poly + (poly[rows, nxt] - poly) * t[..., None]
+    live = np.stack([valid & ~below, crossing], axis=2).reshape(n, 2 * k)
+    at, slots = np.nonzero(live)
+    counts = live.sum(axis=1)
+    parts = np.zeros((n, counts.max(initial=0), 3))
+    parts[at, np.cumsum(live, axis=1)[at, slots] - 1] = candidates.reshape(n, 2 * k, 3)[at, slots]
+    return parts, counts
+
+
+def shadow_cones(p, active_indices, screens, mesh: SurfaceMesh) -> list[list[np.ndarray | None]]:
+    """Shadow cones of every listed (element, blocker) pair of one point.
+
+    screens is screen_active_set's output for active_indices. Returns, per
+    element, one entry per listed blocker: the unit normals m (c, 3) of the
+    half-spaces m . (y - p) >= 0 bounding the shadow the blocker casts from
+    p onto the element plane, or None when it casts none. The blocker is
+    clipped to the slab strictly between p and the element plane; each edge
+    of what is left spans a plane through p, and the central projection of
+    the polygon is the part of the element plane inside all of them. All
+    pairs go through one padded pass, in which every pair takes the bits it
+    takes alone.
+    """
+    p = as_point(p)
+    arr = mesh.arrays()
+    sizes = [len(s) for s in screens]
+    targets = np.repeat(np.asarray(active_indices, dtype=int), sizes)
+    blockers = np.array([b for s in screens for b in s], dtype=int)
+    cones = _cones(p, targets, blockers, arr) if len(targets) else []
+    ends = np.cumsum(sizes).tolist()
+    return [cones[end - size:end] for size, end in zip(sizes, ends)]
+
+
+def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr) -> list[np.ndarray | None]:
+    """shadow_cones for flat (target, blocker) entries."""
+    cones: list[np.ndarray | None] = [None] * len(targets)
+    normals = arr.normals[targets, :, None]
+    tol = _CUT_RTOL * arr.diameters[targets]
+    verts = arr.vertices[blockers]
+    g = ((verts - arr.vertices[targets, :1]) @ normals)[..., 0]
+    poly, count = _split_inner(verts, arr.n_vertices[blockers], g, tol)
+    live = np.flatnonzero(count >= 3)
+    if live.size:
+        poly, normals = poly[live], normals[live]
+        poly, count = _split_inner(poly, count[live], ((p - poly) @ normals)[..., 0], tol[live])
+    if not (count >= 3).any():
+        return cones
+    slot = np.arange(poly.shape[1])
     rel = poly - p
-    m = cross3(rel, np.roll(rel, -1, axis=0))
-    norms = np.linalg.norm(m, axis=1)
-    m = m[norms > 0.0] / norms[norms > 0.0, None]
-    if len(m) < 3:
-        return None  # no cone with an interior: a point or a segment
+    nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
+    m = cross3(rel, rel[np.arange(len(rel))[:, None], nxt])
+    norms = np.linalg.norm(m, axis=2)
+    edges = (slot < count[:, None]) & (norms > 0.0)
+    m = m / np.where(edges, norms, 1.0)[..., None]
     # A polygon wound counter-clockwise about its normal, seen from p on the
-    # normal's far side, has every edge plane facing its interior.
-    if float(blocker_normal @ (poly.mean(axis=0) - p)) < 0.0:
-        m = -m
-    return m
+    # normal's far side, has every edge plane facing its interior. Whether p
+    # is on that side is decided by the blocker's plane, which the screen
+    # keeps clear of p.
+    cast = blockers[live]
+    flip = arr.normals[cast] @ p > arr.plane_offsets[cast]
+    m[flip] *= -1.0
+    # Fewer than three edge planes leave a point or a segment: no cone with
+    # an interior.
+    kept = edges.sum(axis=1)
+    flat = m[edges]
+    ends = np.cumsum(kept).tolist()
+    for i, n, end in zip(live.tolist(), kept.tolist(), ends):
+        if n >= 3:
+            cones[i] = flat[end - n:end]
+    return cones
 
 
 def _subtract(piece: np.ndarray, p, cuts: np.ndarray, tol: float, min_area: float, normal):
     """Convex parts of a piece outside the shadow, or None when the shadow
     overlaps the piece in no more than a sliver."""
     rest = piece
+    rel = rest - p
     outside = []
     for m in cuts:
-        g = (rest - p) @ m
+        g = rel @ m
         if g.min() >= -tol:
             continue
         if g.max() <= tol:
             return None
         rest, out = _split(rest, g, tol)
+        rel = rest - p
         outside.append(out)
     if len(rest) < 3 or _polygon_area(rest, normal) < min_area:
         return None
     return [q for q in outside if len(q) >= 3 and _polygon_area(q, normal) >= min_area]
 
 
-def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh) -> VisibilityReport:
+def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh,
+                        cones=None) -> VisibilityReport:
     """Exact visible part of an active element behind its listed blockers.
 
-    blockers is the element's entry in screen_active_set. Each listed
-    blocker whose plane separates p from the element casts a convex shadow
-    on the element plane, which is cut away from the current convex pieces.
-    An element no shadow reaches is fully visible, one with no pieces left
-    fully blocked; otherwise the pieces are fan-triangulated.
+    blockers is the element's entry in screen_active_set, and cones its
+    entry in shadow_cones, built here when not given. Each listed blocker
+    whose plane separates p from the element casts a convex shadow on the
+    element plane, which is cut away from the current convex pieces,
+    blocker by blocker. An element no shadow reaches is fully visible, one
+    with no pieces left fully blocked; otherwise the pieces are
+    fan-triangulated.
     """
     p = as_point(p)
+    if cones is None:
+        cones = shadow_cones(p, [active_index], [blockers], mesh)[0]
     element = mesh.elements[active_index]
-    arrays = mesh.arrays()
     normal = element.normal
     tol = _CUT_RTOL * element.diameter
     min_area = _SLIVER_RTOL * element.area
 
     pieces = [element.vertices]
     shadows = 0
-    for b in blockers:
+    for cuts in cones:
         if not pieces:
             break
-        blocker = arrays.vertices[b, : arrays.n_vertices[b]]
-        cuts = _shadow_cuts(p, element, blocker, arrays.normals[b], tol)
         if cuts is None:
             continue
         cut_any = False
@@ -277,15 +396,13 @@ def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh) -> Vi
 
     if shadows == 0:
         return UNOBSTRUCTED
-    visible, areas = [], []
-    for piece in pieces:
-        for i in range(1, len(piece) - 1):
-            tri = np.array([piece[0], piece[i], piece[i + 1]])
-            area = _polygon_area(tri, normal)
-            if area >= min_area:
-                visible.append(tri)
-                areas.append(area)
-    if not visible:
+    tris = np.array([[piece[0], piece[i], piece[i + 1]]
+                     for piece in pieces for i in range(1, len(piece) - 1)]).reshape(-1, 3, 3)
+    # Each triangle's area as _polygon_area takes it: one dot per triangle.
+    rel = tris[:, 1:] - tris[:, :1]
+    areas = 0.5 * (cross3(rel[:, 0], rel[:, 1])[:, None, :] @ normal[:, None])[:, 0, 0]
+    kept = areas >= min_area
+    if not kept.any():
         return VisibilityReport(Classification.FULLY_BLOCKED, depth_reached=shadows)
-    fraction = min(sum(areas) / element.area, 1.0)
-    return VisibilityReport(Classification.PARTIALLY_VISIBLE, np.array(visible), fraction, shadows)
+    fraction = min(sum(areas[kept].tolist()) / element.area, 1.0)
+    return VisibilityReport(Classification.PARTIALLY_VISIBLE, tris[kept], fraction, shadows)

@@ -149,3 +149,31 @@ def padded_chord_factors(grid, p, pts, beta):
     else:
         w = ds
     return flat, w
+
+
+def shadow_cuts(p, element, blocker, blocker_normal, tol):
+    """One blocker's shadow cone on one element, polygon by polygon: the
+    route visibility.shadow_cones pads and batches over a point's pairs.
+
+    Returns the unit normals m of the half-spaces m . (y - p) >= 0 bounding
+    the shadow the blocker polygon (k, 3) casts from p onto the element
+    plane, or None.
+    """
+    from ritesolver.geometry import cross3
+    from ritesolver.visibility import _split
+
+    base, normal = element.vertices[0], element.normal
+    poly, _ = _split(blocker, (blocker - base) @ normal, tol)
+    if len(poly) >= 3:
+        poly, _ = _split(poly, (p - poly) @ normal, tol)
+    if len(poly) < 3:
+        return None
+    rel = poly - p
+    m = cross3(rel, np.roll(rel, -1, axis=0))
+    norms = np.linalg.norm(m, axis=1)
+    m = m[norms > 0.0] / norms[norms > 0.0, None]
+    if len(m) < 3:
+        return None
+    if float(blocker_normal @ (poly.mean(axis=0) - p)) < 0.0:
+        m = -m
+    return m

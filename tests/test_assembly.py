@@ -42,8 +42,11 @@ from ritesolver.geometry import (
     bilinear_jacobian,
     bilinear_points,
     build_element,
+    load_mesh,
     quad_cells,
     segment_element_hits,
+    tri_cells,
+    write_mesh_file,
 )
 from ritesolver.kernels import (
     KernelKind,
@@ -56,7 +59,7 @@ from ritesolver.kernels import (
 from ritesolver.validation import lemma1_identity, lemma3_interior_identity
 from ritesolver.visibility import Classification, classify_visibility, screen_active_set
 
-from conftest import make_cube_mesh, make_dented_cube_mesh
+from conftest import DENTED_FACES, make_cube_mesh, make_dented_cube_mesh
 from oracles import padded_chord_factors, path_factors
 
 
@@ -150,7 +153,7 @@ def element_integral(p, n_p, element, kind, props, shape=None, report=None):
     integral to its visible triangles.
     """
     if report is not None:
-        rule = assembly.visible_rule(p, element, report.visible)
+        rule, = assembly.visible_rule(p, [element], [report.visible])
     else:
         arrays = ElementArrays.from_elements([element])
         d = float(assembly.point_element_distances(p, arrays.vertices, arrays.normals)[0])
@@ -500,6 +503,94 @@ def test_stacked_quad_rules_match_element_rules(case):
         assert np.array_equal(rule.weights, weights)
         assert np.array_equal(rule.flux_shapes, quad_flux_shapes(*root.T).T)
         assert np.array_equal(rule.vertex_shapes, quad_vertex_shapes(*root.T).T)
+
+
+# Split points of the dented cube's six triangles: fanned ones, midpoint
+# splits (a coordinate under the fan's minimum) and one off the triangle.
+_TRI_TOWARDS = [np.array(t) for t in ([0.3, 0.3, 0.4], [0.05, 0.5, 0.45], [1.2, -0.1, -0.1],
+                                      [1 / 3, 1 / 3, 1 / 3], [0.5, 0.45, 0.05], [0.1, 0.1, 0.8])]
+
+
+@pytest.mark.parametrize("kind", ["quads", "triangles"])
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_stacked_element_rules_match_single_calls(kind, split):
+    # A row's near-band elements of one kind take one element_rule call;
+    # the stacked rule must be the one-element rules joined, bit for bit.
+    if kind == "quads":
+        elements, towards = _cube_row_near_quads()
+        elements += _trapezoids()
+        towards += [np.array([0.3, -0.6]), np.array([-0.9, 0.95])]
+    else:
+        elements = [e for e in make_dented_cube_mesh().elements if not e.is_quad]
+        towards = _TRI_TOWARDS
+    order = assembly.NEAR_ORDER if split else 4
+    stacked = element_rule(elements, order, np.array(towards) if split else None)
+    singles = [element_rule(e, order, t if split else None) for e, t in zip(elements, towards)]
+    for field in ("points", "weights", "flux_shapes", "vertex_shapes"):
+        joined = np.concatenate([getattr(rule, field) for rule in singles])
+        assert np.array_equal(getattr(stacked, field), joined), field
+
+
+def test_batched_cell_areas_match_build_element():
+    # _tri_cell_rule takes all cell areas in one batched dot; each must be
+    # build_element's 0.5 * norm(cross) of that cell, bit for bit, whether
+    # the cells share one triangle or carry one each.
+    _, w = assembly.tri_rule(4)
+    triangles = [e for e in make_dented_cube_mesh().elements if not e.is_quad]
+    for e, toward in zip(triangles, _TRI_TOWARDS):
+        cells = tri_cells(toward)
+        expected = [w * build_element(corners).area for corners in cells @ e.vertices]
+        for verts in (e.vertices, np.repeat(e.vertices[None], len(cells), axis=0)):
+            _, weights, _ = assembly._tri_cell_rule(verts, cells, 4)
+            assert np.array_equal(weights, np.concatenate(expected))
+
+
+def test_row_visible_rules_match_single_elements():
+    # A row's partly visible elements take one visible_rule call; each
+    # element's rule must equal what its triangles give alone.
+    mesh = make_dented_cube_mesh(emissivity=0.7)
+    grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
+    asm = Assembler(mesh, grid)
+    asm.assemble_surface(props_for(mesh.diameter()))
+    col = asm.collocation
+    rows = 0
+    for (kind, r), plan in asm.row_plans.items():
+        partial = [j for j, vis in enumerate(plan.visibility)
+                   if vis.classification is Classification.PARTIALLY_VISIBLE]
+        if len(partial) < 2:
+            continue
+        rows += 1
+        p = col.boundary_points[r]
+        elements = [mesh.elements[plan.elements[j]] for j in partial]
+        tris = [plan.visibility[j].visible for j in partial]
+        for j, element, visible in zip(partial, elements, tris):
+            alone, = assembly.visible_rule(p, [element], [visible])
+            for field in ("points", "weights", "flux_shapes", "vertex_shapes"):
+                assert np.array_equal(getattr(plan.rules[j], field), getattr(alone, field))
+    assert rows > 0
+
+
+def test_setup_does_no_row_work(tmp_path, monkeypatch):
+    # Loading a mesh and building an Assembler is the benchmark's set-up;
+    # screening, clipping, rules, distances and projections all belong to
+    # the rows, on their first visit.
+    from ritesolver import visibility
+
+    mesh = make_dented_cube_mesh()
+    records = [{"nodes": list(f), "epsilon": 1.0, "T": 500.0} for f in DENTED_FACES]
+    grid = {"origin": [0.0] * 3, "spacing": [0.5] * 3, "dims": [2, 2, 2], "T": [1000.0] * 8}
+    write_mesh_file(tmp_path / "dent.json", mesh.nodes, records, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row work during set-up")
+
+    for name in ("screen_active_set", "classify_visibility", "element_rule",
+                 "point_element_distances", "intrinsic_projection"):
+        for module in (assembly, visibility):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    asm = Assembler(*load_mesh(tmp_path / "dent.json"))
+    assert asm.row_plans == {}
 
 
 def test_row_quadrature_is_component_major():

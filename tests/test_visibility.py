@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from ritesolver.geometry import SurfaceMesh, segment_element_hits
+from ritesolver import visibility
+from ritesolver.geometry import SurfaceMesh, VoxelGrid, segment_element_hits
 from ritesolver.visibility import (
+    UNOBSTRUCTED,
     Classification,
     build_active_list,
     classify_visibility,
     screen_active_set,
+    shadow_cones,
 )
 from tests.conftest import make_cube_mesh, make_dented_cube_mesh
+from tests.oracles import shadow_cuts
 
 BOTTOM = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
 TOP = [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
@@ -181,6 +185,147 @@ def test_refined_convex_cube_screens_everything_out():
     assert len(outcomes) == active.size
     for outcome in outcomes:
         assert outcome == ()
+
+
+def all_rows(case):
+    """(mesh, [(p, normal, own element)]) for every collocation row of a
+    case: wall points with their normal and element, interior points with
+    None for both."""
+    from ritesolver.assembly import collocation_points
+    from ritesolver.cli import builtin_case
+
+    if case == "lshape_r1":
+        mesh, grid = builtin_case("lshape", 1)
+    else:
+        mesh = make_dented_cube_mesh()
+        grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
+    if case == "turned_dented_cube":
+        # Turned off the axes, so that no product rounds exactly.
+        turn, _ = np.linalg.qr(np.array([[1.0, 0.2, 0.3], [0.1, 1.0, 0.4], [0.2, 0.5, 1.0]]))
+        mesh = SurfaceMesh(mesh.nodes @ turn.T + [0.3, -0.2, 0.1], mesh.element_nodes,
+                           1.0, mesh.node_temperatures)
+        grid = VoxelGrid([-0.7, -1.2, -0.9], 1.0, [3, 3, 3], np.full(27, 1000.0))
+    col = collocation_points(mesh, grid)
+    rows = [(p, n, int(own)) for p, n, own in
+            zip(col.boundary_points, col.boundary_normals, col.boundary_element)]
+    return mesh, rows + [(p, None, None) for p in col.interior_points]
+
+
+@pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
+def test_shaft_drops_only_what_the_clipper_cannot_cut(monkeypatch, case):
+    # Every candidate the plane-side test keeps and the shaft test drops
+    # must leave the clipper nothing to cut, alone in front of its target.
+    mesh, rows = all_rows(case)
+    screens = []
+    for p, n, own in rows:
+        active = build_active_list(p, n, mesh, source_element=own)
+        screens.append((p, active, screen_active_set(p, active, mesh, own)))
+    monkeypatch.setattr(visibility, "_in_shaft", lambda p, targets, cols, arrays:
+                        np.ones(len(cols), dtype=bool))
+    dropped = 0
+    for (p, active, shafted), (_, n, own) in zip(screens, rows):
+        for k, kept, listed in zip(active, shafted,
+                                   screen_active_set(p, active, mesh, own)):
+            assert set(kept) <= set(listed)
+            for b in set(listed) - set(kept):
+                assert classify_visibility(p, k, (b,), mesh) is UNOBSTRUCTED, (p, k, b)
+                dropped += 1
+    assert dropped > 100
+
+
+def edge_scene(lift):
+    """The unit floor square (element 0) and a quad (element 1) meeting it
+    along its x = 1 edge, lifted by lift, and folding away below its plane
+    so that its own plane still separates the floor from a point above."""
+    blocker = [[1.0, 0.0, lift], [1.0, 1.0, lift], [1.5, 1.0, lift - 0.25],
+               [1.5, 0.0, lift - 0.25]]
+    return quad_scene(BOTTOM, blocker)
+
+
+def plate_scene(lift):
+    """The unit floor square (element 0) and a wall (element 1) standing in
+    the plane x = 0.6 from z = -1 up to lift above the floor's plane."""
+    wall = [[0.6, 0.2, -1.0], [0.6, 0.8, -1.0], [0.6, 0.8, lift], [0.6, 0.2, lift]]
+    return quad_scene(BOTTOM, wall)
+
+
+P_ABOVE = np.array([0.2, 0.5, 0.5])
+
+
+def test_shaft_drops_a_neighbour_across_a_shared_edge():
+    # The neighbour's plane separates the point from the floor's far edge,
+    # so the plane-side test lists it; its vertices sit at 0 on the floor's
+    # plane or behind it, where the clipper's slab clip leaves nothing.
+    scene = edge_scene(0.0)
+    assert screen_active_set(P_ABOVE, [0], scene)[0] == ()
+    assert visibility._separates(P_ABOVE, scene.arrays().vertices[[0]], scene.arrays(),
+                                 np.array([1]))[0]
+    assert classify_visibility(P_ABOVE, 0, (1,), scene) is UNOBSTRUCTED
+
+
+def test_shaft_keeps_a_blocker_poking_past_the_target_plane():
+    # Lifted 1e-10 times the floor's diameter, the wall's top reaches into
+    # the slab by more than the clipper's tolerance and casts a sliver of
+    # shadow, so the screen must keep it. Sitting on the plane, it casts
+    # none, and the screen drops it.
+    diameter = np.sqrt(2.0)
+    poking = plate_scene(1e-10 * diameter)
+    assert screen_active_set(P_ABOVE, [0], poking)[0] == (1,)
+    report = classify_visibility(P_ABOVE, 0, (1,), poking)
+    assert report.classification is Classification.PARTIALLY_VISIBLE
+    assert 0.0 < 1.0 - report.fraction < 1e-9
+    flush = plate_scene(0.0)
+    assert screen_active_set(P_ABOVE, [0], flush)[0] == ()
+    assert classify_visibility(P_ABOVE, 0, (1,), flush) is UNOBSTRUCTED
+    # Lifted just off a shared edge, the neighbour's cone lands outside the
+    # floor, and the screen keeps it for the clipper to decide.
+    assert screen_active_set(P_ABOVE, [0], edge_scene(1e-10 * diameter))[0] == (1,)
+
+
+def test_shaft_keeps_a_facet_lying_within_the_clippers_tolerance():
+    # A small triangle on the floor, its vertices within the clipper's
+    # tolerance of the floor's plane and its plane tilted enough to
+    # separate the point from the floor's far corners: the slab clip keeps
+    # all three vertices, so the clipper cuts its outline out of the floor,
+    # and the screen must keep it although no vertex is in front.
+    facet = [[0.5, 0.5, 0.0], [0.501, 0.5, 0.0], [0.5, 0.501, 1e-12]]
+    scene = SurfaceMesh(np.array(BOTTOM + facet), [(0, 1, 2, 3), (4, 5, 6)], check_closed=False)
+    assert screen_active_set(P_ABOVE, [0], scene)[0] == (1,)
+    report = classify_visibility(P_ABOVE, 0, (1,), scene)
+    assert report.classification is Classification.PARTIALLY_VISIBLE
+    assert 1.0 - report.fraction == pytest.approx(0.5e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
+def test_row_batched_clipper_matches_pair_by_pair(case):
+    # A row's shadow cones are built in one padded pass. Each must equal
+    # the scalar route's cone bit for bit, and classifying with the row's
+    # cones, with the scalar cones and with cones built for the pair alone
+    # must agree bit for bit.
+    mesh, rows = all_rows(case)
+    arrays = mesh.arrays()
+    pairs = partial = 0
+    for p, n, own in rows:
+        active = build_active_list(p, n, mesh, source_element=own)
+        screens = screen_active_set(p, active, mesh, own)
+        for k, blockers, cones in zip(active, screens, shadow_cones(p, active, screens, mesh)):
+            element = mesh.elements[k]
+            tol = visibility._CUT_RTOL * element.diameter
+            scalar = [shadow_cuts(p, element, arrays.vertices[b, : arrays.n_vertices[b]],
+                                  arrays.normals[b], tol) for b in blockers]
+            for cone, ref in zip(cones, scalar):
+                assert (cone is None) == (ref is None)
+                assert cone is None or np.array_equal(cone, ref)
+            batched = classify_visibility(p, k, blockers, mesh, cones)
+            for other in (classify_visibility(p, k, blockers, mesh, scalar),
+                          classify_visibility(p, k, blockers, mesh)):
+                assert batched.classification is other.classification
+                assert np.array_equal(batched.visible, other.visible)
+                assert batched.fraction == other.fraction
+                assert batched.depth_reached == other.depth_reached
+            pairs += bool(blockers)
+            partial += batched.classification is Classification.PARTIALLY_VISIBLE
+    assert pairs > 100 and partial > 10
 
 
 # Two lshape r2 wall points that look past the notch edge: the high ceiling
