@@ -66,7 +66,6 @@ from ritesolver.visibility import (
     build_active_list,
     classify_visibility,
     screen_active_set,
-    shadow_cones,
 )
 
 __all__ = [
@@ -619,12 +618,12 @@ class RowPlan:
     visible one. It holds None for fully blocked pairs, which take no
     points, and for near-band, fully visible ones, whose rules are split
     toward the source point and rebuilt from towards at every property
-    point. screens holds each element's blockers from screen_active_set
-    and visibility its VisibilityReport; a pair with no blockers is
-    UNOBSTRUCTED without a classify_visibility call. towards holds the root
-    intrinsic point the cells of a near-band, fully visible element meet
-    at (None elsewhere); the rules of those that are quads are built in one
-    pass.
+    point. screens holds the ids of each element's blockers from
+    screen_active_set, without their cones, and visibility its
+    VisibilityReport; a pair with no blockers is UNOBSTRUCTED without a
+    classify_visibility call. towards holds the root intrinsic point the
+    cells of a near-band, fully visible element meet at (None elsewhere);
+    the rules of those that are quads are built in one pass.
     """
 
     elements: np.ndarray        # (a,) element ids
@@ -711,17 +710,15 @@ class Assembler:
         if plan is not None:
             return plan
         idx = build_active_list(p, normal, self.mesh, source_element=source_element)
-        rel, screens, cones = np.zeros(0), [], []
+        rel, screens = np.zeros(0), []
         if idx.size:
             dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
             rel = dists / self.arrays.diameters[idx]
             screens = screen_active_set(p, idx, self.mesh, source_element=source_element)
-            cones = shadow_cones(p, idx, screens, self.mesh) if any(screens) else []
         rules, visibility, near = [], [], []
         for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
             order, split = _band(float(d))
-            vis = (classify_visibility(p, k, screened, self.mesh, cones[j]) if screened
-                   else UNOBSTRUCTED)
+            vis = classify_visibility(p, k, screened, self.mesh) if screened else UNOBSTRUCTED
             rule = None
             if vis.classification is Classification.FULLY_VISIBLE:
                 if split:
@@ -746,7 +743,8 @@ class Assembler:
             for j, toward in zip(group, coords):
                 towards[j] = toward
         plan = self.row_plans[(kind, pidx)] = RowPlan(
-            elements=idx, rules=tuple(rules), screens=tuple(screens),
+            elements=idx, rules=tuple(rules),
+            screens=tuple(tuple(b for b, _ in screened) for screened in screens),
             visibility=tuple(visibility), towards=tuple(towards),
         )
         return plan

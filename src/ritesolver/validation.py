@@ -36,7 +36,6 @@ from ritesolver.visibility import (
     build_active_list,
     classify_visibility,
     screen_active_set,
-    shadow_cones,
 )
 
 __all__ = [
@@ -129,17 +128,17 @@ def _polygon_closure(p, poly: np.ndarray, normal) -> float:
 def _closure_total(mesh: SurfaceMesh, p, normal, skip) -> float:
     """cos(phi_p) cos(phi_r) / d^2 integrated over the surface p sees.
 
-    Each element facing p, except skip, goes through the blocker screen and
-    the shadow clipper, whose cones are built for all of them in one pass; a
-    fully visible element contributes its whole polygon, a partly visible
-    one its visible triangles, a blocked one nothing. A wall receiver passes
-    its normal; an interior one passes None.
+    Each element facing p, except skip, goes through the blocker screen,
+    which builds the shadow cones of all of them in one pass, and the
+    shadow clipper; a fully visible element contributes its whole polygon,
+    a partly visible one its visible triangles, a blocked one nothing. A
+    wall receiver passes its normal; an interior one passes None.
     """
     active = build_active_list(p, normal, mesh, source_element=skip)
     screens = screen_active_set(p, active, mesh, skip)
     total = 0.0
-    for k, blockers, cones in zip(active, screens, shadow_cones(p, active, screens, mesh)):
-        report = classify_visibility(p, k, blockers, mesh, cones)
+    for k, screened in zip(active, screens):
+        report = classify_visibility(p, k, screened, mesh)
         full = report.classification is Classification.FULLY_VISIBLE
         polygons = [mesh.elements[k].vertices] if full else report.visible
         total += sum(_polygon_closure(p, poly, normal) for poly in polygons)
@@ -247,8 +246,8 @@ def visibility_report_check(
 ) -> OracleReport:
     """Clipped visible fraction against the ray oracle for one pair."""
     p = as_point(point)
-    blockers = screen_active_set(p, [active_index], mesh, source_element)[0]
-    report = classify_visibility(p, active_index, blockers, mesh)
+    screened = screen_active_set(p, [active_index], mesh, source_element)[0]
+    report = classify_visibility(p, active_index, screened, mesh)
     fraction = report.fraction
     oracle = visibility_oracle(p, mesh.elements[active_index], mesh, n_rays=_CHECK_RAYS, seed=seed)
     return OracleReport(

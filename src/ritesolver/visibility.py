@@ -3,24 +3,25 @@
 Occlusion handling runs in three stages. First, the active list keeps only
 elements that can exchange radiation with the source point at all: a pair
 in one plane, within the planarity tolerance, stops there. Second, one
-screen lists the potential blockers of each surviving element in three
-tests, each necessary for any occlusion: a cylinder cull around the sight
-line; a plane-side test that keeps a candidate only when its plane
-separates the point from some vertex of the element by more than that
-tolerance; and a shaft test (Haines and Wallace 1991, "Shaft culling for
-efficient ray-traced radiosity") that drops a candidate lying wholly outside
-the slab between the point and the element plane or wholly beyond one side
-plane of the pyramid from the point over the element. An empty list means a
-fully visible element; on a convex enclosure every list is empty. Third,
-listed pairs go to an exact shadow clipper. Each candidate is clipped to the
-slab strictly between the point and the element plane and projected
-centrally from the point onto that plane, which keeps it convex; the
-shadow cones of all a point's listed pairs are built in one padded pass.
-Each projection is subtracted from the element's current convex pieces by
-half-plane cuts (Sutherland and Hodgman 1974), pair by pair, the way
-Walton's View3D (NISTIR 6925) computes obstructed view factors. The visible
-part is the remaining pieces, triangulated in physical space. Only slivers
-below a relative area tolerance are dropped.
+screen lists the potential blockers of each surviving element, each with
+its shadow cone, in four tests, each necessary for any occlusion: a
+cylinder cull around the sight line; a plane-side test that keeps a
+candidate only when its plane separates the point from some vertex of the
+element by more than that tolerance; a shaft test (Haines and Wallace 1991,
+"Shaft culling for efficient ray-traced radiosity") that drops a candidate
+lying wholly beyond one side plane of the pyramid from the point over the
+element; and the shadow cone itself. The cone is built by clipping the
+candidate to the slab strictly between the point and the element plane and
+projecting it centrally from the point onto that plane, which keeps it
+convex; a candidate with nothing left in the slab casts no cone and is not
+listed. The cones of all a point's candidates are built in one padded pass.
+An empty list means a fully visible element; on a convex enclosure every
+list is empty. Third, listed pairs go to an exact shadow clipper. Each cone
+is subtracted from the element's current convex pieces by half-plane cuts
+(Sutherland and Hodgman 1974), blocker by blocker, the way Walton's View3D
+(NISTIR 6925) computes obstructed view factors. The visible part is the
+remaining pieces, triangulated in physical space. Only slivers below a
+relative area tolerance are dropped.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "build_active_list",
     "classify_visibility",
     "screen_active_set",
-    "shadow_cones",
 ]
 
 # The planarity tolerance of visibility, relative to the point-centroid
@@ -130,32 +130,22 @@ def _separates(p, vertices: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
 
 def _in_shaft(p, targets: np.ndarray, cols: np.ndarray, arrays) -> np.ndarray:
     """Whether element cols[i] can reach the shaft from p to element
-    targets[i]; a candidate failing this leaves the clipper nothing to cut.
+    targets[i] through its side planes, the planes through p and each
+    target edge.
 
-    Against the target's plane the test is the clipper's own slab clip:
-    with no vertex in front by more than its tol and fewer than three
-    within tol, nothing is left in front, which is where a neighbour across
-    a shared edge sits. Against p's plane (parallel to the target's) and the
-    side planes through p and each target edge, a candidate is dropped only
-    when every vertex lies beyond the plane by more than _PLANE_RTOL times
-    the target's diameter. The five plane tests take one einsum.
+    A candidate is dropped when every vertex lies beyond one side plane by
+    more than _PLANE_RTOL times the target's diameter; the four plane tests
+    take one einsum. The slab between p and the target's plane is left to
+    the cone build, whose clips drop a candidate with nothing in front.
     """
-    verts = arrays.vertices[cols]                          # (L, 4, 3)
-    valid = np.arange(4) < arrays.n_vertices[cols][:, None]
-    normals = arrays.normals[targets]
-    corners = arrays.vertices[targets]
-    diameters = arrays.diameters[targets]
-    # The same stacked product as the clipper's slab clip, so the same bits.
-    g = ((verts - corners[:, :1]) @ normals[:, :, None])[..., 0]
-    tol = (_CUT_RTOL * diameters)[:, None]
-    behind = ~(g > tol).any(axis=1) & (((g >= -tol) & valid).sum(axis=1) < 3)
-    # Inward normals of p's plane and of the side planes, unnormalised; a
-    # triangle's repeated vertex gives a zero edge plane, which drops nothing.
-    rel = corners - p
-    planes = np.concatenate([-normals[:, None], cross3(rel[:, [1, 2, 3, 0]], rel)], axis=1)
-    margin = _PLANE_RTOL * diameters[:, None] * np.sqrt(np.einsum("lsj,lsj->ls", planes, planes))
-    beyond = np.einsum("lvj,lsj->lsv", verts - p, planes) < -margin[..., None]
-    return ~(behind | beyond.all(axis=2).any(axis=1))
+    # Inward normals of the side planes, unnormalised; a triangle's
+    # repeated vertex gives a zero edge plane, which drops nothing.
+    rel = arrays.vertices[targets] - p
+    planes = cross3(rel[:, [1, 2, 3, 0]], rel)
+    margin = (_PLANE_RTOL * arrays.diameters[targets][:, None]
+              * np.sqrt(np.einsum("lsj,lsj->ls", planes, planes)))
+    beyond = np.einsum("lvj,lsj->lsv", arrays.vertices[cols] - p, planes) < -margin[..., None]
+    return ~beyond.all(axis=2).any(axis=1)
 
 
 def screen_active_set(
@@ -163,13 +153,14 @@ def screen_active_set(
     active_indices,
     mesh: SurfaceMesh,
     source_element: int | None = None,
-) -> list[tuple[int, ...]]:
-    """Potential blockers of every element in the active set of one point.
+) -> list[tuple[tuple[int, np.ndarray], ...]]:
+    """Potential blockers of every element in the active set of one point,
+    each with its shadow cone.
 
-    Returns a list parallel to active_indices of blocker index tuples in
-    mesh order. Candidates are all elements but the active one and the one
-    under p; a warped quad could otherwise list itself. A candidate is kept
-    when it passes three tests in turn:
+    Returns a list parallel to active_indices of (blocker, cone) tuples in
+    mesh order, the cones as _cones gives them. Candidates are all elements
+    but the active one and the one under p; a warped quad could otherwise
+    list itself. A candidate is listed when it passes four tests in turn:
 
     - cylinder: its centroid lies within the sum of the two circumradii of
       the sight segment from p to the active element's centroid (tested as
@@ -179,9 +170,10 @@ def screen_active_set(
     - plane side: its plane separates p from a vertex of the active element
       by more than _PLANE_RTOL, which no candidate in the active element's
       plane does
-    - shaft: it is not wholly behind the active element's plane, beyond
-      p's plane or beyond a side plane of the pyramid from p over the
-      element (see _in_shaft)
+    - shaft: it is not wholly beyond a side plane of the pyramid from p
+      over the element (see _in_shaft)
+    - cone: it casts a shadow cone, which a candidate with nothing left in
+      the slab between p and the element plane does not
     """
     p = as_point(p)
     arr = mesh.arrays()
@@ -205,11 +197,14 @@ def screen_active_set(
     rows, cols = np.nonzero(keep)
     keep[rows, cols] = _separates(p, arr.vertices[act[rows]], arr, cols)
     rows, cols = np.nonzero(keep)
+    screens = [[] for _ in range(act.size)]
     if rows.size:
-        keep[rows, cols] = _in_shaft(p, act[rows], cols, arr)
-    counts = keep.sum(axis=1)
-    listed = np.nonzero(keep)[1].tolist()
-    return [tuple(listed[end - n:end]) for n, end in zip(counts.tolist(), np.cumsum(counts).tolist())]
+        shaft = _in_shaft(p, act[rows], cols, arr)
+        rows, cols = rows[shaft], cols[shaft]
+        for row, b, cone in zip(rows.tolist(), cols.tolist(), _cones(p, act[rows], cols, arr)):
+            if cone is not None:
+                screens[row].append((b, cone))
+    return [tuple(s) for s in screens]
 
 
 def _polygon_area(poly: np.ndarray, normal: np.ndarray) -> float:
@@ -273,31 +268,18 @@ def _split_inner(poly: np.ndarray, count: np.ndarray, g: np.ndarray, tol: np.nda
     return parts, counts
 
 
-def shadow_cones(p, active_indices, screens, mesh: SurfaceMesh) -> list[list[np.ndarray | None]]:
-    """Shadow cones of every listed (element, blocker) pair of one point.
-
-    screens is screen_active_set's output for active_indices. Returns, per
-    element, one entry per listed blocker: the unit normals m (c, 3) of the
-    half-spaces m . (y - p) >= 0 bounding the shadow the blocker casts from
-    p onto the element plane, or None when it casts none. The blocker is
-    clipped to the slab strictly between p and the element plane; each edge
-    of what is left spans a plane through p, and the central projection of
-    the polygon is the part of the element plane inside all of them. All
-    pairs go through one padded pass, in which every pair takes the bits it
-    takes alone.
-    """
-    p = as_point(p)
-    arr = mesh.arrays()
-    sizes = [len(s) for s in screens]
-    targets = np.repeat(np.asarray(active_indices, dtype=int), sizes)
-    blockers = np.array([b for s in screens for b in s], dtype=int)
-    cones = _cones(p, targets, blockers, arr) if len(targets) else []
-    ends = np.cumsum(sizes).tolist()
-    return [cones[end - size:end] for size, end in zip(sizes, ends)]
-
-
 def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr) -> list[np.ndarray | None]:
-    """shadow_cones for flat (target, blocker) entries."""
+    """Shadow cones of flat (target, blocker) entries of one point.
+
+    Returns one entry per pair: the unit normals m (c, 3) of the half-spaces
+    m . (y - p) >= 0 bounding the shadow the blocker casts from p onto the
+    target's plane, or None when it casts none. The blocker is clipped to
+    the slab strictly between p and that plane, each clip keeping vertices
+    within _CUT_RTOL times the target's diameter; each edge of what is left
+    spans a plane through p, and the central projection of the polygon is
+    the part of the plane inside all of them. All pairs go through one
+    padded pass, in which every pair takes the bits it takes alone.
+    """
     cones: list[np.ndarray | None] = [None] * len(targets)
     normals = arr.normals[targets, :, None]
     tol = _CUT_RTOL * arr.diameters[targets]
@@ -355,21 +337,17 @@ def _subtract(piece: np.ndarray, p, cuts: np.ndarray, tol: float, min_area: floa
     return [q for q in outside if len(q) >= 3 and _polygon_area(q, normal) >= min_area]
 
 
-def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh,
-                        cones=None) -> VisibilityReport:
+def classify_visibility(p, active_index: int, screened, mesh: SurfaceMesh) -> VisibilityReport:
     """Exact visible part of an active element behind its listed blockers.
 
-    blockers is the element's entry in screen_active_set, and cones its
-    entry in shadow_cones, built here when not given. Each listed blocker
-    whose plane separates p from the element casts a convex shadow on the
+    screened is the element's entry in screen_active_set, its (blocker,
+    cone) pairs. Each cone is the convex shadow its blocker casts on the
     element plane, which is cut away from the current convex pieces,
     blocker by blocker. An element no shadow reaches is fully visible, one
     with no pieces left fully blocked; otherwise the pieces are
     fan-triangulated.
     """
     p = as_point(p)
-    if cones is None:
-        cones = shadow_cones(p, [active_index], [blockers], mesh)[0]
     element = mesh.elements[active_index]
     normal = element.normal
     tol = _CUT_RTOL * element.diameter
@@ -377,11 +355,9 @@ def classify_visibility(p, active_index: int, blockers, mesh: SurfaceMesh,
 
     pieces = [element.vertices]
     shadows = 0
-    for cuts in cones:
+    for _, cuts in screened:
         if not pieces:
             break
-        if cuts is None:
-            continue
         cut_any = False
         kept = []
         for piece in pieces:

@@ -153,7 +153,8 @@ def padded_chord_factors(grid, p, pts, beta):
 
 def shadow_cuts(p, element, blocker, blocker_normal, tol):
     """One blocker's shadow cone on one element, polygon by polygon: the
-    route visibility.shadow_cones pads and batches over a point's pairs.
+    route the blocker screen's cone build (visibility._cones) pads and
+    batches over a point's pairs.
 
     Returns the unit normals m of the half-spaces m . (y - p) >= 0 bounding
     the shadow the blocker polygon (k, 3) casts from p onto the element

@@ -381,7 +381,8 @@ def test_run_reports_nonconvergence(tmp_path, capsys):
 
 def test_visibility_dump_matches_reports(tmp_path, capsys):
     # The dented cube has partly visible pairs, so the dump carries every
-    # kind of row: one per (collocation point, active element).
+    # kind of row: one per (collocation point, active element), its screen
+    # column naming the blockers the screen lists with their cones.
     from conftest import DENTED_FACES, make_dented_cube_mesh
     from ritesolver.geometry import write_mesh_file
     from ritesolver.visibility import build_active_list, classify_visibility, screen_active_set
@@ -405,16 +406,23 @@ def test_visibility_dump_matches_reports(tmp_path, capsys):
     ):
         for idx, (p, n, own) in enumerate(zip(points, normals, owners)):
             own = None if own is None else int(own)
-            for k in build_active_list(p, n, mesh, source_element=own).tolist():
-                expected[(kind, idx, k)] = (p, own)
+            active = build_active_list(p, n, mesh, source_element=own)
+            for k, screened in zip(active.tolist(), screen_active_set(p, active, mesh, own)):
+                expected[(kind, idx, k)] = (p, screened)
     assert sorted((r["point_kind"], int(r["point_index"]), int(r["active_element"]))
                   for r in rows) == sorted(expected)
+    listed = 0
+    for r in rows:
+        _, screened = expected[(r["point_kind"], int(r["point_index"]), int(r["active_element"]))]
+        assert r["screen"] == (";".join(str(b) for b, _ in screened) or "empty")
+        listed += bool(screened)
+    assert listed > 100
     partial = [r for r in rows if r["classification"].startswith("partial:")]
     assert partial
     for r in partial:
         k = int(r["active_element"])
-        p, own = expected[(r["point_kind"], int(r["point_index"]), k)]
-        report = classify_visibility(p, k, screen_active_set(p, [k], mesh, own)[0], mesh)
+        p, screened = expected[(r["point_kind"], int(r["point_index"]), k)]
+        report = classify_visibility(p, k, screened, mesh)
         assert r["classification"] == f"partial:{report.fraction:.6f}"
 
 

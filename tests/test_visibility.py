@@ -11,7 +11,6 @@ from ritesolver.visibility import (
     build_active_list,
     classify_visibility,
     screen_active_set,
-    shadow_cones,
 )
 from tests.conftest import make_cube_mesh, make_dented_cube_mesh
 from tests.oracles import shadow_cuts
@@ -111,8 +110,18 @@ def test_active_list_at_cube_center():
 
 
 def blockers_of(scene, p, active_index, source_element):
-    """The screen's blocker list for one (point, active element) pair."""
-    return screen_active_set(p, [active_index], scene, source_element)[0]
+    """The ids of the blockers the screen lists for one (point, active
+    element) pair."""
+    return tuple(b for b, _ in screen_active_set(p, [active_index], scene, source_element)[0])
+
+
+def screen_entry(p, active_index, blockers, scene):
+    """Hand-picked blockers of one pair as a screen entry: each with its
+    shadow cone, those casting none left out."""
+    blockers = np.asarray(blockers, dtype=int)
+    targets = np.full(blockers.size, active_index)
+    cones = visibility._cones(np.asarray(p, dtype=float), targets, blockers, scene.arrays())
+    return tuple((b, cone) for b, cone in zip(blockers.tolist(), cones) if cone is not None)
 
 
 def test_convex_cube_blocking_lists_are_empty():
@@ -133,9 +142,8 @@ def test_convex_cube_blocking_lists_are_empty():
 def test_wide_plate_triggers_early_block():
     # Once a shadow covers the whole element, later blockers are not clipped.
     scene = open_scene(plate(0.5, 0.5, 0.5, 0.7), plate(0.5, 0.5, 0.25, 0.1))
-    blockers = blockers_of(scene, P_BOTTOM, 1, 0)
-    assert blockers == (2, 3)
-    report = classify_visibility(P_BOTTOM, 1, blockers, scene)
+    assert blockers_of(scene, P_BOTTOM, 1, 0) == (2, 3)
+    report = classify(scene, P_BOTTOM, 1, 0)
     assert report.classification is Classification.FULLY_BLOCKED
     assert report.depth_reached == 1
 
@@ -156,9 +164,8 @@ def test_corner_covering_plates_trigger_union_rule():
     plates = [plate(0.25, 0.25, 0.5, 0.06), plate(0.75, 0.25, 0.5, 0.06),
               plate(0.75, 0.75, 0.5, 0.06), plate(0.25, 0.75, 0.5, 0.06)]
     scene = open_scene(*plates)
-    blockers = blockers_of(scene, P_BOTTOM, 1, 0)
-    assert blockers == (2, 3, 4, 5)
-    report = classify_visibility(P_BOTTOM, 1, blockers, scene)
+    assert blockers_of(scene, P_BOTTOM, 1, 0) == (2, 3, 4, 5)
+    report = classify(scene, P_BOTTOM, 1, 0)
     assert report.fraction == pytest.approx(1.0 - 4 * 0.12**2, abs=1e-9)
 
 
@@ -213,22 +220,29 @@ def all_rows(case):
 
 @pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
 def test_shaft_drops_only_what_the_clipper_cannot_cut(monkeypatch, case):
-    # Every candidate the plane-side test keeps and the shaft test drops
-    # must leave the clipper nothing to cut, alone in front of its target.
+    # Every candidate the plane-side test keeps and the shaft test or the
+    # cone build drops must leave the clipper nothing to cut, alone in
+    # front of its target. With the shaft keeping everything and a missing
+    # cone listed as an empty one, the screen lists all the plane-side test
+    # keeps.
     mesh, rows = all_rows(case)
-    screens = []
-    for p, n, own in rows:
-        active = build_active_list(p, n, mesh, source_element=own)
-        screens.append((p, active, screen_active_set(p, active, mesh, own)))
+    rows = [(p, build_active_list(p, n, mesh, source_element=own), own) for p, n, own in rows]
+    screens = [screen_active_set(p, active, mesh, own) for p, active, own in rows]
+    cones = visibility._cones
     monkeypatch.setattr(visibility, "_in_shaft", lambda p, targets, cols, arrays:
                         np.ones(len(cols), dtype=bool))
+    monkeypatch.setattr(visibility, "_cones", lambda *args: [
+        np.zeros((0, 3)) if cone is None else cone for cone in cones(*args)])
+    unscreened = [screen_active_set(p, active, mesh, own) for p, active, own in rows]
+    monkeypatch.undo()
     dropped = 0
-    for (p, active, shafted), (_, n, own) in zip(screens, rows):
-        for k, kept, listed in zip(active, shafted,
-                                   screen_active_set(p, active, mesh, own)):
-            assert set(kept) <= set(listed)
-            for b in set(listed) - set(kept):
-                assert classify_visibility(p, k, (b,), mesh) is UNOBSTRUCTED, (p, k, b)
+    for (p, active, _), screened, everything in zip(rows, screens, unscreened):
+        for k, kept, listed in zip(active, screened, everything):
+            kept, listed = {b for b, _ in kept}, {b for b, _ in listed}
+            assert kept <= listed
+            for b in listed - kept:
+                entry = screen_entry(p, k, (b,), mesh)
+                assert classify_visibility(p, k, entry, mesh) is UNOBSTRUCTED, (p, k, b)
                 dropped += 1
     assert dropped > 100
 
@@ -254,13 +268,14 @@ P_ABOVE = np.array([0.2, 0.5, 0.5])
 
 def test_shaft_drops_a_neighbour_across_a_shared_edge():
     # The neighbour's plane separates the point from the floor's far edge,
-    # so the plane-side test lists it; its vertices sit at 0 on the floor's
-    # plane or behind it, where the clipper's slab clip leaves nothing.
+    # so the plane-side test keeps it; its vertices sit at 0 on the floor's
+    # plane or behind it, where the cone build's slab clip leaves nothing.
     scene = edge_scene(0.0)
     assert screen_active_set(P_ABOVE, [0], scene)[0] == ()
     assert visibility._separates(P_ABOVE, scene.arrays().vertices[[0]], scene.arrays(),
                                  np.array([1]))[0]
-    assert classify_visibility(P_ABOVE, 0, (1,), scene) is UNOBSTRUCTED
+    assert classify_visibility(P_ABOVE, 0, screen_entry(P_ABOVE, 0, (1,), scene),
+                               scene) is UNOBSTRUCTED
 
 
 def test_shaft_keeps_a_blocker_poking_past_the_target_plane():
@@ -270,16 +285,17 @@ def test_shaft_keeps_a_blocker_poking_past_the_target_plane():
     # none, and the screen drops it.
     diameter = np.sqrt(2.0)
     poking = plate_scene(1e-10 * diameter)
-    assert screen_active_set(P_ABOVE, [0], poking)[0] == (1,)
-    report = classify_visibility(P_ABOVE, 0, (1,), poking)
+    assert blockers_of(poking, P_ABOVE, 0, None) == (1,)
+    report = classify(poking, P_ABOVE, 0, None)
     assert report.classification is Classification.PARTIALLY_VISIBLE
     assert 0.0 < 1.0 - report.fraction < 1e-9
     flush = plate_scene(0.0)
     assert screen_active_set(P_ABOVE, [0], flush)[0] == ()
-    assert classify_visibility(P_ABOVE, 0, (1,), flush) is UNOBSTRUCTED
+    assert classify_visibility(P_ABOVE, 0, screen_entry(P_ABOVE, 0, (1,), flush),
+                               flush) is UNOBSTRUCTED
     # Lifted just off a shared edge, the neighbour's cone lands outside the
     # floor, and the screen keeps it for the clipper to decide.
-    assert screen_active_set(P_ABOVE, [0], edge_scene(1e-10 * diameter))[0] == (1,)
+    assert blockers_of(edge_scene(1e-10 * diameter), P_ABOVE, 0, None) == (1,)
 
 
 def test_shaft_keeps_a_facet_lying_within_the_clippers_tolerance():
@@ -290,40 +306,56 @@ def test_shaft_keeps_a_facet_lying_within_the_clippers_tolerance():
     # and the screen must keep it although no vertex is in front.
     facet = [[0.5, 0.5, 0.0], [0.501, 0.5, 0.0], [0.5, 0.501, 1e-12]]
     scene = SurfaceMesh(np.array(BOTTOM + facet), [(0, 1, 2, 3), (4, 5, 6)], check_closed=False)
-    assert screen_active_set(P_ABOVE, [0], scene)[0] == (1,)
-    report = classify_visibility(P_ABOVE, 0, (1,), scene)
+    assert blockers_of(scene, P_ABOVE, 0, None) == (1,)
+    report = classify(scene, P_ABOVE, 0, None)
     assert report.classification is Classification.PARTIALLY_VISIBLE
     assert 1.0 - report.fraction == pytest.approx(0.5e-6, rel=1e-3)
 
 
+def test_screen_lists_only_blockers_casting_a_cone():
+    # A triangle standing on p's plane, two of its vertices on that plane
+    # either side of p and the third above it. The plane-side and shaft
+    # tests keep it, but nothing of it lies between p and the floor, so it
+    # casts no cone and the screen leaves it out.
+    c = np.array([0.22, 0.48, 0.5])
+    triangle = [c - [0.1, 0.1, 0.0], c + [0.1, 0.1, 0.0], c + [0.05, -0.05, 0.3]]
+    scene = SurfaceMesh(np.array(BOTTOM + triangle), [(0, 1, 2, 3), (4, 5, 6)],
+                        check_closed=False)
+    arrays, floor, blocker = scene.arrays(), np.array([0]), np.array([1])
+    assert visibility._separates(P_ABOVE, arrays.vertices[floor], arrays, blocker)[0]
+    assert visibility._in_shaft(P_ABOVE, floor, blocker, arrays)[0]
+    assert visibility._cones(P_ABOVE, floor, blocker, arrays) == [None]
+    assert screen_active_set(P_ABOVE, [0], scene)[0] == ()
+    assert classify_visibility(P_ABOVE, 0, (), scene) is UNOBSTRUCTED
+
+
 @pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
 def test_row_batched_clipper_matches_pair_by_pair(case):
-    # A row's shadow cones are built in one padded pass. Each must equal
-    # the scalar route's cone bit for bit, and classifying with the row's
-    # cones, with the scalar cones and with cones built for the pair alone
-    # must agree bit for bit.
+    # A row's shadow cones are built in one padded pass. Each listed cone
+    # must equal the scalar route's cone bit for bit, and classifying with
+    # the row's cones, with the scalar cones and with cones built for the
+    # pair alone must agree bit for bit.
     mesh, rows = all_rows(case)
     arrays = mesh.arrays()
     pairs = partial = 0
     for p, n, own in rows:
         active = build_active_list(p, n, mesh, source_element=own)
-        screens = screen_active_set(p, active, mesh, own)
-        for k, blockers, cones in zip(active, screens, shadow_cones(p, active, screens, mesh)):
+        for k, screened in zip(active, screen_active_set(p, active, mesh, own)):
             element = mesh.elements[k]
             tol = visibility._CUT_RTOL * element.diameter
+            blockers = [b for b, _ in screened]
             scalar = [shadow_cuts(p, element, arrays.vertices[b, : arrays.n_vertices[b]],
                                   arrays.normals[b], tol) for b in blockers]
-            for cone, ref in zip(cones, scalar):
-                assert (cone is None) == (ref is None)
-                assert cone is None or np.array_equal(cone, ref)
-            batched = classify_visibility(p, k, blockers, mesh, cones)
-            for other in (classify_visibility(p, k, blockers, mesh, scalar),
-                          classify_visibility(p, k, blockers, mesh)):
+            for (_, cone), ref in zip(screened, scalar):
+                assert ref is not None and np.array_equal(cone, ref)
+            batched = classify_visibility(p, k, screened, mesh)
+            for other in (classify_visibility(p, k, tuple(zip(blockers, scalar)), mesh),
+                          classify_visibility(p, k, screen_entry(p, k, blockers, mesh), mesh)):
                 assert batched.classification is other.classification
                 assert np.array_equal(batched.visible, other.visible)
                 assert batched.fraction == other.fraction
                 assert batched.depth_reached == other.depth_reached
-            pairs += bool(blockers)
+            pairs += bool(screened)
             partial += batched.classification is Classification.PARTIALLY_VISIBLE
     assert pairs > 100 and partial > 10
 
@@ -403,8 +435,8 @@ def test_classified_fractions_match_ray_oracle():
 
 
 def classify(scene, p, active_index, source_element):
-    blockers = blockers_of(scene, p, active_index, source_element)
-    return classify_visibility(p, active_index, blockers, scene)
+    screened = screen_active_set(p, [active_index], scene, source_element)[0]
+    return classify_visibility(p, active_index, screened, scene)
 
 
 def shadow_fraction(half, center=(0.5, 0.5)):
@@ -475,7 +507,7 @@ def test_cull_free_classification_is_identical():
         unculled = tuple(range(2, scene.n_elements))
         for p in points:
             fast = classify(scene, p, 1, 0)
-            brute = classify_visibility(p, 1, unculled, scene)
+            brute = classify_visibility(p, 1, screen_entry(p, 1, unculled, scene), scene)
             assert fast.classification is brute.classification
             assert fast.fraction == brute.fraction
             assert fast.depth_reached == brute.depth_reached
