@@ -819,13 +819,15 @@ class Assembler:
         planes = lo[axis] + index * grid.spacing[axis]
         # Crossing parameters of every grid plane; a plane the chord does
         # not cross sorts to the end point, t = 1, and leaves an empty slot.
+        # Masked and sorted as a contiguous array, which is faster than
+        # through the strided slice of t, then framed by t = 0 and 1.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (planes - p[axis]) / d[axis].T
+        cross = np.where((cross > 0.0) & (cross < 1.0), cross, 1.0)
+        cross.sort(axis=1)
         t = np.empty((d.shape[1], planes.size + 2))
         t[:, 0], t[:, -1] = 0.0, 1.0
-        inner = t[:, 1:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide((planes - p[axis])[:, None], d[axis], out=inner.T)
-        inner[~((inner > 0.0) & (inner < 1.0))] = 1.0
-        inner.sort(axis=1)
+        t[:, 1:-1] = cross
         dt = np.diff(t, axis=1).ravel()
         live = np.flatnonzero(dt > 0.0)
         point = live // (planes.size + 1)

@@ -1,11 +1,12 @@
 """Two-level fixed-point solution of the assembled exchange system.
 
-Each outer sweep solves the dense wall system for the flux vector with the
+Each outer sweep takes the flux vector from the dense wall system with the
 current incident-energy field on the right side, then refreshes the field
-from the medium equation. The wall matrix never changes, so its LU
-factorization is computed once and reused. A solvability margin and an a
-priori contraction bound derived from the operator row-sum estimates let
-callers screen cases before iterating and check the observed rate after.
+from the medium equation. The wall matrix never changes, so the system is
+solved once for its scatter block and source together, and a sweep costs
+one matrix-vector product. A solvability margin and an a priori contraction
+bound derived from the operator row-sum estimates let callers screen cases
+before iterating and check the observed rate after.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ritesolver.assembly import SurfaceSystem, VolumeSystem
 from ritesolver.kernels import RadiativeProperties, blackbody_emission
@@ -37,7 +37,8 @@ _RATE_WINDOW = 5
 
 
 class SingularInnerSystem(RuntimeError):
-    """Wall-system factorization failed; the assembled operator is broken."""
+    """The wall system is singular or its solution is non-finite; the
+    assembled operator is broken."""
 
 
 class NotConverged(UserWarning):
@@ -46,7 +47,7 @@ class NotConverged(UserWarning):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer-loop controls; the inner solve is always a direct factorization."""
+    """Outer-loop controls; the wall solve is always direct."""
 
     tolerance: float = 1e-8
     max_iterations: int = 200
@@ -93,19 +94,16 @@ def contraction_bound(props: RadiativeProperties, eps_min: float) -> float:
     )
 
 
-def _factor_wall_system(gmat: np.ndarray):
-    n = gmat.shape[0]
-    a = np.eye(n) - gmat
+def _wall_solution(surface: SurfaceSystem) -> np.ndarray:
+    """X with (I - Gmat) X = [Fmat | h], so the wall flux is X[:, :-1] @ G + X[:, -1]."""
+    a = np.eye(surface.gmat.shape[0]) - surface.gmat
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a)
-    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-        raise SingularInnerSystem(f"wall system factorization failed: {exc}") from exc
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or np.any(diag == 0.0):
-        raise SingularInnerSystem("wall system is singular to working precision")
-    return lu, piv
+        x = np.linalg.solve(a, np.column_stack([surface.fmat, surface.h]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnerSystem(f"wall system is singular: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularInnerSystem("wall system solution is non-finite")
+    return x
 
 
 def solve_rites(
@@ -122,7 +120,7 @@ def solve_rites(
     callers decide whether that is fatal.
     """
     config = config if config is not None else SolverConfig()
-    lu_piv = _factor_wall_system(surface.gmat)
+    x = _wall_solution(surface)
 
     g = 4.0 * blackbody_emission(volume.cell_temperatures)
 
@@ -134,7 +132,7 @@ def solve_rites(
     converged = False
     q = np.zeros(surface.gmat.shape[0])
     for outer in range(1, config.max_iterations + 1):
-        q = scipy.linalg.lu_solve(lu_piv, surface.fmat @ g + surface.h)
+        q = x[:, :-1] @ g + x[:, -1]
         g_next = volume.umat @ g + volume.vmat @ q + volume.t
         scale = float(np.abs(g_next).max(initial=0.0))
         change = float(np.abs(g_next - g).max(initial=0.0))

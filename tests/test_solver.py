@@ -150,15 +150,43 @@ def test_budget_exhaustion_warns_and_returns_best_effort():
     assert np.all(np.isfinite(state.incident))
 
 
+def _dark_medium(n_q, n_i=2):
+    return VolumeSystem(umat=np.zeros((n_i, n_i)), vmat=np.zeros((n_i, n_q)),
+                        t=np.zeros(n_i), cells=np.arange(n_i),
+                        cell_temperatures=np.zeros(n_i))
+
+
 def test_singular_wall_system_raises():
     n_q, n_i = 4, 2
     surface = SurfaceSystem(gmat=np.eye(n_q), fmat=np.zeros((n_q, n_i)),
                             h=np.zeros(n_q))
-    volume = VolumeSystem(umat=np.zeros((n_i, n_i)), vmat=np.zeros((n_i, n_q)),
-                          t=np.zeros(2), cells=np.array([0, 1]),
-                          cell_temperatures=np.zeros(2))
-    with pytest.raises(SingularInnerSystem):
-        solve_rites(surface, volume, props_for(1.0, 0.0))
+    with pytest.raises(SingularInnerSystem, match="singular"):
+        solve_rites(surface, _dark_medium(n_q, n_i), props_for(1.0, 0.0))
+
+
+@pytest.mark.parametrize("block, entry", [("gmat", np.nan), ("h", np.inf)])
+def test_non_finite_wall_blocks_raise(block, entry):
+    n_q, n_i = 4, 2
+    blocks = dict(gmat=np.full((n_q, n_q), 0.1), fmat=np.full((n_q, n_i), 0.2),
+                  h=np.ones(n_q))
+    blocks[block].flat[1] = entry
+    with pytest.raises(SingularInnerSystem, match="non-finite"):
+        solve_rites(SurfaceSystem(**blocks), _dark_medium(n_q, n_i), props_for(1.0, 0.0))
+
+
+def test_iteration_lands_on_the_operator_system_solution():
+    # The outer iteration converges to the one solution of the coupled
+    # system [[I - Gmat, -Fmat], [-Vmat, I - Umat]] [q; G] = [h; t].
+    props, surface, volume = assemble_cube(2, emissivity=0.5, sigma_a=0.4, sigma_s=0.8)
+    state = solve_rites(surface, volume, props, SolverConfig(tolerance=1e-13))
+    assert state.converged
+    n_q, n_i = surface.fmat.shape
+    operator = np.block([[np.eye(n_q) - surface.gmat, -surface.fmat],
+                         [-volume.vmat, np.eye(n_i) - volume.umat]])
+    direct = np.linalg.solve(operator, np.concatenate([surface.h, volume.t]))
+    q, g = direct[:n_q], direct[n_q:]
+    assert np.abs(state.q - q).max() <= 1e-10 * np.abs(q).max()
+    assert np.abs(state.incident - g).max() <= 1e-10 * np.abs(g).max()
 
 
 def test_repeated_solves_are_bit_identical():
