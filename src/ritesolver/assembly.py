@@ -380,23 +380,36 @@ def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> l
         starts = np.concatenate([[0], ends[:-1]])
         for i, a, b in zip(group, starts, ends):
             parts[i] = (pts[a:b], wts[a:b])
-    rules = []
-    for element, end, count in zip(elements, np.cumsum(counts), counts):
+    pts, wts = [], []
+    for end, count in zip(np.cumsum(counts), counts):
         own = parts[end - count:end]
-        pts = np.concatenate([q[0] for q in own])
-        wts = np.concatenate([q[1] for q in own])
-        rules.append(_shaped_rule(element, pts, wts, intrinsic_projection(element, pts)))
-    return rules
+        pts.append(np.concatenate([q[0] for q in own]))
+        wts.append(np.concatenate([q[1] for q in own]))
+    # The points of all elements of one kind take one projection call.
+    coords = [None] * len(elements)
+    for is_quad in (True, False):
+        group = [i for i, e in enumerate(elements) if e.is_quad == is_quad]
+        if not group:
+            continue
+        sizes = [len(pts[i]) for i in group]
+        projected = intrinsic_projection([elements[i] for i in group],
+                                         np.concatenate([pts[i] for i in group]), sizes)
+        for i, part in zip(group, np.split(projected, np.cumsum(sizes)[:-1])):
+            coords[i] = part
+    return [_shaped_rule(*args) for args in zip(elements, pts, wts, coords)]
 
 
-def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points) -> np.ndarray:
+def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
+                         counts=None) -> np.ndarray:
     """Root intrinsic coordinates of the in-plane projections of points (n, 3).
 
     element is the SurfaceElement every point projects onto, or a sequence
-    of n elements of one kind, point i onto element i, so a row's split
-    points take one call. Triangles return (n, 3) barycentric coordinates,
-    quads (n, 2) (xi, eta). Each point is solved on its own in closed form,
-    so it gives the same bits stacked as alone.
+    of elements of one kind: point i onto element i, or with counts the
+    next counts[i] points onto element i. So a row's split points take one
+    call, and so do the visible points of a row's partly visible elements
+    of one kind. Triangles return (n, 3) barycentric coordinates, quads
+    (n, 2) (xi, eta). Each point is solved on its own in closed form, so it
+    gives the same bits stacked as alone.
 
     A quad (planar, convex) maps x = a + b xi + c eta + d xi eta, with a, b,
     c, d a quarter of +-1 sums of the vertices. With r the point's foot less
@@ -419,24 +432,32 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points)
     else:
         v = np.array([e.vertices for e in element])
         normal = np.array([e.normal for e in element]).T
+
+    def spread(*per_element):
+        # Terms of each element, formed once and repeated out to its points.
+        if counts is None:
+            return per_element
+        return [np.repeat(x, counts, axis=-1) for x in per_element]
+
     if v.shape[1] == 3:
-        return _barycentric(v, pts)
+        [tris] = spread(v.T)
+        return _barycentric(tris.T, pts)
     v0, v1, v2, v3 = v.transpose(1, 2, 0)                   # (3, m) each
     a = 0.25 * ((v0 + v1) + (v2 + v3))
     b = 0.25 * ((v1 - v0) + (v2 - v3))
     c = 0.25 * ((v3 - v0) + (v2 - v1))
     d = 0.25 * ((v0 - v1) + (v2 - v3))
+
+    def cr(u, w, n):
+        # The components of cross3(u, w, axis=0) times the normal n, summed
+        # in order as .sum(0) sums them.
+        return (((u[1] * w[2] - u[2] * w[1]) * n[0] + (u[2] * w[0] - u[0] * w[2]) * n[1])
+                + (u[0] * w[1] - u[1] * w[0]) * n[2])
+
+    a, b, c, d, normal, qa, cb = spread(a, b, c, d, normal, cr(c, d, normal), cr(c, b, normal))
     rel = pts.T - a
     r = rel - (rel * normal).sum(0) * normal
-    n0, n1, n2 = normal
-
-    def cr(u, w):
-        # The components of cross3(u, w, axis=0) times the normal, summed
-        # in order as .sum(0) sums them.
-        return (((u[1] * w[2] - u[2] * w[1]) * n0 + (u[2] * w[0] - u[0] * w[2]) * n1)
-                + (u[0] * w[1] - u[1] * w[0]) * n2)
-
-    qa, qb, qc = cr(c, d), cr(c, b) - cr(r, d), -cr(r, b)
+    qb, qc = cb - cr(r, d, normal), -cr(r, b, normal)
     disc = qb * qb - 4.0 * qa * qc
     root = np.sqrt(np.maximum(disc, 0.0))
     q = -0.5 * (qb + np.where(qb >= 0.0, root, -root))
@@ -633,6 +654,13 @@ class RowPlan:
     towards: tuple
 
 
+def _per_point(per_element: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-element data (..., a) repeated out to a row's points, counts[i]
+    copies of column i. Repeating each element's column is several times
+    faster than fancy-indexing the columns of a component-major table."""
+    return np.repeat(per_element, counts, axis=-1)
+
+
 class Assembler:
     """Builds the four blocks and source vectors for one mesh/grid pair.
 
@@ -648,11 +676,22 @@ class Assembler:
     Near-band rules of fully visible elements are split toward the source
     point and rebuilt from the plan at every property point, in one call per
     element kind; the quads' pass evaluates each one-axis factor once per
-    distinct xi or eta. Chords are traversed afresh at every property point
-    and yield only the segments they cross, so chord work scales with the
-    cells crossed, not with the grid planes. No chord segment is kept
-    between property points. The medium blocks Fmat and Umat have one
-    column per interior unknown.
+    distinct xi or eta.
+
+    Each row runs two passes over its quadrature points. The wall pass
+    writes the direct source and, when some element the row sees reflects
+    (emissivity below 1), the reflection row of Gmat or Vmat. The medium
+    pass traces the chords to the points and writes the medium emission
+    into the source and the scatter row of Fmat or Umat; it runs only when
+    the medium scatters (sigma_s > 0) or absorbs (sigma_a > 0) with some
+    active cell above 0 K, and adds only the terms that can be non-zero.
+    A skipped term leaves the zeros its block starts with, so black walls,
+    a non-scattering or a cold medium change no bit of any block. Chords
+    are traversed afresh at every property point and yield only the
+    segments they cross, so chord work scales with the cells crossed, not
+    with the grid planes. No chord segment is kept between property
+    points. The medium blocks Fmat and Umat have one column per interior
+    unknown.
 
     A row's quadrature data is component-major: points and their
     differences from the source point are (3, n) and shape bases (4, n),
@@ -850,8 +889,12 @@ class Assembler:
         return point, cells, w
 
     def _row(self, kind: str, r: int, props: RadiativeProperties, eb_vertices: np.ndarray,
-             ib_cells: np.ndarray, refl_block, scatter_block, src):
+             ib_cells: np.ndarray | None, refl_block, scatter_block, src):
         """Row r of the wall equation (kind "b") or of the medium equation ("i").
+
+        The wall pass and the medium pass share the row's quadrature points
+        and their projected solid angles; the medium pass runs only when
+        some cell emits (ib_cells given) or the medium scatters.
 
         Wall receivers scale every kernel by their emissivity and see their
         own cosine; medium receivers take 1.0 for both, which is exact, so
@@ -877,42 +920,53 @@ class Assembler:
         if gathered is None:
             return
         pts, w, elements, counts, fshape, vshape = gathered
-
-        def per_point(per_element):
-            # Repeating each element's column is several times faster than
-            # fancy-indexing the columns of a component-major table.
-            return np.repeat(per_element, counts, axis=-1)
-
         diff = pts - p[:, None]
         dist = np.linalg.norm(diff, axis=0)
-        cos_p, cos_r = sight_cosines(diff, dist, per_point(self._normals[:, elements]), normal)
+        cos_p, cos_r = sight_cosines(diff, dist, _per_point(self._normals[:, elements], counts),
+                                     normal)
         geo = projected_solid_angle(cos_p, cos_r, dist, w)
+        self._wall_pass(r, rx, props, dist, geo, elements, counts, fshape, vshape, eb_vertices,
+                        refl_block, src)
+        if ib_cells is not None or props.sigma_s > 0.0:
+            self._medium_pass(r, rx, props, p, diff, dist, geo, ib_cells, scatter_block, src)
 
-        # Direct transport of the reflected part of the wall radiosity.
+    def _wall_pass(self, r: int, rx: float, props: RadiativeProperties, dist, geo, elements,
+                   counts, fshape, vshape, eb_vertices, refl_block, src):
+        """Direct transport of the wall radiosity into row r: the direct
+        source, and the reflection row (Gmat or Vmat) when some source
+        element reflects. A row that sees only black elements stays at the
+        zeros its block starts with, the same bits the scatter of zero
+        weights gives."""
         direct_k = kernel_prefactor(KernelKind.DIRECT, props, dist) * geo
-        # bincount adds in input order from 0.0, as add.at into a zero row.
-        # Each column still takes its points in order; a triangle's padded
-        # fourth slot adds exact zeros.
-        refl_block[r] = np.bincount(
-            per_point(self._columns[:, elements]).ravel(),
-            (per_point(rx * self._reflectance[elements]) * direct_k * fshape).ravel(),
-            minlength=col.n_boundary,
-        )
-        vs, eb = vshape, per_point(eb_vertices.T[:, elements])
+        reflect = rx * self._reflectance[elements]
+        if reflect.any():
+            # bincount adds in input order from 0.0, as add.at into a zero
+            # row. Each column still takes its points in order; a
+            # triangle's padded fourth slot adds exact zeros.
+            refl_block[r] = np.bincount(
+                _per_point(self._columns[:, elements], counts).ravel(),
+                (_per_point(reflect, counts) * direct_k * fshape).ravel(),
+                minlength=self.collocation.n_boundary,
+            )
+        vs, eb = vshape, _per_point(eb_vertices.T[:, elements], counts)
         eb_pts = (vs[0] * eb[0] + vs[2] * eb[2]) + (vs[1] * eb[1] + vs[3] * eb[3])
         src[r] += rx * float(direct_k @ eb_pts)
 
-        # Chord-coupled terms share the geometric factor without attenuation.
-        if props.sigma_a > 0.0 or props.sigma_s > 0.0:
-            point, cells, cw = self._chord_factors(p, diff, dist, props.beta)
-            if props.sigma_a > 0.0:
-                src[r] += kernel_prefactor(KernelKind.EMISSION, props, dist, rx) * float(
-                    geo @ np.bincount(point, cw * ib_cells[cells], minlength=len(dist))
-                )
-            if props.sigma_s > 0.0:
-                cell_sums = np.bincount(cells, geo[point] * cw, minlength=self.grid.n_cells)
-                scatter_block[r] = (kernel_prefactor(KernelKind.SCATTER, props, dist, rx)
-                                    * cell_sums[col.interior_cells])
+    def _medium_pass(self, r: int, rx: float, props: RadiativeProperties, p, diff, dist, geo,
+                     ib_cells: np.ndarray | None, scatter_block, src):
+        """The medium's part of row r along the chords from p to the row's
+        quadrature points: its emission into the source when ib_cells is
+        given, and the scatter row (Fmat or Umat) when sigma_s > 0. The
+        chord terms share the projected solid angle without attenuation."""
+        point, cells, cw = self._chord_factors(p, diff, dist, props.beta)
+        if ib_cells is not None:
+            src[r] += kernel_prefactor(KernelKind.EMISSION, props, dist, rx) * float(
+                geo @ np.bincount(point, cw * ib_cells[cells], minlength=len(dist))
+            )
+        if props.sigma_s > 0.0:
+            cell_sums = np.bincount(cells, geo[point] * cw, minlength=self.grid.n_cells)
+            scatter_block[r] = (kernel_prefactor(KernelKind.SCATTER, props, dist, rx)
+                                * cell_sums[self.collocation.interior_cells])
 
     # -- public assembly -------------------------------------------------
 
@@ -925,6 +979,10 @@ class Assembler:
         eb_vertices = blackbody_emission(self._vertex_temps)
         ib_cells = np.where(self._active_mask,
                             blackbody_emission(self.grid.temperatures) / np.pi, 0.0)
+        # A medium with no absorption or no emitting cell adds nothing to
+        # the sources, so its chords are traced only if it scatters.
+        if props.sigma_a == 0.0 or not ib_cells.any():
+            ib_cells = None
         for r in range(n):
             self._row(kind, r, props, eb_vertices, ib_cells, *blocks)
         for name, arr in zip(names, blocks):

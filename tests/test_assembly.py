@@ -446,6 +446,15 @@ def test_stacked_projections_match_single_calls():
             stacked = intrinsic_projection(elements, np.tile(p, (len(elements), 1)))
             for e, got in zip(elements, stacked):
                 assert np.array_equal(got, intrinsic_projection(e, p[None, :])[0])
+        # With counts, element i takes the next counts[i] points, as the
+        # visible points of a row's partly visible elements do.
+        counts = [3, 1, 2][:len(elements)]
+        points = np.random.default_rng(5).uniform(-1.0, 3.0, (sum(counts), 3))
+        stacked = intrinsic_projection(elements, points, counts)
+        ends = np.cumsum(counts)
+        for e, end, count in zip(elements, ends, counts):
+            own = points[end - count:end]
+            assert np.array_equal(stacked[end - count:end], intrinsic_projection(e, own))
 
 
 def _cube_row_near_quads():
@@ -777,6 +786,87 @@ def test_no_scattering_zero_scatter_blocks():
     volume = asm.assemble_volume(props)
     assert np.all(surface.fmat == 0.0)
     assert np.all(volume.umat == 0.0)
+
+
+@pytest.mark.parametrize("case, sigma_a, sigma_s, traced", [
+    ("cube", 0.9, 0.0, False),    # builtin cube: medium at 0 K
+    ("lshape", 0.9, 0.0, True),   # builtin lshape: hot medium
+    ("cube", 0.0, 1.2, True),
+    ("cube", 0.45, 0.66, True),
+])
+def test_chords_traced_only_when_the_medium_adds_something(monkeypatch, case, sigma_a,
+                                                           sigma_s, traced):
+    # A medium that neither scatters nor emits (cold, or sigma_a = 0) adds
+    # nothing to any block, so no row traces its chords.
+    mesh, grid = builtin_case(case, 2 if case == "cube" else 1)
+    calls = []
+
+    def counted(self, *args):
+        calls.append(1)
+        return chord_factors(self, *args)
+
+    chord_factors = Assembler._chord_factors
+    monkeypatch.setattr(Assembler, "_chord_factors", counted)
+    asm = Assembler(mesh, grid)
+    props = props_for(mesh.diameter(), sigma_a, sigma_s)
+    asm.assemble_surface(props)
+    asm.assemble_volume(props)
+    assert (len(calls) > 0) == traced
+
+
+def test_black_enclosure_never_reads_flux_columns():
+    # The flux-unknown columns only place reflection weights; with every
+    # wall black no row has any to place.
+    class Unreadable:
+        def __getitem__(self, key):
+            raise AssertionError("flux columns read on a black enclosure")
+
+    mesh, grid = builtin_case("cube", 2)
+    asm = Assembler(mesh, grid)
+    asm._columns = Unreadable()
+    props = props_for(mesh.diameter(), sigma_a=0.45, sigma_s=0.66)
+    asm.assemble_surface(props)
+    asm.assemble_volume(props)
+
+
+def test_one_gray_face_among_black_ones():
+    # Only the floor of cube r2 reflects. Floor rows see black elements
+    # only, so their Gmat rows are exactly zero; every other row sees the
+    # floor, and only the floor's columns of Gmat and Vmat carry weight.
+    mesh, grid = builtin_case("cube", 2)
+    floor = mesh.arrays().normals[:, 2] == 1.0
+    mesh = with_emissivity(mesh, np.where(floor, 0.6, 1.0))
+    asm = Assembler(mesh, grid)
+    props = props_for(mesh.diameter(), sigma_a=0.45, sigma_s=0.66)
+    surface, volume = asm.assemble_surface(props), asm.assemble_volume(props)
+    col = asm.collocation
+    on_floor = floor[col.boundary_element]
+    assert on_floor.sum() == 16
+    assert np.all(surface.gmat[on_floor] == 0.0)
+    assert np.all(surface.gmat[:, ~on_floor] == 0.0)
+    assert np.all(volume.vmat[:, ~on_floor] == 0.0)
+    assert np.all((surface.gmat[~on_floor][:, on_floor] != 0.0).any(axis=1))
+    assert np.all((volume.vmat[:, on_floor] != 0.0).any(axis=1))
+
+
+@pytest.mark.parametrize("sigma_s, block", [(0.66, "Fmat"), (0.0, "h")])
+def test_black_enclosure_still_fails_on_a_non_finite_row(monkeypatch, sigma_s, block):
+    # One NaN in the first row's projected solid angles: no reflection row
+    # is scattered on black walls, so the failure names the first block the
+    # NaN does reach (blocks are checked Gmat, Fmat, h).
+    first = []
+
+    def one_nan(*args):
+        geo = projected_solid_angle(*args)
+        if not first:
+            first.append(1)
+            geo[0] = np.nan
+        return geo
+
+    monkeypatch.setattr(assembly, "projected_solid_angle", one_nan)
+    mesh, grid = builtin_case("cube", 2)
+    with pytest.raises(assembly.AssemblyFailure, match=f"non-finite entries in {block}$"):
+        Assembler(mesh, grid).assemble_surface(props_for(mesh.diameter(), 0.9, sigma_s))
 
 
 def test_gmat_row_matches_per_element_route():
