@@ -360,7 +360,8 @@ def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> l
     projection. Distances and split points take one call for all triangles
     and the rules one _tri_cell_rule call per band order; each element's
     part equals what its triangles give alone. Flux and vertex shapes are
-    evaluated at the root intrinsic coordinates of each element's points.
+    evaluated at the root intrinsic coordinates of each element's points,
+    projected in one call per element kind.
     """
     counts = [len(t) for t in tris]
     tris = np.concatenate(tris)
@@ -385,7 +386,6 @@ def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> l
         own = parts[end - count:end]
         pts.append(np.concatenate([q[0] for q in own]))
         wts.append(np.concatenate([q[1] for q in own]))
-    # The points of all elements of one kind take one projection call.
     coords = [None] * len(elements)
     for is_quad in (True, False):
         group = [i for i, e in enumerate(elements) if e.is_quad == is_quad]
@@ -890,11 +890,9 @@ class Assembler:
 
     def _row(self, kind: str, r: int, props: RadiativeProperties, eb_vertices: np.ndarray,
              ib_cells: np.ndarray | None, refl_block, scatter_block, src):
-        """Row r of the wall equation (kind "b") or of the medium equation ("i").
-
-        The wall pass and the medium pass share the row's quadrature points
-        and their projected solid angles; the medium pass runs only when
-        some cell emits (ib_cells given) or the medium scatters.
+        """Row r of the wall equation (kind "b") or of the medium equation ("i"):
+        the wall pass, then, over the same points, the medium pass when some
+        cell emits (ib_cells not None) or the medium scatters.
 
         Wall receivers scale every kernel by their emissivity and see their
         own cosine; medium receivers take 1.0 for both, which is exact, so
