@@ -232,19 +232,21 @@ class ElementRule:
     weights include the surface Jacobian, so sum(weights) is the physical
     area covered. flux_shapes and vertex_shapes are evaluated at the points
     in the ROOT element's intrinsic coordinates; triangles pad them with a
-    zero fourth column. The (n, 3) and (n, 4) arrays are column-major
-    (Fortran order), so points.T and the shapes' .T are contiguous
-    component-major blocks that a row concatenates and computes on along
-    the points.
+    zero fourth column. flux_shapes is None in a rule built without them,
+    for a mesh where nothing reflects. The (n, 3) and (n, 4) arrays are
+    column-major (Fortran order), so points.T and the shapes' .T are
+    contiguous component-major blocks that a row concatenates and computes
+    on along the points.
     """
 
     points: np.ndarray        # (n, 3), Fortran order
     weights: np.ndarray       # (n,)
-    flux_shapes: np.ndarray   # (n, 4), Fortran order
+    flux_shapes: np.ndarray | None  # (n, 4), Fortran order
     vertex_shapes: np.ndarray  # (n, 4), Fortran order
 
 
-def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> ElementRule:
+def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int,
+                    flux: bool = True) -> ElementRule:
     """Tensor rule mapped into every box of a stack of quads at once.
 
     verts4 is (m, 4, 3) and cells (m, c, 4), the boxes of each quad.
@@ -253,7 +255,10 @@ def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> Elemen
     order grid with xi along the first axis and eta along the second, so
     the map, its Jacobian and the shape bases broadcast over that grid and
     evaluate every factor that varies along one intrinsic axis at the
-    box's order distinct xi or eta values only.
+    box's order distinct xi or eta values only. The points are the vertex
+    shapes times the vertices: the shapes are bilinear_points' corner
+    products scaled by 0.25, which is exact, so the points keep its bits.
+    Flux shapes are left out unless flux is true.
     """
     x, _ = _gauss_1d(order)
     _, w = quad_rule(order)
@@ -265,9 +270,12 @@ def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int) -> Elemen
     verts = verts4[:, None, None, None]
     scale = 0.25 * (xi1 - xi0) * (eta1 - eta0)
     weights = w * bilinear_jacobian(verts, xi, eta).reshape(m, c, -1) * scale
-    return ElementRule(bilinear_points(verts, xi, eta).reshape(3, -1).T, weights.ravel(),
-                       quad_flux_shapes(xi, eta).reshape(4, -1).T,
-                       quad_vertex_shapes(xi, eta).reshape(4, -1).T)
+    vs = quad_vertex_shapes(xi, eta)                  # (4, m, c, o, o)
+    v = verts4.transpose(1, 2, 0)[..., None, None, None]  # (4, 3, m, 1, 1, 1)
+    points = ((vs[0] * v[0] + vs[1] * v[1]) + vs[2] * v[2]) + vs[3] * v[3]
+    return ElementRule(points.reshape(3, -1).T, weights.ravel(),
+                       quad_flux_shapes(xi, eta).reshape(4, -1).T if flux else None,
+                       vs.reshape(4, -1).T)
 
 
 def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
@@ -291,21 +299,26 @@ def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
     return (root @ verts3).reshape(-1, 3), weights.ravel(), root.reshape(-1, 3)
 
 
-def _shaped_rule(element: SurfaceElement, points, weights, coords) -> ElementRule:
+def _shaped_rule(element: SurfaceElement, points, weights, coords,
+                 flux: bool = True) -> ElementRule:
     """Attach shapes at root intrinsic coordinates (n, 2 or 3), padded to
-    four columns, and store the rule column-major."""
+    four columns, and store the rule column-major; flux shapes only if flux
+    is true."""
     if element.is_quad:
         xi, eta = coords.T
-        flux, vertex = quad_flux_shapes(xi, eta), quad_vertex_shapes(xi, eta)
+        fshape = quad_flux_shapes(xi, eta) if flux else None
+        vertex = quad_vertex_shapes(xi, eta)
     else:
-        flux, vertex = np.zeros((2, 4, len(coords)))
-        flux[:3] = tri_flux_shapes(coords.T)
+        fshape = np.zeros((4, len(coords))) if flux else None
+        vertex = np.zeros((4, len(coords)))
+        if flux:
+            fshape[:3] = tri_flux_shapes(coords.T)
         vertex[:3] = coords.T
-    return ElementRule(np.asfortranarray(points), weights, flux.T, vertex.T)
+    return ElementRule(np.asfortranarray(points), weights, fshape.T if flux else None, vertex.T)
 
 
 def element_rule(element: SurfaceElement | list[SurfaceElement], order: int,
-                 toward=None) -> ElementRule:
+                 toward=None, flux: bool = True) -> ElementRule:
     """Quadrature rule over whole elements.
 
     element is one SurfaceElement or a sequence of elements of one kind,
@@ -314,18 +327,19 @@ def element_rule(element: SurfaceElement | list[SurfaceElement], order: int,
     coordinates of the source point's in-plane projection, one row per
     element of a sequence; each element is then split into cells that meet
     there, so the quasi-singular peak lands on cell corners instead of cell
-    interiors.
+    interiors. With flux false the rule carries no flux shapes, which only
+    a reflecting source element's row reads.
     """
     elements = [element] if isinstance(element, SurfaceElement) else list(element)
     verts = np.array([e.vertices for e in elements])
     if elements[0].is_quad:
         boxes = quad_cells() if toward is None else quad_cells(np.reshape(toward, (-1, 2)))
         return _quad_cell_rule(verts, np.broadcast_to(boxes, (len(elements),) + boxes.shape[-2:]),
-                               order)
+                               order, flux)
     cells = _tri_cell_sets(len(elements), toward)
     points, weights, coords = _tri_cell_rule(np.repeat(verts, [len(c) for c in cells], axis=0),
                                              np.concatenate(cells), order)
-    return _shaped_rule(elements[0], points, weights, coords)
+    return _shaped_rule(elements[0], points, weights, coords, flux)
 
 
 def _tri_cell_sets(m: int, toward=None) -> list[np.ndarray]:
@@ -687,11 +701,13 @@ class Assembler:
     active cell above 0 K, and adds only the terms that can be non-zero.
     A skipped term leaves the zeros its block starts with, so black walls,
     a non-scattering or a cold medium change no bit of any block. Chords
-    are traversed afresh at every property point and yield only the
-    segments they cross, so chord work scales with the cells crossed, not
-    with the grid planes. No chord segment is kept between property
-    points. The medium blocks Fmat and Umat have one column per interior
-    unknown.
+    are traversed afresh at every property point: crossing parameters are
+    found for every grid plane, only chords that cross two or more planes
+    are sorted, and segments come one per cell crossed. No chord segment
+    is kept between property points. The medium blocks Fmat and Umat have
+    one column per interior unknown. On a mesh where no element reflects,
+    the near-band rules are built without flux shapes and rows gather
+    none, since only the reflection row reads them.
 
     A row's quadrature data is component-major: points and their
     differences from the source point are (3, n) and shape bases (4, n),
@@ -721,6 +737,8 @@ class Assembler:
         self._normals = np.ascontiguousarray(self.arrays.normals.T)
         eps = self.arrays.emissivities
         self._reflectance = (1.0 - eps) / eps
+        # Only a reflecting element's points read flux shapes (_wall_pass).
+        self._reflects = bool(self._reflectance.any())
         self.row_plans: dict[tuple[str, int], RowPlan] = {}
         self._rule_cache: dict[tuple[int, int], ElementRule] = {}
         # Cells with an interior unknown; the rest carry no medium emission.
@@ -805,7 +823,8 @@ class Assembler:
         vertex_shapes), element by element in the plan's order: counts[i]
         points come from element elements[i]. Points (3, n) and shapes
         (4, n) are component-major and C-contiguous, the rules' transposes
-        joined along the points.
+        joined along the points. On a mesh where no element reflects,
+        flux_shapes is None and the near-band rules are built without them.
         """
         plan = self._row_plan(kind, pidx, p, normal, source_element)
         rules = list(plan.rules)
@@ -816,7 +835,7 @@ class Assembler:
             # cell, three or four each.
             elements = [self.mesh.elements[plan.elements[j]] for j in group]
             towards = np.array([plan.towards[j] for j in group])
-            rule = element_rule(elements, NEAR_ORDER, towards)
+            rule = element_rule(elements, NEAR_ORDER, towards, flux=self._reflects)
             parts = ([1] * len(group) if elements[0].is_quad
                      else [len(c) for c in _tri_cell_sets(len(group), towards)])
             per_part = len(rule.weights) // sum(parts)
@@ -825,7 +844,8 @@ class Assembler:
                 cut = slice(end, end + size * per_part)
                 end = cut.stop
                 rules[j] = ElementRule(rule.points[cut], rule.weights[cut],
-                                       rule.flux_shapes[cut], rule.vertex_shapes[cut])
+                                       rule.flux_shapes[cut] if self._reflects else None,
+                                       rule.vertex_shapes[cut])
 
         kept = [j for j, rule in enumerate(rules) if rule is not None]
         if not kept:
@@ -836,7 +856,8 @@ class Assembler:
             np.concatenate([rule.weights for rule in rules]),
             plan.elements[kept],
             np.array([len(rule.weights) for rule in rules]),
-            np.concatenate([rule.flux_shapes.T for rule in rules], axis=1),
+            np.concatenate([rule.flux_shapes.T for rule in rules], axis=1) if self._reflects
+            else None,
             np.concatenate([rule.vertex_shapes.T for rule in rules], axis=1),
         )
 
@@ -845,39 +866,47 @@ class Assembler:
 
         d is component-major, (3, n), and lengths its column norms. Returns
         flat (point, cell, weight) arrays with one entry per chord segment
-        of positive length, point by point and in order along each chord,
-        so the work scales with the cells the chords cross. Per point, the
-        weights sum to the exact chord integral of exp(-beta s) with s from
-        p. Chords are assumed inside the grid box (enclosure chords always
-        are).
+        of positive length, point by point and in order along each chord.
+        Crossing parameters and their mask are per point and per grid
+        plane; only chords that cross two or more planes are sorted, and
+        the segment work is per cell crossed. Per point, the weights sum to
+        the exact chord integral of exp(-beta s) with s from p. Chords are
+        assumed inside the grid box (enclosure chords always are).
         """
         grid = self.grid
         lo, _ = grid.box()
         axis = np.repeat(np.arange(3), grid.dims - 1)
         index = np.concatenate([np.arange(1, k) for k in grid.dims])
         planes = lo[axis] + index * grid.spacing[axis]
-        # Crossing parameters of every grid plane; a plane the chord does
-        # not cross sorts to the end point, t = 1, and leaves an empty slot.
-        # Masked and sorted as a contiguous array, which is faster than
-        # through the strided slice of t, then framed by t = 0 and 1.
+        # Crossing parameters of every grid plane, framed by t = 0 and 1; a
+        # plane the chord does not cross sorts to the end point, t = 1, and
+        # leaves an empty slot. A chord that crosses at most one plane is
+        # sorted once its least crossing (1 if none) is in the first slot,
+        # so only chords that cross two or more go through the sort.
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (planes - p[axis]) / d[axis].T
-        cross = np.where((cross > 0.0) & (cross < 1.0), cross, 1.0)
-        cross.sort(axis=1)
-        t = np.empty((d.shape[1], planes.size + 2))
-        t[:, 0], t[:, -1] = 0.0, 1.0
-        t[:, 1:-1] = cross
-        dt = np.diff(t, axis=1).ravel()
+        inside = (cross > 0.0) & (cross < 1.0)
+        cross = np.where(inside, cross, 1.0)
+        t = np.ones((d.shape[1], planes.size + 2))
+        t[:, 0] = 0.0
+        t[:, 1] = cross.min(axis=1, initial=1.0)
+        many = np.count_nonzero(inside, axis=1) > 1
+        t[many, 1:-1] = np.sort(cross[many], axis=1)
+        # Framed rows differenced in one pass: the step from a row's end
+        # (1) to the next row's start (0) is negative, so never live.
+        t = t.ravel()
+        dt = np.diff(t)
         live = np.flatnonzero(dt > 0.0)
-        point = live // (planes.size + 1)
-        t0, dt = t.ravel()[live + point], dt[live]
+        point = live // (planes.size + 2)
+        t0, dt = t[live], dt[live]
         # Each segment's cell holds its midpoint, found one axis at a time.
+        # Truncation gives floor's ints wherever the clamp keeps them.
         mid = t0 + 0.5 * dt
         cells = np.zeros(live.size, dtype=int)
         stride = 1
         for a in range(3):
-            ia = np.floor((p[a] + mid * d[a][point] - lo[a]) / grid.spacing[a]).astype(int)
-            cells += stride * np.clip(ia, 0, grid.dims[a] - 1)
+            ia = ((p[a] + mid * d[a][point] - lo[a]) / grid.spacing[a]).astype(int)
+            cells += stride * np.clip(ia, 0, grid.dims[a] - 1, out=ia)
             stride *= int(grid.dims[a])
         length = lengths[point]
         s0 = t0 * length

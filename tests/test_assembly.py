@@ -607,22 +607,29 @@ def test_row_quadrature_is_component_major():
     # (n, 3) points in Fortran order, so points.T is one contiguous block,
     # and a row's gathered points and shapes are C-contiguous (3, n) and
     # (4, n). The dented cube has quads, triangles and partly visible pairs.
+    # Black walls reflect nothing, so their rows gather no flux shapes.
     for element in (unit_square(), build_element(BOTTOM[:3])):
         rule = element_rule(element, 4)
         assert rule.points.shape == (len(rule.weights), 3)
         assert rule.points.T.flags.c_contiguous
-    mesh = make_dented_cube_mesh()
-    asm = Assembler(mesh, VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2]))
-    col = asm.collocation
-    for r in range(col.n_boundary):
-        pts, w, elements, counts, fshape, vshape = asm._gather_row_rule(
-            "b", r, col.boundary_points[r], col.boundary_normals[r], int(col.boundary_element[r]))
-        n = counts.sum()
-        assert pts.shape == (3, n) and w.shape == (n,) and len(elements) == len(counts)
-        assert fshape.shape == vshape.shape == (4, n)
-        assert pts.flags.c_contiguous and fshape.flags.c_contiguous and vshape.flags.c_contiguous
-    assert any(v.classification is Classification.PARTIALLY_VISIBLE
-               for plan in asm.row_plans.values() for v in plan.visibility)
+    for emissivity in (1.0, 0.7):
+        grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2])
+        asm = Assembler(make_dented_cube_mesh(emissivity), grid)
+        col = asm.collocation
+        for r in range(col.n_boundary):
+            pts, w, elements, counts, fshape, vshape = asm._gather_row_rule(
+                "b", r, col.boundary_points[r], col.boundary_normals[r],
+                int(col.boundary_element[r]))
+            n = counts.sum()
+            assert pts.shape == (3, n) and w.shape == (n,) and len(elements) == len(counts)
+            assert vshape.shape == (4, n)
+            assert pts.flags.c_contiguous and vshape.flags.c_contiguous
+            if emissivity == 1.0:
+                assert fshape is None
+            else:
+                assert fshape.shape == (4, n) and fshape.flags.c_contiguous
+        assert any(v.classification is Classification.PARTIALLY_VISIBLE
+                   for plan in asm.row_plans.values() for v in plan.visibility)
 
 
 def test_discrete_reciprocity_cube_faces():
@@ -713,6 +720,46 @@ def test_compact_chords_match_padded_oracle(n):
             emitted = geo @ np.bincount(point, w * ib[cells], minlength=len(targets))
             expected = geo @ (padded * ib[flat]).sum(1)
             assert abs(emitted - expected) <= 1e-15 * abs(expected)
+
+
+@pytest.mark.parametrize("dims", [[1, 1, 1], [2, 2, 2], [1, 2, 4]])
+def test_chords_sort_only_where_they_cross_two_planes(dims):
+    # A chord that crosses at most one plane skips the sort: its least
+    # crossing goes in the first slot as it is. Every case must still give
+    # the padded oracle's scatter sums bit for bit and path_factors' total
+    # per chord: a one-cell grid with no interior plane, chords that cross
+    # 0 to 3 planes, one through a grid edge (two equal crossings), one
+    # through a grid corner (three) and end points on a plane.
+    dims = np.array(dims)
+    grid = VoxelGrid([0.0, 0.0, 0.0], 1.0 / dims, dims, np.zeros(dims.prod()))
+    asm = Assembler(make_cube_mesh(), grid)
+    source = np.array([0.25, 0.25, 0.125])
+    targets = np.array([
+        [0.375, 0.3, 0.25],     # no plane
+        [0.75, 0.3, 0.25],      # x = 0.5
+        [0.75, 0.8, 0.25],      # x and y
+        [0.9, 0.8, 0.7],        # x, y and z
+        [0.75, 0.75, 0.375],    # the edge x = y = 0.5, both at t = 0.5
+        [0.75, 0.75, 0.875],    # the corner of the three planes at 0.5
+        [0.5, 0.375, 0.25],     # ends on x = 0.5
+        [0.5, 0.75, 0.25],      # ends on x = 0.5, crosses y = 0.5
+    ])
+    if dims.tolist() == [2, 2, 2]:
+        crossed = ((targets - 0.5) * (source - 0.5) < 0.0).sum(axis=1)
+        assert crossed.tolist() == [0, 1, 2, 3, 2, 3, 0, 1]
+    geo = np.linspace(0.5, 1.5, len(targets))
+    # The second source lies on x = 0.5, an interior plane of the 2 x 2 x 2 grid.
+    for p in (source, np.array([0.5, 0.25, 0.125])):
+        for beta in (0.0, 1.3):
+            flat, padded = padded_chord_factors(grid, p, targets, beta)
+            point, cells, w = _chords(asm, p, targets, beta)
+            assert np.array_equal(
+                np.bincount(cells, geo[point] * w, minlength=grid.n_cells),
+                np.bincount(flat.ravel(), (geo[:, None] * padded).ravel(), minlength=grid.n_cells))
+            totals = np.bincount(point, w, minlength=len(targets))
+            for row, target in enumerate(targets):
+                _, ref_w = path_factors(p, target, grid, beta)
+                assert totals[row] == pytest.approx(ref_w.sum(), rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +894,41 @@ def test_one_gray_face_among_black_ones():
     assert np.all(volume.vmat[:, ~on_floor] == 0.0)
     assert np.all((surface.gmat[~on_floor][:, on_floor] != 0.0).any(axis=1))
     assert np.all((volume.vmat[:, on_floor] != 0.0).any(axis=1))
+
+
+def test_flux_shapes_built_only_where_something_reflects(monkeypatch):
+    # Flux shapes place reflection weights only. On black cube r2 the
+    # near-band rules are built without them and no row gathers any; with
+    # one gray face both carry them, and the rows that see that face have a
+    # non-zero Gmat row.
+    near = []
+
+    def spy(*args, **kwargs):
+        rule = element_rule(*args, **kwargs)
+        if len(args) > 2:  # split toward the source point: a near-band rule
+            near.append(rule)
+        return rule
+
+    monkeypatch.setattr(assembly, "element_rule", spy)
+    mesh, grid = builtin_case("cube", 2)
+    floor = mesh.arrays().normals[:, 2] == 1.0
+    for gray in (False, True):
+        walls = with_emissivity(mesh, np.where(floor, 0.6, 1.0)) if gray else mesh
+        asm = Assembler(walls, grid)
+        col = asm.collocation
+        near.clear()
+        for r in range(col.n_boundary):
+            *_, counts, fshape, vshape = asm._gather_row_rule(
+                "b", r, col.boundary_points[r], col.boundary_normals[r],
+                int(col.boundary_element[r]))
+            if gray:
+                assert fshape.shape == vshape.shape == (4, counts.sum())
+            else:
+                assert fshape is None
+        assert near and all((rule.flux_shapes is not None) == gray for rule in near)
+    gmat = asm.assemble_surface(props_for(mesh.diameter(), 0.45, 0.66)).gmat
+    sees_floor = ~floor[col.boundary_element]
+    assert np.all((gmat[sees_floor] != 0.0).any(axis=1))
 
 
 @pytest.mark.parametrize("sigma_s, block", [(0.66, "Fmat"), (0.0, "h")])
