@@ -22,11 +22,14 @@ order, and one split as the source point approaches the element). Every
 rule is laid out on reference cells in root intrinsic coordinates (see
 geometry.quad_cells and geometry.tri_cells) and mapped through the Gauss
 rule for all cells at once: one cell away from the source point, and in the
-near band cells that meet at its in-plane projection. Fully visible
-elements take tensor or triangle rules on the whole element; partly
-visible ones take triangle rules on each visible triangle the shadow
-clipper returns, with shape functions evaluated at the root intrinsic
-coordinates of the quadrature points.
+near band cells that meet at its in-plane projection. A quad's cells map
+through its factored bilinear map, x = (a + b xi) + (c + d xi) eta with the
+affine Jacobian (j0 + j1 xi) + j2 eta (geometry.bilinear_coefficients),
+which the element keeps after its first use. Fully visible elements take
+tensor or triangle rules on the whole element; partly visible ones take
+triangle rules on each visible triangle the shadow clipper returns, with
+shape functions evaluated at the root intrinsic coordinates of the
+quadrature points.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from ritesolver.geometry import (
     SurfaceElement,
     SurfaceMesh,
     VoxelGrid,
-    bilinear_jacobian,
-    bilinear_points,
+    bilinear_coefficients,
     cross3,
+    normal_cross,
     points_in_mesh,
     quad_cells,
     tri_cells,
@@ -195,15 +198,6 @@ def _gauss_1d(order: int):
 
 
 @lru_cache(maxsize=64)
-def quad_rule(order: int):
-    """Tensor Gauss rule on [-1, 1]^2: (uv (n,2), weights (n,))."""
-    x, w = _gauss_1d(order)
-    uu, vv = np.meshgrid(x, x, indexing="ij")
-    ww = np.outer(w, w)
-    return np.column_stack([uu.ravel(), vv.ravel()]), ww.ravel()
-
-
-@lru_cache(maxsize=64)
 def tri_rule(order: int):
     """Triangle rule as barycentric points and area-fraction weights.
 
@@ -245,37 +239,34 @@ class ElementRule:
     vertex_shapes: np.ndarray  # (n, 4), Fortran order
 
 
-def _quad_cell_rule(verts4: np.ndarray, cells: np.ndarray, order: int,
+def _quad_cell_rule(maps: np.ndarray, cells: np.ndarray, order: int,
                     flux: bool = True) -> ElementRule:
     """Tensor rule mapped into every box of a stack of quads at once.
 
-    verts4 is (m, 4, 3) and cells (m, c, 4), the boxes of each quad.
-    Returns the rule quad by quad and box by box; each quad's part equals
-    what it gives alone, bit for bit. Each box's points form an order x
-    order grid with xi along the first axis and eta along the second, so
-    the map, its Jacobian and the shape bases broadcast over that grid and
-    evaluate every factor that varies along one intrinsic axis at the
-    box's order distinct xi or eta values only. The points are the vertex
-    shapes times the vertices: the shapes are bilinear_points' corner
-    products scaled by 0.25, which is exact, so the points keep its bits.
-    Flux shapes are left out unless flux is true.
+    maps is (m, 5, 3), the quads' bilinear_coefficients, and cells (m, c, 4)
+    the boxes of each quad. Returns the rule quad by quad and box by box;
+    each quad's part equals what it gives alone, bit for bit. Each box's
+    points form an order x order grid with xi along the first axis and eta
+    along the second, and the factored map runs along that grid: a + b xi,
+    c + d xi and the Jacobian's j0 + j1 xi are formed at the box's order
+    distinct xi values, j2 eta at its eta values. A point then costs one
+    multiply and one add per coordinate, and its weight, the Jacobian
+    times the box's tensor Gauss weight, three more operations. The shape
+    bases broadcast the same way; flux shapes are left out unless flux is
+    true.
     """
-    x, _ = _gauss_1d(order)
-    _, w = quad_rule(order)
-    m, c = cells.shape[:2]
+    x, w = _gauss_1d(order)
     xi0, xi1, eta0, eta1 = np.moveaxis(cells, -1, 0)[..., None]
     xs = xi0 + 0.5 * (x + 1.0) * (xi1 - xi0)          # (m, c, o)
     es = eta0 + 0.5 * (x + 1.0) * (eta1 - eta0)
+    a, b, c, d, j = maps.transpose(1, 2, 0)[..., None, None]  # (3, m, 1, 1) each
     xi, eta = xs[..., :, None], es[..., None, :]      # (m, c, o, 1), (m, c, 1, o)
-    verts = verts4[:, None, None, None]
-    scale = 0.25 * (xi1 - xi0) * (eta1 - eta0)
-    weights = w * bilinear_jacobian(verts, xi, eta).reshape(m, c, -1) * scale
-    vs = quad_vertex_shapes(xi, eta)                  # (4, m, c, o, o)
-    v = verts4.transpose(1, 2, 0)[..., None, None, None]  # (4, 3, m, 1, 1, 1)
-    points = ((vs[0] * v[0] + vs[1] * v[1]) + vs[2] * v[2]) + vs[3] * v[3]
+    points = (a + b * xs)[..., None] + (c + d * xs)[..., None] * eta   # (3, m, c, o, o)
+    jacobian = (j[0] + j[1] * xs)[..., None] + (j[2] * es)[..., None, :]
+    weights = jacobian * ((0.25 * (xi1 - xi0) * (eta1 - eta0) * w)[..., None] * w)
     return ElementRule(points.reshape(3, -1).T, weights.ravel(),
                        quad_flux_shapes(xi, eta).reshape(4, -1).T if flux else None,
-                       vs.reshape(4, -1).T)
+                       quad_vertex_shapes(xi, eta).reshape(4, -1).T)
 
 
 def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
@@ -331,11 +322,12 @@ def element_rule(element: SurfaceElement | list[SurfaceElement], order: int,
     a reflecting source element's row reads.
     """
     elements = [element] if isinstance(element, SurfaceElement) else list(element)
-    verts = np.array([e.vertices for e in elements])
     if elements[0].is_quad:
         boxes = quad_cells() if toward is None else quad_cells(np.reshape(toward, (-1, 2)))
-        return _quad_cell_rule(verts, np.broadcast_to(boxes, (len(elements),) + boxes.shape[-2:]),
+        return _quad_cell_rule(np.array([e.quad_map for e in elements]),
+                               np.broadcast_to(boxes, (len(elements),) + boxes.shape[-2:]),
                                order, flux)
+    verts = np.array([e.vertices for e in elements])
     cells = _tri_cell_sets(len(elements), toward)
     points, weights, coords = _tri_cell_rule(np.repeat(verts, [len(c) for c in cells], axis=0),
                                              np.concatenate(cells), order)
@@ -426,9 +418,10 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
     gives the same bits stacked as alone.
 
     A quad (planar, convex) maps x = a + b xi + c eta + d xi eta, with a, b,
-    c, d a quarter of +-1 sums of the vertices. With r the point's foot less
-    a and cr(u, v) = (u x v) . normal, eta solves A eta^2 + B eta + C = 0,
-    A = cr(c, d), B = cr(c, b) - cr(r, d), C = -cr(r, b), and xi =
+    c, d its quad_map rows (see geometry.bilinear_coefficients). With r the
+    point's foot less a and cr(u, v) = (u x v) . normal, eta solves
+    A eta^2 + B eta + C = 0, A = cr(c, d) = -j2, B = cr(c, b) - cr(r, d)
+    with cr(c, b) = -j0, C = -cr(r, b), and xi =
     (r - c eta) . g / |g|^2 with g = b + d eta. At a root 2A eta + B is
     minus the Jacobian, positive on the element, so eta is the root
     (-B - sqrt(B^2 - 4AC)) / 2A, taken as C / q for B < 0 and q / A
@@ -441,11 +434,8 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
     """
     pts = np.asarray(points, dtype=float)
     # One element broadcasts over all points: its stack has length one.
-    if isinstance(element, SurfaceElement):
-        v, normal = element.vertices[None], element.normal[:, None]
-    else:
-        v = np.array([e.vertices for e in element])
-        normal = np.array([e.normal for e in element]).T
+    elements = [element] if isinstance(element, SurfaceElement) else element
+    normal = np.array([e.normal for e in elements]).T
 
     def spread(*per_element):
         # Terms of each element, formed once and repeated out to its points.
@@ -453,25 +443,15 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
             return per_element
         return [np.repeat(x, counts, axis=-1) for x in per_element]
 
-    if v.shape[1] == 3:
-        [tris] = spread(v.T)
+    if not elements[0].is_quad:
+        [tris] = spread(np.array([e.vertices for e in elements]).T)
         return _barycentric(tris.T, pts)
-    v0, v1, v2, v3 = v.transpose(1, 2, 0)                   # (3, m) each
-    a = 0.25 * ((v0 + v1) + (v2 + v3))
-    b = 0.25 * ((v1 - v0) + (v2 - v3))
-    c = 0.25 * ((v3 - v0) + (v2 - v1))
-    d = 0.25 * ((v0 - v1) + (v2 - v3))
-
-    def cr(u, w, n):
-        # The components of cross3(u, w, axis=0) times the normal n, summed
-        # in order as .sum(0) sums them.
-        return (((u[1] * w[2] - u[2] * w[1]) * n[0] + (u[2] * w[0] - u[0] * w[2]) * n[1])
-                + (u[0] * w[1] - u[1] * w[0]) * n[2])
-
-    a, b, c, d, normal, qa, cb = spread(a, b, c, d, normal, cr(c, d, normal), cr(c, b, normal))
+    a, b, c, d, j = np.array([e.quad_map for e in elements]).transpose(1, 2, 0)  # (3, m) each
+    # cr swapped negates exactly, so cr(c, d) is -j2 and cr(c, b) is -j0.
+    a, b, c, d, normal, qa, cb = spread(a, b, c, d, normal, -j[2], -j[0])
     rel = pts.T - a
     r = rel - (rel * normal).sum(0) * normal
-    qb, qc = cb - cr(r, d, normal), -cr(r, b, normal)
+    qb, qc = cb - normal_cross(r, d, normal), -normal_cross(r, b, normal)
     disc = qb * qb - 4.0 * qa * qc
     root = np.sqrt(np.maximum(disc, 0.0))
     q = -0.5 * (qb + np.where(qb >= 0.0, root, -root))
@@ -556,36 +536,40 @@ class CollocationSet:
 def collocation_points(mesh: SurfaceMesh, grid: VoxelGrid) -> CollocationSet:
     """Gauss-node boundary collocation plus interior cell centers.
 
-    Interior points are the centers of grid cells lying inside the
-    enclosure; cells outside (an outer bounding grid over a non-convex
-    shape) carry no unknown.
+    Boundary nodes run element by element, four per quad and three per
+    triangle, all quads in one pass and all triangles in another. A quad's
+    nodes are its vertex shapes times its vertices, the bits of the corner
+    products, and their weights the Jacobian of its factored bilinear map,
+    (j0 + j1 xi) + j2 eta (geometry.bilinear_coefficients). Nodes from the
+    factored map would round differently, and a node moved by an ulp moves
+    the visible triangles the shadow clipper returns. Interior points are
+    the centers of grid cells lying inside the enclosure; cells outside (an
+    outer bounding grid over a non-convex shape) carry no unknown.
     """
-    pts, normals, owner, weights, first = [], [], [], [], []
-    dof = 0
-    for k, e in enumerate(mesh.elements):
-        first.append(dof)
-        if e.is_quad:
-            p = np.ascontiguousarray(bilinear_points(e.vertices, *QUAD_NODES_UV.T).T)
-            w = bilinear_jacobian(e.vertices, *QUAD_NODES_UV.T)
-            m = 4
-        else:
-            p = TRI_NODES_BARY @ e.vertices
-            w = np.full(3, e.area / 3.0)
-            m = 3
-        pts.append(p)
-        normals.append(np.broadcast_to(e.normal, (m, 3)))
-        owner.append(np.full(m, k))
-        weights.append(w)
-        dof += m
+    arr = mesh.arrays()
+    counts = arr.n_vertices
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(arr)), counts)
+    quads, on_quad = counts == 4, np.repeat(counts == 4, counts)
+    pts, weights = np.empty((owner.size, 3)), np.empty(owner.size)
+    xi, eta = QUAD_NODES_UV.T
+    vs = quad_vertex_shapes(xi, eta)                       # (4 corners, 4 nodes)
+    v = arr.vertices[quads].transpose(1, 2, 0)[..., None]  # (4, 3, quads, 1)
+    points = ((vs[0] * v[0] + vs[1] * v[1]) + vs[2] * v[2]) + vs[3] * v[3]
+    pts[on_quad] = points.reshape(3, -1).T
+    j0, j1, j2 = bilinear_coefficients(arr.vertices[quads], arr.normals[quads])[:, 4].T[..., None]
+    weights[on_quad] = ((j0 + j1 * xi) + j2 * eta).ravel()
+    pts[~on_quad] = (TRI_NODES_BARY @ arr.vertices[~quads, :3]).reshape(-1, 3)
+    weights[~on_quad] = np.repeat(arr.areas[~quads] / 3.0, 3)
     centers = grid.cell_centers()
     inside = points_in_mesh(mesh, centers)
     cells = np.nonzero(inside)[0]
     return CollocationSet(
-        boundary_points=np.concatenate(pts),
-        boundary_normals=np.concatenate(normals).astype(float),
-        boundary_element=np.concatenate(owner),
-        boundary_weights=np.concatenate(weights),
-        element_first_dof=np.array(first, dtype=int),
+        boundary_points=pts,
+        boundary_normals=arr.normals[owner],
+        boundary_element=owner,
+        boundary_weights=weights,
+        element_first_dof=first,
         interior_points=centers[cells],
         interior_cells=cells,
     )
@@ -646,19 +630,21 @@ class RowPlan:
     """Geometry of one collocation row, recorded on the row's first visit.
 
     Fields run parallel over the row's active elements, in active-list
-    order, which is also the order its quadrature points are concatenated
-    in. rules holds the ElementRule of every pair whose rule is the same at
-    every property point: the shared whole-element rule of a fully visible
-    element beyond the near band, and the visible-triangle rule of a partly
-    visible one. It holds None for fully blocked pairs, which take no
-    points, and for near-band, fully visible ones, whose rules are split
-    toward the source point and rebuilt from towards at every property
-    point. screens holds the ids of each element's blockers from
-    screen_active_set, without their cones, and visibility its
-    VisibilityReport; a pair with no blockers is UNOBSTRUCTED without a
-    classify_visibility call. towards holds the root intrinsic point the
-    cells of a near-band, fully visible element meet at (None elsewhere);
-    the rules of those that are quads are built in one pass.
+    order. A row gathers its quadrature points in another order (see
+    Assembler._gather_row_rule): near-band quads, near-band triangles, then
+    the rules kept here in this order. rules holds the ElementRule of every
+    pair whose rule is the same at every property point: the shared
+    whole-element rule of a fully visible element beyond the near band, and
+    the visible-triangle rule of a partly visible one. It holds None for
+    fully blocked pairs, which take no points, and for near-band, fully
+    visible ones, whose rules are split toward the source point and rebuilt
+    from towards at every property point. screens holds the ids of each
+    element's blockers from screen_active_set, without their cones, and
+    visibility its VisibilityReport; a pair with no blockers is
+    UNOBSTRUCTED without a classify_visibility call. towards holds the root
+    intrinsic point the cells of a near-band, fully visible element meet at
+    (None elsewhere); the rules of those that are quads are built in one
+    pass.
     """
 
     elements: np.ndarray        # (a,) element ids
@@ -689,8 +675,10 @@ class Assembler:
     built once, on the row's first visit, in one call for the row.
     Near-band rules of fully visible elements are split toward the source
     point and rebuilt from the plan at every property point, in one call per
-    element kind; the quads' pass evaluates each one-axis factor once per
-    distinct xi or eta.
+    element kind whose rule the row takes whole. The quads' call runs their
+    factored bilinear maps, whose coefficients each element computes once,
+    on the first row that needs them, and keeps; none are computed at
+    construction.
 
     Each row runs two passes over its quadrature points. The wall pass
     writes the direct source and, when some element the row sees reflects
@@ -820,42 +808,41 @@ class Assembler:
 
         Returns None when nothing is radiatively connected to the point,
         otherwise (points, weights, elements, counts, flux_shapes,
-        vertex_shapes), element by element in the plan's order: counts[i]
-        points come from element elements[i]. Points (3, n) and shapes
-        (4, n) are component-major and C-contiguous, the rules' transposes
-        joined along the points. On a mesh where no element reflects,
-        flux_shapes is None and the near-band rules are built without them.
+        vertex_shapes), element by element: counts[i] points come from
+        element elements[i]. Each kind's near-band rule is one element_rule
+        call and one block of the row, quads first, then triangles, each in
+        the plan's order; the rules the plan keeps follow in its order.
+        Points (3, n) and shapes (4, n) are component-major and
+        C-contiguous, the rules' transposes joined along the points. On a
+        mesh where no element reflects, flux_shapes is None and the
+        near-band rules are built without them.
         """
         plan = self._row_plan(kind, pidx, p, normal, source_element)
-        rules = list(plan.rules)
         near = [j for j, toward in enumerate(plan.towards) if toward is not None]
+        rules, placed, counts = [], [], []
         for group in self._by_kind(plan.elements, near):
-            # A kind's near-band elements share one order and one call. Its
-            # quads take equal parts of the rule, its triangles one part per
-            # cell, three or four each.
-            elements = [self.mesh.elements[plan.elements[j]] for j in group]
+            # A kind's near-band elements share one order, one call and one
+            # block of the row. Its quads take equal parts of the block, its
+            # triangles one part per cell, three or four each.
+            sources = [self.mesh.elements[plan.elements[j]] for j in group]
             towards = np.array([plan.towards[j] for j in group])
-            rule = element_rule(elements, NEAR_ORDER, towards, flux=self._reflects)
-            parts = ([1] * len(group) if elements[0].is_quad
+            rule = element_rule(sources, NEAR_ORDER, towards, flux=self._reflects)
+            parts = ([1] * len(group) if sources[0].is_quad
                      else [len(c) for c in _tri_cell_sets(len(group), towards)])
-            per_part = len(rule.weights) // sum(parts)
-            end = 0
-            for j, size in zip(group, parts):
-                cut = slice(end, end + size * per_part)
-                end = cut.stop
-                rules[j] = ElementRule(rule.points[cut], rule.weights[cut],
-                                       rule.flux_shapes[cut] if self._reflects else None,
-                                       rule.vertex_shapes[cut])
-
-        kept = [j for j, rule in enumerate(rules) if rule is not None]
-        if not kept:
+            rules.append(rule)
+            placed += group
+            counts += [n * (len(rule.weights) // sum(parts)) for n in parts]
+        kept = [j for j, rule in enumerate(plan.rules) if rule is not None]
+        rules += [plan.rules[j] for j in kept]
+        placed += kept
+        counts += [len(plan.rules[j].weights) for j in kept]
+        if not rules:
             return None
-        rules = [rules[j] for j in kept]
         return (
             np.concatenate([rule.points.T for rule in rules], axis=1),
             np.concatenate([rule.weights for rule in rules]),
-            plan.elements[kept],
-            np.array([len(rule.weights) for rule in rules]),
+            plan.elements[placed],
+            np.array(counts),
             np.concatenate([rule.flux_shapes.T for rule in rules], axis=1) if self._reflects
             else None,
             np.concatenate([rule.vertex_shapes.T for rule in rules], axis=1),

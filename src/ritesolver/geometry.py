@@ -2,7 +2,9 @@
 
 Quadrature on an element is laid out on reference cells in its root
 intrinsic coordinates: boxes of the (xi, eta) square for quads and
-barycentric corner sets for triangles (quad_cells, tri_cells).
+barycentric corner sets for triangles (quad_cells, tri_cells). A quad maps
+its square through the factored bilinear map of bilinear_coefficients,
+which each element computes on first use and keeps (SurfaceElement.quad_map).
 
 All coordinates are SI meters. Element vertices are ordered counter-clockwise
 when viewed from the side the unit normal points to, and enclosure meshes
@@ -18,6 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,37 @@ def cross3(a, b, axis: int = -1) -> np.ndarray:
     return out
 
 
+def normal_cross(u, w, n) -> np.ndarray:
+    """(u x w) . n for component-major (3, ...) arrays: the components of
+    cross3(u, w, axis=0) times n, summed in order as .sum(0) sums them.
+    Swapping u and w negates the result exactly."""
+    return (((u[1] * w[2] - u[2] * w[1]) * n[0] + (u[2] * w[0] - u[0] * w[2]) * n[1])
+            + (u[0] * w[1] - u[1] * w[0]) * n[2])
+
+
+def bilinear_coefficients(vertices: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """The factored bilinear map of planar quads, (..., 5, 3), from vertices
+    (..., 4, 3) and unit normals (..., 3).
+
+    Rows a, b, c, d, each a quarter of a +-1 sum of the vertices, give
+    x(xi, eta) = (a + b xi) + (c + d xi) eta. The last row (j0, j1, j2)
+    gives the surface Jacobian |x_xi x x_eta| = (j0 + j1 xi) + j2 eta, with
+    j = n . (b x c, b x d, d x c): the tangents b + d eta and c + d xi lie in
+    the plane, so their cross product runs along n and its norm is its n
+    component. On a quad bent to PLANARITY_RTOL the two differ by about the
+    square of the bend. Each quad's rows are its own, so a stack gives the
+    bits of each quad alone.
+    """
+    v0, v1, v2, v3 = np.moveaxis(vertices, (-2, -1), (0, 1))
+    n = np.moveaxis(normals, -1, 0)
+    a = 0.25 * ((v0 + v1) + (v2 + v3))
+    b = 0.25 * ((v1 - v0) + (v2 - v3))
+    c = 0.25 * ((v3 - v0) + (v2 - v1))
+    d = 0.25 * ((v0 - v1) + (v2 - v3))
+    j = np.stack([normal_cross(b, c, n), normal_cross(b, d, n), normal_cross(d, c, n)])
+    return np.moveaxis(np.stack([a, b, c, d, j]), (0, 1), (-2, -1))
+
+
 @dataclass(frozen=True)
 class SurfaceElement:
     """Flat triangle or planar quad with precomputed metric data.
@@ -127,6 +161,12 @@ class SurfaceElement:
     @property
     def is_quad(self) -> bool:
         return self.vertices.shape[0] == 4
+
+    @cached_property
+    def quad_map(self) -> np.ndarray:
+        """A quad's bilinear_coefficients (5, 3), computed on first use and
+        kept with the element."""
+        return bilinear_coefficients(self.vertices, self.normal)
 
 
 def build_element(vertices, emissivity: float = 1.0) -> SurfaceElement:
@@ -338,62 +378,6 @@ def tri_cells(toward=None) -> np.ndarray:
         cells[:, 0] = apex
         return cells
     return _MIDPOINT_CELLS.copy()
-
-
-def _vertex_rows(verts4, xi, eta) -> np.ndarray:
-    """Vertices (..., 4, 3) as (4, 3, ...), with leading axes of length one
-    added so that vertex k's coordinates (3, ...) broadcast with xi and eta."""
-    v = np.asarray(verts4)
-    lead = max(np.ndim(xi), np.ndim(eta), v.ndim - 2)
-    v = v.reshape((1,) * (lead - v.ndim + 2) + v.shape)
-    return v.transpose(lead, lead + 1, *range(lead))
-
-
-def bilinear_points(verts4: np.ndarray, xi, eta) -> np.ndarray:
-    """Map intrinsic (xi, eta) in [-1, 1]^2 to physical points, (3, ...).
-
-    Component-major: the result's first axis is x, y, z and the rest is
-    the broadcast of verts4's leading axes (verts4 is (..., 4, 3)) with xi
-    and eta, so every product runs along the points. Stacked elements map
-    exactly as one at a time.
-    """
-    v = _vertex_rows(verts4, xi, eta)
-    return 0.25 * (
-        (1 - xi) * (1 - eta) * v[0]
-        + (1 + xi) * (1 - eta) * v[1]
-        + (1 + xi) * (1 + eta) * v[2]
-        + (1 - xi) * (1 + eta) * v[3]
-    )
-
-
-def bilinear_tangents(verts4: np.ndarray, xi, eta):
-    """Tangents (x_xi, x_eta) of the bilinear map, each (3, ...).
-
-    Broadcasts like bilinear_points. x_xi depends on eta alone and x_eta on
-    xi alone, so each is evaluated only at the distinct values of one
-    coordinate when xi and eta vary along different axes.
-    """
-    v = _vertex_rows(verts4, xi, eta)
-    dxi = 0.25 * (
-        -(1 - eta) * v[0] + (1 - eta) * v[1]
-        + (1 + eta) * v[2] - (1 + eta) * v[3]
-    )
-    deta = 0.25 * (
-        -(1 - xi) * v[0] - (1 + xi) * v[1]
-        + (1 + xi) * v[2] + (1 - xi) * v[3]
-    )
-    return dxi, deta
-
-
-def bilinear_jacobian(verts4: np.ndarray, xi, eta) -> np.ndarray:
-    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (...).
-
-    Broadcasts like bilinear_points. On a tensor grid (xi and eta along
-    different axes) the tangents are evaluated per distinct coordinate and
-    only the cross product and its norm run over every point.
-    """
-    dxi, deta = bilinear_tangents(verts4, xi, eta)
-    return np.linalg.norm(cross3(dxi, deta, axis=0), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ritesolver.geometry import cross3
+
 # Voxel breakpoints closer than this, in segment fraction, merge.
 _SPAN_MERGE_TOL = 1e-14
 
@@ -160,7 +162,6 @@ def shadow_cuts(p, element, blocker, blocker_normal, tol):
     the shadow the blocker polygon (k, 3) casts from p onto the element
     plane, or None.
     """
-    from ritesolver.geometry import cross3
     from ritesolver.visibility import _split
 
     base, normal = element.vertices[0], element.normal
@@ -178,3 +179,62 @@ def shadow_cuts(p, element, blocker, blocker_normal, tol):
     if float(blocker_normal @ (poly.mean(axis=0) - p)) < 0.0:
         m = -m
     return m
+
+
+# The unfactored bilinear map of a quad: every point from the four corner
+# products, every Jacobian from the tangents' cross product and its norm.
+
+
+def _vertex_rows(verts4, xi, eta) -> np.ndarray:
+    """Vertices (..., 4, 3) as (4, 3, ...), with leading axes of length one
+    added so that vertex k's coordinates (3, ...) broadcast with xi and eta."""
+    v = np.asarray(verts4)
+    lead = max(np.ndim(xi), np.ndim(eta), v.ndim - 2)
+    v = v.reshape((1,) * (lead - v.ndim + 2) + v.shape)
+    return v.transpose(lead, lead + 1, *range(lead))
+
+
+def bilinear_points(verts4: np.ndarray, xi, eta) -> np.ndarray:
+    """Map intrinsic (xi, eta) in [-1, 1]^2 to physical points, (3, ...).
+
+    Component-major: the result's first axis is x, y, z and the rest is
+    the broadcast of verts4's leading axes (verts4 is (..., 4, 3)) with xi
+    and eta. Stacked elements map exactly as one at a time.
+    """
+    v = _vertex_rows(verts4, xi, eta)
+    return 0.25 * (
+        (1 - xi) * (1 - eta) * v[0]
+        + (1 + xi) * (1 - eta) * v[1]
+        + (1 + xi) * (1 + eta) * v[2]
+        + (1 - xi) * (1 + eta) * v[3]
+    )
+
+
+def bilinear_tangents(verts4: np.ndarray, xi, eta):
+    """Tangents (x_xi, x_eta) of the bilinear map, each (3, ...),
+    broadcast like bilinear_points."""
+    v = _vertex_rows(verts4, xi, eta)
+    dxi = 0.25 * (
+        -(1 - eta) * v[0] + (1 - eta) * v[1]
+        + (1 + eta) * v[2] - (1 + eta) * v[3]
+    )
+    deta = 0.25 * (
+        -(1 - xi) * v[0] - (1 + xi) * v[1]
+        + (1 + xi) * v[2] + (1 - xi) * v[3]
+    )
+    return dxi, deta
+
+
+def bilinear_jacobian(verts4: np.ndarray, xi, eta) -> np.ndarray:
+    """Surface Jacobian |x_xi cross x_eta| at intrinsic points, (...),
+    broadcast like bilinear_points."""
+    dxi, deta = bilinear_tangents(verts4, xi, eta)
+    return np.linalg.norm(cross3(dxi, deta, axis=0), axis=0)
+
+
+def quad_rule(order: int):
+    """Tensor Gauss rule on [-1, 1]^2: (uv (n, 2), weights (n,)), xi along
+    the first axis of the order x order grid."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    uu, vv = np.meshgrid(x, x, indexing="ij")
+    return np.column_stack([uu.ravel(), vv.ravel()]), np.outer(w, w).ravel()

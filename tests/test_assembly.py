@@ -39,8 +39,6 @@ from ritesolver.geometry import (
     ElementArrays,
     SurfaceMesh,
     VoxelGrid,
-    bilinear_jacobian,
-    bilinear_points,
     build_element,
     load_mesh,
     quad_cells,
@@ -56,11 +54,17 @@ from ritesolver.kernels import (
     sight_cosines,
     solvability_margin,
 )
-from ritesolver.validation import lemma1_identity, lemma3_interior_identity
+from ritesolver.validation import _polygon_closure, lemma1_identity, lemma3_interior_identity
 from ritesolver.visibility import Classification, classify_visibility, screen_active_set
 
 from conftest import DENTED_FACES, make_cube_mesh, make_dented_cube_mesh
-from oracles import padded_chord_factors, path_factors
+from oracles import (
+    bilinear_jacobian,
+    bilinear_points,
+    padded_chord_factors,
+    path_factors,
+    quad_rule,
+)
 
 
 BOTTOM = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
@@ -471,6 +475,12 @@ def _cube_row_near_quads():
     return elements, [plan.towards[j] for j in near]
 
 
+# How far the factored quad map may round from the unfactored oracle: in
+# units of the largest vertex coordinate for points, relative for weights.
+POINT_ATOL = 1e-15
+WEIGHT_RTOL = 2e-15
+
+
 def _trapezoids():
     flat = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 1.0, 0.0], [0.3, 1.0, 0.0]])
     return [build_element(flat), build_element(flat[:, [0, 2, 1]] + [0.0, 0.5, 0.2])]
@@ -480,10 +490,13 @@ def _trapezoids():
 def test_stacked_quad_rules_match_element_rules(case):
     # Near-band quads of a row are mapped in one stacked call; each part
     # must equal the element's own rule bit for bit, including a split
-    # point off the element, which the margin clamps. The rule evaluates
-    # one-axis factors at each box's distinct xi and eta values; the oracle
-    # evaluates the Jacobian and both shape bases at every point of the
-    # unfactored tensor grid.
+    # point off the element, which the margin clamps. The rule runs the
+    # factored map along each box's distinct xi and eta values; the oracle
+    # maps every point of the tensor grid through the corner products and
+    # takes the Jacobian as the norm of the tangents' cross product. The
+    # two round differently: points agree to POINT_ATOL times the largest
+    # vertex coordinate and weights to WEIGHT_RTOL, while the shape bases
+    # keep their formulas and bits.
     if case == "cube_row":
         elements, towards = _cube_row_near_quads()
     elif case == "trapezoid":
@@ -491,10 +504,10 @@ def test_stacked_quad_rules_match_element_rules(case):
     else:
         elements, towards = _trapezoids(), [np.array([1.7, -2.4]), np.array([-3.0, 0.2])]
     order = 6 * 2
-    verts = np.array([e.vertices for e in elements])
+    maps = np.array([e.quad_map for e in elements])
     cells = quad_cells(np.array(towards))
-    stacked = assembly._quad_cell_rule(verts, cells, order)
-    uv, w = assembly.quad_rule(order)
+    stacked = assembly._quad_cell_rule(maps, cells, order)
+    uv, w = quad_rule(order)
     n = len(stacked.weights) // len(elements)
     for i, (e, toward) in enumerate(zip(elements, towards)):
         rule = element_rule(e, order, toward)
@@ -508,10 +521,43 @@ def test_stacked_quad_rules_match_element_rules(case):
                          eta0 + 0.5 * (uv[:, 1] + 1.0) * (eta1 - eta0)], axis=-1).reshape(-1, 2)
         scale = np.repeat(0.25 * (xi1 - xi0) * (eta1 - eta0), len(w))
         weights = np.tile(w, len(cells[i])) * bilinear_jacobian(e.vertices, *root.T) * scale
-        assert np.array_equal(rule.points, bilinear_points(e.vertices, *root.T).T)
-        assert np.array_equal(rule.weights, weights)
+        size = np.abs(e.vertices).max()
+        assert np.abs(rule.points - bilinear_points(e.vertices, *root.T).T).max() <= POINT_ATOL * size
+        assert np.abs(rule.weights / weights - 1.0).max() <= WEIGHT_RTOL
         assert np.array_equal(rule.flux_shapes, quad_flux_shapes(*root.T).T)
         assert np.array_equal(rule.vertex_shapes, quad_vertex_shapes(*root.T).T)
+
+
+def _factored_map_quads():
+    # The two trapezoids, a skewed parallelogram, and a skewed quad bent
+    # into a saddle as far as PLANARITY_RTOL lets build_element accept it.
+    turn = _rotation([0.3, 1.1, -0.4])
+    parallelogram = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.9, 1.2, 0.0],
+                              [0.9, 1.2, 0.0]])
+    flat = np.array([[0.0, 0.0], [1.7, 0.2], [1.4, 1.1], [0.1, 0.9]])
+    bend = 0.99 * PLANARITY_RTOL * np.linalg.norm(flat[2] - flat[0])
+    bent = build_element(np.column_stack([flat, bend * np.array([1.0, -1.0, 1.0, -1.0])])
+                         @ turn.T + [0.5, -0.2, 1.0])
+    assert np.abs((bent.vertices - bent.centroid) @ bent.normal).max() \
+        > 0.9 * PLANARITY_RTOL * bent.diameter
+    return _trapezoids() + [build_element(parallelogram @ turn.T + [0.2, -1.0, 0.5]), bent]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["trapezoid", "turned_trapezoid",
+                                                   "parallelogram", "bent"])
+def test_factored_jacobian_is_the_affine_cross_product_norm(index):
+    # On a planar quad |x_xi x x_eta| is (j0 + j1 xi) + j2 eta, affine in
+    # each coordinate: it matches the oracle's norm of the tangents' cross
+    # product, is positive at all four corners of a convex quad, and makes
+    # the unsplit order-2 rule exact for the area.
+    e = _factored_map_quads()[index]
+    j0, j1, j2 = e.quad_map[4]
+    xi, eta = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9))
+    factored = (j0 + j1 * xi) + j2 * eta
+    assert np.abs(factored / bilinear_jacobian(e.vertices, xi, eta) - 1.0).max() <= 1e-14
+    corners = (j0 + j1 * np.array([-1.0, 1.0, 1.0, -1.0])) + j2 * np.array([-1.0, -1.0, 1.0, 1.0])
+    assert np.all(corners > 0.0)
+    assert element_rule(e, 2).weights.sum() == pytest.approx(e.area, rel=1e-14)
 
 
 # Split points of the dented cube's six triangles: fanned ones, midpoint
@@ -579,6 +625,56 @@ def test_row_visible_rules_match_single_elements():
     assert rows > 0
 
 
+# Per-pair relative error of the production rules against the closed form,
+# by band: 1.5 times the largest measured over the rows of the test below.
+_BAND_RTOL = {"near": 1.5 * 5.78e-8, "mid": 1.5 * 3.13e-6, "far": 1.5 * 2.43e-5,
+              "partial": 1.5 * 8.52e-5}
+
+
+def test_pair_rules_match_polygon_closures():
+    # Each pair's rule, as its row gathers it (near-band rules rebuilt,
+    # others cached or clipped to the visible triangles), summed against the
+    # transparent kernel, against validation._polygon_closure over the
+    # element or its visible triangles: every row of cube r2 and lshape r1,
+    # and the y = 3 end-wall rows of lshape r2, whose far end wall is the
+    # far band.
+    worst = dict.fromkeys(_BAND_RTOL, 0.0)
+    for kind, resolution, far_end in (("cube", 2, False), ("lshape", 1, False),
+                                      ("lshape", 2, True)):
+        mesh, grid = builtin_case(kind, resolution)
+        asm = Assembler(mesh, grid)
+        col, arr = asm.collocation, asm.arrays
+        rows = [("b", r, col.boundary_points[r], col.boundary_normals[r],
+                 int(col.boundary_element[r])) for r in range(col.n_boundary)]
+        rows += [("i", r, p, None, None) for r, p in enumerate(col.interior_points)]
+        for row_kind, r, p, normal, own in rows:
+            if far_end and p[1] < 2.9:
+                continue
+            pts, w, elements, counts, _, _ = asm._gather_row_rule(row_kind, r, p, normal, own)
+            diff = pts - p[:, None]
+            dist = np.linalg.norm(diff, axis=0)
+            cos_p, cos_r = sight_cosines(diff, dist, np.repeat(arr.normals.T[:, elements], counts,
+                                                                axis=1), normal)
+            sums = np.add.reduceat(projected_solid_angle(cos_p, cos_r, dist, w),
+                                   np.cumsum(counts) - counts)
+            plan = asm.row_plans[(row_kind, r)]
+            for k, got in zip(elements, sums):
+                j = int(np.flatnonzero(plan.elements == k)[0])
+                vis = plan.visibility[j]
+                if vis.classification is Classification.PARTIALLY_VISIBLE:
+                    band, polygons = "partial", vis.visible
+                else:
+                    d = assembly.point_element_distances(p, arr.vertices[[k]], arr.normals[[k]])
+                    order, split = assembly._band(float(d[0] / arr.diameters[k]))
+                    assert split == (plan.towards[j] is not None)
+                    band = "near" if split else {4: "mid", 2: "far"}[order]
+                    polygons = [mesh.elements[k].vertices]
+                exact = sum(_polygon_closure(p, poly, normal) for poly in polygons)
+                worst[band] = max(worst[band], abs(got - exact) / exact)
+    for band, rtol in _BAND_RTOL.items():
+        assert 0.0 < worst[band] <= rtol, band
+
+
 def test_setup_does_no_row_work(tmp_path, monkeypatch):
     # Loading a mesh and building an Assembler is the benchmark's set-up;
     # screening, clipping, rules, distances and projections all belong to
@@ -600,6 +696,8 @@ def test_setup_does_no_row_work(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     asm = Assembler(*load_mesh(tmp_path / "dent.json"))
     assert asm.row_plans == {}
+    # The quads' factored maps are computed on first use, by the rows.
+    assert not any("quad_map" in vars(e) for e in asm.mesh.elements)
 
 
 def test_row_quadrature_is_component_major():

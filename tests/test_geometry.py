@@ -18,8 +18,7 @@ from ritesolver.geometry import (
     NonPlanar,
     SurfaceMesh,
     VoxelGrid,
-    bilinear_jacobian,
-    bilinear_points,
+    bilinear_coefficients,
     build_element,
     cross3,
     load_mesh,
@@ -31,7 +30,13 @@ from ritesolver.geometry import (
     write_mesh_file,
 )
 from tests.conftest import CUBE_FACES, CUBE_NODES, make_cube_mesh
-from tests.oracles import OutsideGrid, flat_index, traverse_voxels
+from tests.oracles import (
+    OutsideGrid,
+    bilinear_jacobian,
+    bilinear_points,
+    flat_index,
+    traverse_voxels,
+)
 
 UNIT_TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 UNIT_QUAD = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -223,15 +228,21 @@ def test_tri_split_fans_only_from_inner_targets(toward, n_cells):
 
 
 def test_bilinear_maps_of_stacked_quads_match_single_calls():
-    # Stacked vertices (m, 1, 4, 3) with points (m, n) must give exactly
-    # what each quad gives alone, so batched rules keep their bits.
+    # Stacked quads must give exactly what each quad gives alone: the
+    # factored map's coefficients, so batched rules keep their bits, and the
+    # unfactored oracle with vertices (m, 1, 4, 3) and points (m, n).
     rng = np.random.default_rng(5)
     verts = UNIT_QUAD + rng.uniform(-0.3, 0.3, (6, 4, 3))
+    normals = rng.normal(size=(6, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    maps = bilinear_coefficients(verts, normals)
+    assert maps.shape == (6, 5, 3)
     xi, eta = rng.uniform(-1.0, 1.0, (2, 6, 50))
     points = bilinear_points(verts[:, None], xi, eta)
     jac = bilinear_jacobian(verts[:, None], xi, eta)
     assert points.shape == (3, 6, 50) and jac.shape == (6, 50)
     for i in range(6):
+        assert np.array_equal(maps[i], bilinear_coefficients(verts[i], normals[i]))
         assert np.array_equal(points[:, i], bilinear_points(verts[i], xi[i], eta[i]))
         assert np.array_equal(jac[i], bilinear_jacobian(verts[i], xi[i], eta[i]))
 
