@@ -4,24 +4,19 @@ Occlusion handling runs in three stages. First, the active list keeps only
 elements that can exchange radiation with the source point at all: a pair
 in one plane, within the planarity tolerance, stops there. Second, one
 screen lists the potential blockers of each surviving element, each with
-its shadow cone, in four tests, each necessary for any occlusion: a
-cylinder cull around the sight line; a plane-side test that keeps a
-candidate only when its plane separates the point from some vertex of the
-element by more than that tolerance; a shaft test (Haines and Wallace 1991,
-"Shaft culling for efficient ray-traced radiosity") that drops a candidate
-lying wholly beyond one side plane of the pyramid from the point over the
-element; and the shadow cone itself. The cone is built by clipping the
-candidate to the slab strictly between the point and the element plane and
-projecting it centrally from the point onto that plane, which keeps it
-convex; a candidate with nothing left in the slab casts no cone and is not
-listed. The cones of all a point's candidates are built in one padded pass.
-An empty list means a fully visible element; on a convex enclosure every
-list is empty. Third, listed pairs go to an exact shadow clipper. Each cone
-is subtracted from the element's current convex pieces by half-plane cuts
-(Sutherland and Hodgman 1974), blocker by blocker, the way Walton's View3D
-(NISTIR 6925) computes obstructed view factors. The visible part is the
-remaining pieces, triangulated in physical space. Only slivers below a
-relative area tolerance are dropped.
+its shadow cone, in three tests: a cylinder cull around the sight line; a
+plane-side test that keeps a candidate only when its plane separates the
+point from some vertex of the element by more than that tolerance; and the
+shadow cone itself, the candidate's part strictly between the point and
+the element plane projected centrally onto that plane, listed only when it
+overlaps the element (see screen_active_set). An empty list means a fully
+visible element; on a convex enclosure every list is empty. Third, listed
+pairs go to an exact shadow clipper. Each cone is subtracted from the
+element's current convex pieces by half-plane cuts (Sutherland and Hodgman
+1974), blocker by blocker, the way Walton's View3D (NISTIR 6925) computes
+obstructed view factors. The visible part is the remaining pieces,
+triangulated in physical space. Only slivers below a relative area
+tolerance are dropped.
 """
 
 from __future__ import annotations
@@ -74,7 +69,8 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class VisibilityReport:
-    """Visible part of one element; depth_reached counts subtracted shadows.
+    """Visible part of one element; depth_reached counts subtracted shadows,
+    1 on an element inside one cone, which the screen lists alone.
 
     visible holds the fully visible triangles in physical coordinates,
     (T, 3, 3), with T = 0 unless the element is partly visible. An array
@@ -128,26 +124,6 @@ def _separates(p, vertices: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
     return (above | below).any(axis=1)
 
 
-def _in_shaft(p, targets: np.ndarray, cols: np.ndarray, arrays) -> np.ndarray:
-    """Whether element cols[i] can reach the shaft from p to element
-    targets[i] through its side planes, the planes through p and each
-    target edge.
-
-    A candidate is dropped when every vertex lies beyond one side plane by
-    more than _PLANE_RTOL times the target's diameter; the four plane tests
-    take one einsum. The slab between p and the target's plane is left to
-    the cone build, whose clips drop a candidate with nothing in front.
-    """
-    # Inward normals of the side planes, unnormalised; a triangle's
-    # repeated vertex gives a zero edge plane, which drops nothing.
-    rel = arrays.vertices[targets] - p
-    planes = cross3(rel[:, [1, 2, 3, 0]], rel)
-    margin = (_PLANE_RTOL * arrays.diameters[targets][:, None]
-              * np.sqrt(np.einsum("lsj,lsj->ls", planes, planes)))
-    beyond = np.einsum("lvj,lsj->lsv", arrays.vertices[cols] - p, planes) < -margin[..., None]
-    return ~beyond.all(axis=2).any(axis=1)
-
-
 def screen_active_set(
     p,
     active_indices,
@@ -160,7 +136,7 @@ def screen_active_set(
     Returns a list parallel to active_indices of (blocker, cone) tuples in
     mesh order, the cones as _cones gives them. Candidates are all elements
     but the active one and the one under p; a warped quad could otherwise
-    list itself. A candidate is listed when it passes four tests in turn:
+    list itself. A candidate is listed when it passes three tests in turn:
 
     - cylinder: its centroid lies within the sum of the two circumradii of
       the sight segment from p to the active element's centroid (tested as
@@ -170,17 +146,15 @@ def screen_active_set(
     - plane side: its plane separates p from a vertex of the active element
       by more than _PLANE_RTOL, which no candidate in the active element's
       plane does
-    - shaft: it is not wholly beyond a side plane of the pyramid from p
-      over the element (see _in_shaft)
     - cone: it casts a shadow cone, which a candidate with nothing left in
-      the slab between p and the element plane does not
+      the slab between p and the element plane does not, and no separating
+      plane parts that shadow from the element (see _sides); a cone that
+      holds the whole element is listed alone, so the clipper's first cut
+      leaves nothing
     """
     p = as_point(p)
     arr = mesh.arrays()
     act = np.asarray(active_indices, dtype=int)
-    if act.size == 0:
-        return []
-
     keep = np.ones((act.size, len(arr)), dtype=bool)
     keep[np.arange(act.size), act] = False
     if source_element is not None:
@@ -198,12 +172,16 @@ def screen_active_set(
     keep[rows, cols] = _separates(p, arr.vertices[act[rows]], arr, cols)
     rows, cols = np.nonzero(keep)
     screens = [[] for _ in range(act.size)]
+    held = set()
     if rows.size:
-        shaft = _in_shaft(p, act[rows], cols, arr)
-        rows, cols = rows[shaft], cols[shaft]
-        for row, b, cone in zip(rows.tolist(), cols.tolist(), _cones(p, act[rows], cols, arr)):
-            if cone is not None:
-                screens[row].append((b, cone))
+        cones, inside = _cones(p, act[rows], cols, arr)
+        for row, b, cone, whole in zip(rows.tolist(), cols.tolist(), cones, inside.tolist()):
+            if cone is None or row in held:
+                continue
+            if whole:
+                held.add(row)
+                screens[row] = []
+            screens[row].append((b, cone))
     return [tuple(s) for s in screens]
 
 
@@ -268,19 +246,49 @@ def _split_inner(poly: np.ndarray, count: np.ndarray, g: np.ndarray, tol: np.nda
     return parts, counts
 
 
-def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr) -> list[np.ndarray | None]:
+def _sides(p, target, outline, count, m, edges, tol):
+    """Masks (L,) of the shadows apart from their targets and of the cones
+    holding them.
+
+    Convex polygons with disjoint interiors are parted by a line along an
+    edge of one of them (separating axes; Gottschalk, Lin and Manocha 1996),
+    here a plane through p. A pair is apart when an edge plane m of the cone
+    (where edges) has every target vertex at m . (v - p) <= tol, or a
+    nonzero side plane through p and a target edge has every vertex of the
+    clipped blocker (outline, count[i] of them) on its outer side, within
+    tol times its norm. A cone holds its target when m . (v - p) >= -tol
+    for every edge plane and target vertex.
+    """
+    rel = target - p
+    g = rel @ m.swapaxes(1, 2)                          # (L, vertex, edge)
+    tol = tol[:, None]
+    apart = ((g <= tol[..., None]).all(axis=1) & edges).any(axis=1)
+    inside = ((g >= -tol[..., None]).all(axis=1) | ~edges).all(axis=1)
+    # Inward normals of the side planes, unnormalised.
+    planes = cross3(rel[:, [1, 2, 3, 0]], rel)
+    norms = np.sqrt(np.einsum("lsj,lsj->ls", planes, planes))
+    h = (outline - p) @ planes.swapaxes(1, 2)           # (L, outline vertex, side)
+    beyond = (h <= (tol * norms)[:, None]) | (np.arange(h.shape[1]) >= count[:, None])[..., None]
+    apart |= (beyond.all(axis=1) & (norms > 0.0)).any(axis=1)
+    return apart, inside
+
+
+def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr):
     """Shadow cones of flat (target, blocker) entries of one point.
 
-    Returns one entry per pair: the unit normals m (c, 3) of the half-spaces
+    Returns one entry per pair, the unit normals m (c, 3) of the half-spaces
     m . (y - p) >= 0 bounding the shadow the blocker casts from p onto the
-    target's plane, or None when it casts none. The blocker is clipped to
-    the slab strictly between p and that plane, each clip keeping vertices
-    within _CUT_RTOL times the target's diameter; each edge of what is left
-    spans a plane through p, and the central projection of the polygon is
-    the part of the plane inside all of them. All pairs go through one
-    padded pass, in which every pair takes the bits it takes alone.
+    target's plane or None when it casts none or none on the target, and
+    the mask of cones holding their target (see _sides). The blocker is
+    clipped to the slab strictly between p and that plane, each clip
+    keeping vertices within _CUT_RTOL times the target's diameter; each
+    edge of what is left spans a plane through p, and the central
+    projection of the polygon is the part of the plane inside all of them.
+    All pairs go through one padded pass, in which every pair takes the
+    bits it takes alone.
     """
     cones: list[np.ndarray | None] = [None] * len(targets)
+    inside = np.zeros(len(targets), dtype=bool)
     normals = arr.normals[targets, :, None]
     tol = _CUT_RTOL * arr.diameters[targets]
     verts = arr.vertices[blockers]
@@ -291,7 +299,7 @@ def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr) -> list[np.ndarray
         poly, normals = poly[live], normals[live]
         poly, count = _split_inner(poly, count[live], ((p - poly) @ normals)[..., 0], tol[live])
     if not (count >= 3).any():
-        return cones
+        return cones, inside
     slot = np.arange(poly.shape[1])
     rel = poly - p
     nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
@@ -306,31 +314,30 @@ def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr) -> list[np.ndarray
     cast = blockers[live]
     flip = arr.normals[cast] @ p > arr.plane_offsets[cast]
     m[flip] *= -1.0
+    apart, inside[live] = _sides(p, arr.vertices[targets[live]], poly, count, m, edges, tol[live])
     # Fewer than three edge planes leave a point or a segment: no cone with
     # an interior.
     kept = edges.sum(axis=1)
     flat = m[edges]
     ends = np.cumsum(kept).tolist()
-    for i, n, end in zip(live.tolist(), kept.tolist(), ends):
-        if n >= 3:
+    for i, n, end, gone in zip(live.tolist(), kept.tolist(), ends, apart.tolist()):
+        if n >= 3 and not gone:
             cones[i] = flat[end - n:end]
-    return cones
+    return cones, inside
 
 
 def _subtract(piece: np.ndarray, p, cuts: np.ndarray, tol: float, min_area: float, normal):
     """Convex parts of a piece outside the shadow, or None when the shadow
     overlaps the piece in no more than a sliver."""
     rest = piece
-    rel = rest - p
     outside = []
     for m in cuts:
-        g = rel @ m
+        g = (rest - p) @ m
         if g.min() >= -tol:
             continue
         if g.max() <= tol:
             return None
         rest, out = _split(rest, g, tol)
-        rel = rest - p
         outside.append(out)
     if len(rest) < 3 or _polygon_area(rest, normal) < min_area:
         return None
@@ -356,19 +363,10 @@ def classify_visibility(p, active_index: int, screened, mesh: SurfaceMesh) -> Vi
     pieces = [element.vertices]
     shadows = 0
     for _, cuts in screened:
-        if not pieces:
-            break
-        cut_any = False
-        kept = []
-        for piece in pieces:
-            parts = _subtract(piece, p, cuts, tol, min_area, normal)
-            if parts is None:
-                kept.append(piece)
-            else:
-                kept.extend(parts)
-                cut_any = True
-        shadows += cut_any
-        pieces = kept
+        # A piece the shadow misses (None) stays whole.
+        parts = [_subtract(piece, p, cuts, tol, min_area, normal) for piece in pieces]
+        shadows += any(q is not None for q in parts)
+        pieces = [r for piece, q in zip(pieces, parts) for r in ([piece] if q is None else q)]
 
     if shadows == 0:
         return UNOBSTRUCTED

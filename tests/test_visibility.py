@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ritesolver import visibility
-from ritesolver.geometry import SurfaceMesh, VoxelGrid, segment_element_hits
+from ritesolver.geometry import DegenerateElement, SurfaceMesh, VoxelGrid, segment_element_hits
 from ritesolver.visibility import (
     UNOBSTRUCTED,
     Classification,
@@ -120,7 +122,7 @@ def screen_entry(p, active_index, blockers, scene):
     shadow cone, those casting none left out."""
     blockers = np.asarray(blockers, dtype=int)
     targets = np.full(blockers.size, active_index)
-    cones = visibility._cones(np.asarray(p, dtype=float), targets, blockers, scene.arrays())
+    cones, _ = visibility._cones(np.asarray(p, dtype=float), targets, blockers, scene.arrays())
     return tuple((b, cone) for b, cone in zip(blockers.tolist(), cones) if cone is not None)
 
 
@@ -140,9 +142,10 @@ def test_convex_cube_blocking_lists_are_empty():
 
 
 def test_wide_plate_triggers_early_block():
-    # Once a shadow covers the whole element, later blockers are not clipped.
+    # A cone that holds the whole element is listed alone: the clipper's
+    # first cut leaves nothing, and later blockers are not clipped.
     scene = open_scene(plate(0.5, 0.5, 0.5, 0.7), plate(0.5, 0.5, 0.25, 0.1))
-    assert blockers_of(scene, P_BOTTOM, 1, 0) == (2, 3)
+    assert blockers_of(scene, P_BOTTOM, 1, 0) == (2,)
     report = classify(scene, P_BOTTOM, 1, 0)
     assert report.classification is Classification.FULLY_BLOCKED
     assert report.depth_reached == 1
@@ -201,8 +204,8 @@ def all_rows(case):
     from ritesolver.assembly import collocation_points
     from ritesolver.cli import builtin_case
 
-    if case == "lshape_r1":
-        mesh, grid = builtin_case("lshape", 1)
+    if case.startswith("lshape_r"):
+        mesh, grid = builtin_case("lshape", int(case[-1]))
     else:
         mesh = make_dented_cube_mesh()
         grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
@@ -218,26 +221,54 @@ def all_rows(case):
     return mesh, rows + [(p, None, None) for p in col.interior_points]
 
 
+def separation_off(monkeypatch):
+    """Switch the cone stage's separating step off: the screen lists every
+    cone a candidate casts, and none is taken to hold its element."""
+    sides = visibility._sides
+    monkeypatch.setattr(visibility, "_sides", lambda *args: tuple(
+        np.zeros_like(mask) for mask in sides(*args)))
+
+
+def holds(p, k, cone, mesh):
+    """Whether a cone holds every vertex of element k, within the clipper's
+    tolerance."""
+    element = mesh.elements[k]
+    g = (element.vertices - p) @ cone.T
+    return bool((g >= -visibility._CUT_RTOL * element.diameter).all())
+
+
+def unseparated_screens(monkeypatch, mesh, rows):
+    """The screen of every (p, active, own) row with the separating step
+    off and a missing cone listed as an empty one: all the plane-side test
+    keeps."""
+    cones = visibility._cones
+
+    def every_cone(*args):
+        found, inside = cones(*args)
+        return [np.zeros((0, 3)) if cone is None else cone for cone in found], inside
+
+    with monkeypatch.context() as patch:
+        separation_off(patch)
+        patch.setattr(visibility, "_cones", every_cone)
+        return [screen_active_set(p, active, mesh, own) for p, active, own in rows]
+
+
 @pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
-def test_shaft_drops_only_what_the_clipper_cannot_cut(monkeypatch, case):
-    # Every candidate the plane-side test keeps and the shaft test or the
-    # cone build drops must leave the clipper nothing to cut, alone in
-    # front of its target. With the shaft keeping everything and a missing
-    # cone listed as an empty one, the screen lists all the plane-side test
-    # keeps.
+def test_screen_drops_only_what_the_clipper_cannot_cut(monkeypatch, case):
+    # Every candidate the plane-side test keeps and the cone stage drops
+    # must leave the clipper nothing to cut, alone in front of its target
+    # with the separating step off, unless the element's one listed cone
+    # holds it whole.
     mesh, rows = all_rows(case)
     rows = [(p, build_active_list(p, n, mesh, source_element=own), own) for p, n, own in rows]
     screens = [screen_active_set(p, active, mesh, own) for p, active, own in rows]
-    cones = visibility._cones
-    monkeypatch.setattr(visibility, "_in_shaft", lambda p, targets, cols, arrays:
-                        np.ones(len(cols), dtype=bool))
-    monkeypatch.setattr(visibility, "_cones", lambda *args: [
-        np.zeros((0, 3)) if cone is None else cone for cone in cones(*args)])
-    unscreened = [screen_active_set(p, active, mesh, own) for p, active, own in rows]
-    monkeypatch.undo()
+    unscreened = unseparated_screens(monkeypatch, mesh, rows)
+    separation_off(monkeypatch)
     dropped = 0
     for (p, active, _), screened, everything in zip(rows, screens, unscreened):
         for k, kept, listed in zip(active, screened, everything):
+            if len(kept) == 1 and holds(p, k, kept[0][1], mesh):
+                continue
             kept, listed = {b for b, _ in kept}, {b for b, _ in listed}
             assert kept <= listed
             for b in listed - kept:
@@ -245,6 +276,46 @@ def test_shaft_drops_only_what_the_clipper_cannot_cut(monkeypatch, case):
                 assert classify_visibility(p, k, entry, mesh) is UNOBSTRUCTED, (p, k, b)
                 dropped += 1
     assert dropped > 100
+
+
+# Pairs the screen lists per cold assembly; the cone stage's separating
+# step leaves none of them fully visible.
+LISTED_PAIRS = {"dented_cube": 27, "turned_dented_cube": 27, "lshape_r1": 267, "lshape_r2": 3936}
+
+
+@pytest.mark.parametrize("case", sorted(LISTED_PAIRS))
+def test_no_listed_pair_is_fully_visible(case):
+    mesh, rows = all_rows(case)
+    listed = 0
+    for p, n, own in rows:
+        active = build_active_list(p, n, mesh, source_element=own)
+        for k, screened in zip(active, screen_active_set(p, active, mesh, own)):
+            if screened:
+                report = classify_visibility(p, k, screened, mesh)
+                assert report.classification is not Classification.FULLY_VISIBLE, (p, k)
+                listed += 1
+    assert listed == LISTED_PAIRS[case]
+
+
+@pytest.mark.parametrize("case, contained", [("lshape_r1", 81), ("lshape_r2", 1342)])
+def test_contained_target_lists_only_its_blocker(monkeypatch, case, contained):
+    # An element inside one cone lists that blocker alone, the first in
+    # mesh order whose cone holds it; the clipper's one cut leaves nothing.
+    mesh, rows = all_rows(case)
+    rows = [(p, build_active_list(p, n, mesh, source_element=own), own) for p, n, own in rows]
+    unscreened = unseparated_screens(monkeypatch, mesh, rows)
+    held = 0
+    for (p, active, own), everything in zip(rows, unscreened):
+        for k, screened, listed in zip(active, screen_active_set(p, active, mesh, own),
+                                       everything):
+            inside = [b for b, cone in listed if len(cone) and holds(p, k, cone, mesh)]
+            if inside:
+                assert [b for b, _ in screened] == inside[:1]
+                report = classify_visibility(p, k, screened, mesh)
+                assert report.classification is Classification.FULLY_BLOCKED
+                assert report.depth_reached == 1
+                held += 1
+    assert held == contained
 
 
 def edge_scene(lift):
@@ -266,7 +337,7 @@ def plate_scene(lift):
 P_ABOVE = np.array([0.2, 0.5, 0.5])
 
 
-def test_shaft_drops_a_neighbour_across_a_shared_edge():
+def test_screen_drops_a_neighbour_across_a_shared_edge():
     # The neighbour's plane separates the point from the floor's far edge,
     # so the plane-side test keeps it; its vertices sit at 0 on the floor's
     # plane or behind it, where the cone build's slab clip leaves nothing.
@@ -278,7 +349,7 @@ def test_shaft_drops_a_neighbour_across_a_shared_edge():
                                scene) is UNOBSTRUCTED
 
 
-def test_shaft_keeps_a_blocker_poking_past_the_target_plane():
+def test_shaft_keeps_a_blocker_poking_past_the_target_plane(monkeypatch):
     # Lifted 1e-10 times the floor's diameter, the wall's top reaches into
     # the slab by more than the clipper's tolerance and casts a sliver of
     # shadow, so the screen must keep it. Sitting on the plane, it casts
@@ -293,9 +364,46 @@ def test_shaft_keeps_a_blocker_poking_past_the_target_plane():
     assert screen_active_set(P_ABOVE, [0], flush)[0] == ()
     assert classify_visibility(P_ABOVE, 0, screen_entry(P_ABOVE, 0, (1,), flush),
                                flush) is UNOBSTRUCTED
-    # Lifted just off a shared edge, the neighbour's cone lands outside the
-    # floor, and the screen keeps it for the clipper to decide.
-    assert blockers_of(edge_scene(1e-10 * diameter), P_ABOVE, 0, None) == (1,)
+    # Lifted just off a shared edge, the neighbour casts a cone, but it
+    # lands outside the floor: the side plane through p and the floor's
+    # x = 1 edge has the clipped neighbour on its outer side, so the screen
+    # drops it, and alone it leaves the clipper nothing to cut.
+    lifted = edge_scene(1e-10 * diameter)
+    assert blockers_of(lifted, P_ABOVE, 0, None) == ()
+    separation_off(monkeypatch)
+    entry = screen_entry(P_ABOVE, 0, (1,), lifted)
+    assert len(entry) == 1
+    assert classify_visibility(P_ABOVE, 0, entry, lifted) is UNOBSTRUCTED
+
+
+@pytest.mark.parametrize("blocker", ["wall", "plate"])
+def test_screen_keeps_a_shadow_band_just_inside_the_edge(monkeypatch, blocker):
+    # Each blocker shades the floor's band x > 1 - delta from P_ABOVE: a
+    # wall standing on the floor at x = 1 - delta, which only the side
+    # plane through p and the floor's x = 1 edge could part from it, and a
+    # plate at z = 0.25, which only its own cone's edge plane could. A band
+    # a millionth wide is far above the clipper's tolerance, so the screen
+    # keeps it; moved a millionth outside, the plate's shadow misses.
+    def scene(delta):
+        if blocker == "wall":
+            x = 1.0 - delta
+            return quad_scene(BOTTOM, [[x, 0.0, 0.0], [x, 1.0, 0.0], [x, 1.0, 0.3], [x, 0.0, 0.3]])
+        x = 0.6 - delta / 2
+        return quad_scene(BOTTOM, [[x, -1.0, 0.25], [2.0, -1.0, 0.25], [2.0, 2.0, 0.25],
+                                   [x, 2.0, 0.25]])
+
+    inside = scene(1e-6)
+    assert blockers_of(inside, P_ABOVE, 0, None) == (1,)
+    report = classify(inside, P_ABOVE, 0, None)
+    assert report.classification is Classification.PARTIALLY_VISIBLE
+    assert 1.0 - report.fraction == pytest.approx(1e-6, rel=1e-6)
+    if blocker == "plate":
+        outside = scene(-1e-6)
+        assert blockers_of(outside, P_ABOVE, 0, None) == ()
+        separation_off(monkeypatch)
+        entry = screen_entry(P_ABOVE, 0, (1,), outside)
+        assert len(entry) == 1
+        assert classify_visibility(P_ABOVE, 0, entry, outside) is UNOBSTRUCTED
 
 
 def test_shaft_keeps_a_facet_lying_within_the_clippers_tolerance():
@@ -314,19 +422,97 @@ def test_shaft_keeps_a_facet_lying_within_the_clippers_tolerance():
 
 def test_screen_lists_only_blockers_casting_a_cone():
     # A triangle standing on p's plane, two of its vertices on that plane
-    # either side of p and the third above it. The plane-side and shaft
-    # tests keep it, but nothing of it lies between p and the floor, so it
-    # casts no cone and the screen leaves it out.
+    # either side of p and the third above it. The plane-side test keeps
+    # it, but nothing of it lies between p and the floor, so it casts no
+    # cone and the screen leaves it out.
     c = np.array([0.22, 0.48, 0.5])
     triangle = [c - [0.1, 0.1, 0.0], c + [0.1, 0.1, 0.0], c + [0.05, -0.05, 0.3]]
     scene = SurfaceMesh(np.array(BOTTOM + triangle), [(0, 1, 2, 3), (4, 5, 6)],
                         check_closed=False)
     arrays, floor, blocker = scene.arrays(), np.array([0]), np.array([1])
     assert visibility._separates(P_ABOVE, arrays.vertices[floor], arrays, blocker)[0]
-    assert visibility._in_shaft(P_ABOVE, floor, blocker, arrays)[0]
-    assert visibility._cones(P_ABOVE, floor, blocker, arrays) == [None]
+    assert visibility._cones(P_ABOVE, floor, blocker, arrays)[0] == [None]
     assert screen_active_set(P_ABOVE, [0], scene)[0] == ()
     assert classify_visibility(P_ABOVE, 0, (), scene) is UNOBSTRUCTED
+
+
+def overlap_area(p, element, cone):
+    """Area of the element inside a shadow cone, clipped exactly."""
+    poly = element.vertices
+    for m in cone:
+        poly, _ = visibility._split(poly, (poly - p) @ m, 0.0)
+        if len(poly) < 3:
+            return 0.0
+    return visibility._polygon_area(poly, element.normal)
+
+
+def convex_quad(jitter, stretch, shear):
+    """A convex quad in the plane z = 0, wound counter-clockwise about +z:
+    four points of the unit circle, a quarter turn apart up to jitter,
+    stretched and sheared along x."""
+    angles = np.arange(4) * np.pi / 2 + np.asarray(jitter)
+    x, y = np.cos(angles), np.sin(angles)
+    return np.stack([stretch * x + shear * y, y, np.zeros(4)], axis=1)
+
+
+vectors = st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)]).map(np.array)
+
+
+# About a quarter of the drawn blockers reach the cone stage; the rest fail
+# the plane-side test or cast no cone.
+@settings(max_examples=200)
+@given(
+    jitter=st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4),
+    stretch=st.floats(0.3, 3.0),
+    shear=st.floats(-1.0, 1.0),
+    p=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.05, 2.0)).map(np.array),
+    corner=st.integers(0, 3),
+    shared=st.sampled_from(["edge", "vertex"]),
+    lean=st.tuples(st.floats(-0.5, 0.9), st.floats(-0.5, 0.9)),
+    reach=vectors,
+    spread=vectors,
+    away=vectors,
+    offset=st.sampled_from([0.0, 1e-10, -1e-10]),
+)
+def test_screen_lists_overlapping_shadows_and_drops_the_rest(
+        jitter, stretch, shear, p, corner, shared, lean, reach, spread, away, offset):
+    # A blocker sharing an edge or a vertex with a convex target, or
+    # standing off it by 1e-10 of its diameter either way; its free
+    # vertices lean toward p or away from it, so that many blockers reach
+    # into the view. A pair the screen drops leaves the clipper nothing to
+    # cut with the separating step off; a pair it lists is fully visible
+    # only when the shadow overlaps the target in less than a sliver.
+    target = convex_quad(jitter, stretch, shear)
+    diameter = max(np.linalg.norm(a - b) for a in target for b in target)
+    a, b = target[corner], target[(corner + 1) % 4]
+    reach = lean[0] * (p - a) + 0.5 * reach
+    spread = lean[1] * (p - a) + 0.5 * spread
+    if shared == "edge":
+        blocker = np.array([b, a, a + reach, b + reach])
+        span = np.cross(a - b, reach)
+    else:
+        blocker = np.array([a, a + reach, a + spread])
+        span = np.cross(reach, spread)
+    assume(np.linalg.norm(span) > 0.05 and np.linalg.norm(away) > 0.1)
+    blocker = blocker + offset * diameter * away / np.linalg.norm(away)
+    try:
+        scene = SurfaceMesh(np.concatenate([target, blocker]),
+                            [(0, 1, 2, 3), tuple(range(4, 4 + len(blocker)))],
+                            check_closed=False)
+    except DegenerateElement:
+        assume(False)
+    assume(build_active_list(p, None, scene).tolist()[:1] == [0])
+    listed = screen_active_set(p, [0], scene)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        separation_off(patch)
+        alone = classify_visibility(p, 0, screen_active_set(p, [0], scene)[0], scene)
+    if not listed:
+        assert alone is UNOBSTRUCTED
+        return
+    report = classify_visibility(p, 0, listed, scene)
+    if report.classification is Classification.FULLY_VISIBLE:
+        element = scene.elements[0]
+        assert overlap_area(p, element, listed[0][1]) < visibility._SLIVER_RTOL * element.area
 
 
 @pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
@@ -357,7 +543,7 @@ def test_row_batched_clipper_matches_pair_by_pair(case):
                 assert batched.depth_reached == other.depth_reached
             pairs += bool(screened)
             partial += batched.classification is Classification.PARTIALLY_VISIBLE
-    assert pairs > 100 and partial > 10
+    assert pairs == LISTED_PAIRS[case] and partial > 10
 
 
 # Two lshape r2 wall points that look past the notch edge: the high ceiling
