@@ -38,7 +38,7 @@ import ctypes
 import platform
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -116,6 +116,16 @@ TRI_NODES_BARY = np.array(
 
 # Relative discretization slack operator_row_sums allows over each bound.
 _ROW_SUM_RTOL = 0.02
+
+# Most (point, element) entries one batched pass of row planning holds:
+# rows are planned in runs whose active lists, or whose active pairs times
+# blocker candidates, stay within it. The screen bounds its own (pair,
+# candidate) arrays (visibility._SCREEN_ENTRIES), so this bounds the
+# passes' per-row and per-pair arrays: cube r2 plans its 46,080 wall
+# entries in one pass at a 3.0 MB peak. The dented cube (1,998) and lshape
+# r1 (52,624) also take one pass per equation, lshape r2 (3.4 million) 56
+# and 10.
+_PLAN_ENTRIES = 1 << 16
 
 
 class AssemblyFailure(RuntimeError):
@@ -357,32 +367,76 @@ def _barycentric(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - (alpha + beta), alpha, beta], axis=1)
 
 
+def _runs(sizes, limit: int) -> list[slice]:
+    """Consecutive runs of items holding at most limit in all, sizes[i]
+    being item i's; an item above the limit gets a run of its own."""
+    runs, start, total = [], 0, 0
+    for i, size in enumerate(np.asarray(sizes).tolist()):
+        if total + size > limit and i > start:
+            runs.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        runs.append(slice(start, len(sizes)))
+    return runs
+
+
+# Most quadrature points one pass of visible_rule builds. Besides the rules
+# it returns, a pass holds about 150 bytes a point of temporaries, most of
+# them in intrinsic_projection; runs of this size keep that near 1 MB, what
+# one row of quadrature allocates, where the dented cube's 27,616 visible
+# points in one pass raised the heap's peak by 3.3 MB.
+_VISIBLE_POINTS = 8192
+
+
 def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> list[ElementRule]:
     """Banded triangle rules over the visible triangles of several elements.
 
-    tris[i] holds the visible triangles (T, 3, 3) of elements[i]; returns
-    one rule per element. Each triangle takes the band of its own distance
-    from p over its own diameter, near ones split toward p's in-plane
-    projection. Distances and split points take one call for all triangles
-    and the rules one _tri_cell_rule call per band order; each element's
+    tris[i] holds the visible triangles (T, 3, 3) of elements[i], seen from
+    the point p or, p being one point per element (m, 3), from p[i], so
+    that the partly visible pairs of many rows take one call; returns one
+    rule per element. Each triangle takes the band of its own distance from
+    its point over its own diameter, near ones split toward the point's
+    in-plane projection. Distances and split points take one pass for all
+    triangles. The rules are then built over runs of elements holding at
+    most _VISIBLE_POINTS points (an element with more has a run of its
+    own), one _tri_cell_rule call per band order and run; each element's
     part equals what its triangles give alone. Flux and vertex shapes are
     evaluated at the root intrinsic coordinates of each element's points,
-    projected in one call per element kind.
+    projected in one call per element kind and run.
     """
-    counts = [len(t) for t in tris]
+    counts = np.array([len(t) for t in tris])
     tris = np.concatenate(tris)
+    p = np.repeat(np.broadcast_to(p, (len(elements), 3)), counts, axis=0)
     normals = np.repeat([e.normal for e in elements], counts, axis=0)
     dists = point_element_distances(p, np.concatenate([tris, tris[:, 2:]], axis=1), normals)
     diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
-    towards = _barycentric(tris, p[None, :])
-    bands = [_band(float(d)) for d in dists / diams]
+    towards = _barycentric(tris, p)
+    orders, cells = [], []
+    for d, toward in zip(dists / diams, towards):
+        order, split = _band(float(d))
+        orders.append(order)
+        cells.append(tri_cells(toward if split else None))
+    sizes = [len(c) * len(tri_rule(o)[1]) for o, c in zip(orders, cells)]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rules = []
+    for run in _runs(np.add.reduceat(sizes, starts), _VISIBLE_POINTS):
+        tri_run = slice(starts[run.start], ends[run.stop - 1])
+        rules += _visible_run(elements[run], counts[run], tris[tri_run], orders[tri_run],
+                              cells[tri_run])
+    return rules
+
+
+def _visible_run(elements, counts, tris, orders, cells) -> list[ElementRule]:
+    """visible_rule's rules for one run of elements, whose triangles tris
+    take the given band orders and cells."""
     parts = [None] * len(tris)
-    for order in sorted({order for order, _ in bands}):
-        group = [i for i, (o, _) in enumerate(bands) if o == order]
-        cells = [tri_cells(towards[i] if bands[i][1] else None) for i in group]
-        sizes = [len(c) for c in cells]
+    for order in sorted(set(orders)):
+        group = [i for i, o in enumerate(orders) if o == order]
+        sizes = [len(cells[i]) for i in group]
         pts, wts, _ = _tri_cell_rule(np.repeat(tris[group], sizes, axis=0),
-                                     np.concatenate(cells), order)
+                                     np.concatenate([cells[i] for i in group]), order)
         ends = np.cumsum(sizes) * (len(wts) // sum(sizes))
         starts = np.concatenate([[0], ends[:-1]])
         for i, a, b in zip(group, starts, ends):
@@ -483,17 +537,19 @@ def _band(d: float) -> tuple[int, bool]:
 
 def point_element_distances(p: np.ndarray, verts: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance from a point to each flat element (m, 4, 3),
-    triangles padded with a repeated last vertex.
+    triangles padded with a repeated last vertex; p is one point or one per
+    element (m, 3).
 
     All four edges are handled in one pass; each element's distance is
     computed on its own, so it has the same bits in any stack.
     """
-    rel0 = p[None, :] - verts[:, 0]
+    rel0 = p - verts[:, 0]
     hn = np.einsum("mj,mj->m", rel0, normals)
-    proj = p[None, :] - hn[:, None] * normals  # foot point in each plane
+    proj = p - hn[:, None] * normals  # foot point in each plane
     edge = verts[:, [1, 2, 3, 0]] - verts      # (m, 4, 3)
     side = np.einsum("mej,mj->me", cross3(edge, proj[:, None] - verts), normals)
     ee = np.einsum("mej,mej->me", edge, edge)
+    p = np.asarray(p)[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.einsum("mej,mej->me", p - verts, edge) / ee
     t = np.clip(np.where(ee > 0.0, t, 0.0), 0.0, 1.0)
@@ -627,7 +683,8 @@ class SolvabilityViolation(UserWarning):
 
 @dataclass(frozen=True)
 class RowPlan:
-    """Geometry of one collocation row, recorded on the row's first visit.
+    """Geometry of one collocation row, recorded when its equation is first
+    assembled (see Assembler._plan_rows).
 
     Fields run parallel over the row's active elements, in active-list
     order. A row gathers its quadrature points in another order (see
@@ -665,20 +722,20 @@ class Assembler:
     """Builds the four blocks and source vectors for one mesh/grid pair.
 
     Geometry is cached on the instance, so sweeping radiative properties
-    over a fixed geometry pays for it once. row_plans maps each visited
-    row (kind "b" or "i", index) to its RowPlan: active elements, blocker
-    lists, VisibilityReports, near-band split points and every rule that
-    does not change between property points; a row's split points are
-    projected in one call per element kind. Whole-element rules away from
-    the source point are cached per (element, order) and shared between
-    plans; the partly visible pairs' rules over their visible triangles are
-    built once, on the row's first visit, in one call for the row.
-    Near-band rules of fully visible elements are split toward the source
-    point and rebuilt from the plan at every property point, in one call per
-    element kind whose rule the row takes whole. The quads' call runs their
-    factored bilinear maps, whose coefficients each element computes once,
-    on the first row that needs them, and keeps; none are computed at
-    construction.
+    over a fixed geometry pays for it once. row_plans maps each row (kind
+    "b" or "i", index) to its RowPlan: active elements, blocker lists,
+    VisibilityReports, near-band split points and every rule that does not
+    change between property points. The first assembly of an equation
+    plans all its rows in batched passes, one per stage (see _plan_rows).
+    Whole-element rules away from the source point are cached per
+    (element, order) and shared between plans. Near-band rules of fully
+    visible elements are split toward the source point and rebuilt from
+    the plan at every property point, in one call per element kind whose
+    rule the row takes whole. The quads' call runs their factored bilinear
+    maps, whose coefficients each element computes once, on the first row
+    that needs them, and keeps. The wall nodes' emission and the grid's
+    plane coordinates are kept too, from the first wall row and the first
+    chord pass on; none of these is computed at construction.
 
     Each row runs two passes over its quadrature points. The wall pass
     writes the direct source and, when some element the row sees reflects
@@ -742,57 +799,95 @@ class Assembler:
 
     # -- caches ---------------------------------------------------------
 
+    @cached_property
+    def _node_emission(self) -> np.ndarray:
+        """Blackbody emission at every wall node, (N_p,), interpolated from
+        its element's vertices; built on the first wall row."""
+        col = self.collocation
+        eb_vertices = blackbody_emission(self._vertex_temps)
+        emission = np.empty(col.n_boundary)
+        for r, own in enumerate(col.boundary_element.tolist()):
+            local = r - col.element_first_dof[own]
+            if self.mesh.elements[own].is_quad:
+                emission[r] = quad_vertex_shapes(*QUAD_NODES_UV[local]) @ eb_vertices[own]
+            else:
+                emission[r] = TRI_NODES_BARY[local] @ eb_vertices[own, :3]
+        return emission
+
     def _cached_rule(self, k: int, order: int) -> ElementRule:
         rule = self._rule_cache.get((k, order))
         if rule is None:
             rule = self._rule_cache[(k, order)] = element_rule(self.mesh.elements[k], order)
         return rule
 
-    def _row_plan(self, kind: str, pidx: int, p: np.ndarray, normal: np.ndarray | None,
-                  source_element: int | None) -> RowPlan:
-        """The row's plan, built on its first visit."""
-        plan = self.row_plans.get((kind, pidx))
-        if plan is not None:
-            return plan
-        idx = build_active_list(p, normal, self.mesh, source_element=source_element)
-        rel, screens = np.zeros(0), []
-        if idx.size:
-            dists = point_element_distances(p, self.arrays.vertices[idx], self.arrays.normals[idx])
-            rel = dists / self.arrays.diameters[idx]
-            screens = screen_active_set(p, idx, self.mesh, source_element=source_element)
-        rules, visibility, near = [], [], []
-        for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
-            order, split = _band(float(d))
-            vis = classify_visibility(p, k, screened, self.mesh) if screened else UNOBSTRUCTED
-            rule = None
-            if vis.classification is Classification.FULLY_VISIBLE:
-                if split:
-                    near.append(j)
-                else:
-                    rule = self._cached_rule(k, order)
-            rules.append(rule)
-            visibility.append(vis)
-        # The rules of the partly visible elements, one call for the row.
-        partial = [j for j, vis in enumerate(visibility)
-                   if vis.classification is Classification.PARTIALLY_VISIBLE]
-        if partial:
-            built = visible_rule(p, [self.mesh.elements[idx[j]] for j in partial],
-                                 [visibility[j].visible for j in partial])
-            for j, rule in zip(partial, built):
-                rules[j] = rule
-        # The split points of the near-band elements, one call per kind.
-        towards = [None] * idx.size
-        for group in self._by_kind(idx, near):
-            elements = [self.mesh.elements[idx[j]] for j in group]
-            coords = intrinsic_projection(elements, np.tile(p, (len(group), 1)))
-            for j, toward in zip(group, coords):
-                towards[j] = toward
-        plan = self.row_plans[(kind, pidx)] = RowPlan(
-            elements=idx, rules=tuple(rules),
-            screens=tuple(tuple(b for b, _ in screened) for screened in screens),
-            visibility=tuple(visibility), towards=tuple(towards),
-        )
-        return plan
+    def _plan_rows(self, kind: str) -> None:
+        """Record the RowPlan of every row of one equation, kind "b" or "i".
+
+        Each stage runs once over all rows, in runs of rows that keep every
+        pass within _PLAN_ENTRIES entries: the active lists as one mask,
+        then over all active pairs, one point per pair, the distances and
+        the blocker screen, a clipper call per listed pair, one
+        visible_rule call for the partly visible pairs and one projection
+        of the near-band split points per element kind. Each stage gives
+        every pair the bits its row's own call gives it.
+        """
+        col, arr, mesh = self.collocation, self.arrays, self.mesh
+        if kind == "b":
+            points, normals, sources = (col.boundary_points, col.boundary_normals,
+                                        col.boundary_element)
+        else:
+            points, normals, sources = col.interior_points, None, None
+
+        def take(per_row, at):
+            # Wall rows' normals and elements at the given rows; None inside.
+            return None if per_row is None else per_row[at]
+
+        mask = np.zeros((len(points), len(arr)), dtype=bool)
+        for run in _runs(np.full(len(points), len(arr)), _PLAN_ENTRIES):
+            mask[run] = build_active_list(points[run], take(normals, run), mesh,
+                                          take(sources, run))
+        counts = mask.sum(axis=1)
+        for run in _runs(counts * len(arr), _PLAN_ENTRIES):
+            rows, idx = np.nonzero(mask[run])
+            rows += run.start
+            p = points[rows]
+            rel = (point_element_distances(p, arr.vertices[idx], arr.normals[idx])
+                   / arr.diameters[idx])
+            screens = screen_active_set(p, idx, mesh, take(sources, rows))
+            rules, visibility, near = [], [], []
+            for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
+                order, split = _band(float(d))
+                vis = classify_visibility(p[j], k, screened, mesh) if screened else UNOBSTRUCTED
+                rule = None
+                if vis.classification is Classification.FULLY_VISIBLE:
+                    if split:
+                        near.append(j)
+                    else:
+                        rule = self._cached_rule(k, order)
+                rules.append(rule)
+                visibility.append(vis)
+            # The rules of the partly visible pairs, one call for the run.
+            partial = [j for j, vis in enumerate(visibility)
+                       if vis.classification is Classification.PARTIALLY_VISIBLE]
+            if partial:
+                built = visible_rule(p[partial], [mesh.elements[idx[j]] for j in partial],
+                                     [visibility[j].visible for j in partial])
+                for j, rule in zip(partial, built):
+                    rules[j] = rule
+            # The split points of the near-band pairs, one call per kind.
+            towards = [None] * idx.size
+            for group in self._by_kind(idx, near):
+                coords = intrinsic_projection([mesh.elements[idx[j]] for j in group], p[group])
+                for j, toward in zip(group, coords):
+                    towards[j] = toward
+            ends = np.cumsum(counts[run]).tolist()
+            for r, end, n in zip(range(run.start, run.stop), ends, counts[run].tolist()):
+                pairs = slice(end - n, end)
+                self.row_plans[(kind, r)] = RowPlan(
+                    elements=idx[pairs], rules=tuple(rules[pairs]),
+                    screens=tuple(tuple(b for b, _ in screened) for screened in screens[pairs]),
+                    visibility=tuple(visibility[pairs]), towards=tuple(towards[pairs]),
+                )
 
     def _by_kind(self, elements: np.ndarray, picked: list[int]) -> list[list[int]]:
         """The positions picked of elements, quads first, then triangles;
@@ -802,9 +897,9 @@ class Assembler:
 
     # -- row integration ------------------------------------------------
 
-    def _gather_row_rule(self, kind: str, pidx: int, p: np.ndarray,
-                         normal: np.ndarray | None, source_element: int | None):
-        """Concatenated quadrature data over all visible element portions.
+    def _gather_row_rule(self, kind: str, pidx: int):
+        """Concatenated quadrature data over all visible element portions of
+        a planned row.
 
         Returns None when nothing is radiatively connected to the point,
         otherwise (points, weights, elements, counts, flux_shapes,
@@ -817,7 +912,7 @@ class Assembler:
         mesh where no element reflects, flux_shapes is None and the
         near-band rules are built without them.
         """
-        plan = self._row_plan(kind, pidx, p, normal, source_element)
+        plan = self.row_plans[(kind, pidx)]
         near = [j for j, toward in enumerate(plan.towards) if toward is not None]
         rules, placed, counts = [], [], []
         for group in self._by_kind(plan.elements, near):
@@ -848,37 +943,46 @@ class Assembler:
             np.concatenate([rule.vertex_shapes.T for rule in rules], axis=1),
         )
 
+    @cached_property
+    def _grid_planes(self):
+        """The grid box's low corner, and the axis and coordinate of every
+        interior grid plane, axis by axis; built on the first chord pass."""
+        grid = self.grid
+        lo, _ = grid.box()
+        axis = np.repeat(np.arange(3), grid.dims - 1)
+        index = np.concatenate([np.arange(1, k) for k in grid.dims])
+        return lo, axis, lo[axis] + index * grid.spacing[axis]
+
     def _chord_factors(self, p: np.ndarray, d: np.ndarray, lengths: np.ndarray, beta: float):
         """Per-cell attenuated path weights for the chords p -> p + d, batched.
 
         d is component-major, (3, n), and lengths its column norms. Returns
         flat (point, cell, weight) arrays with one entry per chord segment
         of positive length, point by point and in order along each chord.
-        Crossing parameters and their mask are per point and per grid
-        plane; only chords that cross two or more planes are sorted, and
-        the segment work is per cell crossed. Per point, the weights sum to
-        the exact chord integral of exp(-beta s) with s from p. Chords are
-        assumed inside the grid box (enclosure chords always are).
+        Crossing parameters and their mask are per grid plane and per point,
+        plane-major, so their reductions over the planes run along
+        contiguous rows; only chords that cross two or more planes are
+        sorted, and the segment work is per cell crossed. Per point, the
+        weights sum to the exact chord integral of exp(-beta s) with s from
+        p. Chords are assumed inside the grid box (enclosure chords always
+        are).
         """
         grid = self.grid
-        lo, _ = grid.box()
-        axis = np.repeat(np.arange(3), grid.dims - 1)
-        index = np.concatenate([np.arange(1, k) for k in grid.dims])
-        planes = lo[axis] + index * grid.spacing[axis]
+        lo, axis, planes = self._grid_planes
         # Crossing parameters of every grid plane, framed by t = 0 and 1; a
         # plane the chord does not cross sorts to the end point, t = 1, and
         # leaves an empty slot. A chord that crosses at most one plane is
         # sorted once its least crossing (1 if none) is in the first slot,
         # so only chords that cross two or more go through the sort.
         with np.errstate(divide="ignore", invalid="ignore"):
-            cross = (planes - p[axis]) / d[axis].T
+            cross = (planes - p[axis])[:, None] / d[axis]     # (planes, n)
         inside = (cross > 0.0) & (cross < 1.0)
         cross = np.where(inside, cross, 1.0)
         t = np.ones((d.shape[1], planes.size + 2))
         t[:, 0] = 0.0
-        t[:, 1] = cross.min(axis=1, initial=1.0)
-        many = np.count_nonzero(inside, axis=1) > 1
-        t[many, 1:-1] = np.sort(cross[many], axis=1)
+        t[:, 1] = cross.min(axis=0, initial=1.0)
+        many = np.count_nonzero(inside, axis=0) > 1
+        t[many, 1:-1] = np.sort(cross[:, many], axis=0).T
         # Framed rows differenced in one pass: the step from a row's end
         # (1) to the next row's start (0) is negative, so never live.
         t = t.ravel()
@@ -918,19 +1022,13 @@ class Assembler:
         if kind == "b":
             p = col.boundary_points[r]
             normal = col.boundary_normals[r]
-            own = int(col.boundary_element[r])
-            rx = self.arrays.emissivities[own]
-            local = r - col.element_first_dof[own]
-            if self.mesh.elements[own].is_quad:
-                eb_p = float(quad_vertex_shapes(*QUAD_NODES_UV[local]) @ eb_vertices[own])
-            else:
-                eb_p = float(TRI_NODES_BARY[local] @ eb_vertices[own, :3])
-            src[r] = -rx * eb_p
+            rx = self.arrays.emissivities[col.boundary_element[r]]
+            src[r] = -rx * self._node_emission[r]
         else:
             p = col.interior_points[r]
-            normal = own = None
+            normal = None
             rx = 1.0
-        gathered = self._gather_row_rule(kind, r, p, normal, own)
+        gathered = self._gather_row_rule(kind, r)
         if gathered is None:
             return
         pts, w, elements, counts, fshape, vshape = gathered
@@ -997,6 +1095,8 @@ class Assembler:
         # the sources, so its chords are traced only if it scatters.
         if props.sigma_a == 0.0 or not ib_cells.any():
             ib_cells = None
+        if (kind, 0) not in self.row_plans:
+            self._plan_rows(kind)
         for r in range(n):
             self._row(kind, r, props, eb_vertices, ib_cells, *blocks)
         for name, arr in zip(names, blocks):

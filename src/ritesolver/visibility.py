@@ -54,6 +54,13 @@ _CUT_RTOL = 1e-12
 # Shadows and pieces below this fraction of the element area are slivers
 # of rounding: they neither split nor survive.
 _SLIVER_RTOL = 1e-12
+# Most (pair, candidate) entries the screen's cylinder cull and plane-side
+# test hold at once. An entry past the cull holds up to about 200 bytes of
+# temporaries, most in the plane-side test's vertex gathers, so a block of
+# cube r2 pairs peaks near 3 MB; a one-point screen on cube r16 (1,280
+# active elements, 1,536 candidates) held 69 MB in one block, 0.6 MB in
+# blocks.
+_SCREEN_ENTRIES = 16384
 
 
 # Kept importable for tools that still compare screen outcomes against it;
@@ -87,7 +94,7 @@ class VisibilityReport:
 UNOBSTRUCTED = VisibilityReport(Classification.FULLY_VISIBLE, fraction=1.0)
 
 
-def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = None) -> np.ndarray:
+def build_active_list(p, n_p, mesh: SurfaceMesh, source_element=None) -> np.ndarray:
     """Indices of all elements mutually facing the point, in mesh order,
     excluding the one it sits on.
 
@@ -96,85 +103,121 @@ def build_active_list(p, n_p, mesh: SurfaceMesh, source_element: int | None = No
     times their distance: a pair in one plane has a zero kernel. The test is
     necessary, not sufficient: on non-convex meshes listed elements may
     still turn out blocked.
+
+    p may also be a stack of points (R, 3), with n_p None or one normal per
+    point and source_element None or one element per point, so that the
+    rows of an equation take one pass. The result is then the (R, E) mask
+    whose row i marks point i's list. Each point takes the same bits
+    stacked as alone.
     """
-    p = as_point(p)
+    one = np.ndim(p) == 1
+    points = as_point(p)[None] if one else np.asarray(p, dtype=float)
     arr = mesh.arrays()
-    to_c = arr.centroids - p
-    tol = _PLANE_RTOL * np.linalg.norm(to_c, axis=1)
-    mask = -np.einsum("ij,ij->i", arr.normals, to_c) > tol
+    to_c = arr.centroids - points[:, None]              # (R, E, 3)
+    tol = _PLANE_RTOL * np.linalg.norm(to_c, axis=2)
+    mask = -np.einsum("ij,rij->ri", arr.normals, to_c) > tol
     if n_p is not None:
-        n_p = as_point(n_p)
-        mask &= to_c @ n_p > tol
+        normals = as_point(n_p)[None] if one else np.asarray(n_p, dtype=float)
+        mask &= (to_c @ normals[:, :, None])[..., 0] > tol
     if source_element is not None:
-        mask[source_element] = False
-    return np.nonzero(mask)[0]
+        mask[np.arange(len(mask)), source_element] = False
+    return np.nonzero(mask[0])[0] if one else mask
 
 
 def _separates(p, vertices: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
-    """Whether the plane of element cols[i] strictly separates p from some
-    vertex in vertices[i] (P, V, 3); a candidate failing this cannot cut any
-    open segment from p to the target."""
+    """Whether the plane of element cols[i] strictly separates the point
+    from some vertex in vertices[i] (P, V, 3), p being one point or one per
+    candidate (P, 3); a candidate failing this cannot cut any open segment
+    from the point to the target."""
     normals = arrays.normals[cols]
     offsets = arrays.plane_offsets[cols]
     tol = _PLANE_RTOL * arrays.diameters[cols]
-    side_p = normals @ p - offsets
+    side_p = np.einsum("pj,pj->p", normals, np.broadcast_to(p, normals.shape)) - offsets
     side_v = np.einsum("pvj,pj->pv", vertices, normals) - offsets[:, None]
     above = (side_p > tol)[:, None] & (side_v < -tol[:, None])
     below = (side_p < -tol)[:, None] & (side_v > tol[:, None])
     return (above | below).any(axis=1)
 
 
+def _candidates(p, act: np.ndarray, sources, arr):
+    """(pair, candidate) index arrays of the candidates that pass the
+    cylinder cull and the plane-side test (see screen_active_set) for the
+    pairs of points p (A, 3) and active elements act, row by row; sources
+    is None or the element under each point."""
+    pairs = np.arange(act.size)
+    keep = np.ones((act.size, len(arr)), dtype=bool)
+    keep[pairs, act] = False
+    if sources is not None:
+        keep[pairs, sources] = False
+    axis = arr.centroids[act] - p                       # (A, 3)
+    h = np.linalg.norm(axis, axis=1)
+    unit = axis / h[:, None]
+    # Each candidate centroid's offset from the pair's point along the sight
+    # axis (tax) and across it (rad2), expanded into products with the
+    # centroids, so that any mix of points takes two matrix products and
+    # no (A, E, 3) array. The expansion rounds differently from the offsets
+    # themselves, within far less than the reach it is compared with.
+    cc = np.einsum("ej,ej->e", arr.centroids, arr.centroids)
+    pp = np.einsum("aj,aj->a", p, p)
+    tax = unit @ arr.centroids.T - np.einsum("aj,aj->a", unit, p)[:, None]   # (A, E)
+    rad2 = (cc - 2.0 * (p @ arr.centroids.T)) + pp[:, None] - tax**2
+    reach = arr.circumradii[act][:, None] + arr.circumradii[None, :]
+    keep &= (tax >= -reach) & (tax <= h[:, None] + reach) & (rad2 <= reach**2)
+    rows, cols = np.nonzero(keep)
+    apart = _separates(p[rows], arr.vertices[act[rows]], arr, cols)
+    return rows[apart], cols[apart]
+
+
 def screen_active_set(
     p,
     active_indices,
     mesh: SurfaceMesh,
-    source_element: int | None = None,
+    source_element=None,
 ) -> list[tuple[tuple[int, np.ndarray], ...]]:
-    """Potential blockers of every element in the active set of one point,
-    each with its shadow cone.
+    """Potential blockers of every element in an active set, each with its
+    shadow cone.
 
+    p is the point the whole set is seen from, or one point per active
+    element (A, 3), and source_element None, the element under the point,
+    or one per active element, so that the pairs of many points take one
+    pass; each pair gets the blockers and cones of its point's own call.
     Returns a list parallel to active_indices of (blocker, cone) tuples in
     mesh order, the cones as _cones gives them. Candidates are all elements
-    but the active one and the one under p; a warped quad could otherwise
-    list itself. A candidate is listed when it passes three tests in turn:
+    but the active one and the one under the point; a warped quad could
+    otherwise list itself. A candidate is listed when it passes three tests
+    in turn, the first two over blocks of at most _SCREEN_ENTRIES (pair,
+    candidate) entries and the last over all pairs at once:
 
     - cylinder: its centroid lies within the sum of the two circumradii of
-      the sight segment from p to the active element's centroid (tested as
-      a cylinder padded by that radius at both ends; every point between p
-      and the element lies within the element's circumradius of that
-      segment)
-    - plane side: its plane separates p from a vertex of the active element
-      by more than _PLANE_RTOL, which no candidate in the active element's
-      plane does
+      the sight segment from the point to the active element's centroid
+      (tested as a cylinder padded by that radius at both ends; every point
+      between them lies within the element's circumradius of that segment)
+    - plane side: its plane separates the point from a vertex of the active
+      element by more than _PLANE_RTOL, which no candidate in the active
+      element's plane does
     - cone: it casts a shadow cone, which a candidate with nothing left in
-      the slab between p and the element plane does not, and no separating
-      plane parts that shadow from the element (see _sides); a cone that
-      holds the whole element is listed alone, so the clipper's first cut
-      leaves nothing
+      the slab between the point and the element plane does not, and no
+      separating plane parts that shadow from the element (see _sides); a
+      cone that holds the whole element is listed alone, so the clipper's
+      first cut leaves nothing
     """
-    p = as_point(p)
-    arr = mesh.arrays()
     act = np.asarray(active_indices, dtype=int)
-    keep = np.ones((act.size, len(arr)), dtype=bool)
-    keep[np.arange(act.size), act] = False
-    if source_element is not None:
-        keep[:, source_element] = False
-
-    axis = arr.centroids[act] - p                       # (A, 3)
-    h = np.linalg.norm(axis, axis=1)
-    rel = arr.centroids - p                             # (E, 3)
-    tax = (axis / h[:, None]) @ rel.T                   # (A, E)
-    rad2 = np.einsum("ej,ej->e", rel, rel)[None, :] - tax**2
-    reach = arr.circumradii[act][:, None] + arr.circumradii[None, :]
-    keep &= (tax >= -reach) & (tax <= h[:, None] + reach) & (rad2 <= reach**2)
-
-    rows, cols = np.nonzero(keep)
-    keep[rows, cols] = _separates(p, arr.vertices[act[rows]], arr, cols)
-    rows, cols = np.nonzero(keep)
+    p = np.broadcast_to(as_point(p) if np.ndim(p) == 1 else np.asarray(p, dtype=float),
+                        (act.size, 3))
+    sources = None if source_element is None else np.broadcast_to(source_element, act.shape)
+    arr = mesh.arrays()
+    step = max(_SCREEN_ENTRIES // len(arr), 1)
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for start in range(0, act.size, step):
+        block = slice(start, start + step)
+        r, c = _candidates(p[block], act[block], None if sources is None else sources[block], arr)
+        rows.append(r + start)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     screens = [[] for _ in range(act.size)]
     held = set()
     if rows.size:
-        cones, inside = _cones(p, act[rows], cols, arr)
+        cones, inside = _cones(p[rows], act[rows], cols, arr)
         for row, b, cone, whole in zip(rows.tolist(), cols.tolist(), cones, inside.tolist()):
             if cone is None or row in held:
                 continue
@@ -248,7 +291,7 @@ def _split_inner(poly: np.ndarray, count: np.ndarray, g: np.ndarray, tol: np.nda
 
 def _sides(p, target, outline, count, m, edges, tol):
     """Masks (L,) of the shadows apart from their targets and of the cones
-    holding them.
+    holding them, each cone's apex p[i] (L, 3).
 
     Convex polygons with disjoint interiors are parted by a line along an
     edge of one of them (separating axes; Gottschalk, Lin and Manocha 1996),
@@ -259,6 +302,7 @@ def _sides(p, target, outline, count, m, edges, tol):
     tol times its norm. A cone holds its target when m . (v - p) >= -tol
     for every edge plane and target vertex.
     """
+    p = p[:, None]
     rel = target - p
     g = rel @ m.swapaxes(1, 2)                          # (L, vertex, edge)
     tol = tol[:, None]
@@ -274,7 +318,8 @@ def _sides(p, target, outline, count, m, edges, tol):
 
 
 def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr):
-    """Shadow cones of flat (target, blocker) entries of one point.
+    """Shadow cones of flat (target, blocker) entries, seen from one point p
+    or from one point per entry, p (L, 3).
 
     Returns one entry per pair, the unit normals m (c, 3) of the half-spaces
     m . (y - p) >= 0 bounding the shadow the blocker casts from p onto the
@@ -284,9 +329,10 @@ def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr):
     keeping vertices within _CUT_RTOL times the target's diameter; each
     edge of what is left spans a plane through p, and the central
     projection of the polygon is the part of the plane inside all of them.
-    All pairs go through one padded pass, in which every pair takes the
-    bits it takes alone.
+    All entries go through one padded pass, in which every entry takes the
+    bits it takes alone, whichever points the others have.
     """
+    p = np.broadcast_to(p, (len(targets), 3))
     cones: list[np.ndarray | None] = [None] * len(targets)
     inside = np.zeros(len(targets), dtype=bool)
     normals = arr.normals[targets, :, None]
@@ -296,12 +342,13 @@ def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr):
     poly, count = _split_inner(verts, arr.n_vertices[blockers], g, tol)
     live = np.flatnonzero(count >= 3)
     if live.size:
-        poly, normals = poly[live], normals[live]
-        poly, count = _split_inner(poly, count[live], ((p - poly) @ normals)[..., 0], tol[live])
+        poly, normals, p = poly[live], normals[live], p[live]
+        poly, count = _split_inner(poly, count[live], ((p[:, None] - poly) @ normals)[..., 0],
+                                   tol[live])
     if not (count >= 3).any():
         return cones, inside
     slot = np.arange(poly.shape[1])
-    rel = poly - p
+    rel = poly - p[:, None]
     nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
     m = cross3(rel, rel[np.arange(len(rel))[:, None], nxt])
     norms = np.linalg.norm(m, axis=2)
@@ -312,7 +359,7 @@ def _cones(p, targets: np.ndarray, blockers: np.ndarray, arr):
     # is on that side is decided by the blocker's plane, which the screen
     # keeps clear of p.
     cast = blockers[live]
-    flip = arr.normals[cast] @ p > arr.plane_offsets[cast]
+    flip = (arr.normals[cast] * p).sum(axis=1) > arr.plane_offsets[cast]
     m[flip] *= -1.0
     apart, inside[live] = _sides(p, arr.vertices[targets[live]], poly, count, m, edges, tol[live])
     # Fewer than three edge planes leave a point or a segment: no cone with

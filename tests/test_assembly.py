@@ -55,7 +55,13 @@ from ritesolver.kernels import (
     solvability_margin,
 )
 from ritesolver.validation import _polygon_closure, lemma1_identity, lemma3_interior_identity
-from ritesolver.visibility import Classification, classify_visibility, screen_active_set
+from ritesolver.visibility import (
+    UNOBSTRUCTED,
+    Classification,
+    build_active_list,
+    classify_visibility,
+    screen_active_set,
+)
 
 from conftest import DENTED_FACES, make_cube_mesh, make_dented_cube_mesh
 from oracles import (
@@ -466,9 +472,8 @@ def _cube_row_near_quads():
     # points its row plan recorded.
     mesh, grid = builtin_case("cube", 2)
     asm = Assembler(mesh, grid)
-    col = asm.collocation
-    own = int(col.boundary_element[0])
-    plan = asm._row_plan("b", 0, col.boundary_points[0], col.boundary_normals[0], own)
+    asm._plan_rows("b")
+    plan = asm.row_plans[("b", 0)]
     near = [j for j, toward in enumerate(plan.towards) if toward is not None]
     elements = [mesh.elements[k] for k in plan.elements[near]]
     assert len(near) > 1 and all(e.is_quad for e in elements)
@@ -644,13 +649,15 @@ def test_pair_rules_match_polygon_closures():
         mesh, grid = builtin_case(kind, resolution)
         asm = Assembler(mesh, grid)
         col, arr = asm.collocation, asm.arrays
-        rows = [("b", r, col.boundary_points[r], col.boundary_normals[r],
-                 int(col.boundary_element[r])) for r in range(col.n_boundary)]
-        rows += [("i", r, p, None, None) for r, p in enumerate(col.interior_points)]
-        for row_kind, r, p, normal, own in rows:
+        asm._plan_rows("b")
+        asm._plan_rows("i")
+        rows = [("b", r, col.boundary_points[r], col.boundary_normals[r])
+                for r in range(col.n_boundary)]
+        rows += [("i", r, p, None) for r, p in enumerate(col.interior_points)]
+        for row_kind, r, p, normal in rows:
             if far_end and p[1] < 2.9:
                 continue
-            pts, w, elements, counts, _, _ = asm._gather_row_rule(row_kind, r, p, normal, own)
+            pts, w, elements, counts, _, _ = asm._gather_row_rule(row_kind, r)
             diff = pts - p[:, None]
             dist = np.linalg.norm(diff, axis=0)
             cos_p, cos_r = sight_cosines(diff, dist, np.repeat(arr.normals.T[:, elements], counts,
@@ -673,6 +680,50 @@ def test_pair_rules_match_polygon_closures():
                 worst[band] = max(worst[band], abs(got - exact) / exact)
     for band, rtol in _BAND_RTOL.items():
         assert 0.0 < worst[band] <= rtol, band
+
+
+@pytest.mark.parametrize("case", ["dented_cube", "cube_r2", "lshape_r1"])
+def test_row_plans_match_one_point_calls(case):
+    # An equation's rows are planned together, one batched pass per stage;
+    # each row's plan must hold what the one-point public calls give it:
+    # its active list, blockers, reports and split points, bit for bit.
+    if case == "dented_cube":
+        mesh = make_dented_cube_mesh()
+        grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
+    else:
+        mesh, grid = builtin_case(*{"cube_r2": ("cube", 2), "lshape_r1": ("lshape", 1)}[case])
+    asm = Assembler(mesh, grid)
+    asm._plan_rows("b")
+    asm._plan_rows("i")
+    col, arr = asm.collocation, asm.arrays
+    rows = [("b", r, p, n, int(own)) for r, (p, n, own) in
+            enumerate(zip(col.boundary_points, col.boundary_normals, col.boundary_element))]
+    rows += [("i", r, p, None, None) for r, p in enumerate(col.interior_points)]
+    assert len(asm.row_plans) == len(rows)
+    partial = near = 0
+    for kind, r, p, normal, own in rows:
+        plan = asm.row_plans[(kind, r)]
+        active = build_active_list(p, normal, mesh, source_element=own)
+        assert np.array_equal(plan.elements, active)
+        screens = screen_active_set(p, active, mesh, own)
+        assert plan.screens == tuple(tuple(b for b, _ in screened) for screened in screens)
+        dists = assembly.point_element_distances(p, arr.vertices[active], arr.normals[active])
+        for j, (k, screened) in enumerate(zip(active.tolist(), screens)):
+            report = classify_visibility(p, k, screened, mesh) if screened else UNOBSTRUCTED
+            got = plan.visibility[j]
+            assert got.classification is report.classification
+            assert got.fraction == report.fraction
+            assert got.depth_reached == report.depth_reached
+            assert np.array_equal(got.visible, report.visible)
+            partial += report.classification is Classification.PARTIALLY_VISIBLE
+            _, split = assembly._band(float(dists[j] / arr.diameters[k]))
+            if split and report.classification is Classification.FULLY_VISIBLE:
+                near += 1
+                assert np.array_equal(plan.towards[j],
+                                      intrinsic_projection(mesh.elements[k], p[None, :])[0])
+            else:
+                assert plan.towards[j] is None
+    assert near > 0 and (partial > 0) == (case != "cube_r2")
 
 
 def test_setup_does_no_row_work(tmp_path, monkeypatch):
@@ -713,11 +764,9 @@ def test_row_quadrature_is_component_major():
     for emissivity in (1.0, 0.7):
         grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2])
         asm = Assembler(make_dented_cube_mesh(emissivity), grid)
-        col = asm.collocation
-        for r in range(col.n_boundary):
-            pts, w, elements, counts, fshape, vshape = asm._gather_row_rule(
-                "b", r, col.boundary_points[r], col.boundary_normals[r],
-                int(col.boundary_element[r]))
+        asm._plan_rows("b")
+        for r in range(asm.collocation.n_boundary):
+            pts, w, elements, counts, fshape, vshape = asm._gather_row_rule("b", r)
             n = counts.sum()
             assert pts.shape == (3, n) and w.shape == (n,) and len(elements) == len(counts)
             assert vshape.shape == (4, n)
@@ -1014,11 +1063,10 @@ def test_flux_shapes_built_only_where_something_reflects(monkeypatch):
         walls = with_emissivity(mesh, np.where(floor, 0.6, 1.0)) if gray else mesh
         asm = Assembler(walls, grid)
         col = asm.collocation
+        asm._plan_rows("b")
         near.clear()
         for r in range(col.n_boundary):
-            *_, counts, fshape, vshape = asm._gather_row_rule(
-                "b", r, col.boundary_points[r], col.boundary_normals[r],
-                int(col.boundary_element[r]))
+            *_, counts, fshape, vshape = asm._gather_row_rule("b", r)
             if gray:
                 assert fshape.shape == vshape.shape == (4, counts.sum())
             else:

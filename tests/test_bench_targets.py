@@ -74,3 +74,48 @@ def test_hooks_read_fields_that_exist(spans):
     for name in ("visibility.active", "visibility.screen", "visibility.classify",
                  "assembly.rule", "assembly.projection"):
         assert layers[name]["calls"] > 0, name
+
+
+def test_tracer_counts_survive_batched_row_plans(spans, tmp_path):
+    # CI gates traced benchmark runs on counts the hooks take from calls
+    # made through assembly's namespace: a dented-cube run_case lists 27
+    # pairs, all partly visible, and a warm cube r2 point rebuilds its
+    # near-band rules in 104 element_rule calls. Rows are planned in
+    # batched passes, so these pin that the screen still returns one entry
+    # per (row, active element) pair and that the warm rebuilds stay one
+    # call per element kind per row.
+    from ritesolver.assembly import collocation_points
+    from ritesolver.cli import CaseConfig, builtin_case, run_case
+    from ritesolver.geometry import load_mesh, write_mesh_file
+    from ritesolver.visibility import build_active_list
+
+    from conftest import DENTED_FACES
+
+    mesh = make_dented_cube_mesh()
+    records = [{"nodes": list(f), "epsilon": 1.0, "T": 500.0} for f in DENTED_FACES]
+    grid = {"origin": [0.0] * 3, "spacing": [0.5] * 3, "dims": [2, 2, 2], "T": [1000.0] * 8}
+    write_mesh_file(tmp_path / "dent.json", mesh.nodes, records, grid)
+    col = collocation_points(*load_mesh(tmp_path / "dent.json"))
+    pairs = sum(build_active_list(p, n, mesh, source_element=own).size for p, n, own in
+                zip(col.boundary_points, col.boundary_normals, col.boundary_element))
+    pairs += sum(build_active_list(p, None, mesh).size for p in col.interior_points)
+    config = CaseConfig.from_dict({"mesh": str(tmp_path / "dent.json"), "sigma_a": 0.5,
+                                   "sigma_s": 0.5, "output": str(tmp_path / "out")})
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        run_case(config)
+    counts = tracer.counts[0]
+    assert counts["pairs"] == pairs
+    assert counts["pairs_listed"] == 27 and counts["partial"] == 27 and counts["full"] == 0
+
+    cube, cube_grid = builtin_case("cube", 2)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        asm = Assembler(cube, cube_grid)
+        for point, (sigma_a, sigma_s) in enumerate(((0.5, 0.5), (0.1, 0.8))):
+            tracer.point = point
+            props = RadiativeProperties(sigma_a=sigma_a, sigma_s=sigma_s,
+                                        domain_diameter=cube.diameter())
+            asm.assemble_surface(props)
+            asm.assemble_volume(props)
+    assert tracer.counts[0]["warm_rule_calls"] == 104

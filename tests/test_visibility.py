@@ -546,6 +546,44 @@ def test_row_batched_clipper_matches_pair_by_pair(case):
     assert pairs == LISTED_PAIRS[case] and partial > 10
 
 
+@pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
+def test_stacked_screen_matches_single_points(case):
+    # The assembler lists the active elements of many rows in one mask and
+    # measures and screens all their pairs in one call each, one point and
+    # one source element per pair. Every row's list, and every pair's
+    # distance, blockers and cones, must equal its own row's one-point call
+    # bit for bit.
+    from ritesolver.assembly import point_element_distances
+
+    mesh, rows = all_rows(case)
+    arrays = mesh.arrays()
+    listed = 0
+    for group in ([r for r in rows if r[2] is not None], [r for r in rows if r[2] is None]):
+        points = np.array([p for p, _, _ in group])
+        walls = group[0][2] is not None
+        normals = np.array([n for _, n, _ in group]) if walls else None
+        owners = np.array([own for _, _, own in group]) if walls else None
+        mask = build_active_list(points, normals, mesh, owners)
+        at, active = np.nonzero(mask)
+        stacked = screen_active_set(points[at], active, mesh, owners[at] if walls else None)
+        dists = point_element_distances(points[at], arrays.vertices[active],
+                                        arrays.normals[active])
+        end = 0
+        for row, (p, n, own) in enumerate(group):
+            single = build_active_list(p, n, mesh, source_element=own)
+            assert np.array_equal(np.flatnonzero(mask[row]), single)
+            pairs = slice(end, end + single.size)
+            end += single.size
+            assert np.array_equal(dists[pairs], point_element_distances(
+                p, arrays.vertices[single], arrays.normals[single]))
+            for got, alone in zip(stacked[pairs], screen_active_set(p, single, mesh, own)):
+                assert [b for b, _ in got] == [b for b, _ in alone]
+                assert all(np.array_equal(c, a) for (_, c), (_, a) in zip(got, alone))
+                listed += bool(alone)
+        assert end == len(stacked)
+    assert listed == LISTED_PAIRS[case]
+
+
 # Two lshape r2 wall points that look past the notch edge: the high ceiling
 # looking down the low arm, and the floor under the low ceiling.
 NOTCH_VIEW_POINTS = (np.array([0.75, 0.75, 3.0]), np.array([0.51, 1.93, 0.0]))
