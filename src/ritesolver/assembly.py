@@ -122,7 +122,7 @@ _ROW_SUM_RTOL = 0.02
 # blocker candidates, stay within it. The screen bounds its own (pair,
 # candidate) arrays (visibility._SCREEN_ENTRIES), so this bounds the
 # passes' per-row and per-pair arrays: cube r2 plans its 46,080 wall
-# entries in one pass at a 3.0 MB peak. The dented cube (1,998) and lshape
+# entries in one pass at a 1.8 MB peak. The dented cube (1,998) and lshape
 # r1 (52,624) also take one pass per equation, lshape r2 (3.4 million) 56
 # and 10.
 _PLAN_ENTRIES = 1 << 16
@@ -319,36 +319,30 @@ def _shaped_rule(element: SurfaceElement, points, weights, coords,
 
 
 def element_rule(element: SurfaceElement | list[SurfaceElement], order: int,
-                 toward=None, flux: bool = True) -> ElementRule:
-    """Quadrature rule over whole elements.
+                 cells=None, flux: bool = True) -> ElementRule:
+    """Quadrature rule over the reference cells of whole elements.
 
     element is one SurfaceElement or a sequence of elements of one kind,
     whose rules are concatenated element by element; each element's part
-    equals its rule alone, bit for bit. toward gives the root intrinsic
-    coordinates of the source point's in-plane projection, one row per
-    element of a sequence; each element is then split into cells that meet
-    there, so the quasi-singular peak lands on cell corners instead of cell
-    interiors. With flux false the rule carries no flux shapes, which only
-    a reflecting source element's row reads.
+    equals its rule alone, bit for bit. cells holds the element's
+    quad_cells boxes or tri_cells corner sets, one array per element of a
+    sequence (quads with as many boxes each); None takes each element
+    whole. With flux false the rule carries no flux shapes, which only a
+    reflecting source element's row reads.
     """
-    elements = [element] if isinstance(element, SurfaceElement) else list(element)
+    one = isinstance(element, SurfaceElement)
+    elements = [element] if one else list(element)
+    if cells is None:
+        cells = [quad_cells() if elements[0].is_quad else tri_cells()] * len(elements)
+    elif one:
+        cells = [cells]
     if elements[0].is_quad:
-        boxes = quad_cells() if toward is None else quad_cells(np.reshape(toward, (-1, 2)))
-        return _quad_cell_rule(np.array([e.quad_map for e in elements]),
-                               np.broadcast_to(boxes, (len(elements),) + boxes.shape[-2:]),
+        return _quad_cell_rule(np.array([e.quad_map for e in elements]), np.array(cells),
                                order, flux)
     verts = np.array([e.vertices for e in elements])
-    cells = _tri_cell_sets(len(elements), toward)
     points, weights, coords = _tri_cell_rule(np.repeat(verts, [len(c) for c in cells], axis=0),
                                              np.concatenate(cells), order)
     return _shaped_rule(elements[0], points, weights, coords, flux)
-
-
-def _tri_cell_sets(m: int, toward=None) -> list[np.ndarray]:
-    """tri_cells of m triangles, split toward the rows of toward if given."""
-    if toward is None:
-        return [tri_cells()] * m
-    return [tri_cells(t) for t in np.reshape(toward, (m, 3))]
 
 
 def _barycentric(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -694,21 +688,21 @@ class RowPlan:
     whole-element rule of a fully visible element beyond the near band, and
     the visible-triangle rule of a partly visible one. It holds None for
     fully blocked pairs, which take no points, and for near-band, fully
-    visible ones, whose rules are split toward the source point and rebuilt
-    from towards at every property point. screens holds the ids of each
-    element's blockers from screen_active_set, without their cones, and
-    visibility its VisibilityReport; a pair with no blockers is
-    UNOBSTRUCTED without a classify_visibility call. towards holds the root
-    intrinsic point the cells of a near-band, fully visible element meet at
-    (None elsewhere); the rules of those that are quads are built in one
-    pass.
+    visible ones, whose rules are rebuilt from cells at every property
+    point. screens holds the ids of each element's blockers from
+    screen_active_set, without their cones, and visibility its
+    VisibilityReport; a pair with no blockers is UNOBSTRUCTED without a
+    classify_visibility call. cells holds the reference cells of a
+    near-band, fully visible element, quad_cells boxes or tri_cells corner
+    sets that meet at the source point's in-plane projection (None
+    elsewhere); the plan alone decides that split.
     """
 
     elements: np.ndarray        # (a,) element ids
     rules: tuple[ElementRule | None, ...]
     screens: tuple
     visibility: tuple[VisibilityReport, ...]
-    towards: tuple
+    cells: tuple
 
 
 def _per_point(per_element: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -724,18 +718,18 @@ class Assembler:
     Geometry is cached on the instance, so sweeping radiative properties
     over a fixed geometry pays for it once. row_plans maps each row (kind
     "b" or "i", index) to its RowPlan: active elements, blocker lists,
-    VisibilityReports, near-band split points and every rule that does not
-    change between property points. The first assembly of an equation
+    VisibilityReports, near-band reference cells and every rule that does
+    not change between property points. The first assembly of an equation
     plans all its rows in batched passes, one per stage (see _plan_rows).
     Whole-element rules away from the source point are cached per
     (element, order) and shared between plans. Near-band rules of fully
-    visible elements are split toward the source point and rebuilt from
-    the plan at every property point, in one call per element kind whose
-    rule the row takes whole. The quads' call runs their factored bilinear
-    maps, whose coefficients each element computes once, on the first row
-    that needs them, and keeps. The wall nodes' emission and the grid's
-    plane coordinates are kept too, from the first wall row and the first
-    chord pass on; none of these is computed at construction.
+    visible elements are rebuilt from the plan's cells at every property
+    point, in one call per element kind whose rule the row takes whole.
+    The quads' call runs their factored bilinear maps, whose coefficients
+    each element computes once, on the first row that needs them, and
+    keeps. The wall nodes' emission and the grid's plane coordinates are
+    kept too, from the first wall row and the first chord pass on; none
+    of these is computed at construction.
 
     Each row runs two passes over its quadrature points. The wall pass
     writes the direct source and, when some element the row sees reflects
@@ -828,8 +822,8 @@ class Assembler:
         then over all active pairs, one point per pair, the distances and
         the blocker screen, a clipper call per listed pair, one
         visible_rule call for the partly visible pairs and one projection
-        of the near-band split points per element kind. Each stage gives
-        every pair the bits its row's own call gives it.
+        of the near-band split points per element kind, then their cells.
+        Each stage gives every pair the bits its row's own call gives it.
         """
         col, arr, mesh = self.collocation, self.arrays, self.mesh
         if kind == "b":
@@ -874,19 +868,21 @@ class Assembler:
                                      [visibility[j].visible for j in partial])
                 for j, rule in zip(partial, built):
                     rules[j] = rule
-            # The split points of the near-band pairs, one call per kind.
-            towards = [None] * idx.size
+            # The near-band pairs' cells, split at their points' projections.
+            cells = [None] * idx.size
             for group in self._by_kind(idx, near):
-                coords = intrinsic_projection([mesh.elements[idx[j]] for j in group], p[group])
-                for j, toward in zip(group, coords):
-                    towards[j] = toward
+                elements = [mesh.elements[idx[j]] for j in group]
+                towards = intrinsic_projection(elements, p[group])
+                split = quad_cells(towards) if elements[0].is_quad else map(tri_cells, towards)
+                for j, c in zip(group, split):
+                    cells[j] = c
             ends = np.cumsum(counts[run]).tolist()
             for r, end, n in zip(range(run.start, run.stop), ends, counts[run].tolist()):
                 pairs = slice(end - n, end)
                 self.row_plans[(kind, r)] = RowPlan(
                     elements=idx[pairs], rules=tuple(rules[pairs]),
                     screens=tuple(tuple(b for b, _ in screened) for screened in screens[pairs]),
-                    visibility=tuple(visibility[pairs]), towards=tuple(towards[pairs]),
+                    visibility=tuple(visibility[pairs]), cells=tuple(cells[pairs]),
                 )
 
     def _by_kind(self, elements: np.ndarray, picked: list[int]) -> list[list[int]]:
@@ -905,28 +901,26 @@ class Assembler:
         otherwise (points, weights, elements, counts, flux_shapes,
         vertex_shapes), element by element: counts[i] points come from
         element elements[i]. Each kind's near-band rule is one element_rule
-        call and one block of the row, quads first, then triangles, each in
-        the plan's order; the rules the plan keeps follow in its order.
+        call over the plan's cells and one block of the row, quads first,
+        then triangles, each in the plan's order; the kept rules follow.
         Points (3, n) and shapes (4, n) are component-major and
         C-contiguous, the rules' transposes joined along the points. On a
         mesh where no element reflects, flux_shapes is None and the
         near-band rules are built without them.
         """
         plan = self.row_plans[(kind, pidx)]
-        near = [j for j, toward in enumerate(plan.towards) if toward is not None]
+        near = [j for j, c in enumerate(plan.cells) if c is not None]
         rules, placed, counts = [], [], []
         for group in self._by_kind(plan.elements, near):
             # A kind's near-band elements share one order, one call and one
-            # block of the row. Its quads take equal parts of the block, its
-            # triangles one part per cell, three or four each.
-            sources = [self.mesh.elements[plan.elements[j]] for j in group]
-            towards = np.array([plan.towards[j] for j in group])
-            rule = element_rule(sources, NEAR_ORDER, towards, flux=self._reflects)
-            parts = ([1] * len(group) if sources[0].is_quad
-                     else [len(c) for c in _tri_cell_sets(len(group), towards)])
+            # block of the row, in which each takes its cells' points.
+            cells = [plan.cells[j] for j in group]
+            rule = element_rule([self.mesh.elements[plan.elements[j]] for j in group],
+                                NEAR_ORDER, cells, flux=self._reflects)
+            per_cell = len(rule.weights) // sum(len(c) for c in cells)
             rules.append(rule)
             placed += group
-            counts += [n * (len(rule.weights) // sum(parts)) for n in parts]
+            counts += [len(c) * per_cell for c in cells]
         kept = [j for j, rule in enumerate(plan.rules) if rule is not None]
         rules += [plan.rules[j] for j in kept]
         placed += kept

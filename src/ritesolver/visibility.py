@@ -55,11 +55,11 @@ _CUT_RTOL = 1e-12
 # of rounding: they neither split nor survive.
 _SLIVER_RTOL = 1e-12
 # Most (pair, candidate) entries the screen's cylinder cull and plane-side
-# test hold at once. An entry past the cull holds up to about 200 bytes of
-# temporaries, most in the plane-side test's vertex gathers, so a block of
-# cube r2 pairs peaks near 3 MB; a one-point screen on cube r16 (1,280
-# active elements, 1,536 candidates) held 69 MB in one block, 0.6 MB in
-# blocks.
+# test hold at once. An entry past the cull holds about 110 bytes of
+# temporaries, most in the plane-side test's gathers, which take the
+# target's vertices one at a time, so a block of cube r2 pairs peaks near
+# 1.7 MB; a one-point screen on cube r16 (1,280 active elements, 1,536
+# candidates) held 66 MB in one block, 0.6 MB in blocks.
 _SCREEN_ENTRIES = 16384
 
 
@@ -124,19 +124,21 @@ def build_active_list(p, n_p, mesh: SurfaceMesh, source_element=None) -> np.ndar
     return np.nonzero(mask[0])[0] if one else mask
 
 
-def _separates(p, vertices: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
+def _separates(p, targets: np.ndarray, arrays, cols: np.ndarray) -> np.ndarray:
     """Whether the plane of element cols[i] strictly separates the point
-    from some vertex in vertices[i] (P, V, 3), p being one point or one per
+    from some vertex of element targets[i], p being one point or one per
     candidate (P, 3); a candidate failing this cannot cut any open segment
     from the point to the target."""
     normals = arrays.normals[cols]
     offsets = arrays.plane_offsets[cols]
     tol = _PLANE_RTOL * arrays.diameters[cols]
     side_p = np.einsum("pj,pj->p", normals, np.broadcast_to(p, normals.shape)) - offsets
-    side_v = np.einsum("pvj,pj->pv", vertices, normals) - offsets[:, None]
-    above = (side_p > tol)[:, None] & (side_v < -tol[:, None])
-    below = (side_p < -tol)[:, None] & (side_v > tol[:, None])
-    return (above | below).any(axis=1)
+    above, below = side_p > tol, side_p < -tol
+    apart = np.zeros(len(cols), dtype=bool)
+    for v in range(arrays.vertices.shape[1]):
+        side_v = np.einsum("pj,pj->p", arrays.vertices[targets, v], normals) - offsets
+        apart |= (above & (side_v < -tol)) | (below & (side_v > tol))
+    return apart
 
 
 def _candidates(p, act: np.ndarray, sources, arr):
@@ -164,7 +166,7 @@ def _candidates(p, act: np.ndarray, sources, arr):
     reach = arr.circumradii[act][:, None] + arr.circumradii[None, :]
     keep &= (tax >= -reach) & (tax <= h[:, None] + reach) & (rad2 <= reach**2)
     rows, cols = np.nonzero(keep)
-    apart = _separates(p[rows], arr.vertices[act[rows]], arr, cols)
+    apart = _separates(p[rows], act[rows], arr, cols)
     return rows[apart], cols[apart]
 
 

@@ -153,6 +153,13 @@ def test_tri_flux_shapes_partition(a, b):
 # element_integral against independent references
 
 
+def _split_cells(element, p):
+    """The element's reference cells split toward the in-plane projection
+    of the point p, as a row plan keeps them."""
+    toward = intrinsic_projection(element, p[None, :])[0]
+    return quad_cells(toward) if element.is_quad else tri_cells(toward)
+
+
 def element_integral(p, n_p, element, kind, props, shape=None, report=None):
     """Banded quadrature of F_shape x kernel over one element for point p.
 
@@ -168,8 +175,7 @@ def element_integral(p, n_p, element, kind, props, shape=None, report=None):
         arrays = ElementArrays.from_elements([element])
         d = float(assembly.point_element_distances(p, arrays.vertices, arrays.normals)[0])
         order, split = assembly._band(d / element.diameter)
-        rule = element_rule(element, order, intrinsic_projection(element, p[None, :])[0]
-                            if split else None)
+        rule = element_rule(element, order, _split_cells(element, p) if split else None)
     diff = rule.points.T - p[:, None]
     dist = np.linalg.norm(diff, axis=0)
     cos_p, cos_r = sight_cosines(diff, dist, np.broadcast_to(element.normal[:, None], diff.shape),
@@ -469,15 +475,15 @@ def test_stacked_projections_match_single_calls():
 
 def _cube_row_near_quads():
     # Every near-band quad of the first wall row of cube r2, with the split
-    # points its row plan recorded.
+    # cells its row plan recorded.
     mesh, grid = builtin_case("cube", 2)
     asm = Assembler(mesh, grid)
     asm._plan_rows("b")
     plan = asm.row_plans[("b", 0)]
-    near = [j for j, toward in enumerate(plan.towards) if toward is not None]
+    near = [j for j, cells in enumerate(plan.cells) if cells is not None]
     elements = [mesh.elements[k] for k in plan.elements[near]]
     assert len(near) > 1 and all(e.is_quad for e in elements)
-    return elements, [plan.towards[j] for j in near]
+    return elements, [plan.cells[j] for j in near]
 
 
 # How far the factored quad map may round from the unfactored oracle: in
@@ -503,19 +509,19 @@ def test_stacked_quad_rules_match_element_rules(case):
     # vertex coordinate and weights to WEIGHT_RTOL, while the shape bases
     # keep their formulas and bits.
     if case == "cube_row":
-        elements, towards = _cube_row_near_quads()
+        elements, cells = _cube_row_near_quads()
+        cells = np.array(cells)
     elif case == "trapezoid":
-        elements, towards = _trapezoids(), [np.array([0.3, -0.6]), np.array([-0.9, 0.95])]
+        elements, cells = _trapezoids(), quad_cells(np.array([[0.3, -0.6], [-0.9, 0.95]]))
     else:
-        elements, towards = _trapezoids(), [np.array([1.7, -2.4]), np.array([-3.0, 0.2])]
+        elements, cells = _trapezoids(), quad_cells(np.array([[1.7, -2.4], [-3.0, 0.2]]))
     order = 6 * 2
     maps = np.array([e.quad_map for e in elements])
-    cells = quad_cells(np.array(towards))
     stacked = assembly._quad_cell_rule(maps, cells, order)
     uv, w = quad_rule(order)
     n = len(stacked.weights) // len(elements)
-    for i, (e, toward) in enumerate(zip(elements, towards)):
-        rule = element_rule(e, order, toward)
+    for i, e in enumerate(elements):
+        rule = element_rule(e, order, cells[i])
         cut = slice(i * n, (i + 1) * n)
         assert np.array_equal(stacked.points[cut], rule.points)
         assert np.array_equal(stacked.weights[cut], rule.weights)
@@ -577,15 +583,15 @@ def test_stacked_element_rules_match_single_calls(kind, split):
     # A row's near-band elements of one kind take one element_rule call;
     # the stacked rule must be the one-element rules joined, bit for bit.
     if kind == "quads":
-        elements, towards = _cube_row_near_quads()
+        elements, cells = _cube_row_near_quads()
         elements += _trapezoids()
-        towards += [np.array([0.3, -0.6]), np.array([-0.9, 0.95])]
+        cells += list(quad_cells(np.array([[0.3, -0.6], [-0.9, 0.95]])))
     else:
         elements = [e for e in make_dented_cube_mesh().elements if not e.is_quad]
-        towards = _TRI_TOWARDS
+        cells = [tri_cells(t) for t in _TRI_TOWARDS]
     order = assembly.NEAR_ORDER if split else 4
-    stacked = element_rule(elements, order, np.array(towards) if split else None)
-    singles = [element_rule(e, order, t if split else None) for e, t in zip(elements, towards)]
+    stacked = element_rule(elements, order, cells if split else None)
+    singles = [element_rule(e, order, c if split else None) for e, c in zip(elements, cells)]
     for field in ("points", "weights", "flux_shapes", "vertex_shapes"):
         joined = np.concatenate([getattr(rule, field) for rule in singles])
         assert np.array_equal(getattr(stacked, field), joined), field
@@ -673,7 +679,7 @@ def test_pair_rules_match_polygon_closures():
                 else:
                     d = assembly.point_element_distances(p, arr.vertices[[k]], arr.normals[[k]])
                     order, split = assembly._band(float(d[0] / arr.diameters[k]))
-                    assert split == (plan.towards[j] is not None)
+                    assert split == (plan.cells[j] is not None)
                     band = "near" if split else {4: "mid", 2: "far"}[order]
                     polygons = [mesh.elements[k].vertices]
                 exact = sum(_polygon_closure(p, poly, normal) for poly in polygons)
@@ -686,7 +692,8 @@ def test_pair_rules_match_polygon_closures():
 def test_row_plans_match_one_point_calls(case):
     # An equation's rows are planned together, one batched pass per stage;
     # each row's plan must hold what the one-point public calls give it:
-    # its active list, blockers, reports and split points, bit for bit.
+    # its active list, blockers, reports, and the cells of its near-band
+    # pairs split at their one-point projections, bit for bit.
     if case == "dented_cube":
         mesh = make_dented_cube_mesh()
         grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
@@ -719,10 +726,9 @@ def test_row_plans_match_one_point_calls(case):
             _, split = assembly._band(float(dists[j] / arr.diameters[k]))
             if split and report.classification is Classification.FULLY_VISIBLE:
                 near += 1
-                assert np.array_equal(plan.towards[j],
-                                      intrinsic_projection(mesh.elements[k], p[None, :])[0])
+                assert np.array_equal(plan.cells[j], _split_cells(mesh.elements[k], p))
             else:
-                assert plan.towards[j] is None
+                assert plan.cells[j] is None
     assert near > 0 and (partial > 0) == (case != "cube_r2")
 
 
@@ -1246,6 +1252,36 @@ def test_assembler_cache_reused_across_properties(monkeypatch, case):
     for a, b in ((warm_s.gmat, cold_s.gmat), (warm_s.fmat, cold_s.fmat), (warm_s.h, cold_s.h),
                  (warm_v.umat, cold_v.umat), (warm_v.vmat, cold_v.vmat), (warm_v.t, cold_v.t)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["cube_r2", "dented_cube"])
+def test_warm_points_build_no_reference_cells(monkeypatch, case):
+    # The row plans keep the near-band pairs' split cells, so a warm point
+    # maps them without one quad_cells or tri_cells call. The gray dented
+    # cube's near-band pairs include triangles.
+    if case == "cube_r2":
+        mesh, grid = builtin_case("cube", 2)
+    else:
+        mesh = make_dented_cube_mesh(emissivity=0.6)
+        grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
+    calls = []
+    for name in ("quad_cells", "tri_cells"):
+        def counted(*args, _name=name, _fn=getattr(assembly, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(assembly, name, counted)
+    asm = Assembler(mesh, grid)
+    asm.assemble_surface(props_for(mesh.diameter(), sigma_a=0.1))
+    asm.assemble_volume(props_for(mesh.diameter(), sigma_a=0.1))
+    near = [mesh.elements[k].is_quad for plan in asm.row_plans.values()
+            for k, cells in zip(plan.elements, plan.cells) if cells is not None]
+    assert any(near) and (case == "dented_cube") == (not all(near))
+    assert calls
+    calls.clear()
+    props = props_for(mesh.diameter(), sigma_a=0.45, sigma_s=0.66)
+    asm.assemble_surface(props)
+    asm.assemble_volume(props)
+    assert calls == []
 
 
 _WARM_CUBE_FAULTS = """

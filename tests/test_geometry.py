@@ -136,8 +136,8 @@ def four_way_cells(element):
     """The four midpoint cells: a quad split at its center, a triangle
     split toward a vertex, which is too close to the edges to fan from."""
     if element.is_quad:
-        return (0.0, 0.0), quad_cells((0.0, 0.0))
-    return (1.0, 0.0, 0.0), tri_cells((1.0, 0.0, 0.0))
+        return quad_cells((0.0, 0.0))
+    return tri_cells((1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -148,7 +148,7 @@ def test_subdivide4_partitions_area(verts):
     # The midline split cuts the element into four cells that tile it, and
     # the split rule integrates the area.
     parent = build_element(verts, emissivity=0.3)
-    toward, cells = four_way_cells(parent)
+    cells = four_way_cells(parent)
     assert len(cells) == 4
     assert np.all(cover_counts(parent, cells) == 1)
     children = [build_element(c) for c in cell_corners(parent, cells)]
@@ -156,7 +156,7 @@ def test_subdivide4_partitions_area(verts):
     for c in children:
         assert c.diameter <= parent.diameter * (1 + 1e-12)
         assert float(c.normal @ parent.normal) > 0.99
-    rule = element_rule(parent, 4, toward)
+    rule = element_rule(parent, 4, cells)
     assert abs(rule.weights.sum() - parent.area) <= 1e-12 * parent.area
 
 
@@ -175,7 +175,7 @@ def test_split_patch_matches_subdivide4_geometry():
     for verts in (UNIT_TRI, UNIT_QUAD):
         parent = build_element(verts)
         by_geometry = midpoint_subdivide4(parent.vertices)
-        by_cells = cell_corners(parent, four_way_cells(parent)[1])
+        by_cells = cell_corners(parent, four_way_cells(parent))
         assert len(by_cells) == len(by_geometry)
         for a, b in zip(by_geometry, by_cells):
             assert_allclose(np.array(a), b, atol=1e-15)
@@ -218,7 +218,7 @@ def test_tri_split_fans_only_from_inner_targets(toward, n_cells):
     if n_cells == 3:
         assert_allclose(cells[:, 0], np.broadcast_to(toward, (3, 3)))
     assert np.all(cover_counts(e, cells) == 1)
-    rule = element_rule(e, 4, toward)
+    rule = element_rule(e, 4, cells)
 
     def linear(x):
         return 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1] + 0.5 * x[..., 2]

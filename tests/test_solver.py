@@ -11,7 +11,7 @@ from conftest import make_cube_mesh
 from ritesolver.assembly import Assembler, SurfaceSystem, VolumeSystem
 from ritesolver.cli import builtin_case
 from ritesolver.geometry import SurfaceMesh, VoxelGrid
-from ritesolver.kernels import RadiativeProperties, blackbody_emission, solvability_margin
+from ritesolver.kernels import RadiativeProperties, solvability_margin
 from ritesolver.solver import (
     NotConverged,
     SingularInnerSystem,
@@ -26,18 +26,11 @@ def props_for(sigma_a, sigma_s, diameter=np.sqrt(3.0)):
                                domain_diameter=diameter)
 
 
-def assemble_cube(resolution, emissivity, sigma_a, sigma_s,
-                  wall_temperature=None, medium_temperature=None):
-    """Assemble both blocks for the built-in cube with overridden fields."""
+def assemble_cube(resolution, emissivity, sigma_a, sigma_s):
+    """Assemble both blocks for the built-in cube with uniform emissivity."""
     mesh, grid = builtin_case("cube", resolution)
-    temps = mesh.node_temperatures
-    if wall_temperature is not None:
-        temps = np.full(mesh.nodes.shape[0], float(wall_temperature))
     mesh = SurfaceMesh(mesh.nodes, mesh.element_nodes,
-                       np.full(len(mesh.elements), float(emissivity)), temps)
-    if medium_temperature is not None:
-        grid = VoxelGrid(grid.origin, grid.spacing, grid.dims,
-                         np.full(grid.n_cells, float(medium_temperature)))
+                       np.full(len(mesh.elements), float(emissivity)), mesh.node_temperatures)
     props = props_for(sigma_a, sigma_s, mesh.diameter())
     asm = Assembler(mesh, grid)
     return props, asm.assemble_surface(props), asm.assemble_volume(props)
@@ -111,19 +104,6 @@ def test_no_scattering_converges_in_one_sweep():
     # One more sweep by hand must reproduce the same fields exactly.
     g_again = volume.umat @ state.incident + volume.vmat @ state.q + volume.t
     assert np.array_equal(g_again, state.incident)
-
-
-def test_isothermal_cavity_stays_in_equilibrium():
-    temperature = 600.0
-    props, surface, volume = assemble_cube(
-        3, emissivity=0.8, sigma_a=1.0, sigma_s=0.5,
-        wall_temperature=temperature, medium_temperature=temperature,
-    )
-    state = solve_rites(surface, volume, props)
-    assert state.converged
-    emission = blackbody_emission(np.array([temperature]))[0]
-    assert np.abs(state.q).max() <= 0.02 * emission
-    assert np.abs(state.incident - 4.0 * emission).max() <= 0.02 * 4.0 * emission
 
 
 def test_scattering_cube_converges_geometrically():

@@ -343,8 +343,7 @@ def test_screen_drops_a_neighbour_across_a_shared_edge():
     # plane or behind it, where the cone build's slab clip leaves nothing.
     scene = edge_scene(0.0)
     assert screen_active_set(P_ABOVE, [0], scene)[0] == ()
-    assert visibility._separates(P_ABOVE, scene.arrays().vertices[[0]], scene.arrays(),
-                                 np.array([1]))[0]
+    assert visibility._separates(P_ABOVE, np.array([0]), scene.arrays(), np.array([1]))[0]
     assert classify_visibility(P_ABOVE, 0, screen_entry(P_ABOVE, 0, (1,), scene),
                                scene) is UNOBSTRUCTED
 
@@ -430,7 +429,7 @@ def test_screen_lists_only_blockers_casting_a_cone():
     scene = SurfaceMesh(np.array(BOTTOM + triangle), [(0, 1, 2, 3), (4, 5, 6)],
                         check_closed=False)
     arrays, floor, blocker = scene.arrays(), np.array([0]), np.array([1])
-    assert visibility._separates(P_ABOVE, arrays.vertices[floor], arrays, blocker)[0]
+    assert visibility._separates(P_ABOVE, floor, arrays, blocker)[0]
     assert visibility._cones(P_ABOVE, floor, blocker, arrays)[0] == [None]
     assert screen_active_set(P_ABOVE, [0], scene)[0] == ()
     assert classify_visibility(P_ABOVE, 0, (), scene) is UNOBSTRUCTED
