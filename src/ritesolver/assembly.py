@@ -668,7 +668,8 @@ class RowSumReport:
 
 
 class SolvabilityViolation(UserWarning):
-    """Uniqueness margin is non-positive; iteration may still converge."""
+    """Uniqueness margin is non-positive; the system may still have a unique
+    solution, which the direct solve then finds."""
 
 
 # ---------------------------------------------------------------------------

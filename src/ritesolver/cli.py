@@ -2,10 +2,10 @@
 
 Three subcommands cover the workflow. `generate` writes a mesh-plus-grid
 file for one of the builtin benchmark enclosures. `run` executes a full
-case from a JSON config: assembly, solvability screening, the outer
-iteration, the oracle suite, and CSV emission of line profiles, the
-convergence history, and the oracle table. `validate` runs the
-geometry-level oracle checks on a mesh without solving.
+case from a JSON config: solvability screening, assembly, the direct
+solve, the oracle suite, and CSV emission of line profiles and the oracle
+table. `validate` runs the geometry-level oracle checks on a mesh without
+solving.
 
 Builtin enclosures:
 
@@ -46,7 +46,7 @@ from ritesolver.geometry import (
     write_mesh_file,
 )
 from ritesolver.kernels import STEFAN_BOLTZMANN, RadiativeProperties, solvability_margin
-from ritesolver.solver import SolverConfig, solve_rites
+from ritesolver.solver import solve_rites
 from ritesolver.validation import (
     DEFAULT_ORACLE_SEED,
     report_table,
@@ -91,7 +91,10 @@ def _mesh_panels(panels, resolution: int):
     epsilon, temperature) with the in-plane axes ordered so that
     unit(a) x unit(b) points inward. resolution counts elements per unit
     length; panel extents must be integer multiples of 1/resolution for
-    neighboring panels to share nodes exactly.
+    neighboring panels to share nodes exactly. Only the lookup key is
+    rounded: a node keeps the coordinates it was first computed with, so
+    a spacing that is no short decimal, such as 1/3, adds no rounding
+    noise of 1e-10 to the mesh.
     """
     nodes: list[tuple] = []
     index: dict[tuple, int] = {}
@@ -102,7 +105,7 @@ def _mesh_panels(panels, resolution: int):
         if i is None:
             i = len(nodes)
             index[key] = i
-            nodes.append(key)
+            nodes.append(p)
         return i
 
     records = []
@@ -263,9 +266,7 @@ class ProfileSpec:
 _CONFIG_TYPES = {
     "sigma_a": (numbers.Real, "a number"),
     "sigma_s": (numbers.Real, "a number"),
-    "tolerance": (numbers.Real, "a number"),
     "reference_temperature": (numbers.Real, "a number"),
-    "max_iterations": (numbers.Integral, "an integer"),
     "seed": (numbers.Integral, "an integer"),
     "output": (str, "a string"),
     "dump_matrices": (bool, "true or false"),
@@ -280,8 +281,6 @@ class CaseConfig:
     mesh: str
     sigma_a: float
     sigma_s: float
-    tolerance: float = 1e-8
-    max_iterations: int = 200
     output: str = "out"
     seed: int = DEFAULT_ORACLE_SEED
     dump_matrices: bool = False
@@ -303,11 +302,10 @@ class CaseConfig:
         if temp is not None and not (math.isfinite(temp) and temp > 0.0):
             raise ConfigError(
                 f"bad config value: reference_temperature must be positive, got {temp!r}")
-        # The run builds both from these values; building them here turns a
-        # bad value into a ConfigError before any work starts.
+        # The run builds the medium from these values; building it here
+        # turns a bad value into a ConfigError before any work starts.
         try:
             self.radiative_properties(domain_diameter=1.0)
-            self.solver_config()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -315,10 +313,6 @@ class CaseConfig:
         """The configured medium inside an enclosure of the given diameter."""
         return RadiativeProperties(sigma_a=self.sigma_a, sigma_s=self.sigma_s,
                                    domain_diameter=domain_diameter)
-
-    def solver_config(self) -> SolverConfig:
-        """The configured outer-iteration controls."""
-        return SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
     @classmethod
     def from_dict(cls, data: dict, base_dir=".") -> "CaseConfig":
@@ -499,8 +493,8 @@ def _dump_visibility_csv(path, assembler: Assembler) -> None:
 def run_case(config: CaseConfig) -> RunResult:
     """Execute one configured case end to end and write all outputs.
 
-    The exit code in the result is zero exactly when the outer iteration
-    converged and every mandatory oracle passed.
+    The exit code in the result is zero exactly when every mandatory
+    oracle passed.
     """
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -520,15 +514,9 @@ def run_case(config: CaseConfig) -> RunResult:
     log.info("assembled %d wall rows and %d medium rows in %.1f s",
              surface.gmat.shape[0], volume.umat.shape[0], time.perf_counter() - t0)
 
-    state = solve_rites(surface, volume, props, config.solver_config())
-    log.info("solver %s after %d iterations",
-             "converged" if state.converged else "DID NOT CONVERGE", state.iterations)
-
-    with open(out_dir / "convergence.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual"])
-        for i, r in enumerate(state.residual_history, start=1):
-            writer.writerow([i, repr(float(r))])
+    state = solve_rites(surface, volume, props)
+    log.info("solved directly; the paper's outer iteration would contract at rho(M) = %.4f",
+             state.contraction_ratio)
 
     reports = standard_suite(
         mesh, grid, props, state=state, collocation=assembler.collocation
@@ -556,13 +544,12 @@ def run_case(config: CaseConfig) -> RunResult:
         json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    ok = state.converged and all(r.passed for r in reports)
     return RunResult(
         config=config,
         state=state,
         reports=tuple(reports),
         output_dir=out_dir,
-        exit_code=0 if ok else 1,
+        exit_code=0 if all(r.passed for r in reports) else 1,
     )
 
 
@@ -611,8 +598,6 @@ def validate_case(config: CaseConfig) -> int:
 # Flags that override one config key each: flag -> (key, add_argument options).
 _OVERRIDE_FLAGS = {
     "--out": ("output", dict(metavar="DIR", help="output directory (overrides the config)")),
-    "--tol": ("tolerance", dict(type=float, metavar="X", help="outer iteration tolerance")),
-    "--max-iter": ("max_iterations", dict(type=int, metavar="N", help="outer iteration cap")),
     "--dump-matrices": ("dump_matrices", dict(
         action="store_true", help="write the four operator blocks and load vectors as .npy")),
     "--dump-visibility": ("dump_visibility", dict(
@@ -644,7 +629,7 @@ def main(argv=None) -> int:
     gen.add_argument("--out", default=".", help="directory for the mesh file")
 
     run = sub.add_parser("run", help="solve a configured case")
-    _add_case_flags(run, ["--out", "--tol", "--max-iter", "--dump-matrices", "--dump-visibility"])
+    _add_case_flags(run, ["--out", "--dump-matrices", "--dump-visibility"])
 
     val = sub.add_parser("validate", help="oracle checks on a mesh, no solve")
     _add_case_flags(val, ["--out", "--seed"])
@@ -662,7 +647,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             result = run_case(config)
             print(f"exit status {result.exit_code} "
-                  f"({'ok' if result.exit_code == 0 else 'convergence or oracle failure'})")
+                  f"({'ok' if result.exit_code == 0 else 'oracle failure'})")
             return result.exit_code
         return validate_case(config)
     except (ConfigError, LineOutsideDomain, GeometryError, OSError) as exc:

@@ -78,8 +78,9 @@ class RadiativeProperties:
 def solvability_margin(props: RadiativeProperties, eps_min: float) -> tuple[float, bool]:
     """Uniqueness margin eps_min - sigma_s/(beta + sigma_s); positive is safe.
 
-    The margin is sufficient, not necessary: a violated margin downgrades
-    guarantees but does not preclude convergence.
+    The margin is sufficient, not necessary, for a unique solution: a
+    violated margin withdraws the guarantee, but the system may still be
+    uniquely solvable.
     """
     if not 0.0 < eps_min <= 1.0:
         raise ValueError(f"eps_min must lie in (0, 1], got {eps_min}")

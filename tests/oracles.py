@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ritesolver.geometry import cross3
+from ritesolver.kernels import blackbody_emission
 
 # Voxel breakpoints closer than this, in segment fraction, merge.
 _SPAN_MERGE_TOL = 1e-14
@@ -238,3 +239,27 @@ def quad_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     uu, vv = np.meshgrid(x, x, indexing="ij")
     return np.column_stack([uu.ravel(), vv.ravel()]), np.outer(w, w).ravel()
+
+
+def outer_iteration(surface, volume, tolerance, max_sweeps):
+    """The paper's two-level iteration, the route the direct solve replaced.
+
+    Starts from the local-equilibrium guess 4 sigma T^4 per cell. Each sweep
+    solves the wall system (I - Gmat) q = Fmat G + h with the current G,
+    then refreshes G <- Umat G + Vmat q + t. Stops after the first sweep
+    whose relative sup-norm change of G is at most tolerance, or after
+    max_sweeps. Returns (G, changes), the change of each sweep.
+    """
+    wall = np.eye(len(surface.h)) - surface.gmat
+    g = 4.0 * blackbody_emission(volume.cell_temperatures)
+    changes = []
+    for _ in range(max_sweeps):
+        q = np.linalg.solve(wall, surface.fmat @ g + surface.h)
+        g_next = volume.umat @ g + volume.vmat @ q + volume.t
+        scale = float(np.abs(g_next).max(initial=0.0))
+        change = float(np.abs(g_next - g).max(initial=0.0))
+        changes.append(change / scale if scale > 0.0 else change)
+        g = g_next
+        if changes[-1] <= tolerance:
+            break
+    return g, changes

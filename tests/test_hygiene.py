@@ -197,4 +197,4 @@ def test_package_runs_without_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "exit status 0" in run.stdout
-    assert (tmp_path / "run" / "convergence.csv").is_file()
+    assert (tmp_path / "run" / "oracles.csv").is_file()

@@ -215,7 +215,6 @@ def test_energy_balance_rejects_corrupted_state(solved_cube):
         incident=state.incident,
         converged=state.converged,
         iterations=state.iterations,
-        residual_history=state.residual_history,
         contraction_ratio=state.contraction_ratio,
     )
     report = energy_balance(broken, mesh, grid, props)

@@ -514,6 +514,21 @@ def test_screen_lists_overlapping_shadows_and_drops_the_rest(
         assert overlap_area(p, element, listed[0][1]) < visibility._SLIVER_RTOL * element.area
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the screen's separating step tolerates _CUT_RTOL of the target's diameter, a width, "
+    "while the clipper keeps a shadow above _SLIVER_RTOL of the target's area, an area: "
+    "the screen drops this pair, yet the clipper alone cuts 7.9e-12 of the area from it"))
+@pytest.mark.filterwarnings("ignore::hypothesis.errors.HypothesisDeprecationWarning")
+def test_screen_drops_a_pair_the_clipper_alone_cuts_a_sliver_from():
+    # A draw hypothesis once found for the test above, pinned so that it
+    # runs every time until the two tolerances are made to agree. The inner
+    # function's assume calls warn outside a property test; they all hold.
+    test_screen_lists_overlapping_shadows_and_drops_the_rest.hypothesis.inner_test(
+        jitter=[0.5, 0.0, 0.0, 0.0], stretch=1.5, shear=0.25, p=np.array([1.0, 1.0, 0.0546875]),
+        corner=2, shared="vertex", lean=(0.0, 0.0), reach=np.array([-0.9375, 0.0, -0.34375]),
+        spread=np.array([0.0, 0.875, -0.75]), away=np.array([-1.0, 0.0, 1.0]), offset=1e-10)
+
+
 @pytest.mark.parametrize("case", ["dented_cube", "turned_dented_cube", "lshape_r1"])
 def test_row_batched_clipper_matches_pair_by_pair(case):
     # A row's shadow cones are built in one padded pass. Each listed cone
