@@ -18,7 +18,8 @@ Chord integrals over the medium resolve into exact per-cell attenuation
 factors, so each matrix entry is a closed form over the traversed cells.
 
 Integrals are evaluated with distance-banded Gauss quadrature (escalating
-order, and one split as the source point approaches the element). Every
+order, and one split as the source point approaches the element; a wall
+receiver's split elements away from it take a lower order). Every
 rule is laid out on reference cells in root intrinsic coordinates (see
 geometry.quad_cells and geometry.tri_cells) and mapped through the Gauss
 rule for all cells at once: one cell away from the source point, and in the
@@ -86,10 +87,19 @@ __all__ = [
 # Distance bands in units of element diameter: beyond FAR_BAND the Gauss
 # order is 2, between the bands 4, and inside NEAR_BAND NEAR_ORDER with the
 # element split once toward the source point, so the integrand peak sits at
-# a corner of every reference cell.
+# a corner of every reference cell. A wall receiver's fully visible pairs
+# beyond GRADED_BAND take GRADED_ORDER on the same split cells: measured
+# against the exact closures on cube r2, lshape r1 and the dented cube,
+# order 8 there errs by at most 1.4e-8 per pair, within the near band's
+# bound, while order 7 moves the dented cube's solution by 2.7e-4. Interior
+# receivers keep NEAR_ORDER throughout (order 8 on their pairs beyond 0.5
+# diameters moves cube r3's G by 3.6e-6), and so do the visible triangles
+# of partly visible pairs (see visible_rule).
 FAR_BAND = 4.0
 NEAR_BAND = 1.0
 NEAR_ORDER = 12
+GRADED_BAND = 0.3
+GRADED_ORDER = 8
 
 _GAUSS_OFFSET = 1.0 / np.sqrt(3.0)
 
@@ -318,17 +328,19 @@ def _shaped_rule(element: SurfaceElement, points, weights, coords,
     return ElementRule(np.asfortranarray(points), weights, fshape.T if flux else None, vertex.T)
 
 
-def element_rule(element: SurfaceElement | list[SurfaceElement], order: int,
+def element_rule(element: SurfaceElement | list[SurfaceElement], order,
                  cells=None, flux: bool = True) -> ElementRule:
     """Quadrature rule over the reference cells of whole elements.
 
     element is one SurfaceElement or a sequence of elements of one kind,
     whose rules are concatenated element by element; each element's part
-    equals its rule alone, bit for bit. cells holds the element's
-    quad_cells boxes or tri_cells corner sets, one array per element of a
-    sequence (quads with as many boxes each); None takes each element
-    whole. With flux false the rule carries no flux shapes, which only a
-    reflecting source element's row reads.
+    equals its rule alone, bit for bit. order is one Gauss order, or one
+    per element of a sequence; each run of consecutive elements of one
+    order is mapped in one pass. cells holds the element's quad_cells boxes
+    or tri_cells corner sets, one array per element of a sequence (quads
+    with as many boxes each); None takes each element whole. With flux
+    false the rule carries no flux shapes, which only a reflecting source
+    element's row reads.
     """
     one = isinstance(element, SurfaceElement)
     elements = [element] if one else list(element)
@@ -336,13 +348,31 @@ def element_rule(element: SurfaceElement | list[SurfaceElement], order: int,
         cells = [quad_cells() if elements[0].is_quad else tri_cells()] * len(elements)
     elif one:
         cells = [cells]
+    orders = list(order) if np.iterable(order) else [order] * len(elements)
+    cuts = [i for i in range(1, len(orders)) if orders[i] != orders[i - 1]]
+    runs = [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(orders)])]
     if elements[0].is_quad:
-        return _quad_cell_rule(np.array([e.quad_map for e in elements]), np.array(cells),
-                               order, flux)
+        maps = np.array([e.quad_map for e in elements])
+        return _joined([_quad_cell_rule(maps[run], np.array(cells[run]), orders[run.start], flux)
+                        for run in runs])
     verts = np.array([e.vertices for e in elements])
-    points, weights, coords = _tri_cell_rule(np.repeat(verts, [len(c) for c in cells], axis=0),
-                                             np.concatenate(cells), order)
+    parts = [_tri_cell_rule(np.repeat(verts[run], [len(c) for c in cells[run]], axis=0),
+                            np.concatenate(cells[run]), orders[run.start]) for run in runs]
+    points, weights, coords = (np.concatenate(field) for field in zip(*parts))
     return _shaped_rule(elements[0], points, weights, coords, flux)
+
+
+def _joined(rules: list[ElementRule]) -> ElementRule:
+    """Rules concatenated along their points, kept column-major."""
+    if len(rules) == 1:
+        return rules[0]
+
+    def join(field):
+        return np.concatenate([getattr(rule, field).T for rule in rules], axis=1).T
+
+    return ElementRule(join("points"), np.concatenate([rule.weights for rule in rules]),
+                       join("flux_shapes") if rules[0].flux_shapes is not None else None,
+                       join("vertex_shapes"))
 
 
 def _barycentric(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -516,12 +546,16 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
     return coords
 
 
-def _band(d: float) -> tuple[int, bool]:
-    """Gauss order and whether to split, for distance over diameter d."""
+def _band(d: float, wall: bool = False) -> tuple[int, bool]:
+    """Gauss order and whether to split, for distance over diameter d;
+    wall is true for a whole element seen from a wall receiver, whose near
+    band is graded at GRADED_BAND."""
     if d > FAR_BAND:
         return 2, False
     if d > NEAR_BAND:
         return 4, False
+    if wall and d > GRADED_BAND:
+        return GRADED_ORDER, True
     return NEAR_ORDER, True
 
 
@@ -696,7 +730,9 @@ class RowPlan:
     classify_visibility call. cells holds the reference cells of a
     near-band, fully visible element, quad_cells boxes or tri_cells corner
     sets that meet at the source point's in-plane projection (None
-    elsewhere); the plan alone decides that split.
+    elsewhere); the plan alone decides that split. orders holds the Gauss
+    order of those cells, NEAR_ORDER or, for a wall row's pair beyond
+    GRADED_BAND, GRADED_ORDER (None elsewhere).
     """
 
     elements: np.ndarray        # (a,) element ids
@@ -704,6 +740,7 @@ class RowPlan:
     screens: tuple
     visibility: tuple[VisibilityReport, ...]
     cells: tuple
+    orders: tuple
 
 
 def _per_point(per_element: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -719,18 +756,18 @@ class Assembler:
     Geometry is cached on the instance, so sweeping radiative properties
     over a fixed geometry pays for it once. row_plans maps each row (kind
     "b" or "i", index) to its RowPlan: active elements, blocker lists,
-    VisibilityReports, near-band reference cells and every rule that does
-    not change between property points. The first assembly of an equation
-    plans all its rows in batched passes, one per stage (see _plan_rows).
-    Whole-element rules away from the source point are cached per
-    (element, order) and shared between plans. Near-band rules of fully
-    visible elements are rebuilt from the plan's cells at every property
-    point, in one call per element kind whose rule the row takes whole.
-    The quads' call runs their factored bilinear maps, whose coefficients
-    each element computes once, on the first row that needs them, and
-    keeps. The wall nodes' emission and the grid's plane coordinates are
-    kept too, from the first wall row and the first chord pass on; none
-    of these is computed at construction.
+    VisibilityReports, near-band reference cells and orders, and every
+    rule that does not change between property points. The first assembly
+    of an equation plans all its rows in batched passes, one per stage
+    (see _plan_rows). Whole-element rules away from the source point are
+    cached per (element, order) and shared between plans. Near-band rules
+    of fully visible elements are rebuilt from the plan's cells and orders
+    at every property point, in one call per element kind whose rule the
+    row takes whole. The quads' call runs their factored bilinear maps,
+    whose coefficients each element computes once, on the first row that
+    needs them, and keeps. The wall nodes' emission and the grid's plane
+    coordinates are kept too, from the first wall row and the first chord
+    pass on; none of these is computed at construction.
 
     Each row runs two passes over its quadrature points. The wall pass
     writes the direct source and, when some element the row sees reflects
@@ -823,7 +860,8 @@ class Assembler:
         then over all active pairs, one point per pair, the distances and
         the blocker screen, a clipper call per listed pair, one
         visible_rule call for the partly visible pairs and one projection
-        of the near-band split points per element kind, then their cells.
+        of the near-band split points per element kind, then their cells;
+        each near-band pair's order comes with its band (see _band).
         Each stage gives every pair the bits its row's own call gives it.
         """
         col, arr, mesh = self.collocation, self.arrays, self.mesh
@@ -850,13 +888,15 @@ class Assembler:
                    / arr.diameters[idx])
             screens = screen_active_set(p, idx, mesh, take(sources, rows))
             rules, visibility, near = [], [], []
+            orders = [None] * idx.size
             for j, (k, d, screened) in enumerate(zip(idx.tolist(), rel, screens)):
-                order, split = _band(float(d))
+                order, split = _band(float(d), kind == "b")
                 vis = classify_visibility(p[j], k, screened, mesh) if screened else UNOBSTRUCTED
                 rule = None
                 if vis.classification is Classification.FULLY_VISIBLE:
                     if split:
                         near.append(j)
+                        orders[j] = order
                     else:
                         rule = self._cached_rule(k, order)
                 rules.append(rule)
@@ -884,6 +924,7 @@ class Assembler:
                     elements=idx[pairs], rules=tuple(rules[pairs]),
                     screens=tuple(tuple(b for b, _ in screened) for screened in screens[pairs]),
                     visibility=tuple(visibility[pairs]), cells=tuple(cells[pairs]),
+                    orders=tuple(orders[pairs]),
                 )
 
     def _by_kind(self, elements: np.ndarray, picked: list[int]) -> list[list[int]]:
@@ -902,8 +943,9 @@ class Assembler:
         otherwise (points, weights, elements, counts, flux_shapes,
         vertex_shapes), element by element: counts[i] points come from
         element elements[i]. Each kind's near-band rule is one element_rule
-        call over the plan's cells and one block of the row, quads first,
-        then triangles, each in the plan's order; the kept rules follow.
+        call over the plan's cells and orders and one block of the row,
+        quads first, then triangles, each NEAR_ORDER elements first, then
+        GRADED_ORDER ones, in the plan's order; the kept rules follow.
         Points (3, n) and shapes (4, n) are component-major and
         C-contiguous, the rules' transposes joined along the points. On a
         mesh where no element reflects, flux_shapes is None and the
@@ -913,15 +955,16 @@ class Assembler:
         near = [j for j, c in enumerate(plan.cells) if c is not None]
         rules, placed, counts = [], [], []
         for group in self._by_kind(plan.elements, near):
-            # A kind's near-band elements share one order, one call and one
-            # block of the row, in which each takes its cells' points.
+            # A kind's near-band elements share one call and one block of
+            # the row, grouped by order, in which each takes its cells'
+            # points, order squared per cell.
+            group.sort(key=plan.orders.__getitem__, reverse=True)
             cells = [plan.cells[j] for j in group]
-            rule = element_rule([self.mesh.elements[plan.elements[j]] for j in group],
-                                NEAR_ORDER, cells, flux=self._reflects)
-            per_cell = len(rule.weights) // sum(len(c) for c in cells)
-            rules.append(rule)
+            orders = [plan.orders[j] for j in group]
+            rules.append(element_rule([self.mesh.elements[plan.elements[j]] for j in group],
+                                      orders, cells, flux=self._reflects))
             placed += group
-            counts += [len(c) * per_cell for c in cells]
+            counts += [len(c) * o * o for c, o in zip(cells, orders)]
         kept = [j for j, rule in enumerate(plan.rules) if rule is not None]
         rules += [plan.rules[j] for j in kept]
         placed += kept

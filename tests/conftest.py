@@ -60,6 +60,18 @@ def make_dented_cube_mesh(emissivity=1.0) -> SurfaceMesh:
     return SurfaceMesh(nodes, DENTED_FACES, emissivity, np.full(len(nodes), 500.0))
 
 
+def unshare_nodes(mesh: SurfaceMesh, element_temperatures, emissivity=1.0) -> SurfaceMesh:
+    """mesh with no node shared between elements and every element's nodes
+    at its own temperature, so that each element emits uniformly; the mesh
+    is then closed only geometrically."""
+    sizes = [len(en) for en in mesh.element_nodes]
+    nodes = mesh.nodes[np.concatenate(mesh.element_nodes)]
+    ends = np.cumsum(sizes)
+    elements = [tuple(range(end - size, end)) for end, size in zip(ends, sizes)]
+    return SurfaceMesh(nodes, elements, np.full(len(elements), emissivity),
+                       np.repeat(element_temperatures, sizes), check_closed=False)
+
+
 @pytest.fixture
 def cube_mesh() -> SurfaceMesh:
     return make_cube_mesh()

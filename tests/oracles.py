@@ -11,6 +11,13 @@ import numpy as np
 
 from ritesolver.geometry import cross3
 from ritesolver.kernels import blackbody_emission
+from ritesolver.validation import _polygon_closure
+from ritesolver.visibility import (
+    Classification,
+    build_active_list,
+    classify_visibility,
+    screen_active_set,
+)
 
 # Voxel breakpoints closer than this, in segment fraction, merge.
 _SPAN_MERGE_TOL = 1e-14
@@ -263,3 +270,24 @@ def outer_iteration(surface, volume, tolerance, max_sweeps):
         if changes[-1] <= tolerance:
             break
     return g, changes
+
+
+def transparent_black_flux(mesh, collocation, emission):
+    """Net flux at every wall node of a black enclosure around a transparent
+    medium, each element e emitting emission[e] uniformly:
+
+        q(x) = sum_e emission[e] F(x -> visible part of e) - emission at x,
+
+    each view factor F the closed-form contour integral over the element or
+    the clipper's visible polygons, over pi."""
+    col = collocation
+    q = -emission[col.boundary_element]
+    for r, (p, normal, own) in enumerate(zip(col.boundary_points, col.boundary_normals,
+                                             col.boundary_element.tolist())):
+        active = build_active_list(p, normal, mesh, source_element=own)
+        for k, screened in zip(active.tolist(), screen_active_set(p, active, mesh, own)):
+            report = classify_visibility(p, k, screened, mesh)
+            full = report.classification is Classification.FULLY_VISIBLE
+            polygons = [mesh.elements[k].vertices] if full else report.visible
+            q[r] += emission[k] * sum(_polygon_closure(p, poly, normal) for poly in polygons) / math.pi
+    return q
