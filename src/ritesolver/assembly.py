@@ -23,14 +23,16 @@ receiver's split elements away from it take a lower order). Every
 rule is laid out on reference cells in root intrinsic coordinates (see
 geometry.quad_cells and geometry.tri_cells) and mapped through the Gauss
 rule for all cells at once: one cell away from the source point, and in the
-near band cells that meet at its in-plane projection. A quad's cells map
-through its factored bilinear map, x = (a + b xi) + (c + d xi) eta with the
-affine Jacobian (j0 + j1 xi) + j2 eta (geometry.bilinear_coefficients),
-which the element keeps after its first use. Fully visible elements take
-tensor or triangle rules on the whole element; partly visible ones take
-triangle rules on each visible triangle the shadow clipper returns, with
-shape functions evaluated at the root intrinsic coordinates of the
-quadrature points.
+near band cells that meet at its in-plane projection. A wall receiver cuts
+a near-band quad only along the coordinates on which that projection falls
+on or near the quad, so the quad takes four, two or one boxes. A quad's
+cells map through its factored bilinear map, x = (a + b xi) + (c + d xi)
+eta with the affine Jacobian (j0 + j1 xi) + j2 eta
+(geometry.bilinear_coefficients), which the element keeps after its first
+use. Fully visible elements take tensor or triangle rules on the whole
+element; partly visible ones take triangle rules on each visible triangle
+the shadow clipper returns, with shape functions evaluated at the root
+intrinsic coordinates of the quadrature points.
 """
 
 from __future__ import annotations
@@ -261,27 +263,29 @@ class ElementRule:
 
 def _quad_cell_rule(maps: np.ndarray, cells: np.ndarray, order: int,
                     flux: bool = True) -> ElementRule:
-    """Tensor rule mapped into every box of a stack of quads at once.
+    """Tensor rule mapped into a stack of boxes at once, each in its own
+    quad.
 
-    maps is (m, 5, 3), the quads' bilinear_coefficients, and cells (m, c, 4)
-    the boxes of each quad. Returns the rule quad by quad and box by box;
-    each quad's part equals what it gives alone, bit for bit. Each box's
-    points form an order x order grid with xi along the first axis and eta
-    along the second, and the factored map runs along that grid: a + b xi,
-    c + d xi and the Jacobian's j0 + j1 xi are formed at the box's order
-    distinct xi values, j2 eta at its eta values. A point then costs one
-    multiply and one add per coordinate, and its weight, the Jacobian
-    times the box's tensor Gauss weight, three more operations. The shape
-    bases broadcast the same way; flux shapes are left out unless flux is
-    true.
+    cells is (m, 4), the boxes, and maps (m, 5, 3) the bilinear_coefficients
+    of the quad each box lies in, so a quad split into c boxes repeats its
+    map c times and quads with different numbers of boxes share one pass.
+    Returns the rule box by box; each box's part equals what it gives
+    alone, bit for bit. Each box's points form an order x order grid with
+    xi along the first axis and eta along the second, and the factored map
+    runs along that grid: a + b xi, c + d xi and the Jacobian's j0 + j1 xi
+    are formed at the box's order distinct xi values, j2 eta at its eta
+    values. A point then costs one multiply and one add per coordinate,
+    and its weight, the Jacobian times the box's tensor Gauss weight, three
+    more operations. The shape bases broadcast the same way; flux shapes
+    are left out unless flux is true.
     """
     x, w = _gauss_1d(order)
-    xi0, xi1, eta0, eta1 = np.moveaxis(cells, -1, 0)[..., None]
-    xs = xi0 + 0.5 * (x + 1.0) * (xi1 - xi0)          # (m, c, o)
+    xi0, xi1, eta0, eta1 = cells.T[..., None]
+    xs = xi0 + 0.5 * (x + 1.0) * (xi1 - xi0)          # (m, o)
     es = eta0 + 0.5 * (x + 1.0) * (eta1 - eta0)
-    a, b, c, d, j = maps.transpose(1, 2, 0)[..., None, None]  # (3, m, 1, 1) each
-    xi, eta = xs[..., :, None], es[..., None, :]      # (m, c, o, 1), (m, c, 1, o)
-    points = (a + b * xs)[..., None] + (c + d * xs)[..., None] * eta   # (3, m, c, o, o)
+    a, b, c, d, j = maps.transpose(1, 2, 0)[..., None]  # (3, m, 1) each
+    xi, eta = xs[..., :, None], es[..., None, :]      # (m, o, 1), (m, 1, o)
+    points = (a + b * xs)[..., None] + (c + d * xs)[..., None] * eta   # (3, m, o, o)
     jacobian = (j[0] + j[1] * xs)[..., None] + (j[2] * es)[..., None, :]
     weights = jacobian * ((0.25 * (xi1 - xi0) * (eta1 - eta0) * w)[..., None] * w)
     return ElementRule(points.reshape(3, -1).T, weights.ravel(),
@@ -336,9 +340,10 @@ def element_rule(element: SurfaceElement | list[SurfaceElement], order,
     whose rules are concatenated element by element; each element's part
     equals its rule alone, bit for bit. order is one Gauss order, or one
     per element of a sequence; each run of consecutive elements of one
-    order is mapped in one pass. cells holds the element's quad_cells boxes
-    or tri_cells corner sets, one array per element of a sequence (quads
-    with as many boxes each); None takes each element whole. With flux
+    order is mapped in one pass, all of a quad run's boxes in one
+    _quad_cell_rule call, however many each quad has. cells holds the
+    element's quad_cells boxes or tri_cells corner sets, one array per
+    element of a sequence; None takes each element whole. With flux
     false the rule carries no flux shapes, which only a reflecting source
     element's row reads.
     """
@@ -353,7 +358,9 @@ def element_rule(element: SurfaceElement | list[SurfaceElement], order,
     runs = [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(orders)])]
     if elements[0].is_quad:
         maps = np.array([e.quad_map for e in elements])
-        return _joined([_quad_cell_rule(maps[run], np.array(cells[run]), orders[run.start], flux)
+        boxes = [len(c) for c in cells]
+        return _joined([_quad_cell_rule(np.repeat(maps[run], boxes[run], axis=0),
+                                        np.concatenate(cells[run]), orders[run.start], flux)
                         for run in runs])
     verts = np.array([e.vertices for e in elements])
     parts = [_tri_cell_rule(np.repeat(verts[run], [len(c) for c in cells[run]], axis=0),
@@ -730,9 +737,11 @@ class RowPlan:
     classify_visibility call. cells holds the reference cells of a
     near-band, fully visible element, quad_cells boxes or tri_cells corner
     sets that meet at the source point's in-plane projection (None
-    elsewhere); the plan alone decides that split. orders holds the Gauss
-    order of those cells, NEAR_ORDER or, for a wall row's pair beyond
-    GRADED_BAND, GRADED_ORDER (None elsewhere).
+    elsewhere): an interior row's quads take four boxes, a wall row's four,
+    two or one, cut only along the coordinates on which the projection
+    falls within 1.1 of the quad's centre. The plan alone decides that
+    split. orders holds the Gauss order of those cells, NEAR_ORDER or, for
+    a wall row's pair beyond GRADED_BAND, GRADED_ORDER (None elsewhere).
     """
 
     elements: np.ndarray        # (a,) element ids
@@ -914,7 +923,8 @@ class Assembler:
             for group in self._by_kind(idx, near):
                 elements = [mesh.elements[idx[j]] for j in group]
                 towards = intrinsic_projection(elements, p[group])
-                split = quad_cells(towards) if elements[0].is_quad else map(tri_cells, towards)
+                split = (quad_cells(towards, kind == "b") if elements[0].is_quad
+                         else map(tri_cells, towards))
                 for j, c in zip(group, split):
                     cells[j] = c
             ends = np.cumsum(counts[run]).tolist()

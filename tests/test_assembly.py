@@ -153,11 +153,12 @@ def test_tri_flux_shapes_partition(a, b):
 # element_integral against independent references
 
 
-def _split_cells(element, p):
+def _split_cells(element, p, wall=False):
     """The element's reference cells split toward the in-plane projection
-    of the point p, as a row plan keeps them."""
+    of the point p, as a row plan keeps them; wall is true for a wall
+    receiver's."""
     toward = intrinsic_projection(element, p[None, :])[0]
-    return quad_cells(toward) if element.is_quad else tri_cells(toward)
+    return quad_cells(toward, wall) if element.is_quad else tri_cells(toward)
 
 
 def element_integral(p, n_p, element, kind, props, shape=None, report=None):
@@ -499,30 +500,34 @@ def _trapezoids():
 
 @pytest.mark.parametrize("case", ["cube_row", "trapezoid", "toward_outside"])
 def test_stacked_quad_rules_match_element_rules(case):
-    # Near-band quads of a row are mapped in one stacked call; each part
-    # must equal the element's own rule bit for bit, including a split
-    # point off the element, which the margin clamps. The rule runs the
-    # factored map along each box's distinct xi and eta values; the oracle
-    # maps every point of the tensor grid through the corner products and
-    # takes the Jacobian as the norm of the tangents' cross product. The
-    # two round differently: points agree to POINT_ATOL times the largest
-    # vertex coordinate and weights to WEIGHT_RTOL, while the shape bases
-    # keep their formulas and bits.
+    # Near-band quads of a row are mapped in one stacked call over all
+    # their boxes, each box with its quad's map; each quad's part must
+    # equal the element's own rule bit for bit, for the cube row's quads
+    # of four, two and one boxes and for a split point off the element,
+    # which the margin clamps. The rule runs the factored map along each
+    # box's distinct xi and eta values; the oracle maps every point of the
+    # tensor grid through the corner products and takes the Jacobian as the
+    # norm of the tangents' cross product. The two round differently:
+    # points agree to POINT_ATOL times the largest vertex coordinate and
+    # weights to WEIGHT_RTOL, while the shape bases keep their formulas and
+    # bits.
     if case == "cube_row":
         elements, cells = _cube_row_near_quads()
-        cells = np.array(cells)
     elif case == "trapezoid":
         elements, cells = _trapezoids(), quad_cells(np.array([[0.3, -0.6], [-0.9, 0.95]]))
     else:
         elements, cells = _trapezoids(), quad_cells(np.array([[1.7, -2.4], [-3.0, 0.2]]))
     order = 6 * 2
-    maps = np.array([e.quad_map for e in elements])
-    stacked = assembly._quad_cell_rule(maps, cells, order)
+    boxes = [len(c) for c in cells]
+    assert set(boxes) == ({1, 2, 4} if case == "cube_row" else {4})
+    maps = np.repeat([e.quad_map for e in elements], boxes, axis=0)
+    stacked = assembly._quad_cell_rule(maps, np.concatenate(cells), order)
     uv, w = quad_rule(order)
-    n = len(stacked.weights) // len(elements)
+    ends = np.cumsum(boxes) * len(w)
+    assert ends[-1] == len(stacked.weights)
     for i, e in enumerate(elements):
         rule = element_rule(e, order, cells[i])
-        cut = slice(i * n, (i + 1) * n)
+        cut = slice(ends[i] - boxes[i] * len(w), ends[i])
         assert np.array_equal(stacked.points[cut], rule.points)
         assert np.array_equal(stacked.weights[cut], rule.weights)
         assert np.array_equal(stacked.flux_shapes[cut], rule.flux_shapes)
@@ -652,6 +657,22 @@ def test_row_visible_rules_match_single_elements():
 # GRADED_ORDER rather than NEAR_ORDER.
 _BAND_RTOL = {"near": 1.5 * 5.78e-8, "mid": 1.5 * 3.13e-6, "far": 1.5 * 2.43e-5,
               "partial": 1.5 * 8.52e-5, "graded": 1.5 * 5.12e-10}
+# The builtin cube through a shear, so its faces meet at acute and obtuse
+# dihedral angles the builtins lack, and its near-band bounds: 1.5 times the
+# largest measured over its wall rows. Its worst near pair, at 0.104
+# diameters with its foot inside the element at (-0.83, 0.54), is the limit
+# of NEAR_ORDER, not of the split.
+_SHEAR = np.array([[0.8, 0.4, -0.3], [0.2, 0.9, 0.3], [0.1, -0.4, 0.7]])
+_SHEARED_RTOL = {"near": 1.5 * 8.93e-6, "graded": 1.5 * 2.48e-7}
+
+
+def _sheared_cube_r2():
+    """Black cube r2 through _SHEAR, on a 4 x 4 x 4 grid over its box."""
+    mesh, _ = builtin_case("cube", 2)
+    nodes = mesh.nodes @ _SHEAR.T
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    return (SurfaceMesh(nodes, mesh.element_nodes, node_temperatures=mesh.node_temperatures),
+            VoxelGrid(lo, (hi - lo) / 4.0, [4, 4, 4]))
 
 
 def _gathered_pair_sums(asm, kind, r, p, normal):
@@ -672,20 +693,27 @@ def test_pair_rules_match_polygon_closures():
     # others cached or clipped to the visible triangles), summed against the
     # transparent kernel, against validation._polygon_closure over the
     # element or its visible triangles: every row of cube r2 and lshape r1,
-    # and the y = 3 end-wall rows of lshape r2, whose far end wall is the
-    # far band.
+    # the y = 3 end-wall rows of lshape r2, whose far end wall is the far
+    # band, and the wall rows of the sheared cube r2, whose near and graded
+    # pairs have bounds of their own (its grid's cell centres are not
+    # placed off its slanted walls as the builtins' are, so its interior
+    # rows are left out). Wall rows cut a near-band quad in four, two or
+    # one boxes, as the foot of the point falls; all three occur.
     worst = dict.fromkeys(_BAND_RTOL, 0.0)
+    sheared = dict.fromkeys(_SHEARED_RTOL, 0.0)
     graded_pairs = 0
-    for kind, resolution, far_end in (("cube", 2, False), ("lshape", 1, False),
-                                      ("lshape", 2, True)):
-        mesh, grid = builtin_case(kind, resolution)
+    wall_boxes = set()
+    cases = [(builtin_case("cube", 2), worst, False), (builtin_case("lshape", 1), worst, False),
+             (builtin_case("lshape", 2), worst, True), (_sheared_cube_r2(), sheared, False)]
+    for (mesh, grid), worst_of, far_end in cases:
         asm = Assembler(mesh, grid)
         col, arr = asm.collocation, asm.arrays
         asm._plan_rows("b")
-        asm._plan_rows("i")
         rows = [("b", r, col.boundary_points[r], col.boundary_normals[r])
                 for r in range(col.n_boundary)]
-        rows += [("i", r, p, None) for r, p in enumerate(col.interior_points)]
+        if worst_of is worst:
+            asm._plan_rows("i")
+            rows += [("i", r, p, None) for r, p in enumerate(col.interior_points)]
         for row_kind, r, p, normal in rows:
             if far_end and p[1] < 2.9:
                 continue
@@ -703,14 +731,21 @@ def test_pair_rules_match_polygon_closures():
                         graded = plan.orders[j] < assembly.NEAR_ORDER
                         graded_pairs += graded
                         band = "graded" if graded else "near"
+                        if row_kind == "b" and mesh.elements[k].is_quad:
+                            wall_boxes.add(len(plan.cells[j]))
                     else:
                         band = {4: "mid", 2: "far"}[order]
                     polygons = [mesh.elements[k].vertices]
+                if band not in worst_of:
+                    continue
                 exact = sum(_polygon_closure(p, poly, normal) for poly in polygons)
-                worst[band] = max(worst[band], abs(got - exact) / exact)
+                worst_of[band] = max(worst_of[band], abs(got - exact) / exact)
     assert graded_pairs > 0
+    assert wall_boxes == {1, 2, 4}
     for band, rtol in _BAND_RTOL.items():
         assert 0.0 < worst[band] <= rtol, band
+    for band, rtol in _SHEARED_RTOL.items():
+        assert 0.0 < sheared[band] <= rtol, band
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -751,7 +786,10 @@ def test_row_plans_match_one_point_calls(case):
     # each row's plan must hold what the one-point public calls give it:
     # its active list, blockers, reports, and the cells of its near-band
     # pairs split at their one-point projections, bit for bit, with the
-    # order the band gives a wall or an interior receiver.
+    # order the band gives a wall or an interior receiver. Interior rows
+    # cut every near-band quad into four boxes; wall rows on the builtins
+    # also take two or one where the foot lies beyond the quad, while the
+    # dented cube's wall feet all reach their quads.
     if case == "dented_cube":
         mesh = make_dented_cube_mesh()
         grid = VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2], np.full(8, 1000.0))
@@ -766,6 +804,7 @@ def test_row_plans_match_one_point_calls(case):
     rows += [("i", r, p, None, None) for r, p in enumerate(col.interior_points)]
     assert len(asm.row_plans) == len(rows)
     partial = near = 0
+    boxes = {"b": set(), "i": set()}
     for kind, r, p, normal, own in rows:
         plan = asm.row_plans[(kind, r)]
         active = build_active_list(p, normal, mesh, source_element=own)
@@ -784,11 +823,14 @@ def test_row_plans_match_one_point_calls(case):
             order, split = assembly._band(float(dists[j] / arr.diameters[k]), kind == "b")
             if split and report.classification is Classification.FULLY_VISIBLE:
                 near += 1
-                assert np.array_equal(plan.cells[j], _split_cells(mesh.elements[k], p))
+                assert np.array_equal(plan.cells[j], _split_cells(mesh.elements[k], p, kind == "b"))
                 assert plan.orders[j] == order
+                if mesh.elements[k].is_quad:
+                    boxes[kind].add(len(plan.cells[j]))
             else:
                 assert plan.cells[j] is None and plan.orders[j] is None
     assert near > 0 and (partial > 0) == (case != "cube_r2")
+    assert boxes == {"b": {4} if case == "dented_cube" else {1, 2, 4}, "i": {4}}
 
 
 def test_setup_does_no_row_work(tmp_path, monkeypatch):

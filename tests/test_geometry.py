@@ -190,6 +190,42 @@ def test_nested_patch_recovers_corner_cell():
     assert_allclose(corner.vertices[0], parent.vertices[0], atol=1e-15)
 
 
+_ONE_UP, _ONE_DOWN = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("foot, cut", [
+    ((0.3, -0.6), "both"),                    # inside
+    ((_ONE_UP, -_ONE_DOWN), "both"),          # on an edge, an ulp either side
+    ((-_ONE_DOWN, _ONE_UP), "both"),
+    ((1.05, -1.09), "both"),                  # in the margin band
+    ((1.11, 0.2), "eta"),                     # beyond on one coordinate
+    ((-0.4, -2.5), "xi"),
+    ((3.0, -1.2), "none"),                    # beyond on both
+])
+def test_wall_quad_cut_follows_the_foot(foot, cut):
+    # A wall receiver's quad is cut along a coordinate only while the
+    # point's foot lies within 1.1 of the centre on it, at the clamped
+    # position an interior receiver's quad is cut. A foot inside, on an
+    # edge or in the margin band gives the interior receiver's four boxes
+    # bit for bit; beyond on one coordinate, the two boxes either side of
+    # the other coordinate's cut; beyond on both, the whole square. The
+    # boxes always tile the square.
+    cells = quad_cells(foot, wall=True)
+    xm, em = np.clip(foot, -0.9, 0.9)
+    expected = {"both": quad_cells(foot),
+                "xi": np.array([[-1.0, xm, -1.0, 1.0], [xm, 1.0, -1.0, 1.0]]),
+                "eta": np.array([[-1.0, 1.0, -1.0, em], [-1.0, 1.0, em, 1.0]]),
+                "none": quad_cells()}[cut]
+    assert np.array_equal(cells, expected)
+    assert np.all(cover_counts(build_element(UNIT_QUAD), cells) == 1)
+    areas = (cells[:, 1] - cells[:, 0]) * (cells[:, 3] - cells[:, 2])
+    assert areas.sum() == pytest.approx(4.0, rel=1e-15)
+    stacked = quad_cells(np.array([foot, (0.0, 0.0), foot]), wall=True)
+    assert all(np.array_equal(got, want) for got, want in
+               zip(stacked, [cells, quad_cells((0.0, 0.0)), cells]))
+    assert len(stacked) == 3 and quad_cells(np.zeros((0, 2)), wall=True) == []
+
+
 def test_full_patch_subelement_reproduces_element():
     for verts in (UNIT_TRI, UNIT_QUAD):
         e = build_element(verts, emissivity=0.5)
