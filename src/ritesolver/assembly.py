@@ -28,11 +28,15 @@ a near-band quad only along the coordinates on which that projection falls
 on or near the quad, so the quad takes four, two or one boxes. A quad's
 cells map through its factored bilinear map, x = (a + b xi) + (c + d xi)
 eta with the affine Jacobian (j0 + j1 xi) + j2 eta
-(geometry.bilinear_coefficients), which the element keeps after its first
-use. Fully visible elements take tensor or triangle rules on the whole
-element; partly visible ones take triangle rules on each visible triangle
-the shadow clipper returns, with shape functions evaluated at the root
-intrinsic coordinates of the quadrature points.
+(geometry.bilinear_coefficients). Fully visible elements take tensor or
+triangle rules on the whole element; partly visible ones take triangle
+rules on each visible triangle the shadow clipper returns, with shape
+functions evaluated at the root intrinsic coordinates of the quadrature
+points.
+
+Rules, projections and collocation read every per-element fact by element
+id from the mesh's element table (geometry.ElementArrays), quad maps
+included, which is computed once per mesh.
 """
 
 from __future__ import annotations
@@ -46,10 +50,9 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from ritesolver.geometry import (
-    SurfaceElement,
+    ElementArrays,
     SurfaceMesh,
     VoxelGrid,
-    bilinear_coefficients,
     cross3,
     normal_cross,
     points_in_mesh,
@@ -314,12 +317,11 @@ def _tri_cell_rule(verts3: np.ndarray, cells: np.ndarray, order: int):
     return (root @ verts3).reshape(-1, 3), weights.ravel(), root.reshape(-1, 3)
 
 
-def _shaped_rule(element: SurfaceElement, points, weights, coords,
-                 flux: bool = True) -> ElementRule:
-    """Attach shapes at root intrinsic coordinates (n, 2 or 3), padded to
-    four columns, and store the rule column-major; flux shapes only if flux
-    is true."""
-    if element.is_quad:
+def _shaped_rule(quad: bool, points, weights, coords, flux: bool = True) -> ElementRule:
+    """Attach a quad's (quad true) or a triangle's shapes at root intrinsic
+    coordinates (n, 2 or 3), padded to four columns, and store the rule
+    column-major; flux shapes only if flux is true."""
+    if quad:
         xi, eta = coords.T
         fshape = quad_flux_shapes(xi, eta) if flux else None
         vertex = quad_vertex_shapes(xi, eta)
@@ -332,41 +334,36 @@ def _shaped_rule(element: SurfaceElement, points, weights, coords,
     return ElementRule(np.asfortranarray(points), weights, fshape.T if flux else None, vertex.T)
 
 
-def element_rule(element: SurfaceElement | list[SurfaceElement], order,
-                 cells=None, flux: bool = True) -> ElementRule:
+def element_rule(arrays: ElementArrays, ids, order, cells=None, flux: bool = True) -> ElementRule:
     """Quadrature rule over the reference cells of whole elements.
 
-    element is one SurfaceElement or a sequence of elements of one kind,
-    whose rules are concatenated element by element; each element's part
-    equals its rule alone, bit for bit. order is one Gauss order, or one
-    per element of a sequence; each run of consecutive elements of one
-    order is mapped in one pass, all of a quad run's boxes in one
-    _quad_cell_rule call, however many each quad has. cells holds the
-    element's quad_cells boxes or tri_cells corner sets, one array per
-    element of a sequence; None takes each element whole. With flux
-    false the rule carries no flux shapes, which only a reflecting source
-    element's row reads.
+    ids are elements of one kind in the element table arrays, whose rules
+    are concatenated element by element; each element's part equals its
+    rule alone, bit for bit. order is one Gauss order, or one per element;
+    each run of consecutive elements of one order is mapped in one pass,
+    all of a quad run's boxes in one _quad_cell_rule call, however many
+    each quad has. cells holds each element's quad_cells boxes or
+    tri_cells corner sets, one array per element; None takes each element
+    whole. With flux false the rule carries no flux shapes, which only a
+    reflecting source element's row reads.
     """
-    one = isinstance(element, SurfaceElement)
-    elements = [element] if one else list(element)
+    quad = arrays.n_vertices[ids[0]] == 4
     if cells is None:
-        cells = [quad_cells() if elements[0].is_quad else tri_cells()] * len(elements)
-    elif one:
-        cells = [cells]
-    orders = list(order) if np.iterable(order) else [order] * len(elements)
+        cells = [quad_cells() if quad else tri_cells()] * len(ids)
+    orders = list(order) if np.iterable(order) else [order] * len(ids)
     cuts = [i for i in range(1, len(orders)) if orders[i] != orders[i - 1]]
     runs = [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(orders)])]
-    if elements[0].is_quad:
-        maps = np.array([e.quad_map for e in elements])
+    if quad:
+        maps = arrays.quad_maps[ids]
         boxes = [len(c) for c in cells]
         return _joined([_quad_cell_rule(np.repeat(maps[run], boxes[run], axis=0),
                                         np.concatenate(cells[run]), orders[run.start], flux)
                         for run in runs])
-    verts = np.array([e.vertices for e in elements])
+    verts = arrays.vertices[ids, :3]
     parts = [_tri_cell_rule(np.repeat(verts[run], [len(c) for c in cells[run]], axis=0),
                             np.concatenate(cells[run]), orders[run.start]) for run in runs]
     points, weights, coords = (np.concatenate(field) for field in zip(*parts))
-    return _shaped_rule(elements[0], points, weights, coords, flux)
+    return _shaped_rule(False, points, weights, coords, flux)
 
 
 def _joined(rules: list[ElementRule]) -> ElementRule:
@@ -420,12 +417,13 @@ def _runs(sizes, limit: int) -> list[slice]:
 _VISIBLE_POINTS = 8192
 
 
-def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> list[ElementRule]:
+def visible_rule(p, arrays: ElementArrays, ids, tris: list[np.ndarray]) -> list[ElementRule]:
     """Banded triangle rules over the visible triangles of several elements.
 
-    tris[i] holds the visible triangles (T, 3, 3) of elements[i], seen from
-    the point p or, p being one point per element (m, 3), from p[i], so
-    that the partly visible pairs of many rows take one call; returns one
+    tris[i] holds the visible triangles (T, 3, 3) of element ids[i] of the
+    element table arrays, seen from the point p or, p being one point per
+    element (m, 3), from p[i], so that the partly visible pairs of many
+    rows take one call; returns one
     rule per element. Each triangle takes the band of its own distance from
     its point over its own diameter, near ones split toward the point's
     in-plane projection. Distances and split points take one pass for all
@@ -436,10 +434,11 @@ def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> l
     evaluated at the root intrinsic coordinates of each element's points,
     projected in one call per element kind and run.
     """
+    ids = np.asarray(ids)
     counts = np.array([len(t) for t in tris])
     tris = np.concatenate(tris)
-    p = np.repeat(np.broadcast_to(p, (len(elements), 3)), counts, axis=0)
-    normals = np.repeat([e.normal for e in elements], counts, axis=0)
+    p = np.repeat(np.broadcast_to(p, (len(ids), 3)), counts, axis=0)
+    normals = np.repeat(arrays.normals[ids], counts, axis=0)
     dists = point_element_distances(p, np.concatenate([tris, tris[:, 2:]], axis=1), normals)
     diams = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
     towards = _barycentric(tris, p)
@@ -454,14 +453,14 @@ def visible_rule(p, elements: list[SurfaceElement], tris: list[np.ndarray]) -> l
     rules = []
     for run in _runs(np.add.reduceat(sizes, starts), _VISIBLE_POINTS):
         tri_run = slice(starts[run.start], ends[run.stop - 1])
-        rules += _visible_run(elements[run], counts[run], tris[tri_run], orders[tri_run],
+        rules += _visible_run(arrays, ids[run], counts[run], tris[tri_run], orders[tri_run],
                               cells[tri_run])
     return rules
 
 
-def _visible_run(elements, counts, tris, orders, cells) -> list[ElementRule]:
-    """visible_rule's rules for one run of elements, whose triangles tris
-    take the given band orders and cells."""
+def _visible_run(arrays, ids, counts, tris, orders, cells) -> list[ElementRule]:
+    """visible_rule's rules for one run of elements ids, whose triangles
+    tris take the given band orders and cells."""
     parts = [None] * len(tris)
     for order in sorted(set(orders)):
         group = [i for i, o in enumerate(orders) if o == order]
@@ -477,34 +476,35 @@ def _visible_run(elements, counts, tris, orders, cells) -> list[ElementRule]:
         own = parts[end - count:end]
         pts.append(np.concatenate([q[0] for q in own]))
         wts.append(np.concatenate([q[1] for q in own]))
-    coords = [None] * len(elements)
-    for is_quad in (True, False):
-        group = [i for i, e in enumerate(elements) if e.is_quad == is_quad]
-        if not group:
+    coords = [None] * len(ids)
+    quad = arrays.n_vertices[ids] == 4
+    for kind in (True, False):
+        group = np.flatnonzero(quad == kind)
+        if not group.size:
             continue
         sizes = [len(pts[i]) for i in group]
-        projected = intrinsic_projection([elements[i] for i in group],
+        projected = intrinsic_projection(arrays, ids[group],
                                          np.concatenate([pts[i] for i in group]), sizes)
         for i, part in zip(group, np.split(projected, np.cumsum(sizes)[:-1])):
             coords[i] = part
-    return [_shaped_rule(*args) for args in zip(elements, pts, wts, coords)]
+    return [_shaped_rule(*args) for args in zip(quad, pts, wts, coords)]
 
 
-def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
-                         counts=None) -> np.ndarray:
+def intrinsic_projection(arrays: ElementArrays, ids, points, counts=None) -> np.ndarray:
     """Root intrinsic coordinates of the in-plane projections of points (n, 3).
 
-    element is the SurfaceElement every point projects onto, or a sequence
-    of elements of one kind: point i onto element i, or with counts the
-    next counts[i] points onto element i. So a row's split points take one
-    call, and so do the visible points of a row's partly visible elements
-    of one kind. Triangles return (n, 3) barycentric coordinates, quads
-    (n, 2) (xi, eta). Each point is solved on its own in closed form, so it
-    gives the same bits stacked as alone.
+    ids are elements of one kind in the element table arrays: point i
+    projects onto element ids[i], or with counts the next counts[i] points
+    onto element ids[i]; a single id takes every point. So a row's split
+    points take one call, and so do the visible points of a row's partly
+    visible elements of one kind. Triangles return (n, 3) barycentric
+    coordinates, quads (n, 2) (xi, eta). Each point is solved on its own in
+    closed form, so it gives the same bits stacked as alone.
 
-    A quad (planar, convex) maps x = a + b xi + c eta + d xi eta, with a, b,
-    c, d its quad_map rows (see geometry.bilinear_coefficients). With r the
-    point's foot less a and cr(u, v) = (u x v) . normal, eta solves
+    A quad (planar, convex) maps x = a + b xi + c eta + d xi eta, with a,
+    b, c, d its rows of arrays.quad_maps (see
+    geometry.bilinear_coefficients). With r the point's foot less a and
+    cr(u, v) = (u x v) . normal, eta solves
     A eta^2 + B eta + C = 0, A = cr(c, d) = -j2, B = cr(c, b) - cr(r, d)
     with cr(c, b) = -j0, C = -cr(r, b), and xi =
     (r - c eta) . g / |g|^2 with g = b + d eta. At a root 2A eta + B is
@@ -519,8 +519,7 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
     """
     pts = np.asarray(points, dtype=float)
     # One element broadcasts over all points: its stack has length one.
-    elements = [element] if isinstance(element, SurfaceElement) else element
-    normal = np.array([e.normal for e in elements]).T
+    normal = arrays.normals[ids].T
 
     def spread(*per_element):
         # Terms of each element, formed once and repeated out to its points.
@@ -528,10 +527,10 @@ def intrinsic_projection(element: SurfaceElement | list[SurfaceElement], points,
             return per_element
         return [np.repeat(x, counts, axis=-1) for x in per_element]
 
-    if not elements[0].is_quad:
-        [tris] = spread(np.array([e.vertices for e in elements]).T)
+    if arrays.n_vertices[ids[0]] != 4:
+        [tris] = spread(arrays.vertices[ids, :3].T)
         return _barycentric(tris.T, pts)
-    a, b, c, d, j = np.array([e.quad_map for e in elements]).transpose(1, 2, 0)  # (3, m) each
+    a, b, c, d, j = arrays.quad_maps[ids].transpose(1, 2, 0)  # (3, m) each
     # cr swapped negates exactly, so cr(c, d) is -j2 and cr(c, b) is -j0.
     a, b, c, d, normal, qa, cb = spread(a, b, c, d, normal, -j[2], -j[0])
     rel = pts.T - a
@@ -631,11 +630,12 @@ def collocation_points(mesh: SurfaceMesh, grid: VoxelGrid) -> CollocationSet:
     triangle, all quads in one pass and all triangles in another. A quad's
     nodes are its vertex shapes times its vertices, the bits of the corner
     products, and their weights the Jacobian of its factored bilinear map,
-    (j0 + j1 xi) + j2 eta (geometry.bilinear_coefficients). Nodes from the
-    factored map would round differently, and a node moved by an ulp moves
-    the visible triangles the shadow clipper returns. Interior points are
-    the centers of grid cells lying inside the enclosure; cells outside (an
-    outer bounding grid over a non-convex shape) carry no unknown.
+    (j0 + j1 xi) + j2 eta, read from the element table's quad_maps. Nodes
+    from the factored map would round differently, and a node moved by an
+    ulp moves the visible triangles the shadow clipper returns. Interior
+    points are the centers of grid cells lying inside the enclosure; cells
+    outside (an outer bounding grid over a non-convex shape) carry no
+    unknown.
     """
     arr = mesh.arrays()
     counts = arr.n_vertices
@@ -648,7 +648,7 @@ def collocation_points(mesh: SurfaceMesh, grid: VoxelGrid) -> CollocationSet:
     v = arr.vertices[quads].transpose(1, 2, 0)[..., None]  # (4, 3, quads, 1)
     points = ((vs[0] * v[0] + vs[1] * v[1]) + vs[2] * v[2]) + vs[3] * v[3]
     pts[on_quad] = points.reshape(3, -1).T
-    j0, j1, j2 = bilinear_coefficients(arr.vertices[quads], arr.normals[quads])[:, 4].T[..., None]
+    j0, j1, j2 = arr.quad_maps[quads, 4].T[..., None]
     weights[on_quad] = ((j0 + j1 * xi) + j2 * eta).ravel()
     pts[~on_quad] = (TRI_NODES_BARY @ arr.vertices[~quads, :3]).reshape(-1, 3)
     weights[~on_quad] = np.repeat(arr.areas[~quads] / 3.0, 3)
@@ -723,9 +723,12 @@ class RowPlan:
     assembled (see Assembler._plan_rows).
 
     Fields run parallel over the row's active elements, in active-list
-    order. A row gathers its quadrature points in another order (see
-    Assembler._gather_row_rule): near-band quads, near-band triangles, then
-    the rules kept here in this order. rules holds the ElementRule of every
+    order. elements holds their ids in the mesh's element table
+    (geometry.ElementArrays), from which the row's rules read each
+    element's vertices, normal, kind and quad map. A row gathers its
+    quadrature points in another order (see Assembler._gather_row_rule):
+    near-band quads, near-band triangles, then the rules kept here in this
+    order. rules holds the ElementRule of every
     pair whose rule is the same at every property point: the shared
     whole-element rule of a fully visible element beyond the near band, and
     the visible-triangle rule of a partly visible one. It holds None for
@@ -772,11 +775,13 @@ class Assembler:
     cached per (element, order) and shared between plans. Near-band rules
     of fully visible elements are rebuilt from the plan's cells and orders
     at every property point, in one call per element kind whose rule the
-    row takes whole. The quads' call runs their factored bilinear maps,
-    whose coefficients each element computes once, on the first row that
-    needs them, and keeps. The wall nodes' emission and the grid's plane
-    coordinates are kept too, from the first wall row and the first chord
-    pass on; none of these is computed at construction.
+    row takes whole. Rules read each element by id from the mesh's element
+    table (geometry.ElementArrays), which holds the quads' factored bilinear
+    maps, computed once with the mesh, so set-up and rows compute none. The
+    vertex temperatures are one gather through the mesh's padded node ids
+    at construction. The wall nodes' emission and the grid's plane
+    coordinates are kept from the first wall row and the first chord pass
+    on; neither is computed at construction.
 
     Each row runs two passes over its quadrature points. The wall pass
     writes the direct source and, when some element the row sees reflects
@@ -831,34 +836,27 @@ class Assembler:
         self._active_mask = np.zeros(grid.n_cells, dtype=bool)
         self._active_mask[self.collocation.interior_cells] = True
         # Vertex temperatures per element, padded like the vertex arrays.
-        nt = mesh.node_temperatures
-        self._vertex_temps = np.zeros((mesh.n_elements, 4))
-        for k, en in enumerate(mesh.element_nodes):
-            self._vertex_temps[k, : len(en)] = nt[list(en)]
-            if len(en) == 3:
-                self._vertex_temps[k, 3] = nt[en[2]]
+        self._vertex_temps = mesh.node_temperatures[mesh.padded_nodes]
 
     # -- caches ---------------------------------------------------------
 
     @cached_property
     def _node_emission(self) -> np.ndarray:
         """Blackbody emission at every wall node, (N_p,), interpolated from
-        its element's vertices; built on the first wall row."""
+        its element's vertices in one batched dot, a triangle's shapes padded
+        with an exact zero; built on the first wall row."""
         col = self.collocation
-        eb_vertices = blackbody_emission(self._vertex_temps)
-        emission = np.empty(col.n_boundary)
-        for r, own in enumerate(col.boundary_element.tolist()):
-            local = r - col.element_first_dof[own]
-            if self.mesh.elements[own].is_quad:
-                emission[r] = quad_vertex_shapes(*QUAD_NODES_UV[local]) @ eb_vertices[own]
-            else:
-                emission[r] = TRI_NODES_BARY[local] @ eb_vertices[own, :3]
-        return emission
+        on_quad = np.repeat(self.arrays.n_vertices, self.arrays.n_vertices) == 4
+        shapes = np.zeros((col.n_boundary, 4))
+        shapes[on_quad] = np.tile(quad_vertex_shapes(*QUAD_NODES_UV.T).T, (on_quad.sum() // 4, 1))
+        shapes[~on_quad, :3] = np.tile(TRI_NODES_BARY, ((~on_quad).sum() // 3, 1))
+        eb = blackbody_emission(self._vertex_temps)[col.boundary_element]
+        return (shapes[:, None, :] @ eb[:, :, None])[:, 0, 0]
 
     def _cached_rule(self, k: int, order: int) -> ElementRule:
         rule = self._rule_cache.get((k, order))
         if rule is None:
-            rule = self._rule_cache[(k, order)] = element_rule(self.mesh.elements[k], order)
+            rule = self._rule_cache[(k, order)] = element_rule(self.arrays, [k], order)
         return rule
 
     def _plan_rows(self, kind: str) -> None:
@@ -914,16 +912,15 @@ class Assembler:
             partial = [j for j, vis in enumerate(visibility)
                        if vis.classification is Classification.PARTIALLY_VISIBLE]
             if partial:
-                built = visible_rule(p[partial], [mesh.elements[idx[j]] for j in partial],
+                built = visible_rule(p[partial], arr, idx[partial],
                                      [visibility[j].visible for j in partial])
                 for j, rule in zip(partial, built):
                     rules[j] = rule
             # The near-band pairs' cells, split at their points' projections.
             cells = [None] * idx.size
             for group in self._by_kind(idx, near):
-                elements = [mesh.elements[idx[j]] for j in group]
-                towards = intrinsic_projection(elements, p[group])
-                split = (quad_cells(towards, kind == "b") if elements[0].is_quad
+                towards = intrinsic_projection(arr, idx[group], p[group])
+                split = (quad_cells(towards, kind == "b") if arr.n_vertices[idx[group[0]]] == 4
                          else map(tri_cells, towards))
                 for j, c in zip(group, split):
                     cells[j] = c
@@ -937,11 +934,12 @@ class Assembler:
                     orders=tuple(orders[pairs]),
                 )
 
-    def _by_kind(self, elements: np.ndarray, picked: list[int]) -> list[list[int]]:
-        """The positions picked of elements, quads first, then triangles;
+    def _by_kind(self, ids: np.ndarray, picked: list[int]) -> list[list[int]]:
+        """The positions picked of element ids, quads first, then triangles;
         kinds with none picked are left out."""
-        quads = [j for j in picked if self.mesh.elements[elements[j]].is_quad]
-        return [group for group in (quads, [j for j in picked if j not in quads]) if group]
+        quad = (self.arrays.n_vertices[ids] == 4).tolist()
+        return [group for group in ([j for j in picked if quad[j]],
+                                    [j for j in picked if not quad[j]]) if group]
 
     # -- row integration ------------------------------------------------
 
@@ -971,8 +969,8 @@ class Assembler:
             group.sort(key=plan.orders.__getitem__, reverse=True)
             cells = [plan.cells[j] for j in group]
             orders = [plan.orders[j] for j in group]
-            rules.append(element_rule([self.mesh.elements[plan.elements[j]] for j in group],
-                                      orders, cells, flux=self._reflects))
+            rules.append(element_rule(self.arrays, plan.elements[group], orders, cells,
+                                      flux=self._reflects))
             placed += group
             counts += [len(c) * o * o for c, o in zip(cells, orders)]
         kept = [j for j, rule in enumerate(plan.rules) if rule is not None]

@@ -297,6 +297,11 @@ class CaseConfig:
                 continue
             if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
                 raise ConfigError(f"bad config value: {key} must be {noun}, got {value!r}")
+        # Each profile writes profile_<name>.csv, so a repeated name would
+        # overwrite an earlier profile's file.
+        names = [spec.name for spec in self.profiles]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"profile names must be unique, got {names}")
         # Profiles are divided by STEFAN_BOLTZMANN T^4 of this temperature.
         temp = self.reference_temperature
         if temp is not None and not (math.isfinite(temp) and temp > 0.0):

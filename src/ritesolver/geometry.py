@@ -3,8 +3,11 @@
 Quadrature on an element is laid out on reference cells in its root
 intrinsic coordinates: boxes of the (xi, eta) square for quads and
 barycentric corner sets for triangles (quad_cells, tri_cells). A quad maps
-its square through the factored bilinear map of bilinear_coefficients,
-which each element computes on first use and keeps (SurfaceElement.quad_map).
+its square through the factored bilinear map of bilinear_coefficients.
+
+Per-element facts live in one table read by element id, ElementArrays,
+bilinear maps included, computed once per mesh; SurfaceMesh.padded_nodes
+holds the node id behind each padded vertex slot.
 
 All coordinates are SI meters. Element vertices are ordered counter-clockwise
 when viewed from the side the unit normal points to, and enclosure meshes
@@ -20,7 +23,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -162,12 +164,6 @@ class SurfaceElement:
     def is_quad(self) -> bool:
         return self.vertices.shape[0] == 4
 
-    @cached_property
-    def quad_map(self) -> np.ndarray:
-        """A quad's bilinear_coefficients (5, 3), computed on first use and
-        kept with the element."""
-        return bilinear_coefficients(self.vertices, self.normal)
-
 
 def build_element(vertices, emissivity: float = 1.0) -> SurfaceElement:
     """Construct a SurfaceElement from 3 or 4 vertices.
@@ -224,10 +220,13 @@ def build_element(vertices, emissivity: float = 1.0) -> SurfaceElement:
 
 @dataclass
 class ElementArrays:
-    """Structure-of-arrays view of an element list for vectorized queries.
+    """Structure-of-arrays view of an element list for vectorized queries,
+    read by element id.
 
     Triangles pad the fourth vertex slot with a repeat of their last vertex;
-    the degenerate edge drops out of edge tests.
+    the degenerate edge drops out of edge tests. quad_maps holds the
+    bilinear_coefficients of every padded vertex stack, computed in one
+    pass; only a quad's rows are meaningful.
     """
 
     vertices: np.ndarray      # (E, 4, 3)
@@ -239,31 +238,21 @@ class ElementArrays:
     plane_offsets: np.ndarray  # (E,)  normal . vertex0
     emissivities: np.ndarray  # (E,)
     circumradii: np.ndarray   # (E,)  max vertex distance from the centroid
+    quad_maps: np.ndarray     # (E, 5, 3)
 
     @classmethod
     def from_elements(cls, elements) -> "ElementArrays":
-        n = len(elements)
-        verts = np.empty((n, 4, 3))
-        nv = np.empty(n, dtype=int)
-        normals = np.empty((n, 3))
-        cents = np.empty((n, 3))
-        areas = np.empty(n)
-        diams = np.empty(n)
-        eps = np.empty(n)
-        for i, e in enumerate(elements):
-            m = e.n_vertices
-            verts[i, :m] = e.vertices
-            if m == 3:
-                verts[i, 3] = e.vertices[2]
-            nv[i] = m
-            normals[i] = e.normal
-            cents[i] = e.centroid
-            areas[i] = e.area
-            diams[i] = e.diameter
-            eps[i] = e.emissivity
+        def stack(field, *shape):
+            return np.array([getattr(e, field) for e in elements], dtype=float).reshape(-1, *shape)
+
+        verts = np.array([e.vertices[[0, 1, 2, e.n_vertices - 1]] for e in elements],
+                         dtype=float).reshape(-1, 4, 3)
+        normals, cents = stack("normal", 3), stack("centroid", 3)
         offs = np.einsum("ij,ij->i", normals, verts[:, 0])
         crad = np.sqrt(((verts - cents[:, None, :]) ** 2).sum(-1)).max(axis=1)
-        return cls(verts, nv, normals, cents, areas, diams, offs, eps, crad)
+        return cls(verts, np.array([e.n_vertices for e in elements], dtype=int), normals, cents,
+                   stack("area"), stack("diameter"), offs, stack("emissivity"), crad,
+                   bilinear_coefficients(verts, normals))
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -463,8 +452,11 @@ class VoxelGrid:
 class SurfaceMesh:
     """Indexed element mesh with per-node temperature.
 
-    Enclosure meshes must be closed, consistently oriented with normals into
-    the medium; set check_closed=False for open test scenes.
+    padded_nodes (E, 4) holds each element's node ids, a triangle's last
+    repeated into the fourth slot as ElementArrays pads its vertices, so
+    per-vertex data of every element is one gather. Enclosure meshes must
+    be closed, consistently oriented with normals into the medium; set
+    check_closed=False for open test scenes.
     """
 
     def __init__(self, nodes, element_nodes, emissivities=None, node_temperatures=None,
@@ -487,6 +479,8 @@ class SurfaceMesh:
             build_element(nodes[list(en)], eps)
             for en, eps in zip(self.element_nodes, emissivities)
         ]
+        self.padded_nodes = np.array([en + en[-1:] * (4 - len(en)) for en in self.element_nodes],
+                                     dtype=int).reshape(-1, 4)
         if node_temperatures is None:
             node_temperatures = np.zeros(nodes.shape[0])
         node_temperatures = np.asarray(node_temperatures, dtype=float).reshape(-1)

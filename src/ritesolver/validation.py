@@ -266,8 +266,9 @@ def visibility_report_check(
 
 
 def _element_mean_temperatures(mesh: SurfaceMesh) -> np.ndarray:
-    temps = mesh.node_temperatures
-    return np.array([float(np.mean(temps[list(en)])) for en in mesh.element_nodes])
+    """Mean vertex temperature per element, a triangle's padded slot left out."""
+    temps = mesh.node_temperatures[mesh.padded_nodes]
+    return np.where(mesh.arrays().n_vertices == 4, temps.mean(axis=1), temps[:, :3].mean(axis=1))
 
 
 def energy_balance(

@@ -404,12 +404,12 @@ def classify_visibility(p, active_index: int, screened, mesh: SurfaceMesh) -> Vi
     fan-triangulated.
     """
     p = as_point(p)
-    element = mesh.elements[active_index]
-    normal = element.normal
-    tol = _CUT_RTOL * element.diameter
-    min_area = _SLIVER_RTOL * element.area
+    arr = mesh.arrays()
+    normal, area = arr.normals[active_index], float(arr.areas[active_index])
+    tol = _CUT_RTOL * float(arr.diameters[active_index])
+    min_area = _SLIVER_RTOL * area
 
-    pieces = [element.vertices]
+    pieces = [arr.vertices[active_index, :arr.n_vertices[active_index]]]
     shadows = 0
     for _, cuts in screened:
         # A piece the shadow misses (None) stays whole.
@@ -427,5 +427,5 @@ def classify_visibility(p, active_index: int, screened, mesh: SurfaceMesh) -> Vi
     kept = areas >= min_area
     if not kept.any():
         return VisibilityReport(Classification.FULLY_BLOCKED, depth_reached=shadows)
-    fraction = min(sum(areas[kept].tolist()) / element.area, 1.0)
+    fraction = min(sum(areas[kept].tolist()) / area, 1.0)
     return VisibilityReport(Classification.PARTIALLY_VISIBLE, tris[kept], fraction, shadows)

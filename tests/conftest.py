@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ritesolver.geometry import SurfaceMesh
+from ritesolver.geometry import ElementArrays, SurfaceMesh
 
 settings.register_profile(
     "suite",
@@ -70,6 +70,13 @@ def unshare_nodes(mesh: SurfaceMesh, element_temperatures, emissivity=1.0) -> Su
     elements = [tuple(range(end - size, end)) for end, size in zip(ends, sizes)]
     return SurfaceMesh(nodes, elements, np.full(len(elements), emissivity),
                        np.repeat(element_temperatures, sizes), check_closed=False)
+
+
+def element_table(*elements):
+    """The element table of the given elements and their ids in it, 0, 1,
+    ..., the leading arguments of the assembly calls that read elements by
+    id: element_rule(*element_table(e), order)."""
+    return ElementArrays.from_elements(elements), np.arange(len(elements))
 
 
 @pytest.fixture

@@ -36,7 +36,6 @@ from ritesolver.assembly import (
 from ritesolver.cli import builtin_case
 from ritesolver.geometry import (
     PLANARITY_RTOL,
-    ElementArrays,
     SurfaceMesh,
     VoxelGrid,
     build_element,
@@ -49,12 +48,18 @@ from ritesolver.geometry import (
 from ritesolver.kernels import (
     KernelKind,
     RadiativeProperties,
+    blackbody_emission,
     kernel_prefactor,
     projected_solid_angle,
     sight_cosines,
     solvability_margin,
 )
-from ritesolver.validation import _polygon_closure, lemma1_identity, lemma3_interior_identity
+from ritesolver.validation import (
+    _element_mean_temperatures,
+    _polygon_closure,
+    lemma1_identity,
+    lemma3_interior_identity,
+)
 from ritesolver.visibility import (
     UNOBSTRUCTED,
     Classification,
@@ -63,7 +68,7 @@ from ritesolver.visibility import (
     screen_active_set,
 )
 
-from conftest import DENTED_FACES, make_cube_mesh, make_dented_cube_mesh
+from conftest import DENTED_FACES, element_table, make_cube_mesh, make_dented_cube_mesh
 from oracles import (
     bilinear_jacobian,
     bilinear_points,
@@ -102,7 +107,7 @@ def test_rule_weights_sum_to_area():
     tri = build_element([[0.0, 0.0, 0.0], [2.0, 0.0, 0.5], [0.5, 1.5, 1.0]])
     for e in (unit_square(), tri):
         for order in (2, 4, 8):
-            rule = element_rule(e, order)
+            rule = element_rule(*element_table(e), order)
             assert rule.weights.sum() == pytest.approx(e.area, rel=1e-12)
     # Order 2 on a triangle is the 3-point rule far triangles take; it is
     # exact for quadratics, so it agrees with the order-8 rule.
@@ -110,7 +115,7 @@ def test_rule_weights_sum_to_area():
         x, y, z = points.T
         return 1.0 + 2.0 * y + x * x + 3.0 * x * y - z * z
 
-    far, fine = element_rule(tri, 2), element_rule(tri, 8)
+    far, fine = element_rule(*element_table(tri), 2), element_rule(*element_table(tri), 8)
     assert len(far.weights) == 3
     assert abs(far.weights @ quadratic(far.points)
                - fine.weights @ quadratic(fine.points)) <= 1e-12
@@ -120,7 +125,7 @@ def test_partition_of_unity_gives_area():
     # Summing the flux shapes restores the constant function, so the
     # shape-weighted integrals of a unit kernel recombine to the area.
     e = unit_square()
-    rule = element_rule(e, 4)
+    rule = element_rule(*element_table(e), 4)
     assert np.allclose(rule.flux_shapes.sum(axis=1), 1.0, atol=1e-13)
     total = sum(
         (rule.weights * rule.flux_shapes[:, a]).sum() for a in range(rule.flux_shapes.shape[1])
@@ -153,12 +158,12 @@ def test_tri_flux_shapes_partition(a, b):
 # element_integral against independent references
 
 
-def _split_cells(element, p, wall=False):
-    """The element's reference cells split toward the in-plane projection
-    of the point p, as a row plan keeps them; wall is true for a wall
+def _split_cells(arrays, k, p, wall=False):
+    """Element k's reference cells split toward the in-plane projection of
+    the point p, as a row plan keeps them; wall is true for a wall
     receiver's."""
-    toward = intrinsic_projection(element, p[None, :])[0]
-    return quad_cells(toward, wall) if element.is_quad else tri_cells(toward)
+    toward = intrinsic_projection(arrays, [k], p[None, :])[0]
+    return quad_cells(toward, wall) if arrays.n_vertices[k] == 4 else tri_cells(toward)
 
 
 def element_integral(p, n_p, element, kind, props, shape=None, report=None):
@@ -170,13 +175,13 @@ def element_integral(p, n_p, element, kind, props, shape=None, report=None):
     selects one flux shape function. A partly visible report limits the
     integral to its visible triangles.
     """
+    arrays, ids = element_table(element)
     if report is not None:
-        rule, = assembly.visible_rule(p, [element], [report.visible])
+        rule, = assembly.visible_rule(p, arrays, ids, [report.visible])
     else:
-        arrays = ElementArrays.from_elements([element])
         d = float(assembly.point_element_distances(p, arrays.vertices, arrays.normals)[0])
         order, split = assembly._band(d / element.diameter)
-        rule = element_rule(element, order, _split_cells(element, p) if split else None)
+        rule = element_rule(arrays, ids, order, [_split_cells(arrays, 0, p)] if split else None)
     diff = rule.points.T - p[:, None]
     dist = np.linalg.norm(diff, axis=0)
     cos_p, cos_r = sight_cosines(diff, dist, np.broadcast_to(element.normal[:, None], diff.shape),
@@ -328,7 +333,7 @@ def test_intrinsic_projection_inverts_trapezoid_map():
     e = build_element(_TRAPEZOID @ rot.T + [0.5, -1.0, 2.0])
     uv = np.random.default_rng(7).uniform(-0.98, 0.98, (200, 2))
     x = bilinear_points(e.vertices, *uv.T).T
-    back = intrinsic_projection(e, x + 0.3 * e.normal)
+    back = intrinsic_projection(*element_table(e), x + 0.3 * e.normal)
     assert np.abs(bilinear_points(e.vertices, *back.T).T - x).max() < 1e-12
     assert np.abs(back - uv).max() < 1e-12
 
@@ -339,7 +344,7 @@ def test_intrinsic_projection_does_not_clamp():
     e = build_element(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.5, 1.0, 0.0],
                                 [0.5, 1.0, 0.0]]))
     foot = bilinear_points(e.vertices, np.array([4.0]), np.array([0.3])).T
-    back = intrinsic_projection(e, foot + 0.2 * e.normal)
+    back = intrinsic_projection(*element_table(e), foot + 0.2 * e.normal)
     assert np.abs(back - [[4.0, 0.3]]).max() < 1e-12
 
 
@@ -347,10 +352,11 @@ def test_intrinsic_projection_at_the_apex():
     # The legs of the trapezoid meet at (0.75, 2.5), eta = 4, where every
     # xi maps to the same point; xi is defined as 0 there.
     e = build_element(_TRAPEZOID)
-    assert intrinsic_projection(e, np.array([[0.75, 2.5, 0.4]])).tolist() == [[0.0, 4.0]]
+    apex = intrinsic_projection(*element_table(e), np.array([[0.75, 2.5, 0.4]]))
+    assert apex.tolist() == [[0.0, 4.0]]
     # eta = 4 solves the quadratic of every point, since that whole line
     # maps to the apex; a point below the element still gets its preimage.
-    back = intrinsic_projection(e, np.array([[0.75, -3.0, 0.0]]))
+    back = intrinsic_projection(*element_table(e), np.array([[0.75, -3.0, 0.0]]))
     assert np.abs(back - [[-0.25, -7.0]]).max() < 1e-12
 
 
@@ -380,7 +386,7 @@ def test_intrinsic_projection_beyond_the_fold():
     eta = -qb / (2.0 * qa)
     g = b + d * eta
     xi = (r - c * eta) @ g / (g @ g)
-    back = intrinsic_projection(e, np.array([[-1.0, 0.5, 0.3]]))
+    back = intrinsic_projection(*element_table(e), np.array([[-1.0, 0.5, 0.3]]))
     assert np.all(np.isfinite(back))
     assert np.abs(back - [[xi, eta]]).max() < 1e-12
     assert back[0, 1] == pytest.approx(1.0, abs=1e-14)
@@ -420,10 +426,10 @@ def test_intrinsic_projection_round_trips_on_convex_quads(e, uv, height, near):
     # any point within two diameters gives a finite result.
     uv = np.array(uv)
     x = bilinear_points(e.vertices, *uv.T).T
-    back = intrinsic_projection(e, x + height * e.diameter * e.normal)
+    back = intrinsic_projection(*element_table(e), x + height * e.diameter * e.normal)
     assert np.abs(back - uv).max() < 1e-12
     near = e.centroid + e.diameter * np.array(near)
-    assert np.all(np.isfinite(intrinsic_projection(e, near)))
+    assert np.all(np.isfinite(intrinsic_projection(*element_table(e), near)))
 
 
 @given(k=st.integers(1, 6), t=st.integers(-4, 4), xs=st.lists(st.integers(-24, 24), min_size=1,
@@ -439,9 +445,9 @@ def test_intrinsic_projection_apex_and_b_zero_placements(k, t, xs, z):
     e = build_element(np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [t + s, 1.0, 0.0],
                                 [t - s, 1.0, 0.0]]))
     apex = np.array([[0.5 * t * (1.0 + m), m, z / 8.0]])
-    assert intrinsic_projection(e, apex).tolist() == [[0.0, m]]
+    assert intrinsic_projection(*element_table(e), apex).tolist() == [[0.0, m]]
     line = np.column_stack([np.array(xs) / 8.0, np.full(len(xs), -m), np.full(len(xs), z / 8.0)])
-    back = intrinsic_projection(e, line)
+    back = intrinsic_projection(*element_table(e), line)
     assert np.all(np.isfinite(back))
     assert np.abs(back[:, 1] + m).max() < 1e-12
     foot = bilinear_points(e.vertices, *back.T).T
@@ -459,19 +465,21 @@ def test_stacked_projections_match_single_calls():
                                      [0.5, 1.0, 0.0]]))]
     tris = [build_element(flat[:3]), build_element(flat[[0, 2, 3]] @ rot.T)]
     for elements in (quads, tris):
+        table = element_table(*elements)
         for p in (np.array([0.9, 0.4, 0.7]), np.array([9.0, 0.3, 0.2])):
-            stacked = intrinsic_projection(elements, np.tile(p, (len(elements), 1)))
+            stacked = intrinsic_projection(*table, np.tile(p, (len(elements), 1)))
             for e, got in zip(elements, stacked):
-                assert np.array_equal(got, intrinsic_projection(e, p[None, :])[0])
+                assert np.array_equal(got, intrinsic_projection(*element_table(e), p[None, :])[0])
         # With counts, element i takes the next counts[i] points, as the
         # visible points of a row's partly visible elements do.
         counts = [3, 1, 2][:len(elements)]
         points = np.random.default_rng(5).uniform(-1.0, 3.0, (sum(counts), 3))
-        stacked = intrinsic_projection(elements, points, counts)
+        stacked = intrinsic_projection(*table, points, counts)
         ends = np.cumsum(counts)
         for e, end, count in zip(elements, ends, counts):
             own = points[end - count:end]
-            assert np.array_equal(stacked[end - count:end], intrinsic_projection(e, own))
+            assert np.array_equal(stacked[end - count:end],
+                                  intrinsic_projection(*element_table(e), own))
 
 
 def _cube_row_near_quads():
@@ -520,13 +528,13 @@ def test_stacked_quad_rules_match_element_rules(case):
     order = 6 * 2
     boxes = [len(c) for c in cells]
     assert set(boxes) == ({1, 2, 4} if case == "cube_row" else {4})
-    maps = np.repeat([e.quad_map for e in elements], boxes, axis=0)
+    maps = np.repeat(element_table(*elements)[0].quad_maps, boxes, axis=0)
     stacked = assembly._quad_cell_rule(maps, np.concatenate(cells), order)
     uv, w = quad_rule(order)
     ends = np.cumsum(boxes) * len(w)
     assert ends[-1] == len(stacked.weights)
     for i, e in enumerate(elements):
-        rule = element_rule(e, order, cells[i])
+        rule = element_rule(*element_table(e), order, [cells[i]])
         cut = slice(ends[i] - boxes[i] * len(w), ends[i])
         assert np.array_equal(stacked.points[cut], rule.points)
         assert np.array_equal(stacked.weights[cut], rule.weights)
@@ -567,13 +575,14 @@ def test_factored_jacobian_is_the_affine_cross_product_norm(index):
     # product, is positive at all four corners of a convex quad, and makes
     # the unsplit order-2 rule exact for the area.
     e = _factored_map_quads()[index]
-    j0, j1, j2 = e.quad_map[4]
+    arrays, ids = element_table(e)
+    j0, j1, j2 = arrays.quad_maps[0, 4]
     xi, eta = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9))
     factored = (j0 + j1 * xi) + j2 * eta
     assert np.abs(factored / bilinear_jacobian(e.vertices, xi, eta) - 1.0).max() <= 1e-14
     corners = (j0 + j1 * np.array([-1.0, 1.0, 1.0, -1.0])) + j2 * np.array([-1.0, -1.0, 1.0, 1.0])
     assert np.all(corners > 0.0)
-    assert element_rule(e, 2).weights.sum() == pytest.approx(e.area, rel=1e-14)
+    assert element_rule(arrays, ids, 2).weights.sum() == pytest.approx(e.area, rel=1e-14)
 
 
 # Split points of the dented cube's six triangles: fanned ones, midpoint
@@ -603,9 +612,10 @@ def test_stacked_element_rules_match_single_calls(kind, layout):
         orders = [assembly.NEAR_ORDER if layout == "split" else 4] * len(elements)
     if layout == "unsplit":
         cells = [None] * len(elements)
-    stacked = element_rule(elements, orders if layout == "mixed" else orders[0],
+    stacked = element_rule(*element_table(*elements), orders if layout == "mixed" else orders[0],
                            None if layout == "unsplit" else cells)
-    singles = [element_rule(e, o, c) for e, o, c in zip(elements, orders, cells)]
+    singles = [element_rule(*element_table(e), o, None if c is None else [c])
+               for e, o, c in zip(elements, orders, cells)]
     assert len(set(orders)) == (2 if layout == "mixed" else 1)
     for field in ("points", "weights", "flux_shapes", "vertex_shapes"):
         joined = np.concatenate([getattr(rule, field) for rule in singles])
@@ -642,10 +652,9 @@ def test_row_visible_rules_match_single_elements():
             continue
         rows += 1
         p = col.boundary_points[r]
-        elements = [mesh.elements[plan.elements[j]] for j in partial]
         tris = [plan.visibility[j].visible for j in partial]
-        for j, element, visible in zip(partial, elements, tris):
-            alone, = assembly.visible_rule(p, [element], [visible])
+        for j, k, visible in zip(partial, plan.elements[partial], tris):
+            alone, = assembly.visible_rule(p, asm.arrays, [k], [visible])
             for field in ("points", "weights", "flux_shapes", "vertex_shapes"):
                 assert np.array_equal(getattr(plan.rules[j], field), getattr(alone, field))
     assert rows > 0
@@ -767,12 +776,11 @@ def test_dent_near_triangles_with_an_outside_foot_meet_the_near_bound():
         plan = asm.row_plans[("b", r)]
         for k, got in _gathered_pair_sums(asm, "b", r, p, normal):
             j = int(np.flatnonzero(plan.elements == k)[0])
-            element = mesh.elements[k]
-            if plan.cells[j] is None or element.is_quad:
+            if plan.cells[j] is None or asm.arrays.n_vertices[k] == 4:
                 continue
-            if intrinsic_projection(element, p[None, :])[0].min() < 0.0:
+            if intrinsic_projection(asm.arrays, [k], p[None, :])[0].min() < 0.0:
                 outside += 1
-                exact = _polygon_closure(p, element.vertices, normal)
+                exact = _polygon_closure(p, asm.arrays.vertices[k, :3], normal)
                 if abs(got - exact) > _BAND_RTOL["near"] * exact:
                     over.add(r)
     if not outside:
@@ -823,7 +831,7 @@ def test_row_plans_match_one_point_calls(case):
             order, split = assembly._band(float(dists[j] / arr.diameters[k]), kind == "b")
             if split and report.classification is Classification.FULLY_VISIBLE:
                 near += 1
-                assert np.array_equal(plan.cells[j], _split_cells(mesh.elements[k], p, kind == "b"))
+                assert np.array_equal(plan.cells[j], _split_cells(arr, k, p, kind == "b"))
                 assert plan.orders[j] == order
                 if mesh.elements[k].is_quad:
                     boxes[kind].add(len(plan.cells[j]))
@@ -836,8 +844,10 @@ def test_row_plans_match_one_point_calls(case):
 def test_setup_does_no_row_work(tmp_path, monkeypatch):
     # Loading a mesh and building an Assembler is the benchmark's set-up;
     # screening, clipping, rules, distances and projections all belong to
-    # the rows, on their first visit.
-    from ritesolver import visibility
+    # the rows, on their first visit. Set-up builds the element table,
+    # whose quad maps collocation reads: bilinear_coefficients runs once
+    # for the whole mesh, and no row computes another.
+    from ritesolver import geometry, visibility
 
     mesh = make_dented_cube_mesh()
     records = [{"nodes": list(f), "epsilon": 1.0, "T": 500.0} for f in DENTED_FACES]
@@ -852,10 +862,22 @@ def test_setup_does_no_row_work(tmp_path, monkeypatch):
         for module in (assembly, visibility):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    maps = []
+    original = geometry.bilinear_coefficients
+
+    def counted(*args):
+        maps.append(original(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(geometry, "bilinear_coefficients", counted)
     asm = Assembler(*load_mesh(tmp_path / "dent.json"))
     assert asm.row_plans == {}
-    # The quads' factored maps are computed on first use, by the rows.
-    assert not any("quad_map" in vars(e) for e in asm.mesh.elements)
+    assert len(maps) == 1 and asm.arrays.quad_maps is maps[0]
+    # The rows read the quad maps from the table and compute none.
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "bilinear_coefficients", refuse)
+    asm.assemble_surface(props_for(mesh.diameter()))
+    asm.assemble_volume(props_for(mesh.diameter()))
 
 
 def test_row_quadrature_is_component_major():
@@ -865,7 +887,7 @@ def test_row_quadrature_is_component_major():
     # (4, n). The dented cube has quads, triangles and partly visible pairs.
     # Black walls reflect nothing, so their rows gather no flux shapes.
     for element in (unit_square(), build_element(BOTTOM[:3])):
-        rule = element_rule(element, 4)
+        rule = element_rule(*element_table(element), 4)
         assert rule.points.shape == (len(rule.weights), 3)
         assert rule.points.T.flags.c_contiguous
     for emissivity in (1.0, 0.7):
@@ -894,7 +916,7 @@ def test_discrete_reciprocity_cube_faces():
     exchanged = {}
     for i in range(6):
         ei = mesh.elements[i]
-        rule = element_rule(ei, 4)
+        rule = element_rule(mesh.arrays(), [i], 4)
         for j in range(6):
             if i == j:
                 continue
@@ -1159,7 +1181,7 @@ def test_flux_shapes_built_only_where_something_reflects(monkeypatch):
 
     def spy(*args, **kwargs):
         rule = element_rule(*args, **kwargs)
-        if len(args) > 2:  # split toward the source point: a near-band rule
+        if len(args) > 3:  # split toward the source point: a near-band rule
             near.append(rule)
         return rule
 
@@ -1238,6 +1260,35 @@ def test_collocation_counts_cube():
     np.add.at(sums, col.boundary_element, col.boundary_weights)
     areas = np.array([e.area for e in mesh.elements])
     assert np.allclose(sums, areas, rtol=1e-12)
+
+
+def test_vertex_temperature_gathers_match_per_element_loops():
+    # Vertex temperatures, the wall nodes' emission and the elements' mean
+    # temperatures are gathers through the mesh's padded node ids; each
+    # must equal the per-element loop bit for bit, on quads and triangles
+    # with every node at its own temperature.
+    dent = make_dented_cube_mesh()
+    lshape, grid = builtin_case("lshape", 1)
+    rng = np.random.default_rng(11)
+    for mesh, grid in ((dent, VoxelGrid([0.0, 0.0, 0.0], 0.5, [2, 2, 2])), (lshape, grid)):
+        mesh = SurfaceMesh(mesh.nodes, mesh.element_nodes, 0.8,
+                           rng.uniform(300.0, 1200.0, len(mesh.nodes)))
+        asm = Assembler(mesh, grid)
+        col, nt = asm.collocation, mesh.node_temperatures
+        for k, en in enumerate(mesh.element_nodes):
+            padded = list(en) + list(en[-1:]) * (4 - len(en))
+            assert np.array_equal(asm._vertex_temps[k], nt[padded])
+        eb = blackbody_emission(asm._vertex_temps)
+        emission = np.empty(col.n_boundary)
+        for r, own in enumerate(col.boundary_element.tolist()):
+            local = r - col.element_first_dof[own]
+            if len(mesh.element_nodes[own]) == 4:
+                emission[r] = quad_vertex_shapes(*assembly.QUAD_NODES_UV[local]) @ eb[own]
+            else:
+                emission[r] = assembly.TRI_NODES_BARY[local] @ eb[own, :3]
+        assert np.array_equal(asm._node_emission, emission)
+        means = [float(np.mean(nt[list(en)])) for en in mesh.element_nodes]
+        assert np.array_equal(_element_mean_temperatures(mesh), means)
 
 
 def test_boundary_points_interior_to_elements():

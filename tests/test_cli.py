@@ -107,7 +107,7 @@ def test_lshape_r3_wall_rows_plan_without_warnings():
             partial = [(k, r) for k, r in reports
                        if r.classification is Classification.PARTIALLY_VISIBLE]
             assert partial
-            visible_rule(p, [mesh.elements[k] for k, _ in partial], [r.visible for _, r in partial])
+            visible_rule(p, mesh.arrays(), [k for k, _ in partial], [r.visible for _, r in partial])
 
 
 def test_builtin_case_rejects_bad_inputs():
@@ -542,6 +542,21 @@ def test_run_refuses_a_bad_profile_before_the_solve(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     assert "error: profile 'p'" in capsys.readouterr().err
     assert not (out / "oracles.txt").exists()
+
+
+def test_run_refuses_repeated_profile_names(tmp_path, capsys):
+    # Each profile writes profile_<name>.csv; a second profile of the same
+    # name would silently replace the first one's rows.
+    q = {"name": "p", "start": [0.0, 0.5, 0.0], "end": [1.0, 0.5, 0.0], "samples": 3,
+         "quantity": "q"}
+    g = dict(q, start=[0.25, 0.25, 0.25], end=[0.25, 0.25, 0.75], quantity="G")
+    config = write_config(tmp_path, profiles=[q, g])
+    with pytest.raises(ConfigError, match="unique"):
+        CaseConfig.from_file(config)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: profile names must be unique")
+    assert not out.exists()
 
 
 def test_run_case_library_route_matches_cli(tmp_path):

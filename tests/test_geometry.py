@@ -29,7 +29,7 @@ from ritesolver.geometry import (
     tri_cells,
     write_mesh_file,
 )
-from tests.conftest import CUBE_FACES, CUBE_NODES, make_cube_mesh
+from tests.conftest import CUBE_FACES, CUBE_NODES, element_table, make_cube_mesh
 from tests.oracles import (
     OutsideGrid,
     bilinear_jacobian,
@@ -156,7 +156,7 @@ def test_subdivide4_partitions_area(verts):
     for c in children:
         assert c.diameter <= parent.diameter * (1 + 1e-12)
         assert float(c.normal @ parent.normal) > 0.99
-    rule = element_rule(parent, 4, cells)
+    rule = element_rule(*element_table(parent), 4, [cells])
     assert abs(rule.weights.sum() - parent.area) <= 1e-12 * parent.area
 
 
@@ -232,7 +232,7 @@ def test_full_patch_subelement_reproduces_element():
         cells = quad_cells() if e.is_quad else tri_cells()
         assert len(cells) == 1
         assert_allclose(cell_corners(e, cells)[0], e.vertices)
-        rule = element_rule(e, 4)
+        rule = element_rule(*element_table(e), 4)
         assert rule.weights.sum() == pytest.approx(e.area, rel=1e-12)
         m = e.n_vertices
         assert_allclose(rule.vertex_shapes[:, :m] @ e.vertices, rule.points, atol=1e-15)
@@ -254,7 +254,7 @@ def test_tri_split_fans_only_from_inner_targets(toward, n_cells):
     if n_cells == 3:
         assert_allclose(cells[:, 0], np.broadcast_to(toward, (3, 3)))
     assert np.all(cover_counts(e, cells) == 1)
-    rule = element_rule(e, 4, cells)
+    rule = element_rule(*element_table(e), 4, [cells])
 
     def linear(x):
         return 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1] + 0.5 * x[..., 2]
